@@ -15,7 +15,7 @@
 use avfi_bench::experiments::{
     neural_agent, output_delay_specs, plan_studies, ExecOptions, Scale, StudySpec,
 };
-use avfi_core::campaign::{AgentSpec, Campaign};
+use avfi_core::campaign::AgentSpec;
 use avfi_core::engine::Engine;
 use std::time::Instant;
 
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Warm caches (weight training, lazy tables) outside the timed region.
-    let _ = Campaign::new(plan.studies()[0].campaigns[0].clone()).run();
+    let _ = engine.run_campaign(plan.studies()[0].campaigns[0].clone());
 
     // (a) Pre-engine path: campaigns strictly sequential, worker threads
     // only within each campaign.
@@ -59,9 +59,7 @@ fn main() {
     let mut sequential_results = Vec::new();
     for study in plan.studies() {
         for cfg in &study.campaigns {
-            let mut cfg = cfg.clone();
-            cfg.parallelism = workers;
-            sequential_results.push(Campaign::new(cfg).run());
+            sequential_results.push(engine.run_campaign(cfg.clone()));
         }
     }
     let sequential_s = t.elapsed().as_secs_f64();

@@ -13,7 +13,7 @@ use avfi_agent::train::train_default_agent;
 use avfi_core::adaptive::{
     run_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveSpace, AdaptiveTrajectory,
 };
-use avfi_core::campaign::{AgentSpec, Campaign, CampaignConfig, CampaignResult};
+use avfi_core::campaign::{AgentSpec, CampaignConfig, CampaignResult};
 use avfi_core::engine::{Engine, StderrProgress, StudyResult, TraceConfig, WorkPlan};
 use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::timing::TimingFault;
@@ -533,7 +533,7 @@ pub fn run_campaign(fault: FaultSpec, agent: AgentSpec, scale: Scale) -> Campaig
         .fault(fault)
         .agent(agent)
         .build();
-    Campaign::new(config).run()
+    Engine::new().run_campaign(config)
 }
 
 /// The six input-injector configurations of Figures 2 and 3, in paper

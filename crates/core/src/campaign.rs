@@ -5,12 +5,11 @@
 //! run is fully self-contained and deterministic, so campaigns parallelize
 //! over worker threads without affecting results.
 
-use crate::engine::{Engine, ProgressSink, WorkPlan};
 use crate::fault::FaultSpec;
 use crate::harness::AvDriver;
 use avfi_agent::IlNetwork;
 use avfi_sim::recorder::Recorder;
-use avfi_sim::rng::split_seed;
+use avfi_sim::rng::run_seed;
 use avfi_sim::scenario::Scenario;
 use avfi_sim::violation::Violation;
 use avfi_sim::world::{MissionStatus, World};
@@ -130,8 +129,6 @@ pub struct CampaignConfig {
     pub fault: FaultSpec,
     /// The agent under test.
     pub agent: AgentSpec,
-    /// Worker threads (0 = one per available core).
-    pub parallelism: usize,
 }
 
 impl CampaignConfig {
@@ -151,7 +148,6 @@ impl CampaignConfig {
                 runs_per_scenario: 5,
                 fault: FaultSpec::None,
                 agent: AgentSpec::Expert,
-                parallelism: 0,
             },
         }
     }
@@ -184,12 +180,6 @@ impl CampaignConfigBuilder {
     /// Sets the agent.
     pub fn agent(mut self, agent: AgentSpec) -> Self {
         self.config.agent = agent;
-        self
-    }
-
-    /// Sets the worker-thread count (0 = auto).
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.config.parallelism = n;
         self
     }
 
@@ -233,52 +223,10 @@ impl CampaignResult {
     }
 }
 
-/// A runnable campaign.
-#[derive(Debug)]
-pub struct Campaign {
-    config: CampaignConfig,
-}
-
-impl Campaign {
-    /// Creates a campaign.
-    pub fn new(config: CampaignConfig) -> Self {
-        Campaign { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Executes every run (parallel over worker threads) and collects the
-    /// results. Results are identical regardless of thread count.
-    ///
-    /// This is a single-campaign plan handed to the
-    /// [`Engine`](crate::engine::Engine); studies that run several
-    /// campaigns should build a [`WorkPlan`](crate::engine::WorkPlan)
-    /// instead so the queues merge and no cores idle between campaigns.
-    pub fn run(&self) -> CampaignResult {
-        self.run_with(&crate::engine::NullSink)
-    }
-
-    /// Like [`Campaign::run`], streaming progress events into `sink`.
-    pub fn run_with(&self, sink: &dyn ProgressSink) -> CampaignResult {
-        let plan = WorkPlan::single("campaign", self.config.clone());
-        Engine::new()
-            .workers(self.config.parallelism)
-            .execute_with(&plan, sink)
-            .pop()
-            .expect("plan has one study")
-            .campaigns
-            .pop()
-            .expect("study has one campaign")
-    }
-}
-
 /// What the flight recorder should capture for a traced run.
 #[derive(Debug, Clone)]
 pub struct TraceSpec {
-    /// Detail level (`Off` callers should use [`run_single`] instead).
+    /// Detail level ([`TraceLevel::Off`] records nothing).
     pub level: TraceLevel,
     /// Study name recorded in trace headers.
     pub study: String,
@@ -288,35 +236,55 @@ pub struct TraceSpec {
     pub weights_fingerprint: Option<u64>,
 }
 
-/// Executes one fault-injected mission with the flight recorder on.
+/// Per-worker state reused across [`run_mission`] calls: the black-box
+/// ring is allocated once per window size and reset between runs, so a
+/// worker runs thousands of traced missions without reallocating it.
+#[derive(Debug, Default)]
+pub struct WorkerScratch {
+    ring: Recorder,
+}
+
+impl WorkerScratch {
+    /// The ring for a `frames`-long window, emptied and taken out for the
+    /// next run's world (the run hands it back through
+    /// [`World::take_recorder`]).
+    fn take_ring(&mut self, frames: usize) -> Recorder {
+        if self.ring.capacity() == Some(frames.max(1)) {
+            self.ring.reset();
+        } else {
+            self.ring = Recorder::ring(frames);
+        }
+        std::mem::take(&mut self.ring)
+    }
+}
+
+/// Executes one fault-injected mission at its `(scenario, run)`
+/// coordinates: the per-run seed comes from
+/// [`run_seed`]`(template.seed, scenario_index, run_index)`, so the run
+/// depends on nothing else.
 ///
-/// The [`RunResult`] is bit-identical to what [`run_single`] produces —
-/// recording only observes the run. The second return is the trace to
-/// persist: at `Summary` level every run yields one (events only); at
-/// `Blackbox` level only *failed* runs do (with the ring's frame window),
-/// so campaign-scale disk stays proportional to failures.
-///
-/// `recorder` is the caller's reusable capture buffer (one per worker):
-/// it is reset, used, and handed back with its allocation intact.
-pub fn run_single_traced(
+/// With `trace` at `Summary` or `Blackbox` the flight recorder observes
+/// the run without changing its [`RunResult`]. The second return is the
+/// trace to persist: at `Summary` every run yields one (events only); at
+/// `Blackbox` only *failed* runs do (with the ring's frame window), so
+/// campaign-scale disk stays proportional to failures. With `trace`
+/// `None` or at `Off`, neither the event log nor a trace is built.
+pub fn run_mission(
     template: &Scenario,
     scenario_index: usize,
     run_index: usize,
     fault: &FaultSpec,
     agent: &AgentSpec,
-    trace: &TraceSpec,
-    recorder: &mut Recorder,
+    trace: Option<&TraceSpec>,
+    scratch: &mut WorkerScratch,
 ) -> (RunResult, Option<RunTrace>) {
+    let trace = trace.filter(|t| t.level != TraceLevel::Off);
+    let blackbox = trace.is_some_and(|t| t.level == TraceLevel::Blackbox);
     let mut scenario = template.clone();
-    scenario.seed = split_seed(
-        template.seed,
-        ((scenario_index as u64) << 32) | (run_index as u64 + 1),
-    );
+    scenario.seed = run_seed(template.seed, scenario_index, run_index);
     let mut world = World::from_scenario(&scenario);
-    let blackbox = trace.level == TraceLevel::Blackbox;
-    if blackbox {
-        recorder.reset();
-        world.install_recorder(std::mem::take(recorder));
+    if let Some(spec) = trace.filter(|_| blackbox) {
+        world.install_recorder(scratch.take_ring(spec.blackbox_frames));
     }
     let mut driver = match agent {
         AgentSpec::Expert => AvDriver::expert(fault.clone(), scenario.seed),
@@ -325,7 +293,9 @@ pub fn run_single_traced(
             AvDriver::neural(net, fault.clone(), scenario.seed)
         }
     };
-    driver.enable_event_log();
+    if trace.is_some() {
+        driver.enable_event_log();
+    }
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);
@@ -335,7 +305,7 @@ pub fn run_single_traced(
         world.observe_into(&mut obs);
     }
     if blackbox {
-        *recorder = world.take_recorder();
+        scratch.ring = world.take_recorder();
     }
 
     let result = RunResult {
@@ -349,6 +319,9 @@ pub fn run_single_traced(
         distance_km: world.odometer() / 1000.0,
         violations: world.monitor().events().to_vec(),
         injection_time: driver.injection_time(),
+    };
+    let Some(spec) = trace else {
+        return (result, None);
     };
 
     let (mut events, dropped_events) = driver.take_events();
@@ -364,9 +337,10 @@ pub fn run_single_traced(
     // after same-frame injections (cause before effect).
     events.sort_by_key(TraceEvent::frame);
 
+    let ring = &scratch.ring;
     let run_trace = RunTrace {
         header: TraceHeader {
-            study: trace.study.clone(),
+            study: spec.study.clone(),
             fault: result.fault.clone(),
             agent: result.agent.clone(),
             scenario_index,
@@ -374,9 +348,9 @@ pub fn run_single_traced(
             seed: scenario.seed,
             scenario: template.clone(),
             fault_spec_json: serde_json::to_string(fault).expect("fault spec serializes"),
-            weights_fingerprint: trace.weights_fingerprint,
-            level: trace.level,
-            blackbox_frames: if blackbox { trace.blackbox_frames } else { 0 },
+            weights_fingerprint: spec.weights_fingerprint,
+            level: spec.level,
+            blackbox_frames: if blackbox { spec.blackbox_frames } else { 0 },
         },
         summary: TraceSummary {
             success: result.outcome.is_success(),
@@ -388,24 +362,20 @@ pub fn run_single_traced(
         },
         events,
         frames: if blackbox {
-            recorder.chronological().copied().collect()
+            ring.chronological().copied().collect()
         } else {
             Vec::new()
         },
-        dropped_frames: if blackbox { recorder.dropped() } else { 0 },
+        dropped_frames: if blackbox { ring.dropped() } else { 0 },
         dropped_events,
     };
     // Black-box semantics: the ring is flushed to disk only when the run
     // failed; summary traces are cheap enough to keep for every run.
-    let emit = match trace.level {
-        TraceLevel::Off => false,
-        TraceLevel::Summary => true,
-        TraceLevel::Blackbox => run_trace.is_failure(),
-    };
+    let emit = !blackbox || run_trace.is_failure();
     (result, emit.then_some(run_trace))
 }
 
-/// Executes one fault-injected mission.
+/// Executes one fault-injected mission without the flight recorder.
 pub fn run_single(
     template: &Scenario,
     scenario_index: usize,
@@ -413,48 +383,23 @@ pub fn run_single(
     fault: &FaultSpec,
     agent: &AgentSpec,
 ) -> RunResult {
-    // Derive a per-run scenario: same town/config, new mission/traffic
-    // seed. The stream index mixes in `scenario_index` so two scenarios
-    // that happen to share a template seed still get distinct traffic
-    // (mixing only `run_index` would replay identical runs across them).
-    let mut scenario = template.clone();
-    scenario.seed = split_seed(
-        template.seed,
-        ((scenario_index as u64) << 32) | (run_index as u64 + 1),
-    );
-    let mut world = World::from_scenario(&scenario);
-    let mut driver = match agent {
-        AgentSpec::Expert => AvDriver::expert(fault.clone(), scenario.seed),
-        AgentSpec::Neural { weights } => {
-            let net = IlNetwork::from_weights(weights).expect("valid campaign weights");
-            AvDriver::neural(net, fault.clone(), scenario.seed)
-        }
-    };
-    let mut obs = world.observe();
-    loop {
-        let control = driver.drive_frame(&obs, &world);
-        if world.step(control).is_terminal() {
-            break;
-        }
-        world.observe_into(&mut obs);
-    }
-    RunResult {
-        fault: fault.label(),
-        agent: driver.agent_name().to_string(),
+    let scratch = &mut WorkerScratch::default();
+    run_mission(
+        template,
         scenario_index,
         run_index,
-        seed: scenario.seed,
-        outcome: world.mission().into(),
-        duration: world.time(),
-        distance_km: world.odometer() / 1000.0,
-        violations: world.monitor().events().to_vec(),
-        injection_time: driver.injection_time(),
-    }
+        fault,
+        agent,
+        None,
+        scratch,
+    )
+    .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::fault::timing::TimingFault;
     use avfi_sim::scenario::TownSpec;
 
@@ -474,10 +419,10 @@ mod tests {
     fn expert_campaign_runs_and_is_deterministic() {
         let config = CampaignConfig::builder(vec![quick_scenario(1)])
             .runs_per_scenario(3)
-            .parallelism(2)
             .build();
-        let a = Campaign::new(config.clone()).run();
-        let b = Campaign::new(config).run();
+        let engine = Engine::new().workers(2);
+        let a = engine.run_campaign(config.clone());
+        let b = engine.run_campaign(config);
         assert_eq!(a.runs().len(), 3);
         for (x, y) in a.runs().iter().zip(b.runs()) {
             assert_eq!(x.seed, y.seed);
@@ -490,13 +435,11 @@ mod tests {
     #[test]
     fn parallelism_does_not_change_results() {
         let mk = |threads| {
-            Campaign::new(
+            Engine::new().workers(threads).run_campaign(
                 CampaignConfig::builder(vec![quick_scenario(2)])
                     .runs_per_scenario(4)
-                    .parallelism(threads)
                     .build(),
             )
-            .run()
         };
         let serial = mk(1);
         let parallel = mk(4);
@@ -512,7 +455,7 @@ mod tests {
         let config = CampaignConfig::builder(vec![quick_scenario(3)])
             .runs_per_scenario(4)
             .build();
-        let result = Campaign::new(config).run();
+        let result = Engine::new().run_campaign(config);
         let seeds: std::collections::HashSet<u64> = result.runs().iter().map(|r| r.seed).collect();
         assert_eq!(seeds.len(), 4);
     }
@@ -524,9 +467,8 @@ mod tests {
         // index, so their trajectories (and per-run seeds) differ.
         let config = CampaignConfig::builder(vec![quick_scenario(5), quick_scenario(5)])
             .runs_per_scenario(2)
-            .parallelism(1)
             .build();
-        let result = Campaign::new(config).run();
+        let result = Engine::new().workers(1).run_campaign(config);
         assert_eq!(result.runs().len(), 4);
         let seeds: std::collections::HashSet<u64> = result.runs().iter().map(|r| r.seed).collect();
         assert_eq!(seeds.len(), 4, "per-run seeds collided across scenarios");
@@ -546,7 +488,7 @@ mod tests {
             .runs_per_scenario(1)
             .fault(FaultSpec::Timing(TimingFault::OutputDelay { frames: 10 }))
             .build();
-        let result = Campaign::new(config).run();
+        let result = Engine::new().run_campaign(config);
         assert_eq!(result.fault, "delay 10f");
         assert_eq!(result.runs()[0].fault, "delay 10f");
         assert_eq!(result.runs()[0].injection_time, Some(0.0));

@@ -117,7 +117,8 @@ pub fn compare_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{AgentSpec, Campaign, CampaignConfig};
+    use crate::campaign::{AgentSpec, CampaignConfig};
+    use crate::engine::Engine;
     use crate::fault::timing::TimingFault;
     use crate::fault::FaultSpec;
     use avfi_sim::scenario::{Scenario, TownSpec};
@@ -132,14 +133,13 @@ mod tests {
             .time_budget(30.0)
             .min_route_length(60.0)
             .build();
-        Campaign::new(
+        Engine::new().run_campaign(
             CampaignConfig::builder(vec![scenario])
                 .runs_per_scenario(4)
                 .fault(fault)
                 .agent(AgentSpec::Expert)
                 .build(),
         )
-        .run()
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         // different scenario seed.
         let mut town = TownSpec::grid(2, 2);
         town.signalized = false;
-        let other = Campaign::new(
+        let other = Engine::new().run_campaign(
             CampaignConfig::builder(vec![Scenario::builder(town)
                 .seed(999)
                 .npc_vehicles(0)
@@ -185,8 +185,7 @@ mod tests {
             .runs_per_scenario(2)
             .agent(AgentSpec::Expert)
             .build(),
-        )
-        .run();
+        );
         b = other;
         let _ = compare_vpk(&a, &b);
     }

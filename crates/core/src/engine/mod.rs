@@ -3,10 +3,9 @@
 //! The paper's evaluation is campaign-*batches*: every figure sweeps fault
 //! models × scenarios × repetitions, and follow-up work (Jha et al., DSN
 //! 2019) motivates making such sweeps cheap enough to run thousands of
-//! experiments. A [`Campaign`](crate::campaign::Campaign) already shards
-//! its own runs across threads, but running campaigns one after another
-//! leaves cores idle at every campaign boundary (the straggler of each
-//! campaign serializes the whole study).
+//! experiments. Running campaigns one after another, each sharded across
+//! threads, leaves cores idle at every campaign boundary (the straggler
+//! of each campaign serializes the whole study).
 //!
 //! This module flattens an entire [`WorkPlan`] — every (study × campaign ×
 //! scenario × repetition) tuple — into one shared work queue. Idle workers
@@ -28,14 +27,19 @@
 //! pool and multiplexes many independently submitted plans onto it with
 //! fair round-robin scheduling and per-plan cancellation, while keeping
 //! every plan's results byte-identical to a solo [`Engine::execute`].
+//!
+//! Both shapes run a plan through one crate-private executor,
+//! `PlanExec`, and every run through one mission function,
+//! [`run_mission`]: the engine drains the executor's queue through
+//! scoped worker threads, the pool from its round-robin claims.
 
 use crate::campaign::{
-    run_single, run_single_traced, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec,
+    run_mission, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec, WorkerScratch,
 };
-use avfi_sim::recorder::Recorder;
 use avfi_sim::FRAME_DT;
-use avfi_trace::TraceLevel;
+use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -308,89 +312,20 @@ impl ProgressSink for CollectSink {
 /// implementation can journal them to disk as they happen.
 ///
 /// Implementations are called concurrently from worker threads and must
-/// handle their own synchronization. The engine calls `run_completed`
-/// *before* publishing the result to its in-memory slot, so a journal
-/// record always exists for any run the engine counts as finished.
+/// handle their own synchronization. The executor calls `run_completed`
+/// *after* writing the run's trace file and *before* publishing the
+/// result to its in-memory slot, so a journal record always exists for
+/// any run the engine counts as finished.
 pub trait RunSink: Sync {
     /// One run finished: its flat-plan index, result, and trace (if the
     /// flight recorder emitted one).
-    fn run_completed(
-        &self,
-        flat_index: usize,
-        result: &RunResult,
-        trace: Option<&avfi_trace::RunTrace>,
-    );
+    fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>);
 
     /// The plan reached a terminal phase (`"completed"`, `"cancelled"`,
     /// `"failed"`). Called at most once.
     fn plan_terminal(&self, phase: &str) {
         let _ = phase;
     }
-}
-
-/// A flattened work item: one (study, campaign, scenario, run) tuple.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkItem {
-    /// Study index within the plan.
-    pub(crate) study: usize,
-    /// Campaign index within the study.
-    pub(crate) campaign: usize,
-    /// Campaign index within the flattened campaign list.
-    pub(crate) flat_campaign: usize,
-    /// Scenario index within the campaign.
-    pub(crate) scenario: usize,
-    /// Run index within the scenario.
-    pub(crate) run: usize,
-}
-
-/// Flattens a plan into its work-item queue, in plan order. Both the
-/// one-shot [`Engine`] and the persistent [`pool::MultiplexPool`] drain
-/// queues built here, so "flat plan index" means the same thing — and
-/// derives the same per-run seeds — in both execution modes.
-pub(crate) fn flatten_items(plan: &WorkPlan) -> Vec<WorkItem> {
-    let mut items = Vec::with_capacity(plan.total_runs());
-    let mut flat = 0usize;
-    for (study_idx, study) in plan.studies.iter().enumerate() {
-        for (campaign_idx, cfg) in study.campaigns.iter().enumerate() {
-            for scenario in 0..cfg.scenarios.len() {
-                for run in 0..cfg.runs_per_scenario {
-                    items.push(WorkItem {
-                        study: study_idx,
-                        campaign: campaign_idx,
-                        flat_campaign: flat,
-                        scenario,
-                        run,
-                    });
-                }
-            }
-            flat += 1;
-        }
-    }
-    items
-}
-
-/// Per-flat-campaign trace specs for a plan (study name + weights
-/// fingerprint are campaign-level facts; computing them once keeps them
-/// off the per-run path).
-pub(crate) fn plan_trace_specs(
-    plan: &WorkPlan,
-    level: TraceLevel,
-    blackbox_frames: usize,
-) -> Vec<TraceSpec> {
-    plan.studies
-        .iter()
-        .flat_map(|study| {
-            study.campaigns.iter().map(|cfg| TraceSpec {
-                level,
-                study: study.name.clone(),
-                blackbox_frames,
-                weights_fingerprint: match &cfg.agent {
-                    AgentSpec::Neural { weights } => Some(avfi_trace::fingerprint(weights)),
-                    AgentSpec::Expert => None,
-                },
-            })
-        })
-        .collect()
 }
 
 /// Deterministic reassembly: `runs` was produced in flat-plan order, so
@@ -419,6 +354,15 @@ pub fn assemble_results(plan: &WorkPlan, runs: Vec<RunResult>) -> Vec<StudyResul
         .collect()
 }
 
+/// The pool's black-box window, and the default for [`TraceConfig`] and
+/// the shrinker, seconds.
+pub(crate) const BLACKBOX_SECONDS: f64 = 30.0;
+
+/// A black-box window of `seconds`, in frames (at least 1).
+pub(crate) fn blackbox_frames(seconds: f64) -> usize {
+    ((seconds / FRAME_DT).ceil() as usize).max(1)
+}
+
 /// Flight-recorder configuration for an engine execution.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
@@ -438,13 +382,13 @@ impl TraceConfig {
         TraceConfig {
             dir: dir.into(),
             level,
-            blackbox_seconds: 30.0,
+            blackbox_seconds: BLACKBOX_SECONDS,
         }
     }
 
     /// The black-box window in frames (at least 1).
     pub fn blackbox_frames(&self) -> usize {
-        ((self.blackbox_seconds / FRAME_DT).ceil() as usize).max(1)
+        blackbox_frames(self.blackbox_seconds)
     }
 }
 
@@ -465,6 +409,266 @@ pub struct EvalJob {
     pub run_index: usize,
     /// Fault plan for the run.
     pub fault: crate::fault::FaultSpec,
+}
+
+/// A flattened work item: one (study, campaign, scenario, run) tuple.
+#[derive(Debug, Clone, Copy)]
+struct WorkItem {
+    /// Study index within the plan.
+    study: usize,
+    /// Campaign index within the study.
+    campaign: usize,
+    /// Campaign index within the flattened campaign list.
+    flat_campaign: usize,
+    /// Scenario index within the campaign.
+    scenario: usize,
+    /// Run index within the scenario.
+    run: usize,
+}
+
+/// One plan's execution state, shared by every worker that runs its
+/// items: the flattened queue, result slots preassigned by **flat plan
+/// index** (prefilled from a journal on resume), and the counters behind
+/// the progress events. The one-shot [`Engine`] and the persistent
+/// [`MultiplexPool`] both execute plans through it, so "flat plan index"
+/// means the same thing — and derives the same per-run seeds — in both.
+///
+/// Every item runs in one order: run → persist (trace file, then journal
+/// record) → slot → counter → `RunCompleted` (plus `CampaignCompleted`
+/// after a campaign's last run). Hence a journal record never names a
+/// trace that was not written, a counter at the total implies every slot
+/// is filled, and an event never reports a run that is not yet counted.
+#[derive(Debug)]
+pub(crate) struct PlanExec<'a> {
+    plan: Cow<'a, WorkPlan>,
+    items: Vec<WorkItem>,
+    /// Per-flat-campaign trace specs; `None` with tracing off.
+    specs: Option<Vec<TraceSpec>>,
+    /// Directory trace files go to; `None` keeps traces in `traces`.
+    trace_dir: Option<PathBuf>,
+    /// In-memory traces by flat index (sorted by [`PlanExec::finish`]).
+    pub(crate) traces: parking_lot::Mutex<Vec<(usize, RunTrace)>>,
+    slots: Vec<parking_lot::Mutex<Option<RunResult>>>,
+    /// Flat indices still to run, in flat-plan order: the whole plan for
+    /// a fresh execution, only the unfilled gap on resume.
+    pub(crate) pending: Vec<usize>,
+    /// Per-flat-campaign runs left, for `CampaignCompleted`.
+    remaining: Vec<AtomicUsize>,
+    /// Filled slots, prefilled ones included.
+    completed: AtomicUsize,
+    /// Per-worker seconds spent running this plan's items.
+    busy: Vec<parking_lot::Mutex<f64>>,
+    started: Instant,
+}
+
+impl<'a> PlanExec<'a> {
+    /// Flattens `plan` in plan order, slots in `prefilled` results (first
+    /// entry wins; out-of-range indices are ignored), and queues the
+    /// rest. `trace` is the flight-recorder level and black-box window
+    /// in frames.
+    pub(crate) fn new(
+        plan: Cow<'a, WorkPlan>,
+        prefilled: Vec<(usize, RunResult)>,
+        trace: Option<(TraceLevel, usize)>,
+        trace_dir: Option<PathBuf>,
+    ) -> Self {
+        let trace = trace.filter(|(level, _)| *level != TraceLevel::Off);
+        let mut items = Vec::with_capacity(plan.total_runs());
+        let mut specs = Vec::new();
+        let mut remaining = Vec::new();
+        for (study_idx, study) in plan.studies.iter().enumerate() {
+            for (campaign_idx, cfg) in study.campaigns.iter().enumerate() {
+                for scenario in 0..cfg.scenarios.len() {
+                    for run in 0..cfg.runs_per_scenario {
+                        items.push(WorkItem {
+                            study: study_idx,
+                            campaign: campaign_idx,
+                            flat_campaign: remaining.len(),
+                            scenario,
+                            run,
+                        });
+                    }
+                }
+                remaining.push(cfg.total_runs());
+                if let Some((level, blackbox_frames)) = trace {
+                    specs.push(TraceSpec {
+                        level,
+                        study: study.name.clone(),
+                        blackbox_frames,
+                        weights_fingerprint: match &cfg.agent {
+                            AgentSpec::Neural { weights } => Some(avfi_trace::fingerprint(weights)),
+                            AgentSpec::Expert => None,
+                        },
+                    });
+                }
+            }
+        }
+        let mut slots: Vec<Option<RunResult>> = vec![None; items.len()];
+        let mut completed = 0;
+        for (idx, result) in prefilled {
+            if slots.get(idx).is_some_and(Option::is_none) {
+                slots[idx] = Some(result);
+                remaining[items[idx].flat_campaign] -= 1;
+                completed += 1;
+            }
+        }
+        PlanExec {
+            pending: (0..items.len()).filter(|&i| slots[i].is_none()).collect(),
+            plan,
+            items,
+            specs: trace.map(|_| specs),
+            trace_dir,
+            traces: parking_lot::Mutex::new(Vec::new()),
+            slots: slots.into_iter().map(parking_lot::Mutex::new).collect(),
+            remaining: remaining.into_iter().map(AtomicUsize::new).collect(),
+            completed: AtomicUsize::new(completed),
+            busy: Vec::new(),
+            started: Instant::now(),
+        }
+    }
+
+    /// Sizes the per-worker busy counters for `workers` and returns the
+    /// `Started` event to emit.
+    pub(crate) fn start(&mut self, workers: usize) -> ProgressEvent {
+        self.busy = (0..workers).map(|_| parking_lot::Mutex::new(0.0)).collect();
+        ProgressEvent::Started {
+            total_runs: self.total(),
+            campaigns: self.remaining.len(),
+            workers,
+        }
+    }
+
+    /// Total runs in the plan.
+    pub(crate) fn total(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Runs with a filled slot.
+    pub(crate) fn completed(&self) -> usize {
+        self.completed.load(Ordering::Acquire)
+    }
+
+    /// Runs flat item `i` on `worker`, reporting to `sink` and `spool`.
+    pub(crate) fn run_item(
+        &self,
+        i: usize,
+        worker: usize,
+        scratch: &mut WorkerScratch,
+        sink: &dyn ProgressSink,
+        spool: Option<&dyn RunSink>,
+    ) {
+        let t0 = Instant::now();
+        let item = self.items[i];
+        let cfg = &self.plan.studies[item.study].campaigns[item.campaign];
+        let (result, trace) = run_mission(
+            &cfg.scenarios[item.scenario],
+            item.scenario,
+            item.run,
+            &cfg.fault,
+            &cfg.agent,
+            self.specs.as_ref().map(|specs| &specs[item.flat_campaign]),
+            scratch,
+        );
+        self.persist(i, &result, trace, spool);
+        let (km, violations, success) = (
+            result.distance_km,
+            result.violations.len(),
+            result.outcome.is_success(),
+        );
+        *self.slots[i].lock() = Some(result);
+        *self.busy[worker].lock() += t0.elapsed().as_secs_f64();
+        let completed = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
+        sink.event(&ProgressEvent::RunCompleted {
+            study: item.study,
+            campaign: item.campaign,
+            scenario: item.scenario,
+            run: item.run,
+            worker,
+            completed,
+            total: self.total(),
+            km,
+            violations,
+            success,
+        });
+        if self.remaining[item.flat_campaign].fetch_sub(1, Ordering::AcqRel) == 1 {
+            sink.event(&ProgressEvent::CampaignCompleted {
+                study: item.study,
+                campaign: item.campaign,
+                label: cfg.fault.label(),
+            });
+        }
+    }
+
+    /// Makes a finished run durable before it is published: the trace
+    /// file first, then the journal record, so a crash between the two
+    /// leaves an unjournaled run that resume re-executes. Without a trace
+    /// directory the trace is kept in memory.
+    fn persist(
+        &self,
+        i: usize,
+        result: &RunResult,
+        trace: Option<RunTrace>,
+        spool: Option<&dyn RunSink>,
+    ) {
+        if let (Some(dir), Some(trace)) = (&self.trace_dir, &trace) {
+            avfi_trace::write_trace_file(dir, i, trace)
+                .unwrap_or_else(|e| panic!("cannot write trace for run {i}: {e}"));
+        }
+        if let Some(spool) = spool {
+            spool.run_completed(i, result, trace.as_ref());
+        }
+        if let (None, Some(trace)) = (&self.trace_dir, trace) {
+            self.traces.lock().push((i, trace));
+        }
+    }
+
+    /// Takes every slot (all must be filled), emits `Finished` with each
+    /// worker's busy fraction of the wall-clock since the plan was set
+    /// up, and assembles the results in plan order.
+    pub(crate) fn finish(&self, sink: &dyn ProgressSink) -> Vec<StudyResult> {
+        let runs: Vec<RunResult> = self
+            .slots
+            .iter()
+            .map(|slot| slot.lock().take().expect("all runs completed"))
+            .collect();
+        let elapsed = self.started.elapsed().as_secs_f64();
+        sink.event(&ProgressEvent::Finished {
+            elapsed,
+            utilization: self
+                .busy
+                .iter()
+                .map(|b| (*b.lock() / elapsed.max(1e-12)).min(1.0))
+                .collect(),
+            total_km: runs.iter().map(|r| r.distance_km).sum(),
+            total_violations: runs.iter().map(|r| r.violations.len()).sum(),
+        });
+        self.traces.lock().sort_by_key(|(idx, _)| *idx);
+        assemble_results(&self.plan, runs)
+    }
+}
+
+/// The scoped-thread cursor: `workers` threads claim indices `0..total`
+/// in order from one shared counter, each keeping one [`WorkerScratch`]
+/// for every item it runs. Which thread runs which index affects only
+/// wall-clock.
+fn drain(workers: usize, total: usize, run: impl Fn(usize, usize, &mut WorkerScratch) + Sync) {
+    let next = AtomicUsize::new(0);
+    let (next, run) = (&next, &run);
+    crossbeam::scope(|scope| {
+        for worker in 0..workers {
+            scope.spawn(move |_| {
+                let mut scratch = WorkerScratch::default();
+                loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= total {
+                        break;
+                    }
+                    run(worker, k, &mut scratch);
+                }
+            });
+        }
+    })
+    .expect("engine worker panicked");
 }
 
 /// The execution engine: worker count, optional tracing, plan execution.
@@ -513,9 +717,20 @@ impl Engine {
         self.execute_with(plan, &NullSink)
     }
 
+    /// Executes one campaign as a single-campaign plan and returns its
+    /// results. Results are identical for any worker count. Studies that
+    /// run several campaigns should build one [`WorkPlan`] instead, so
+    /// the queues merge and no cores idle between campaigns.
+    pub fn run_campaign(&self, config: CampaignConfig) -> CampaignResult {
+        self.execute(&WorkPlan::single("campaign", config))
+            .pop()
+            .and_then(|mut study| study.campaigns.pop())
+            .expect("plan has one campaign")
+    }
+
     /// Evaluates ad-hoc jobs across the worker pool, returning
     /// `(result, trace)` pairs **in job order** regardless of worker
-    /// count — the same cursor/preassigned-slot scheme as
+    /// count — the same scoped-thread cursor and preassigned slots as
     /// [`Engine::execute_with`], so scheduling affects only wall-clock.
     ///
     /// Every job runs with the flight recorder on at `spec.level`
@@ -527,47 +742,25 @@ impl Engine {
         jobs: &[EvalJob],
         agent: &AgentSpec,
         spec: &TraceSpec,
-    ) -> Vec<(RunResult, Option<avfi_trace::RunTrace>)> {
-        let total = jobs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.effective_workers(total);
-        type Slot = parking_lot::Mutex<Option<(RunResult, Option<avfi_trace::RunTrace>)>>;
-        let slots: Vec<Slot> = (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        {
-            let (slots, next) = (&slots, &next);
-            crossbeam::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move |_| {
-                        let mut recorder = if spec.level == TraceLevel::Blackbox {
-                            Recorder::ring(spec.blackbox_frames.max(1))
-                        } else {
-                            Recorder::new(false)
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let job = &jobs[i];
-                            let out = run_single_traced(
-                                &job.scenario,
-                                job.scenario_index,
-                                job.run_index,
-                                &job.fault,
-                                agent,
-                                spec,
-                                &mut recorder,
-                            );
-                            *slots[i].lock() = Some(out);
-                        }
-                    });
-                }
-            })
-            .expect("evaluation worker panicked");
-        }
+    ) -> Vec<(RunResult, Option<RunTrace>)> {
+        type Slot = parking_lot::Mutex<Option<(RunResult, Option<RunTrace>)>>;
+        let slots: Vec<Slot> = jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
+        drain(
+            self.effective_workers(jobs.len()),
+            jobs.len(),
+            |_, i, scratch| {
+                let job = &jobs[i];
+                *slots[i].lock() = Some(run_mission(
+                    &job.scenario,
+                    job.scenario_index,
+                    job.run_index,
+                    &job.fault,
+                    agent,
+                    Some(spec),
+                    scratch,
+                ));
+            },
+        );
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("all jobs completed"))
@@ -604,168 +797,30 @@ impl Engine {
         sink: &dyn ProgressSink,
         spool: Option<&dyn RunSink>,
     ) -> Vec<StudyResult> {
-        let campaigns: Vec<&CampaignConfig> =
-            plan.studies.iter().flat_map(|s| &s.campaigns).collect();
-        let items = flatten_items(plan);
-        let total = items.len();
-
-        let slots: Vec<parking_lot::Mutex<Option<RunResult>>> =
-            (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let mut campaign_prefilled = vec![0usize; campaigns.len()];
-        let mut prefilled_count = 0usize;
-        for (idx, result) in prefilled {
-            if idx >= total {
-                continue;
-            }
-            let mut slot = slots[idx].lock();
-            if slot.is_none() {
-                *slot = Some(result);
-                campaign_prefilled[items[idx].flat_campaign] += 1;
-                prefilled_count += 1;
-            }
-        }
-        // The work queue is only the unfilled indices, still in flat-plan
-        // order; scheduling over it cannot affect where results land.
-        let pending: Vec<usize> = (0..total).filter(|&i| slots[i].lock().is_none()).collect();
-
-        let workers = self.effective_workers(pending.len());
-        sink.event(&ProgressEvent::Started {
-            total_runs: total,
-            campaigns: campaigns.len(),
-            workers,
+        let trace = self.trace.as_ref();
+        let mut exec = PlanExec::new(
+            Cow::Borrowed(plan),
+            prefilled,
+            trace.map(|t| (t.level, t.blackbox_frames())),
+            trace.map(|t| t.dir.clone()),
+        );
+        let workers = self.effective_workers(exec.pending.len());
+        sink.event(&exec.start(workers));
+        drain(workers, exec.pending.len(), |worker, k, scratch| {
+            exec.run_item(exec.pending[k], worker, scratch, sink, spool);
         });
-
-        let trace_cfg = self.trace.as_ref().filter(|t| t.level != TraceLevel::Off);
-        let trace_specs: Option<Vec<TraceSpec>> =
-            trace_cfg.map(|tc| plan_trace_specs(plan, tc.level, tc.blackbox_frames()));
-        let trace_specs = trace_specs.as_deref();
-
-        let remaining: Vec<AtomicUsize> = campaigns
-            .iter()
-            .zip(&campaign_prefilled)
-            .map(|(c, &done)| AtomicUsize::new(c.total_runs() - done))
-            .collect();
-        let busy: Vec<parking_lot::Mutex<f64>> =
-            (0..workers).map(|_| parking_lot::Mutex::new(0.0)).collect();
-        let next = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(prefilled_count);
-        let started = Instant::now();
-
-        if !pending.is_empty() {
-            // Shared references for the worker closures.
-            let (items, pending, campaigns, slots, remaining, busy, next, completed) = (
-                &items, &pending, &campaigns, &slots, &remaining, &busy, &next, &completed,
-            );
-            crossbeam::scope(|scope| {
-                for (worker, busy_slot) in busy.iter().enumerate() {
-                    scope.spawn(move |_| {
-                        // One reusable capture buffer per worker: the ring
-                        // is allocated once and reset between runs.
-                        let mut recorder = match trace_cfg {
-                            Some(tc) if tc.level == TraceLevel::Blackbox => {
-                                Recorder::ring(tc.blackbox_frames())
-                            }
-                            _ => Recorder::new(false),
-                        };
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= pending.len() {
-                                break;
-                            }
-                            let i = pending[k];
-                            let item = items[i];
-                            let cfg = campaigns[item.flat_campaign];
-                            let t0 = Instant::now();
-                            let (result, trace) = match (trace_cfg, trace_specs) {
-                                (Some(tc), Some(specs)) => {
-                                    let (result, trace) = run_single_traced(
-                                        &cfg.scenarios[item.scenario],
-                                        item.scenario,
-                                        item.run,
-                                        &cfg.fault,
-                                        &cfg.agent,
-                                        &specs[item.flat_campaign],
-                                        &mut recorder,
-                                    );
-                                    if let Some(trace) = &trace {
-                                        avfi_trace::write_trace_file(&tc.dir, i, trace)
-                                            .unwrap_or_else(|e| {
-                                                panic!("cannot write trace for run {i}: {e}")
-                                            });
-                                    }
-                                    (result, trace)
-                                }
-                                _ => (
-                                    run_single(
-                                        &cfg.scenarios[item.scenario],
-                                        item.scenario,
-                                        item.run,
-                                        &cfg.fault,
-                                        &cfg.agent,
-                                    ),
-                                    None,
-                                ),
-                            };
-                            // Journal before publishing: any run the
-                            // engine counts as done has a durable record.
-                            if let Some(spool) = spool {
-                                spool.run_completed(i, &result, trace.as_ref());
-                            }
-                            *busy_slot.lock() += t0.elapsed().as_secs_f64();
-                            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                            sink.event(&ProgressEvent::RunCompleted {
-                                study: item.study,
-                                campaign: item.campaign,
-                                scenario: item.scenario,
-                                run: item.run,
-                                worker,
-                                completed: done,
-                                total,
-                                km: result.distance_km,
-                                violations: result.violations.len(),
-                                success: result.outcome.is_success(),
-                            });
-                            *slots[i].lock() = Some(result);
-                            if remaining[item.flat_campaign].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                sink.event(&ProgressEvent::CampaignCompleted {
-                                    study: item.study,
-                                    campaign: item.campaign,
-                                    label: cfg.fault.label(),
-                                });
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("engine worker panicked");
-        }
-
-        let elapsed = started.elapsed().as_secs_f64();
-        let runs: Vec<RunResult> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all runs completed"))
-            .collect();
-        sink.event(&ProgressEvent::Finished {
-            elapsed,
-            utilization: busy
-                .iter()
-                .map(|b| (*b.lock() / elapsed.max(1e-12)).min(1.0))
-                .collect(),
-            total_km: runs.iter().map(|r| r.distance_km).sum(),
-            total_violations: runs.iter().map(|r| r.violations.len()).sum(),
-        });
+        let results = exec.finish(sink);
         if let Some(spool) = spool {
             spool.plan_terminal("completed");
         }
-
-        assemble_results(plan, runs)
+        results
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{AgentSpec, Campaign, CampaignConfig};
+    use crate::campaign::{AgentSpec, CampaignConfig};
     use crate::fault::timing::TimingFault;
     use crate::fault::FaultSpec;
     use avfi_sim::scenario::{Scenario, TownSpec};
@@ -815,12 +870,12 @@ mod tests {
     #[test]
     fn engine_matches_sequential_campaigns() {
         // The flattened queue must reproduce exactly what running each
-        // campaign through `Campaign::run` produces.
+        // campaign on its own through `Engine::run_campaign` produces.
         let plan = two_study_plan();
         let engine = Engine::new().workers(3).execute(&plan);
         for (study, plan_study) in engine.iter().zip(plan.studies()) {
             for (got, cfg) in study.campaigns.iter().zip(&plan_study.campaigns) {
-                let want = Campaign::new(cfg.clone()).run();
+                let want = Engine::new().workers(1).run_campaign(cfg.clone());
                 assert_eq!(
                     serde_json::to_string(got).unwrap(),
                     serde_json::to_string(&want).unwrap()

@@ -20,28 +20,29 @@
 //! * **Plan-tagged events**: every [`ProgressEvent`] lands in the plan's
 //!   own ordered log as a [`PlanEvent`] `{plan, seq, event}`, so watchers
 //!   replay/follow a single plan without seeing its neighbors. The
-//!   `Finished` event's `utilization` is empty in service mode — workers
-//!   are shared, so a per-plan per-worker busy fraction has no meaning.
+//!   `Finished` event's `utilization` has one entry per pool worker: the
+//!   share of the plan's wall-clock (since submission) that worker spent
+//!   running the plan's runs.
 //!
-//! **Determinism survives multiplexing.** A run's output depends only on
-//! its (campaign template, scenario index, run index) coordinates — the
-//! same [`run_single`] call the one-shot engine makes — and results land
-//! in slots preassigned by flat plan index, reassembled by the same
-//! [`assemble_results`](super::assemble_results). Scheduling (worker
-//! count, rotation order, neighbor plans) affects only wall-clock, so a
-//! plan's results are **byte-identical** to a solo
-//! [`Engine::execute`](super::Engine::execute) of the same plan.
+//! **Determinism survives multiplexing.** Each plan runs through the same
+//! executor the one-shot engine uses: a run's output depends only on its
+//! (campaign template, scenario index, run index) coordinates, and
+//! results land in slots preassigned by flat plan index, reassembled by
+//! the same [`assemble_results`](super::assemble_results). Scheduling
+//! (worker count, rotation order, neighbor plans, which worker's scratch
+//! a run reuses) affects only wall-clock, so a plan's results are
+//! **byte-identical** to a solo [`Engine::execute`](super::Engine::execute)
+//! of the same plan.
 
 use super::{
-    assemble_results, flatten_items, plan_trace_specs, ProgressEvent, RunSink, StudyResult,
-    WorkItem, WorkPlan,
+    blackbox_frames, PlanExec, ProgressEvent, ProgressSink, RunSink, StudyResult, WorkPlan,
+    BLACKBOX_SECONDS,
 };
-use crate::campaign::{run_single, run_single_traced, CampaignConfig, RunResult, TraceSpec};
+use crate::campaign::{RunResult, WorkerScratch};
 use avfi_net::proto::{PlanId, PlanLifecycle, PlanPhase};
-use avfi_sim::recorder::Recorder;
-use avfi_sim::FRAME_DT;
 use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -100,33 +101,15 @@ impl fmt::Debug for SpoolHandle {
     }
 }
 
-/// Everything a plan submission can carry; the single funnel every
-/// public `submit_*` variant normalizes into.
-struct Submission {
-    plan: WorkPlan,
-    level: TraceLevel,
-    blackbox_seconds: f64,
-    id: PlanId,
-    /// Already-known results by flat index (recovered from a journal).
-    prefilled: Vec<(usize, RunResult)>,
-    /// Already-known traces by flat index (recovered from spooled files).
-    traces: Vec<(usize, RunTrace)>,
-    /// Journaled terminal phase: skip execution, reload as terminal state.
-    terminal: Option<PlanPhase>,
-    spool: Option<Arc<dyn RunSink + Send + Sync>>,
-}
-
 /// A plan recovered from an `avfi-store` journal, re-submitted under its
 /// original id with whatever the journal preserved. Built by the server's
-/// spool recovery scan; see [`MultiplexPool::submit_recovered`].
+/// spool recovery scan; see [`MultiplexPool::submit_recovered`]. Fresh
+/// submissions go through the same funnel with nothing recovered.
 pub struct RecoveredSubmission {
     /// The recovered plan, parsed back from the journaled submission.
     pub plan: WorkPlan,
     /// Trace level the plan was originally submitted with.
     pub level: TraceLevel,
-    /// Blackbox ring length in seconds (ignored unless `level` is
-    /// `Blackbox`).
-    pub blackbox_seconds: f64,
     /// The plan's **original** id — results stay fetchable under the
     /// handle the client already holds.
     pub id: PlanId,
@@ -157,39 +140,24 @@ impl fmt::Debug for RecoveredSubmission {
 #[derive(Debug)]
 struct PlanRun {
     id: PlanId,
-    plan: WorkPlan,
-    items: Vec<WorkItem>,
-    /// Campaigns in flat order (owned copies so the submitting client
-    /// can disconnect while the plan runs).
-    campaigns: Vec<CampaignConfig>,
-    /// Per-flat-campaign runs left, for `CampaignCompleted` events.
-    remaining: Vec<AtomicUsize>,
-    trace_specs: Option<Vec<TraceSpec>>,
-    /// Flat indices still to execute, in flat-plan order. The whole plan
-    /// for a fresh submission; only the unjournaled gap for a recovered
-    /// one.
-    pending: Vec<usize>,
-    /// Claim cursor into `pending`; mutated only under the scheduler
+    /// The plan's executor: an owned copy of the plan (so the submitting
+    /// client can disconnect while it runs), its slots, counters and
+    /// in-memory traces.
+    exec: PlanExec<'static>,
+    /// Claim cursor into `exec.pending`; mutated only under the scheduler
     /// lock.
     next: AtomicUsize,
     /// Claimed but not yet finished (executed or skipped).
     outstanding: AtomicUsize,
-    /// Runs actually executed.
-    executed: AtomicUsize,
     cancelled: AtomicBool,
     started: AtomicBool,
     finalized: AtomicBool,
     /// Result/trace payloads dropped by retention eviction (lifecycle
     /// status stays queryable).
     evicted: AtomicBool,
-    submitted_at: Instant,
     /// Set once, when the plan reaches a terminal phase — the clock
     /// retention sweeps measure against.
     finished_at: parking_lot::Mutex<Option<Instant>>,
-    /// Result slots preassigned by flat plan index.
-    slots: Vec<parking_lot::Mutex<Option<RunResult>>>,
-    /// Collected traces, keyed by flat plan index (sorted at finalize).
-    traces: parking_lot::Mutex<Vec<(usize, RunTrace)>>,
     /// Durable spool (write-ahead journal), when the plan is persisted.
     spool: Option<SpoolHandle>,
     state: Mutex<PlanState>,
@@ -203,23 +171,22 @@ struct PlanState {
     results: Option<Vec<StudyResult>>,
 }
 
-impl PlanRun {
-    fn total(&self) -> usize {
-        self.items.len()
-    }
-
-    fn push_event(&self, event: ProgressEvent) {
+/// The plan's own ordered event log is its progress sink.
+impl ProgressSink for PlanRun {
+    fn event(&self, event: &ProgressEvent) {
         let mut st = self.state.lock().expect("plan state lock");
         let seq = st.events.len();
         st.events.push(PlanEvent {
             plan: self.id,
             seq,
-            event,
+            event: event.clone(),
         });
         drop(st);
         self.state_changed.notify_all();
     }
+}
 
+impl PlanRun {
     /// Queued → Running on the first claimed run.
     fn mark_running(&self) {
         if !self.started.swap(true, Ordering::AcqRel) {
@@ -232,35 +199,16 @@ impl PlanRun {
     }
 }
 
-/// Moves a plan into a terminal phase exactly once: assembles results
-/// (for `Completed`), sorts traces, appends the `Finished` event, and
-/// wakes every waiter.
+/// Moves a plan into a terminal phase exactly once: for `Completed`,
+/// appends the `Finished` event and assembles results (sorting traces);
+/// then advances the lifecycle and wakes every waiter.
 fn finalize(run: &PlanRun, phase: PlanPhase) {
     if run.finalized.swap(true, Ordering::AcqRel) {
         return;
     }
+    let results = (phase == PlanPhase::Completed).then(|| run.exec.finish(run));
     let mut st = run.state.lock().expect("plan state lock");
-    if phase == PlanPhase::Completed {
-        let runs: Vec<RunResult> = run
-            .slots
-            .iter()
-            .map(|slot| slot.lock().take().expect("all runs completed"))
-            .collect();
-        let elapsed = run.submitted_at.elapsed().as_secs_f64();
-        let seq = st.events.len();
-        st.events.push(PlanEvent {
-            plan: run.id,
-            seq,
-            event: ProgressEvent::Finished {
-                elapsed,
-                utilization: Vec::new(),
-                total_km: runs.iter().map(|r| r.distance_km).sum(),
-                total_violations: runs.iter().map(|r| r.violations.len()).sum(),
-            },
-        });
-        st.results = Some(assemble_results(&run.plan, runs));
-        run.traces.lock().sort_by_key(|(idx, _)| *idx);
-    }
+    st.results = results;
     // Cancel-before-start legally jumps Queued → Cancelled; a cancel
     // racing completion loses quietly and the plan stays Completed.
     let actual = st.lifecycle.advance_if_legal(phase);
@@ -288,12 +236,13 @@ impl PlanTicket {
 
     /// Total runs the plan flattens to.
     pub fn total_runs(&self) -> usize {
-        self.run.total()
+        self.run.exec.total()
     }
 
-    /// Runs executed so far.
+    /// Runs completed so far (journaled runs of a recovered plan
+    /// included).
     pub fn completed_runs(&self) -> usize {
-        self.run.executed.load(Ordering::Acquire)
+        self.run.exec.completed()
     }
 
     /// Current lifecycle phase.
@@ -319,7 +268,7 @@ impl PlanTicket {
         // Idle at cancel time (queued, or every claimed run already
         // finished): nobody else will finalize, do it here.
         if self.run.outstanding.load(Ordering::Acquire) == 0
-            && self.run.executed.load(Ordering::Acquire) < self.run.total()
+            && self.run.exec.completed() < self.run.exec.total()
         {
             finalize(&self.run, PlanPhase::Cancelled);
         }
@@ -356,7 +305,7 @@ impl PlanTicket {
     /// The traces collected so far, keyed and (after completion) sorted
     /// by flat plan index.
     pub fn traces(&self) -> Vec<(usize, RunTrace)> {
-        self.run.traces.lock().clone()
+        self.run.exec.traces.lock().clone()
     }
 
     /// Time since the plan reached a terminal phase, `None` while it is
@@ -384,7 +333,7 @@ impl PlanTicket {
         }
         st.results = None;
         drop(st);
-        self.run.traces.lock().clear();
+        self.run.exec.traces.lock().clear();
         self.run.evicted.store(true, Ordering::Release);
         true
     }
@@ -468,30 +417,15 @@ impl MultiplexPool {
 
     /// Submits a plan without tracing; returns its ticket immediately.
     pub fn submit(&self, plan: WorkPlan) -> PlanTicket {
-        self.submit_traced(plan, TraceLevel::Off, 30.0)
+        self.submit_traced(plan, TraceLevel::Off)
     }
 
     /// Submits a plan with the flight recorder at `level` (`Off` disables
-    /// it); at [`TraceLevel::Blackbox`] the ring keeps the last
-    /// `blackbox_seconds` of frames. Traces stay in memory on the plan
-    /// ([`PlanTicket::traces`]) — the service owns persistence.
-    pub fn submit_traced(
-        &self,
-        plan: WorkPlan,
-        level: TraceLevel,
-        blackbox_seconds: f64,
-    ) -> PlanTicket {
-        let id = self.allocate_id();
-        self.submit_full(Submission {
-            plan,
-            level,
-            blackbox_seconds,
-            id,
-            prefilled: Vec::new(),
-            traces: Vec::new(),
-            terminal: None,
-            spool: None,
-        })
+    /// it); at [`TraceLevel::Blackbox`] the ring keeps the last 30 s of
+    /// frames. Traces stay in memory on the plan ([`PlanTicket::traces`])
+    /// — the service owns persistence.
+    pub fn submit_traced(&self, plan: WorkPlan, level: TraceLevel) -> PlanTicket {
+        self.submit_spooled(plan, level, |_| None)
     }
 
     /// [`MultiplexPool::submit_traced`] with a durable spool attached:
@@ -505,15 +439,13 @@ impl MultiplexPool {
         &self,
         plan: WorkPlan,
         level: TraceLevel,
-        blackbox_seconds: f64,
         make_spool: impl FnOnce(PlanId) -> Option<Arc<dyn RunSink + Send + Sync>>,
     ) -> PlanTicket {
         let id = self.allocate_id();
         let spool = make_spool(id);
-        self.submit_full(Submission {
+        self.submit_full(RecoveredSubmission {
             plan,
             level,
-            blackbox_seconds,
             id,
             prefilled: Vec::new(),
             traces: Vec::new(),
@@ -536,16 +468,7 @@ impl MultiplexPool {
         self.shared
             .next_plan_id
             .fetch_max(sub.id, Ordering::Relaxed);
-        self.submit_full(Submission {
-            plan: sub.plan,
-            level: sub.level,
-            blackbox_seconds: sub.blackbox_seconds,
-            id: sub.id,
-            prefilled: sub.prefilled,
-            traces: sub.traces,
-            terminal: sub.terminal,
-            spool: sub.spool,
-        })
+        self.submit_full(sub)
     }
 
     /// Ensures future plan ids are strictly greater than `max_seen` —
@@ -561,84 +484,33 @@ impl MultiplexPool {
         self.shared.next_plan_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn submit_full(&self, sub: Submission) -> PlanTicket {
-        let Submission {
-            plan,
-            level,
-            blackbox_seconds,
-            id,
-            prefilled,
-            traces,
-            terminal,
-            spool,
-        } = sub;
-        let items = flatten_items(&plan);
-        let campaigns: Vec<CampaignConfig> = plan
-            .studies()
-            .iter()
-            .flat_map(|s| s.campaigns.iter().cloned())
-            .collect();
-        let total = items.len();
-
-        // Slot in recovered results: first record wins, out-of-bounds
-        // indices are dropped (resume re-executes anything not slotted;
-        // determinism keeps the output identical either way).
-        let slots: Vec<parking_lot::Mutex<Option<RunResult>>> =
-            (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let mut campaign_done = vec![0usize; campaigns.len()];
-        let mut prefilled_count = 0usize;
-        for (idx, result) in prefilled {
-            if idx >= total {
-                continue;
-            }
-            let mut slot = slots[idx].lock();
-            if slot.is_none() {
-                *slot = Some(result);
-                campaign_done[items[idx].flat_campaign] += 1;
-                prefilled_count += 1;
-            }
-        }
+    fn submit_full(&self, sub: RecoveredSubmission) -> PlanTicket {
+        let mut exec = PlanExec::new(
+            Cow::Owned(sub.plan),
+            sub.prefilled,
+            Some((sub.level, blackbox_frames(BLACKBOX_SECONDS))),
+            None,
+        );
+        *exec.traces.get_mut() = sub.traces;
         // A journaled terminal `Completed` implies full run coverage (the
         // journal appends every run record before the terminal one); if a
         // journal claims otherwise, ignore the claim and run the gap.
-        let terminal = match terminal {
-            Some(PlanPhase::Completed) if prefilled_count < total => None,
+        let terminal = match sub.terminal {
+            Some(PlanPhase::Completed) if exec.completed() < exec.total() => None,
             t => t,
         };
-        let pending: Vec<usize> = if terminal.is_some() {
-            Vec::new()
-        } else {
-            (0..total).filter(|&i| slots[i].lock().is_none()).collect()
-        };
-
-        let remaining = campaigns
-            .iter()
-            .zip(&campaign_done)
-            .map(|(c, &done)| AtomicUsize::new(c.total_runs() - done))
-            .collect();
-        let blackbox_frames = ((blackbox_seconds / FRAME_DT).ceil() as usize).max(1);
-        let trace_specs =
-            (level != TraceLevel::Off).then(|| plan_trace_specs(&plan, level, blackbox_frames));
+        let started = exec.start(self.shared.workers);
         let run = Arc::new(PlanRun {
-            id,
-            plan,
-            items,
-            campaigns,
-            remaining,
-            trace_specs,
-            pending,
+            id: sub.id,
+            exec,
             next: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
-            executed: AtomicUsize::new(prefilled_count),
             cancelled: AtomicBool::new(false),
             started: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             evicted: AtomicBool::new(false),
-            submitted_at: Instant::now(),
             finished_at: parking_lot::Mutex::new(None),
-            slots,
-            traces: parking_lot::Mutex::new(traces),
-            spool: spool.map(SpoolHandle),
+            spool: sub.spool.map(SpoolHandle),
             state: Mutex::new(PlanState {
                 lifecycle: PlanLifecycle::new(),
                 events: Vec::new(),
@@ -646,17 +518,13 @@ impl MultiplexPool {
             }),
             state_changed: Condvar::new(),
         });
-        run.push_event(ProgressEvent::Started {
-            total_runs: total,
-            campaigns: run.campaigns.len(),
-            workers: self.shared.workers,
-        });
+        run.event(&started);
         if let Some(phase) = terminal {
             // Recovered already-terminal plan: reload it as fetchable
             // state without executing anything.
             run.mark_running();
             finalize(&run, phase);
-        } else if run.pending.is_empty() {
+        } else if run.exec.pending.is_empty() {
             // Trivially complete (empty plan, or recovery journaled every
             // run); never enters the rotation.
             run.mark_running();
@@ -712,15 +580,16 @@ fn claim(
             }
             continue;
         }
+        let pending = &plan.exec.pending;
         let i = plan.next.load(Ordering::Relaxed);
-        if i >= plan.pending.len() {
+        if i >= pending.len() {
             continue;
         }
         plan.next.store(i + 1, Ordering::Relaxed);
         plan.outstanding.fetch_add(1, Ordering::AcqRel);
-        let flat = plan.pending[i];
+        let flat = pending[i];
         journal.lock().push((plan.id, flat));
-        if i + 1 < plan.pending.len() {
+        if i + 1 < pending.len() {
             sched.active.push_back(Arc::clone(&plan));
         }
         return Some((plan, flat));
@@ -729,6 +598,8 @@ fn claim(
 }
 
 fn worker_loop(shared: &PoolShared, worker: usize) {
+    // One scratch per pool worker, reused across every plan it serves.
+    let mut scratch = WorkerScratch::default();
     loop {
         let (plan, idx) = {
             let mut sched = shared.sched.lock().expect("pool sched lock");
@@ -744,91 +615,27 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 sched = shared.work_ready.wait(sched).expect("pool sched lock");
             }
         };
-        execute_item(&plan, idx, worker);
+        execute_item(&plan, idx, worker, &mut scratch);
     }
 }
 
-/// Runs one claimed item (the worker drain loop body). The cooperative
+/// Runs one claimed item through the plan's executor. The cooperative
 /// cancellation check sits here: a run claimed before its plan was
 /// cancelled is skipped, not executed.
-fn execute_item(plan: &Arc<PlanRun>, idx: usize, worker: usize) {
+fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerScratch) {
     if !plan.cancelled.load(Ordering::Acquire) {
         plan.mark_running();
-        let item = plan.items[idx];
-        let cfg = &plan.campaigns[item.flat_campaign];
-        let (result, trace) = match &plan.trace_specs {
-            Some(specs) => {
-                let spec = &specs[item.flat_campaign];
-                let mut recorder = if spec.level == TraceLevel::Blackbox {
-                    Recorder::ring(spec.blackbox_frames.max(1))
-                } else {
-                    Recorder::new(false)
-                };
-                run_single_traced(
-                    &cfg.scenarios[item.scenario],
-                    item.scenario,
-                    item.run,
-                    &cfg.fault,
-                    &cfg.agent,
-                    spec,
-                    &mut recorder,
-                )
-            }
-            None => (
-                run_single(
-                    &cfg.scenarios[item.scenario],
-                    item.scenario,
-                    item.run,
-                    &cfg.fault,
-                    &cfg.agent,
-                ),
-                None,
-            ),
-        };
-        // Journal before the in-memory publish: a crash after the spool
-        // write simply replays an already-slotted run on resume, which
-        // determinism makes harmless; a crash before it re-executes the
-        // run to the identical result.
-        if let Some(spool) = &plan.spool {
-            spool.0.run_completed(idx, &result, trace.as_ref());
-        }
-        if let Some(trace) = trace {
-            plan.traces.lock().push((idx, trace));
-        }
-        let (km, violations, success) = (
-            result.distance_km,
-            result.violations.len(),
-            result.outcome.is_success(),
-        );
-        // Slot before counter: a reader seeing `executed == total` must
-        // also see every slot filled.
-        *plan.slots[idx].lock() = Some(result);
-        let executed = plan.executed.fetch_add(1, Ordering::AcqRel) + 1;
-        plan.push_event(ProgressEvent::RunCompleted {
-            study: item.study,
-            campaign: item.campaign,
-            scenario: item.scenario,
-            run: item.run,
-            worker,
-            completed: executed,
-            total: plan.total(),
-            km,
-            violations,
-            success,
-        });
-        if plan.remaining[item.flat_campaign].fetch_sub(1, Ordering::AcqRel) == 1 {
-            plan.push_event(ProgressEvent::CampaignCompleted {
-                study: item.study,
-                campaign: item.campaign,
-                label: cfg.fault.label(),
-            });
-        }
+        let spool = plan.spool.as_ref().map(|s| &*s.0 as &dyn RunSink);
+        plan.exec.run_item(idx, worker, scratch, plan, spool);
     }
-    let outstanding = plan.outstanding.fetch_sub(1, Ordering::AcqRel) - 1;
-    if plan.executed.load(Ordering::Acquire) == plan.total() {
-        finalize(plan, PlanPhase::Completed);
-    } else if plan.cancelled.load(Ordering::Acquire) && outstanding == 0 {
-        finalize(plan, PlanPhase::Cancelled);
+    // The last in-flight run finalizes, so every other run's events are
+    // already in the log and `Finished` is the plan's last event.
+    if plan.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if plan.exec.completed() == plan.exec.total() {
+            finalize(plan, PlanPhase::Completed);
+        } else if plan.cancelled.load(Ordering::Acquire) {
+            finalize(plan, PlanPhase::Cancelled);
+        }
     }
 }
 
@@ -929,6 +736,15 @@ mod tests {
             .filter(|e| matches!(e.event, ProgressEvent::RunCompleted { .. }))
             .count();
         assert_eq!(runs, plan_a().total_runs());
+        match &events.last().unwrap().event {
+            ProgressEvent::Finished { utilization, .. } => {
+                assert_eq!(utilization.len(), pool.workers());
+                for u in utilization {
+                    assert!((0.0..=1.0).contains(u), "utilization {u} out of range");
+                }
+            }
+            other => panic!("last event should be Finished, got {other:?}"),
+        }
         pool.shutdown();
     }
 
@@ -1031,7 +847,7 @@ mod tests {
         let plan = WorkPlan::new().with_study("stuck", vec![campaign(80, 2, stuck)]);
         let collect = |workers: usize| {
             let pool = MultiplexPool::new(workers);
-            let t = pool.submit_traced(plan.clone(), TraceLevel::Blackbox, 5.0);
+            let t = pool.submit_traced(plan.clone(), TraceLevel::Blackbox);
             t.wait_terminal();
             let traces = t.traces();
             pool.shutdown();
@@ -1086,7 +902,6 @@ mod tests {
         let reloaded = pool.submit_recovered(RecoveredSubmission {
             plan: plan.clone(),
             level: TraceLevel::Off,
-            blackbox_seconds: 5.0,
             id: 11,
             prefilled: runs.clone(),
             traces: Vec::new(),
@@ -1102,7 +917,6 @@ mod tests {
         let resumed = pool.submit_recovered(RecoveredSubmission {
             plan: plan.clone(),
             level: TraceLevel::Off,
-            blackbox_seconds: 5.0,
             id: 12,
             prefilled: runs[..total / 2].to_vec(),
             traces: Vec::new(),
@@ -1118,7 +932,6 @@ mod tests {
         let downgraded = pool.submit_recovered(RecoveredSubmission {
             plan: plan.clone(),
             level: TraceLevel::Off,
-            blackbox_seconds: 5.0,
             id: 13,
             prefilled: runs[..1].to_vec(),
             traces: Vec::new(),

@@ -21,7 +21,8 @@
 //!
 //! Fault *location* selection lives in [`localizer`], *when* to inject in
 //! [`trigger`], and the wrapper that applies everything around a driving
-//! agent in [`harness`]. [`campaign`] runs seeded, parallel campaigns;
+//! agent in [`harness`]. [`campaign`] defines campaigns and runs one
+//! seeded mission ([`campaign::run_mission`]);
 //! [`engine`] flattens whole multi-campaign studies into one
 //! deterministic work-stealing queue with streamed
 //! [`engine::ProgressSink`] observability, and [`engine::pool`] keeps a
@@ -43,7 +44,8 @@
 //! ## Quick example
 //!
 //! ```no_run
-//! use avfi_core::campaign::{AgentSpec, CampaignConfig, Campaign};
+//! use avfi_core::campaign::{AgentSpec, CampaignConfig};
+//! use avfi_core::engine::Engine;
 //! use avfi_core::fault::FaultSpec;
 //! use avfi_core::fault::input::{ImageFault, InputFault};
 //! use avfi_core::metrics;
@@ -55,7 +57,7 @@
 //!     .fault(FaultSpec::Input(InputFault::always(ImageFault::gaussian(0.1))))
 //!     .runs_per_scenario(5)
 //!     .build();
-//! let result = Campaign::new(config).run();
+//! let result = Engine::new().workers(4).run_campaign(config);
 //! println!("MSR = {:.1}%", metrics::mission_success_rate(result.runs()));
 //! ```
 
@@ -81,7 +83,7 @@ pub use adaptive::{
     run_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptivePlanner, AdaptiveSpace,
     AdaptiveTrajectory,
 };
-pub use campaign::{Campaign, CampaignConfig, CampaignResult, RunResult, TraceSpec};
+pub use campaign::{CampaignConfig, CampaignResult, RunResult, TraceSpec};
 pub use engine::{
     Engine, MultiplexPool, PlanEvent, PlanTicket, ProgressEvent, ProgressSink, RecoveredSubmission,
     RunSink, StudyResult, TraceConfig, WorkPlan,

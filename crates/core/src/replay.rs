@@ -4,16 +4,15 @@
 //! A trace header carries the full run identity — scenario template,
 //! `(scenario, run)` indices, fault plan, agent, and (for neural agents)
 //! a weights fingerprint. Replay re-derives the per-run seed through the
-//! same [`split_seed`] path the campaign used, asserts it matches the
+//! same [`run_seed`](avfi_sim::rng::run_seed) the campaign used, asserts it matches the
 //! recorded seed, re-executes the mission with the flight recorder on,
 //! and compares everything the trace captured — summary, events, and the
 //! black-box frame window — down to the bit pattern of every `f64`. The
 //! first divergence (if any) is reported with its frame and field.
 
-use crate::campaign::{run_single_traced, AgentSpec, TraceSpec};
+use crate::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
 use crate::fault::FaultSpec;
-use avfi_sim::recorder::Recorder;
-use avfi_trace::{fingerprint, RunTrace, TraceHeader, TraceLevel};
+use avfi_trace::{fingerprint, RunTrace, TraceHeader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -234,19 +233,14 @@ pub fn replay_trace(
         blackbox_frames: header.blackbox_frames,
         weights_fingerprint: header.weights_fingerprint,
     };
-    let mut recorder = if header.level == TraceLevel::Blackbox {
-        Recorder::ring(header.blackbox_frames.max(1))
-    } else {
-        Recorder::new(false)
-    };
-    let (_, replayed) = run_single_traced(
+    let (_, replayed) = run_mission(
         &header.scenario,
         header.scenario_index,
         header.run_index,
         &fault,
         &agent,
-        &spec,
-        &mut recorder,
+        Some(&spec),
+        &mut WorkerScratch::default(),
     );
     let Some(replayed) = replayed else {
         // A black-box trace exists because the run failed; the replay not

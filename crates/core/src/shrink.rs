@@ -8,7 +8,7 @@
 //! NPC vehicles and pedestrians, lower crossing rate, shorter route and
 //! time budget, simpler weather, later fault onset, narrower trigger
 //! window, smaller fault magnitude — re-executing each candidate through
-//! the same `run_single` path the campaign used and keeping a reduction
+//! the same `run_mission` path the campaign used and keeping a reduction
 //! only if the run still fails in the **same
 //! [`FailureClass`]** (outcome, first violation kind, causal channel;
 //! see [`crate::triage`]). Every accepted step is **replay-verified**: a
@@ -35,7 +35,7 @@
 //! [`ShrinkConfig::max_iterations`] cap backstops everything.
 
 use crate::campaign::TraceSpec;
-use crate::engine::{Engine, EvalJob};
+use crate::engine::{blackbox_frames, Engine, EvalJob, BLACKBOX_SECONDS};
 use crate::fault::hardware::BitFaultModel;
 use crate::fault::input::{ImageFault, InputFault, LidarFault, SpeedFault};
 use crate::fault::ml::MlFault;
@@ -66,7 +66,7 @@ impl Default for ShrinkConfig {
     fn default() -> Self {
         ShrinkConfig {
             max_iterations: 40,
-            blackbox_seconds: 30.0,
+            blackbox_seconds: BLACKBOX_SECONDS,
         }
     }
 }
@@ -950,7 +950,7 @@ impl<'a> EngineOracle<'a> {
         let blackbox_frames = if trace.header.blackbox_frames > 0 {
             trace.header.blackbox_frames
         } else {
-            ((config.blackbox_seconds / FRAME_DT).ceil() as usize).max(1)
+            blackbox_frames(config.blackbox_seconds)
         };
         Ok(EngineOracle {
             engine,

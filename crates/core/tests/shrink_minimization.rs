@@ -3,7 +3,7 @@
 //! and replay bit-identically, and a lattice-floor property — a failure
 //! that needs N actors is never shrunk below them.
 
-use avfi_core::campaign::{run_single_traced, AgentSpec, TraceSpec};
+use avfi_core::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
 use avfi_core::engine::Engine;
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::FaultSpec;
@@ -13,7 +13,6 @@ use avfi_core::shrink::{
     ShrinkVerdict,
 };
 use avfi_core::triage::{failure_class, FailureClass};
-use avfi_sim::recorder::Recorder;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::weather::Weather;
 use avfi_trace::{RunTrace, TraceLevel};
@@ -52,15 +51,14 @@ fn failing_trace() -> RunTrace {
         blackbox_frames: 60,
         weights_fingerprint: None,
     };
-    let mut recorder = Recorder::ring(60);
-    let (_, trace) = run_single_traced(
+    let (_, trace) = run_mission(
         &fat_scenario(71),
         1,
         2,
         &stuck_brake(),
         &AgentSpec::Expert,
-        &spec,
-        &mut recorder,
+        Some(&spec),
+        &mut WorkerScratch::default(),
     );
     trace.expect("a stuck brake must fail the mission")
 }
@@ -142,15 +140,14 @@ fn minimized_repro_reproduces_the_class_and_replays_bit_identically() {
         blackbox_frames: trace.header.blackbox_frames,
         weights_fingerprint: None,
     };
-    let mut recorder = Recorder::ring(trace.header.blackbox_frames);
-    let (_, rerun) = run_single_traced(
+    let (_, rerun) = run_mission(
         &repro.scenario,
         repro.scenario_index,
         repro.run_index,
         &repro.fault,
         &AgentSpec::Expert,
-        &spec,
-        &mut recorder,
+        Some(&spec),
+        &mut WorkerScratch::default(),
     );
     let rerun = rerun.expect("the minimized repro must still fail");
     assert_eq!(

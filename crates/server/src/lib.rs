@@ -325,11 +325,11 @@ fn serve_request(
                     let ticket = match spool {
                         Some(spool) => {
                             let dir = spool.dir.clone();
-                            pool.submit_spooled(plan, level, 30.0, move |id| {
+                            pool.submit_spooled(plan, level, move |id| {
                                 open_plan_journal(&dir, id, plan_json, level)
                             })
                         }
-                        None => pool.submit_traced(plan, level, 30.0),
+                        None => pool.submit_traced(plan, level),
                     };
                     registry.lock().insert(ticket.id(), ticket.clone());
                     transport.send_value(&ServiceReply::Submitted {
@@ -616,7 +616,6 @@ fn recover_journal(
         let ticket = pool.submit_recovered(RecoveredSubmission {
             plan: rec.plan,
             level,
-            blackbox_seconds: 30.0,
             id,
             prefilled: rec.completed,
             traces,
@@ -631,7 +630,6 @@ fn recover_journal(
         let ticket = pool.submit_recovered(RecoveredSubmission {
             plan: rec.plan,
             level,
-            blackbox_seconds: 30.0,
             id,
             prefilled: rec.completed,
             traces,
@@ -692,7 +690,6 @@ fn resume_spooled(pool: &MultiplexPool, spool: &SpoolState, id: PlanId) -> io::R
     Ok(pool.submit_recovered(RecoveredSubmission {
         plan: rec.plan,
         level,
-        blackbox_seconds: 30.0,
         id,
         prefilled: rec.completed,
         traces,
@@ -722,7 +719,6 @@ fn cancel_resumable(pool: &MultiplexPool, spool: &SpoolState, id: PlanId) -> Opt
     Some(pool.submit_recovered(RecoveredSubmission {
         plan: rec.plan,
         level,
-        blackbox_seconds: 30.0,
         id,
         prefilled: rec.completed,
         traces: Vec::new(),

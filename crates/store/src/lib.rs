@@ -334,12 +334,15 @@ pub fn summarize(records: &[JournalRecord]) -> Option<RecoveredPlan> {
 
 /// A live write-ahead journal for one executing plan: the engine-facing
 /// [`RunSink`] that appends a [`JournalRecord::RunCompleted`] as each run
-/// finishes (and, when a trace directory is configured, spools the run's
-/// `.avtr` trace next to it) and the terminal record at the end.
+/// finishes (when a trace directory is configured, after spooling the
+/// run's `.avtr` trace there) and the terminal record at the end.
 ///
 /// Append failures are reported to stderr and swallowed: journaling is
 /// best-effort durability, and a lost record only means the run is
 /// re-executed on resume — determinism keeps the final output identical.
+/// A trace that cannot be spooled is reported the same way and its run
+/// is left unjournaled, since resume never re-executes a journaled run
+/// and the trace would otherwise be lost for good.
 #[derive(Debug)]
 pub struct PlanJournal {
     journal: parking_lot::Mutex<Journal>,
@@ -369,16 +372,21 @@ impl PlanJournal {
 
 impl RunSink for PlanJournal {
     fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>) {
+        if let (Some(dir), Some(trace)) = (&self.trace_dir, trace) {
+            if let Err(e) = avfi_trace::write_trace_file(dir, flat_index, trace) {
+                eprintln!(
+                    "[avfi-store] trace spool failed ({}): {e}; run {flat_index} \
+                     left unjournaled",
+                    dir.display()
+                );
+                return;
+            }
+        }
         let result_json = serde_json::to_string(result).expect("run result serializes");
         self.append(&JournalRecord::RunCompleted {
             flat_index: flat_index as u64,
             result_json,
         });
-        if let (Some(dir), Some(trace)) = (&self.trace_dir, trace) {
-            if let Err(e) = avfi_trace::write_trace_file(dir, flat_index, trace) {
-                eprintln!("[avfi-store] trace spool failed ({}): {e}", dir.display());
-            }
-        }
     }
 
     fn plan_terminal(&self, phase: &str) {
@@ -628,6 +636,62 @@ mod tests {
         // No PlanSubmitted head → no summary.
         assert!(summarize(&records[1..]).is_none());
         assert!(summarize(&[]).is_none());
+    }
+
+    /// A trace that cannot be spooled keeps its run out of the journal,
+    /// so a restart re-runs it instead of losing the trace for good.
+    #[test]
+    fn unspoolable_trace_leaves_run_unjournaled() {
+        use avfi_core::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
+        use avfi_core::fault::FaultSpec;
+        use avfi_sim::scenario::{Scenario, TownSpec};
+        use avfi_trace::TraceLevel;
+
+        let dir = std::env::temp_dir().join(format!("avfi-store-unspool-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // The trace "directory" is an existing regular file.
+        let not_a_dir = dir.join("traces");
+        std::fs::write(&not_a_dir, b"").unwrap();
+        let path = dir.join("j.avj");
+        let spool = PlanJournal::new(Journal::create(&path).unwrap(), Some(not_a_dir));
+
+        let mut town = TownSpec::grid(2, 2);
+        town.signalized = false;
+        let scenario = Scenario::builder(town)
+            .seed(3)
+            .npc_vehicles(0)
+            .pedestrians(0)
+            .time_budget(5.0)
+            .min_route_length(50.0)
+            .build();
+        let spec = TraceSpec {
+            level: TraceLevel::Summary,
+            study: "unspool".into(),
+            blackbox_frames: 0,
+            weights_fingerprint: None,
+        };
+        let (result, trace) = run_mission(
+            &scenario,
+            0,
+            0,
+            &FaultSpec::None,
+            &AgentSpec::Expert,
+            Some(&spec),
+            &mut WorkerScratch::default(),
+        );
+        assert!(trace.is_some(), "summary runs always emit a trace");
+        spool.run_completed(0, &result, trace.as_ref());
+        drop(spool);
+
+        let (records, _) = recover_file(&path).unwrap();
+        assert!(
+            !records
+                .iter()
+                .any(|r| matches!(r, JournalRecord::RunCompleted { .. })),
+            "a run whose trace was lost must not be journaled"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -184,15 +184,12 @@ pub struct TraceHeader {
 
 impl TraceHeader {
     /// Re-derives the per-run seed from the scenario template and the
-    /// `(scenario, run)` indices — the same [`split_seed`]
-    /// (`avfi_sim::rng::split_seed`) path every campaign run takes.
-    /// Consumers (replay, the shrinker) compare this against
-    /// [`TraceHeader::seed`] to detect internally inconsistent traces.
+    /// `(scenario, run)` indices — the same `avfi_sim::rng::run_seed`
+    /// every campaign run takes. Consumers (replay, the shrinker) compare
+    /// this against [`TraceHeader::seed`] to detect internally
+    /// inconsistent traces.
     pub fn derived_seed(&self) -> u64 {
-        avfi_sim::rng::split_seed(
-            self.scenario.seed,
-            ((self.scenario_index as u64) << 32) | (self.run_index as u64 + 1),
-        )
+        avfi_sim::rng::run_seed(self.scenario.seed, self.scenario_index, self.run_index)
     }
 }
 

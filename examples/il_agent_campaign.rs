@@ -7,7 +7,8 @@
 //! ```
 
 use avfi::agent::train::train_default_agent;
-use avfi::fi::campaign::{AgentSpec, Campaign, CampaignConfig};
+use avfi::fi::campaign::{AgentSpec, CampaignConfig};
+use avfi::fi::engine::Engine;
 use avfi::fi::fault::input::{ImageFault, InputFault};
 use avfi::fi::fault::FaultSpec;
 use avfi::fi::{metrics, report, stats};
@@ -50,7 +51,7 @@ fn main() {
             .fault(spec)
             .agent(agent.clone())
             .build();
-        let result = Campaign::new(config).run();
+        let result = Engine::new().run_campaign(config);
         let vpk = stats::Summary::of(&metrics::vpk_distribution(result.runs()));
         let apk = stats::Summary::of(&metrics::apk_distribution(result.runs()));
         table.row(vec![

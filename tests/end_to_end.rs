@@ -3,7 +3,8 @@
 
 use avfi::agent::controller::{Driver, DriverInput};
 use avfi::agent::ExpertDriver;
-use avfi::fi::campaign::{run_single, AgentSpec, Campaign, CampaignConfig, MissionOutcome};
+use avfi::fi::campaign::{run_single, AgentSpec, CampaignConfig, MissionOutcome};
+use avfi::fi::engine::Engine;
 use avfi::fi::fault::timing::TimingFault;
 use avfi::fi::fault::FaultSpec;
 use avfi::fi::harness::AvDriver;
@@ -114,7 +115,7 @@ fn campaign_metrics_pipeline() {
         .runs_per_scenario(3)
         .agent(AgentSpec::Expert)
         .build();
-    let result = Campaign::new(config).run();
+    let result = Engine::new().run_campaign(config);
     assert_eq!(result.runs().len(), 3);
     let msr = metrics::mission_success_rate(result.runs());
     assert!((0.0..=100.0).contains(&msr));
@@ -142,7 +143,7 @@ fn output_delay_degrades_expert() {
             .fault(fault)
             .agent(AgentSpec::Expert)
             .build();
-        Campaign::new(config).run()
+        Engine::new().run_campaign(config)
     };
     let clean = run(FaultSpec::None);
     let delayed = run(FaultSpec::Timing(TimingFault::OutputDelay { frames: 30 }));
