@@ -26,7 +26,6 @@
 
 pub mod controller;
 pub mod dataset;
-pub mod eval;
 pub mod expert;
 pub mod features;
 pub mod ilnet;

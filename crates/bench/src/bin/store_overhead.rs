@@ -20,6 +20,7 @@ use avfi_core::fault::FaultSpec;
 use avfi_core::{Engine, WorkPlan};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_store::{recover_file, Journal, JournalRecord};
+use avfi_trace::TraceLevel;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -136,8 +137,8 @@ fn main() {
     for rep in 0..reps {
         let dir = fresh_dir("spool", rep);
         let started = Instant::now();
-        let results =
-            avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink).expect("spooled run");
+        let results = avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink)
+            .expect("spooled run");
         journaled.push(started.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             serde_json::to_string(&results).expect("results serialize"),

@@ -149,7 +149,7 @@ impl ExecOptions {
             &avfi_core::engine::NullSink
         };
         if let Some(spool) = &self.spool {
-            return avfi_store::run_spooled(&engine, plan, spool, self.trace_level.as_str(), sink)
+            return avfi_store::run_spooled(&engine, plan, spool, self.trace_level, sink)
                 .unwrap_or_else(|e| {
                     panic!("--spool {}: {e}", spool.display());
                 });
@@ -220,13 +220,7 @@ pub fn run_study(
 
 /// Flat-plan index encoded in a trace file name (`run-000042.avtr` →
 /// `42`), used to pair each minimal repro with its source trace.
-pub fn trace_flat_index(path: &Path) -> Option<usize> {
-    path.file_stem()?
-        .to_str()?
-        .strip_prefix("run-")?
-        .parse()
-        .ok()
-}
+pub use avfi_trace::trace_file_index as trace_flat_index;
 
 /// Shrinks every failed trace in `files` into a minimal, replay-verified
 /// repro under `out_dir`: `minimal-{i:06}.json` (the repro) and
@@ -831,16 +825,6 @@ mod tests {
             Some(std::path::Path::new("checkpoints/"))
         );
         assert_eq!(ExecOptions::default().spool, None);
-    }
-
-    #[test]
-    fn trace_index_round_trips_file_names() {
-        assert_eq!(
-            trace_flat_index(Path::new("traces/run-000042.avtr")),
-            Some(42)
-        );
-        assert_eq!(trace_flat_index(Path::new("run-123456.avtr")), Some(123456));
-        assert_eq!(trace_flat_index(Path::new("notes.txt")), None);
     }
 
     #[test]

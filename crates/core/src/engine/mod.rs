@@ -46,6 +46,7 @@ use std::time::Instant;
 
 pub mod pool;
 
+pub use avfi_net::proto::PlanPhase;
 pub use pool::{MultiplexPool, PlanEvent, PlanTicket, RecoveredSubmission};
 
 /// One named group of campaigns (e.g. "fig2 input faults").
@@ -321,9 +322,8 @@ pub trait RunSink: Sync {
     /// flight recorder emitted one).
     fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>);
 
-    /// The plan reached a terminal phase (`"completed"`, `"cancelled"`,
-    /// `"failed"`). Called at most once.
-    fn plan_terminal(&self, phase: &str) {
+    /// The plan reached a terminal phase. Called at most once.
+    fn plan_terminal(&self, phase: PlanPhase) {
         let _ = phase;
     }
 }
@@ -458,7 +458,9 @@ pub(crate) struct PlanExec<'a> {
     completed: AtomicUsize,
     /// Per-worker seconds spent running this plan's items.
     busy: Vec<parking_lot::Mutex<f64>>,
-    started: Instant,
+    /// Origin of the `Finished` wall-clock: plan setup, or the resume of
+    /// a parked plan.
+    started: parking_lot::Mutex<Instant>,
 }
 
 impl<'a> PlanExec<'a> {
@@ -523,7 +525,7 @@ impl<'a> PlanExec<'a> {
             remaining: remaining.into_iter().map(AtomicUsize::new).collect(),
             completed: AtomicUsize::new(completed),
             busy: Vec::new(),
-            started: Instant::now(),
+            started: parking_lot::Mutex::new(Instant::now()),
         }
     }
 
@@ -536,6 +538,12 @@ impl<'a> PlanExec<'a> {
             campaigns: self.remaining.len(),
             workers,
         }
+    }
+
+    /// Restarts the `Finished` wall-clock, so a parked plan's utilization
+    /// is measured from its resume rather than its recovery.
+    pub(crate) fn restart_clock(&self) {
+        *self.started.lock() = Instant::now();
     }
 
     /// Total runs in the plan.
@@ -631,7 +639,7 @@ impl<'a> PlanExec<'a> {
             .iter()
             .map(|slot| slot.lock().take().expect("all runs completed"))
             .collect();
-        let elapsed = self.started.elapsed().as_secs_f64();
+        let elapsed = self.started.lock().elapsed().as_secs_f64();
         sink.event(&ProgressEvent::Finished {
             elapsed,
             utilization: self
@@ -811,7 +819,7 @@ impl Engine {
         });
         let results = exec.finish(sink);
         if let Some(spool) = spool {
-            spool.plan_terminal("completed");
+            spool.plan_terminal(PlanPhase::Completed);
         }
         results
     }

@@ -17,6 +17,9 @@
 //!   claimed-but-unstarted runs, and in-flight runs finish. Lifecycle
 //!   transitions go through the
 //!   [`PlanLifecycle`](avfi_net::proto::PlanLifecycle) state machine.
+//! * **Parked plans**: a plan recovered from a journal with runs still
+//!   missing is submitted [`PlanPhase::Interrupted`] and stays out of the
+//!   rotation until [`PlanTicket::resume`] (or [`PlanTicket::cancel`]).
 //! * **Plan-tagged events**: every [`ProgressEvent`] lands in the plan's
 //!   own ordered log as a [`PlanEvent`] `{plan, seq, event}`, so watchers
 //!   replay/follow a single plan without seeing its neighbors. The
@@ -83,6 +86,16 @@ struct PoolShared {
     journal: parking_lot::Mutex<Vec<(PlanId, usize)>>,
 }
 
+impl PoolShared {
+    /// Puts a plan at the back of the rotation and wakes the workers.
+    fn enqueue(&self, run: &Arc<PlanRun>) {
+        let mut sched = self.sched.lock().expect("pool sched lock");
+        sched.active.push_back(Arc::clone(run));
+        drop(sched);
+        self.work_ready.notify_all();
+    }
+}
+
 #[derive(Debug)]
 struct Sched {
     /// Plans with unclaimed runs, in rotation order.
@@ -117,10 +130,15 @@ pub struct RecoveredSubmission {
     pub prefilled: Vec<(usize, RunResult)>,
     /// Traces reloaded from spooled `.avtr` files, by flat plan index.
     pub traces: Vec<(usize, RunTrace)>,
-    /// Journaled terminal phase, if the plan already finished: the plan
-    /// reloads as fetchable terminal state without executing anything.
-    pub terminal: Option<PlanPhase>,
-    /// Journal to keep appending to while the gap re-executes.
+    /// The phase the plan is recovered in. A terminal phase reloads the
+    /// plan as fetchable state without executing anything (`Completed`
+    /// requires every run prefilled); [`PlanPhase::Interrupted`] parks it
+    /// out of the rotation until [`PlanTicket::resume`]; `None` (or any
+    /// other phase) queues the gap right away. A plan with no runs left
+    /// completes immediately unless it is recovered terminal.
+    pub phase: Option<PlanPhase>,
+    /// Journal to keep appending to while the gap re-executes; it also
+    /// receives the plan's terminal phase.
     pub spool: Option<Arc<dyn RunSink + Send + Sync>>,
 }
 
@@ -131,7 +149,7 @@ impl fmt::Debug for RecoveredSubmission {
             .field("level", &self.level)
             .field("prefilled", &self.prefilled.len())
             .field("traces", &self.traces.len())
-            .field("terminal", &self.terminal)
+            .field("phase", &self.phase)
             .finish_non_exhaustive()
     }
 }
@@ -215,7 +233,7 @@ fn finalize(run: &PlanRun, phase: PlanPhase) {
     drop(st);
     *run.finished_at.lock() = Some(Instant::now());
     if let Some(spool) = &run.spool {
-        spool.0.plan_terminal(actual.name());
+        spool.0.plan_terminal(actual);
     }
     run.state_changed.notify_all();
 }
@@ -255,10 +273,28 @@ impl PlanTicket {
             .phase()
     }
 
+    /// Moves a parked ([`PlanPhase::Interrupted`]) plan to
+    /// [`PlanPhase::Running`] and into the rotation, exactly once however
+    /// many callers race; in any other phase it changes nothing. Returns
+    /// the phase afterwards.
+    pub fn resume(&self) -> PlanPhase {
+        let resumed = {
+            let mut st = self.run.state.lock().expect("plan state lock");
+            st.lifecycle.phase() == PlanPhase::Interrupted
+                && st.lifecycle.advance_if_legal(PlanPhase::Running) == PlanPhase::Running
+        };
+        if resumed {
+            self.run.exec.restart_clock();
+            self.shared.enqueue(&self.run);
+        }
+        self.phase()
+    }
+
     /// Cancels the plan: unclaimed runs are dropped, claimed-but-unstarted
     /// runs are skipped by the workers' cooperative check, in-flight runs
-    /// finish. Returns the phase after the cancel took effect — a plan
-    /// that already completed stays [`PlanPhase::Completed`].
+    /// finish, and a parked plan is finalized on the spot. Returns the
+    /// phase after the cancel took effect — a plan that already completed
+    /// stays [`PlanPhase::Completed`].
     pub fn cancel(&self) -> PlanPhase {
         self.run.cancelled.store(true, Ordering::Release);
         {
@@ -449,17 +485,18 @@ impl MultiplexPool {
             id,
             prefilled: Vec::new(),
             traces: Vec::new(),
-            terminal: None,
+            phase: None,
             spool,
         })
     }
 
     /// Re-submits a plan recovered from an `avfi-store` journal under its
-    /// **original** id: journaled results slot straight into their
-    /// preassigned positions, recovered traces re-attach, and only the
-    /// unjournaled gap fans out across the workers — so the final
-    /// results are byte-identical to an uninterrupted run ([`Engine`]'s
-    /// resume argument, lifted into the pool). Call
+    /// **original** id, in the phase [`RecoveredSubmission::phase`]
+    /// names: journaled results slot straight into their preassigned
+    /// positions, recovered traces re-attach, and only the unjournaled gap
+    /// fans out across the workers — so the final results are
+    /// byte-identical to an uninterrupted run ([`Engine`]'s resume
+    /// argument, lifted into the pool). Call
     /// [`MultiplexPool::reserve_plan_ids`] with the highest recovered id
     /// first so fresh submissions never collide.
     ///
@@ -492,13 +529,7 @@ impl MultiplexPool {
             None,
         );
         *exec.traces.get_mut() = sub.traces;
-        // A journaled terminal `Completed` implies full run coverage (the
-        // journal appends every run record before the terminal one); if a
-        // journal claims otherwise, ignore the claim and run the gap.
-        let terminal = match sub.terminal {
-            Some(PlanPhase::Completed) if exec.completed() < exec.total() => None,
-            t => t,
-        };
+        let phase = sub.phase.unwrap_or(PlanPhase::Queued);
         let started = exec.start(self.shared.workers);
         let run = Arc::new(PlanRun {
             id: sub.id,
@@ -512,28 +543,25 @@ impl MultiplexPool {
             finished_at: parking_lot::Mutex::new(None),
             spool: sub.spool.map(SpoolHandle),
             state: Mutex::new(PlanState {
-                lifecycle: PlanLifecycle::new(),
+                lifecycle: PlanLifecycle::starting_at(phase),
                 events: Vec::new(),
                 results: None,
             }),
             state_changed: Condvar::new(),
         });
         run.event(&started);
-        if let Some(phase) = terminal {
+        if phase.is_terminal() {
             // Recovered already-terminal plan: reload it as fetchable
             // state without executing anything.
-            run.mark_running();
             finalize(&run, phase);
         } else if run.exec.pending.is_empty() {
             // Trivially complete (empty plan, or recovery journaled every
             // run); never enters the rotation.
             run.mark_running();
             finalize(&run, PlanPhase::Completed);
-        } else {
-            let mut sched = self.shared.sched.lock().expect("pool sched lock");
-            sched.active.push_back(Arc::clone(&run));
-            drop(sched);
-            self.shared.work_ready.notify_all();
+        } else if phase != PlanPhase::Interrupted {
+            // A parked plan instead waits for `resume` or `cancel`.
+            self.shared.enqueue(&run);
         }
         PlanTicket {
             run,
@@ -547,7 +575,7 @@ impl MultiplexPool {
     }
 
     /// Cancels every queued plan, stops the workers (in-flight runs
-    /// finish), and joins them.
+    /// finish), and joins them. Parked plans are left interrupted.
     pub fn shutdown(self) {
         {
             let mut sched = self.shared.sched.lock().expect("pool sched lock");
@@ -905,7 +933,7 @@ mod tests {
             id: 11,
             prefilled: runs.clone(),
             traces: Vec::new(),
-            terminal: Some(PlanPhase::Completed),
+            phase: Some(PlanPhase::Completed),
             spool: None,
         });
         assert_eq!(reloaded.id(), 11);
@@ -920,33 +948,74 @@ mod tests {
             id: 12,
             prefilled: runs[..total / 2].to_vec(),
             traces: Vec::new(),
-            terminal: None,
+            phase: None,
             spool: None,
         });
         assert_eq!(resumed.id(), 12);
         assert_eq!(resumed.wait_terminal(), PlanPhase::Completed);
         assert_eq!(json(&resumed.wait_results().expect("resumed")), solo_json);
 
-        // A journaled "completed" without full coverage is downgraded:
-        // the gap executes instead of reloading a lying terminal state.
-        let downgraded = pool.submit_recovered(RecoveredSubmission {
-            plan: plan.clone(),
-            level: TraceLevel::Off,
-            id: 13,
-            prefilled: runs[..1].to_vec(),
-            traces: Vec::new(),
-            terminal: Some(PlanPhase::Completed),
-            spool: None,
-        });
-        assert_eq!(downgraded.wait_terminal(), PlanPhase::Completed);
-        assert_eq!(
-            json(&downgraded.wait_results().expect("downgraded")),
-            solo_json
-        );
-
         // Fresh submissions allocate past every recovered id.
         let fresh = pool.submit(plan_b());
-        assert!(fresh.id() > 13, "fresh id {} not reserved", fresh.id());
+        assert!(fresh.id() > 12, "fresh id {} not reserved", fresh.id());
         pool.shutdown();
+    }
+
+    /// A parked plan claims nothing until resumed; racing resumes enter
+    /// it into the rotation once; resumed, it completes byte-identical to
+    /// a solo run. A plan never resumed survives pool shutdown parked and
+    /// can still be cancelled.
+    #[test]
+    fn parked_plan_runs_only_after_one_resume() {
+        let parked = |pool: &MultiplexPool, id: PlanId| {
+            pool.submit_recovered(RecoveredSubmission {
+                plan: plan_a(),
+                level: TraceLevel::Off,
+                id,
+                prefilled: Vec::new(),
+                traces: Vec::new(),
+                phase: Some(PlanPhase::Interrupted),
+                spool: None,
+            })
+        };
+        let pool = MultiplexPool::paused(2);
+        let resumed = parked(&pool, 21);
+        let idle = parked(&pool, 22);
+        assert_eq!(resumed.phase(), PlanPhase::Interrupted);
+        let start = std::sync::Barrier::new(2);
+        let phases: Vec<PlanPhase> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        resumed.resume()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(phases, [PlanPhase::Running; 2]);
+        let entries = |id: PlanId| {
+            let sched = pool.shared.sched.lock().unwrap();
+            sched.active.iter().filter(|p| p.id == id).count()
+        };
+        assert_eq!(entries(resumed.id()), 1, "resumed plan entered twice");
+        assert_eq!(entries(idle.id()), 0, "parked plan entered the rotation");
+
+        pool.resume();
+        let results = resumed.wait_results().expect("resumed plan completed");
+        assert_eq!(
+            json(&results),
+            json(&Engine::new().workers(1).execute(&plan_a()))
+        );
+        let journal = pool.execution_journal();
+        assert_eq!(journal.len(), resumed.total_runs());
+        assert!(journal.iter().all(|(plan, _)| *plan == resumed.id()));
+        assert_eq!(resumed.resume(), PlanPhase::Completed);
+
+        pool.shutdown();
+        assert_eq!(idle.phase(), PlanPhase::Interrupted);
+        assert_eq!(idle.completed_runs(), 0);
+        assert_eq!(idle.cancel(), PlanPhase::Cancelled);
     }
 }

@@ -167,21 +167,34 @@ impl ReplayRecord {
     }
 }
 
-/// Rebuilds the [`AgentSpec`] a trace header names, fingerprint-checking
-/// `weights` for neural traces (shared by replay and the shrinker).
+/// Decodes what a trace header needs to re-execute its run: the fault
+/// plan and the [`AgentSpec`], after checking that the header's seed is
+/// the one its coordinates derive and fingerprint-checking `weights` for
+/// neural traces (shared by replay and the shrinker).
 ///
 /// # Errors
 ///
+/// In this order: [`ReplayError::BadFaultSpec`] when the fault JSON does
+/// not parse, [`ReplayError::SeedMismatch`] for an inconsistent seed,
 /// [`ReplayError::UnknownAgent`] for agent names this build does not
-/// know, [`ReplayError::MissingWeights`] /
+/// know, and [`ReplayError::MissingWeights`] /
 /// [`ReplayError::WeightsMismatch`] for neural traces without (matching)
 /// weights.
-pub fn agent_from_header(
+pub fn decode_header(
     header: &TraceHeader,
     weights: Option<&[u8]>,
-) -> Result<AgentSpec, ReplayError> {
-    match header.agent.as_str() {
-        "expert" => Ok(AgentSpec::Expert),
+) -> Result<(FaultSpec, AgentSpec), ReplayError> {
+    let fault: FaultSpec = serde_json::from_str(&header.fault_spec_json)
+        .map_err(|e| ReplayError::BadFaultSpec(e.to_string()))?;
+    let derived = header.derived_seed();
+    if derived != header.seed {
+        return Err(ReplayError::SeedMismatch {
+            recorded: header.seed,
+            derived,
+        });
+    }
+    let agent = match header.agent.as_str() {
+        "expert" => AgentSpec::Expert,
         "il-cnn" => {
             let bytes = weights.ok_or(ReplayError::MissingWeights)?;
             let provided = fingerprint(bytes);
@@ -190,12 +203,13 @@ pub fn agent_from_header(
                     return Err(ReplayError::WeightsMismatch { recorded, provided });
                 }
             }
-            Ok(AgentSpec::Neural {
+            AgentSpec::Neural {
                 weights: Arc::new(bytes.to_vec()),
-            })
+            }
         }
-        other => Err(ReplayError::UnknownAgent(other.to_string())),
-    }
+        other => return Err(ReplayError::UnknownAgent(other.to_string())),
+    };
+    Ok((fault, agent))
 }
 
 /// Re-executes the run a trace records and verifies bit-identity.
@@ -214,19 +228,7 @@ pub fn replay_trace(
     weights: Option<&[u8]>,
 ) -> Result<ReplayVerdict, ReplayError> {
     let header = &trace.header;
-    let fault: FaultSpec = serde_json::from_str(&header.fault_spec_json)
-        .map_err(|e| ReplayError::BadFaultSpec(e.to_string()))?;
-
-    let derived = header.derived_seed();
-    if derived != header.seed {
-        return Err(ReplayError::SeedMismatch {
-            recorded: header.seed,
-            derived,
-        });
-    }
-
-    let agent = agent_from_header(header, weights)?;
-
+    let (fault, agent) = decode_header(header, weights)?;
     let spec = TraceSpec {
         level: header.level,
         study: header.study.clone(),

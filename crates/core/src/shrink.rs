@@ -34,14 +34,14 @@
 //! toward the violation anchor, and a global
 //! [`ShrinkConfig::max_iterations`] cap backstops everything.
 
-use crate::campaign::TraceSpec;
+use crate::campaign::{AgentSpec, TraceSpec};
 use crate::engine::{blackbox_frames, Engine, EvalJob, BLACKBOX_SECONDS};
 use crate::fault::hardware::BitFaultModel;
 use crate::fault::input::{ImageFault, InputFault, LidarFault, SpeedFault};
 use crate::fault::ml::MlFault;
 use crate::fault::timing::TimingFault;
 use crate::fault::FaultSpec;
-use crate::replay::{agent_from_header, replay_trace, ReplayError, ReplayVerdict};
+use crate::replay::{decode_header, replay_trace, ReplayError, ReplayVerdict};
 use crate::triage::{failure_class, FailureClass};
 use crate::trigger::Trigger;
 use avfi_sim::scenario::Scenario;
@@ -924,7 +924,7 @@ fn anchor_of(trace: &RunTrace) -> Anchor {
 /// failure, and verification replays the candidate's own trace.
 pub struct EngineOracle<'a> {
     engine: &'a Engine,
-    agent: crate::campaign::AgentSpec,
+    agent: AgentSpec,
     weights: Option<Vec<u8>>,
     spec: TraceSpec,
     scenario_index: usize,
@@ -933,26 +933,22 @@ pub struct EngineOracle<'a> {
 }
 
 impl<'a> EngineOracle<'a> {
-    /// Builds the oracle from a source trace (agent, coordinates, and
-    /// black-box window all come from the header).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ReplayError`] when the header's agent cannot be
-    /// reconstructed.
+    /// Builds the oracle from a source trace and the agent
+    /// [`decode_header`] rebuilt from its header (coordinates and
+    /// black-box window also come from the header).
     pub fn from_trace(
         engine: &'a Engine,
         trace: &RunTrace,
+        agent: AgentSpec,
         weights: Option<&[u8]>,
         config: &ShrinkConfig,
-    ) -> Result<Self, ReplayError> {
-        let agent = agent_from_header(&trace.header, weights)?;
+    ) -> Self {
         let blackbox_frames = if trace.header.blackbox_frames > 0 {
             trace.header.blackbox_frames
         } else {
             blackbox_frames(config.blackbox_seconds)
         };
-        Ok(EngineOracle {
+        EngineOracle {
             engine,
             agent,
             weights: weights.map(|w| w.to_vec()),
@@ -965,7 +961,7 @@ impl<'a> EngineOracle<'a> {
             scenario_index: trace.header.scenario_index,
             run_index: trace.header.run_index,
             last_traces: Vec::new(),
-        })
+        }
     }
 }
 
@@ -1024,17 +1020,8 @@ pub fn shrink_trace(
     config: &ShrinkConfig,
 ) -> Result<ShrinkOutcome, ShrinkError> {
     let class = failure_class(trace).ok_or(ShrinkError::NotAFailure)?;
-    let fault: FaultSpec = serde_json::from_str(&trace.header.fault_spec_json)
-        .map_err(|e| ReplayError::BadFaultSpec(e.to_string()))?;
-    let derived = trace.header.derived_seed();
-    if derived != trace.header.seed {
-        return Err(ReplayError::SeedMismatch {
-            recorded: trace.header.seed,
-            derived,
-        }
-        .into());
-    }
-    let mut oracle = EngineOracle::from_trace(engine, trace, weights, config)?;
+    let (fault, agent) = decode_header(&trace.header, weights)?;
+    let mut oracle = EngineOracle::from_trace(engine, trace, agent, weights, config);
 
     // Baseline: the unreduced original must re-land in the recorded
     // class before any reduction is trusted (also seeds the anchors

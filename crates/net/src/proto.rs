@@ -293,10 +293,11 @@ impl fmt::Display for PlanPhase {
 }
 
 /// Enforced plan lifecycle: a [`PlanPhase`] that only moves along legal
-/// transitions. The server holds one per plan; every phase change goes
-/// through [`PlanLifecycle::advance`], so an illegal transition is a bug
-/// surfaced as [`NetError::Protocol`] instead of silently corrupted
-/// bookkeeping.
+/// transitions. The campaign pool holds one per plan and moves it with
+/// [`PlanLifecycle::advance_if_legal`], so a transition a race makes
+/// illegal (a cancel landing after completion) leaves the phase as it
+/// is; [`PlanLifecycle::advance`] reports the illegal transition as
+/// [`NetError::Protocol`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct PlanLifecycle {
     phase: Option<PlanPhase>,

@@ -29,7 +29,9 @@
 //! cancellation). Client disconnects never abort a running plan: the
 //! server's plan registry keeps the [`PlanTicket`] until shutdown, so a
 //! client can drop mid-watch and later fetch results over a fresh
-//! connection.
+//! connection. Plans recovered from the spool live in the same registry:
+//! an interrupted one is a parked ticket that [`ServiceRequest::Resume`]
+//! moves into the rotation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,39 +44,18 @@ use avfi_core::{ProgressEvent, StudyResult, WorkPlan};
 use avfi_net::proto::{PlanId, PlanPhase, ServiceReply, ServiceRequest};
 use avfi_net::{NetError, TcpTransport};
 use avfi_sim::scenario::{Scenario, TownSpec};
-use avfi_store::{Journal, JournalRecord, PlanJournal};
+use avfi_store::{Journal, PlanJournal};
 use avfi_trace::{RunTrace, TraceLevel};
 use std::collections::BTreeMap;
-use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Plans the server has accepted, kept until daemon shutdown so results
-/// outlive the submitting connection.
+/// Plans the server has accepted or recovered, kept until daemon
+/// shutdown so results outlive the submitting connection.
 type Registry = parking_lot::Mutex<BTreeMap<PlanId, PlanTicket>>;
-
-/// Durable-spool state of a daemon running `--spool`: the journal
-/// directory plus the interrupted plans recovered at startup that await
-/// an explicit [`ServiceRequest::Resume`] (a daemon started with
-/// auto-resume has an always-empty map).
-#[derive(Debug)]
-struct SpoolState {
-    dir: PathBuf,
-    resumable: parking_lot::Mutex<BTreeMap<PlanId, ResumableEntry>>,
-}
-
-/// Status snapshot of one interrupted plan; the full state (results,
-/// traces, the journal itself) reloads from disk at resume time.
-#[derive(Debug, Clone, Copy)]
-struct ResumableEntry {
-    /// Runs recovered from the journal.
-    completed: usize,
-    /// Total runs in the plan.
-    total: usize,
-}
 
 /// The campaign daemon: accepts connections, executes submitted plans on
 /// one shared pool, serves progress/results/traces by plan id.
@@ -87,7 +68,8 @@ pub struct CampaignServer {
     shutdown: Arc<AtomicBool>,
     retention: Option<Duration>,
     auth_token: Option<String>,
-    spool: Option<Arc<SpoolState>>,
+    /// Durable-spool directory of a daemon running `--spool`.
+    spool: Option<Arc<Path>>,
 }
 
 impl CampaignServer {
@@ -115,8 +97,9 @@ impl CampaignServer {
     /// Attaches a durable spool: every accepted plan is write-ahead
     /// journaled into `dir` (`plan-<id>.avj`, traces under `plan-<id>/`),
     /// and journals already in `dir` are recovered immediately — terminal
-    /// plans reload as fetchable results, interrupted plans re-enter the
-    /// pool right away when `auto_resume` is set or park until a
+    /// plans reload as fetchable results, a journal holding every run
+    /// reloads completed, and interrupted plans re-enter the pool right
+    /// away when `auto_resume` is set or park until a
     /// [`ServiceRequest::Resume`] otherwise. `None` (the default) keeps
     /// all plan state in memory only.
     ///
@@ -129,17 +112,18 @@ impl CampaignServer {
             return Ok(self);
         };
         std::fs::create_dir_all(&dir)?;
-        let state = Arc::new(SpoolState {
-            dir,
-            resumable: parking_lot::Mutex::new(BTreeMap::new()),
-        });
         let mut max_id = 0;
-        for (id, path) in avfi_store::list_journals(&state.dir)? {
+        for (id, path) in avfi_store::list_journals(&dir)? {
             max_id = max_id.max(id);
-            recover_journal(&self.pool, &self.registry, &state, id, &path, auto_resume);
+            if let Some(ticket) = recover_journal(&self.pool, &dir, id, &path) {
+                if auto_resume {
+                    ticket.resume();
+                }
+                self.registry.lock().insert(id, ticket);
+            }
         }
         self.pool.reserve_plan_ids(max_id);
-        self.spool = Some(state);
+        self.spool = Some(Arc::from(dir));
         Ok(self)
     }
 
@@ -173,7 +157,9 @@ impl CampaignServer {
     /// Serves connections until a client sends [`ServiceRequest::Shutdown`].
     /// Each connection gets its own thread; plans keep running when their
     /// submitter disconnects. On shutdown every still-active plan is
-    /// cancelled and the call returns.
+    /// cancelled and the call returns; parked (interrupted) plans are left
+    /// as they are, so the next daemon over the spool recovers them
+    /// interrupted again.
     ///
     /// # Errors
     ///
@@ -215,7 +201,9 @@ impl CampaignServer {
                 .expect("spawn connection handler");
         }
         for ticket in self.registry.lock().values() {
-            ticket.cancel();
+            if ticket.phase() != PlanPhase::Interrupted {
+                ticket.cancel();
+            }
         }
         Ok(())
     }
@@ -233,7 +221,7 @@ fn handle_connection(
     addr: SocketAddr,
     retention: Option<Duration>,
     auth_token: Option<&str>,
-    spool: Option<&SpoolState>,
+    spool: Option<&Path>,
 ) {
     let Ok(mut transport) = TcpTransport::new(stream) else {
         return;
@@ -296,7 +284,6 @@ fn authenticate(transport: &mut TcpTransport, auth_token: Option<&str>) -> Resul
 /// Handles one request, sending every reply frame it produces. `Err`
 /// means the *connection* failed; request-level failures are reported to
 /// the client as [`ServiceReply::Error`] and return `Ok`.
-#[allow(clippy::too_many_arguments)]
 fn serve_request(
     transport: &mut TcpTransport,
     request: ServiceRequest,
@@ -304,7 +291,7 @@ fn serve_request(
     registry: &Registry,
     shutdown: &AtomicBool,
     addr: SocketAddr,
-    spool: Option<&SpoolState>,
+    spool: Option<&Path>,
 ) -> Result<(), NetError> {
     match request {
         // Authenticated connections (and open daemons) answer voluntary
@@ -323,12 +310,9 @@ fn serve_request(
             match serde_json::from_str::<WorkPlan>(&plan_json) {
                 Ok(plan) => {
                     let ticket = match spool {
-                        Some(spool) => {
-                            let dir = spool.dir.clone();
-                            pool.submit_spooled(plan, level, move |id| {
-                                open_plan_journal(&dir, id, plan_json, level)
-                            })
-                        }
+                        Some(dir) => pool.submit_spooled(plan, level, |id| {
+                            open_plan_journal(dir, id, plan_json, level)
+                        }),
                         None => pool.submit_traced(plan, level),
                     };
                     registry.lock().insert(ticket.id(), ticket.clone());
@@ -343,11 +327,9 @@ fn serve_request(
             }
         }
         ServiceRequest::Watch { plan, from_event } => {
-            let Some(ticket) = lookup(registry, plan) else {
-                if resumable_entry(spool, plan).is_some() {
-                    return send_interrupted(transport, plan);
-                }
-                return send_unknown_plan(transport, plan);
+            let ticket = match servable(registry, plan) {
+                Ok(ticket) => ticket,
+                Err(reply) => return transport.send_value(&reply),
             };
             let mut next = from_event;
             loop {
@@ -370,11 +352,9 @@ fn serve_request(
             }
         }
         ServiceRequest::Results { plan } => {
-            let Some(ticket) = lookup(registry, plan) else {
-                if resumable_entry(spool, plan).is_some() {
-                    return send_interrupted(transport, plan);
-                }
-                return send_unknown_plan(transport, plan);
+            let ticket = match servable(registry, plan) {
+                Ok(ticket) => ticket,
+                Err(reply) => return transport.send_value(&reply),
             };
             if ticket.is_evicted() {
                 return send_evicted(transport, plan);
@@ -391,11 +371,9 @@ fn serve_request(
             }
         }
         ServiceRequest::Traces { plan } => {
-            let Some(ticket) = lookup(registry, plan) else {
-                if resumable_entry(spool, plan).is_some() {
-                    return send_interrupted(transport, plan);
-                }
-                return send_unknown_plan(transport, plan);
+            let ticket = match servable(registry, plan) {
+                Ok(ticket) => ticket,
+                Err(reply) => return transport.send_value(&reply),
             };
             if ticket.is_evicted() {
                 return send_evicted(transport, plan);
@@ -407,30 +385,7 @@ fn serve_request(
         }
         ServiceRequest::Cancel { plan } => {
             let Some(ticket) = lookup(registry, plan) else {
-                if let Some(spool) = spool {
-                    // Atomically claim the interrupted plan out of the
-                    // resumable map; put it back if the cancel fails.
-                    if let Some(entry) = spool.resumable.lock().remove(&plan) {
-                        return match cancel_resumable(pool, spool, plan) {
-                            Some(ticket) => {
-                                registry.lock().insert(plan, ticket.clone());
-                                transport.send_value(&ServiceReply::Cancelled {
-                                    plan,
-                                    phase: ticket.phase(),
-                                })
-                            }
-                            None => {
-                                spool.resumable.lock().insert(plan, entry);
-                                transport.send_value(&ServiceReply::Error {
-                                    message: format!(
-                                        "plan {plan}: cancel failed (journal unreadable)"
-                                    ),
-                                })
-                            }
-                        };
-                    }
-                }
-                return send_unknown_plan(transport, plan);
+                return transport.send_value(&unknown_plan(plan));
             };
             let phase = ticket.cancel();
             transport.send_value(&ServiceReply::Cancelled { plan, phase })
@@ -438,51 +393,19 @@ fn serve_request(
         ServiceRequest::Resume { plan } => {
             // Idempotent on live and recovered-terminal plans: report the
             // current state instead of erroring.
-            if let Some(ticket) = lookup(registry, plan) {
-                return transport.send_value(&ServiceReply::Resumed {
-                    plan,
-                    phase: ticket.phase(),
-                    completed: ticket.completed_runs(),
-                    total: ticket.total_runs(),
-                });
-            }
-            let Some(spool) = spool else {
-                return send_unknown_plan(transport, plan);
+            let Some(ticket) = lookup(registry, plan) else {
+                return transport.send_value(&unknown_plan(plan));
             };
-            // Atomically claim the interrupted plan out of the resumable
-            // map; put it back if the resume fails.
-            let Some(entry) = spool.resumable.lock().remove(&plan) else {
-                return send_unknown_plan(transport, plan);
-            };
-            match resume_spooled(pool, spool, plan) {
-                Ok(ticket) => {
-                    registry.lock().insert(plan, ticket.clone());
-                    transport.send_value(&ServiceReply::Resumed {
-                        plan,
-                        phase: ticket.phase(),
-                        completed: ticket.completed_runs(),
-                        total: ticket.total_runs(),
-                    })
-                }
-                Err(e) => {
-                    spool.resumable.lock().insert(plan, entry);
-                    transport.send_value(&ServiceReply::Error {
-                        message: format!("plan {plan}: resume failed: {e}"),
-                    })
-                }
-            }
+            transport.send_value(&ServiceReply::Resumed {
+                plan,
+                phase: ticket.resume(),
+                completed: ticket.completed_runs(),
+                total: ticket.total_runs(),
+            })
         }
         ServiceRequest::Status { plan } => {
             let Some(ticket) = lookup(registry, plan) else {
-                if let Some(entry) = resumable_entry(spool, plan) {
-                    return transport.send_value(&ServiceReply::Status {
-                        plan,
-                        phase: PlanPhase::Interrupted,
-                        completed: entry.completed,
-                        total: entry.total,
-                    });
-                }
-                return send_unknown_plan(transport, plan);
+                return transport.send_value(&unknown_plan(plan));
             };
             transport.send_value(&ServiceReply::Status {
                 plan,
@@ -509,7 +432,7 @@ fn serve_request(
 /// the registry (status keeps working); only the payloads go — including
 /// the plan's spooled journal and trace files when a spool is attached,
 /// so eviction reclaims disk as well as memory.
-fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option<&SpoolState>) {
+fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option<&Path>) {
     let Some(retention) = retention else {
         return;
     };
@@ -523,10 +446,10 @@ fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option
                 .is_some_and(|age| age >= retention)
         {
             ticket.evict_payloads();
-            if let Some(spool) = spool {
+            if let Some(dir) = spool {
                 let id = ticket.id();
-                let _ = std::fs::remove_file(spool.dir.join(avfi_store::journal_file_name(id)));
-                let _ = std::fs::remove_dir_all(spool.dir.join(avfi_store::trace_dir_name(id)));
+                let _ = std::fs::remove_file(dir.join(avfi_store::journal_file_name(id)));
+                let _ = std::fs::remove_dir_all(dir.join(avfi_store::trace_dir_name(id)));
             }
         }
     }
@@ -534,10 +457,10 @@ fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option
 
 /// Opens the write-ahead journal for a freshly accepted plan (the
 /// [`MultiplexPool::submit_spooled`] factory): creates
-/// `dir/plan-<id>.avj`, writes the [`JournalRecord::PlanSubmitted`]
-/// record, and points trace spooling at `dir/plan-<id>/`. Journal
-/// creation failures degrade to an unspooled plan (reported on stderr) —
-/// the daemon keeps serving rather than rejecting work over disk trouble.
+/// `dir/plan-<id>.avj` holding the submission record, and points trace
+/// spooling at `dir/plan-<id>/`. Journal creation failures degrade to an
+/// unspooled plan (reported on stderr) — the daemon keeps serving rather
+/// than rejecting work over disk trouble.
 fn open_plan_journal(
     dir: &Path,
     id: PlanId,
@@ -545,45 +468,33 @@ fn open_plan_journal(
     level: TraceLevel,
 ) -> Option<Arc<dyn RunSink + Send + Sync>> {
     let path = dir.join(avfi_store::journal_file_name(id));
-    let mut journal = match Journal::create(&path) {
-        Ok(j) => j,
+    let trace_dir = dir.join(avfi_store::trace_dir_name(id));
+    match PlanJournal::create(&path, plan_json, level, Some(trace_dir)) {
+        Ok(journal) => Some(Arc::new(journal)),
         Err(e) => {
             eprintln!(
                 "[avfi-server] spool journal create failed ({}): {e}",
                 path.display()
             );
-            return None;
+            None
         }
-    };
-    if let Err(e) = journal.append(&JournalRecord::PlanSubmitted {
-        plan_json,
-        trace_level: level.as_str().to_string(),
-    }) {
-        eprintln!(
-            "[avfi-server] spool journal append failed ({}): {e}",
-            path.display()
-        );
-        return None;
     }
-    let trace_dir = dir.join(avfi_store::trace_dir_name(id));
-    Some(Arc::new(PlanJournal::new(journal, Some(trace_dir))))
 }
 
-/// Recovers one spooled journal at daemon startup: terminal plans reload
-/// into the registry as fetchable state (results assembled from the
-/// journal, byte-identical to the uninterrupted run); interrupted plans
-/// re-enter the pool immediately under `auto_resume`, or park in the
-/// resumable map until a [`ServiceRequest::Resume`] otherwise.
-/// Unrecoverable journals are skipped with a stderr note — recovery
-/// never takes the daemon down.
+/// Recovers one spooled journal at daemon startup into a pool ticket
+/// under the plan's original id. A terminal plan reloads as fetchable
+/// state (results assembled from the journal, byte-identical to the
+/// uninterrupted run). Any other plan keeps its reopened journal and is
+/// recovered [`PlanPhase::Interrupted`]: parked until resumed or
+/// cancelled — or, with every run already journaled, completed at once,
+/// appending the missing terminal record. Unrecoverable journals are
+/// skipped with a stderr note — recovery never takes the daemon down.
 fn recover_journal(
     pool: &MultiplexPool,
-    registry: &Registry,
-    spool: &SpoolState,
+    dir: &Path,
     id: PlanId,
     path: &Path,
-    auto_resume: bool,
-) {
+) -> Option<PlanTicket> {
     let (records, journal) = match Journal::resume(path) {
         Ok(r) => r,
         Err(e) => {
@@ -591,154 +502,60 @@ fn recover_journal(
                 "[avfi-server] spool recovery failed ({}): {e}",
                 path.display()
             );
-            return;
+            return None;
         }
     };
-    let Some(rec) = avfi_store::summarize(&records) else {
-        // Header-only or unparseable journal: nothing to reload.
-        return;
+    // Header-only or unparseable journal: nothing to reload.
+    let rec = avfi_store::summarize(&records)?;
+    let trace_dir = dir.join(avfi_store::trace_dir_name(id));
+    let spool: Option<Arc<dyn RunSink + Send + Sync>> = match rec.terminal {
+        Some(_) => None, // terminal: nothing more to append; the file stays
+        None => Some(Arc::new(PlanJournal::new(journal, Some(trace_dir.clone())))),
     };
-    let level = TraceLevel::parse(&rec.trace_level).unwrap_or(TraceLevel::Off);
-    let terminal = match rec.terminal.as_deref() {
-        // The journal appends every run record before the terminal one,
-        // so "completed" without full coverage cannot happen through the
-        // ordered path; if a journal claims it anyway, fall through to
-        // interrupted and re-run the gap.
-        Some("completed") if rec.is_complete() => Some(PlanPhase::Completed),
-        Some("cancelled") => Some(PlanPhase::Cancelled),
-        Some("failed") => Some(PlanPhase::Failed),
-        _ => None,
-    };
-    let total = rec.plan.total_runs();
-    if let Some(phase) = terminal {
-        drop(journal); // terminal: nothing more to append; the file stays
-        let traces = load_spooled_traces(&spool.dir, id);
-        let ticket = pool.submit_recovered(RecoveredSubmission {
-            plan: rec.plan,
-            level,
-            id,
-            prefilled: rec.completed,
-            traces,
-            terminal: Some(phase),
-            spool: None,
-        });
-        registry.lock().insert(id, ticket);
-    } else if auto_resume {
-        let traces = load_spooled_traces(&spool.dir, id);
-        let trace_dir = spool.dir.join(avfi_store::trace_dir_name(id));
-        let sink = Arc::new(PlanJournal::new(journal, Some(trace_dir)));
-        let ticket = pool.submit_recovered(RecoveredSubmission {
-            plan: rec.plan,
-            level,
-            id,
-            prefilled: rec.completed,
-            traces,
-            terminal: None,
-            spool: Some(sink),
-        });
-        registry.lock().insert(id, ticket);
-    } else {
-        drop(journal);
-        spool.resumable.lock().insert(
-            id,
-            ResumableEntry {
-                completed: rec.completed.len(),
-                total,
-            },
-        );
-    }
+    Some(pool.submit_recovered(RecoveredSubmission {
+        plan: rec.plan,
+        level: rec.level,
+        id,
+        prefilled: rec.completed,
+        traces: load_spooled_traces(&trace_dir),
+        phase: Some(rec.terminal.unwrap_or(PlanPhase::Interrupted)),
+        spool,
+    }))
 }
 
-/// Reloads the `.avtr` traces a spooled plan's runs left in
-/// `spool/plan-<id>/`, keyed by flat plan index. Unreadable files are
-/// skipped — a missing trace never blocks recovery.
-fn load_spooled_traces(dir: &Path, id: PlanId) -> Vec<(usize, RunTrace)> {
-    let trace_dir = dir.join(avfi_store::trace_dir_name(id));
-    let files = avfi_trace::list_trace_files(&trace_dir).unwrap_or_default();
+/// Reloads the `.avtr` traces a spooled plan's runs left in its trace
+/// directory, keyed by flat plan index. Unreadable files are skipped — a
+/// missing trace never blocks recovery.
+fn load_spooled_traces(trace_dir: &Path) -> Vec<(usize, RunTrace)> {
+    let files = avfi_trace::list_trace_files(trace_dir).unwrap_or_default();
     files
         .iter()
         .filter_map(|p| {
-            let idx: usize = p
-                .file_stem()?
-                .to_str()?
-                .strip_prefix("run-")?
-                .parse()
-                .ok()?;
-            let trace = avfi_trace::read_trace_file(p).ok()?;
-            Some((idx, trace))
+            Some((
+                avfi_trace::trace_file_index(p)?,
+                avfi_trace::read_trace_file(p).ok()?,
+            ))
         })
         .collect()
-}
-
-/// Reloads an interrupted plan from its journal and re-enters it into
-/// the pool: journaled runs prefill their slots, spooled traces
-/// re-attach, and only the unjournaled gap re-executes — with the
-/// reopened journal attached so further progress keeps spooling.
-fn resume_spooled(pool: &MultiplexPool, spool: &SpoolState, id: PlanId) -> io::Result<PlanTicket> {
-    let path = spool.dir.join(avfi_store::journal_file_name(id));
-    let (records, journal) = Journal::resume(&path)?;
-    let rec = avfi_store::summarize(&records).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "journal lost its submission record",
-        )
-    })?;
-    let level = TraceLevel::parse(&rec.trace_level).unwrap_or(TraceLevel::Off);
-    let traces = load_spooled_traces(&spool.dir, id);
-    let trace_dir = spool.dir.join(avfi_store::trace_dir_name(id));
-    let sink = Arc::new(PlanJournal::new(journal, Some(trace_dir)));
-    Ok(pool.submit_recovered(RecoveredSubmission {
-        plan: rec.plan,
-        level,
-        id,
-        prefilled: rec.completed,
-        traces,
-        terminal: None,
-        spool: Some(sink),
-    }))
-}
-
-/// Cancels an interrupted (not yet resumed) plan: journals the terminal
-/// record so the cancellation survives restarts, then reloads the plan
-/// as a terminal status-only registry entry. `None` when the journal is
-/// unreadable.
-fn cancel_resumable(pool: &MultiplexPool, spool: &SpoolState, id: PlanId) -> Option<PlanTicket> {
-    let path = spool.dir.join(avfi_store::journal_file_name(id));
-    let (records, mut journal) = Journal::resume(&path).ok()?;
-    let rec = avfi_store::summarize(&records)?;
-    if let Err(e) = journal.append(&JournalRecord::PlanTerminal {
-        phase: "cancelled".into(),
-    }) {
-        eprintln!(
-            "[avfi-server] spool cancel append failed ({}): {e}",
-            path.display()
-        );
-    }
-    drop(journal);
-    let level = TraceLevel::parse(&rec.trace_level).unwrap_or(TraceLevel::Off);
-    Some(pool.submit_recovered(RecoveredSubmission {
-        plan: rec.plan,
-        level,
-        id,
-        prefilled: rec.completed,
-        traces: Vec::new(),
-        terminal: Some(PlanPhase::Cancelled),
-        spool: None,
-    }))
 }
 
 fn lookup(registry: &Registry, plan: PlanId) -> Option<PlanTicket> {
     registry.lock().get(&plan).cloned()
 }
 
-fn resumable_entry(spool: Option<&SpoolState>, plan: PlanId) -> Option<ResumableEntry> {
-    spool.and_then(|s| s.resumable.lock().get(&plan).copied())
-}
-
-fn send_interrupted(transport: &mut TcpTransport, plan: PlanId) -> Result<(), NetError> {
-    transport.send_value(&ServiceReply::Error {
-        message: format!("plan {plan} is interrupted (recovered from the spool); resume it first"),
-    })
+/// The ticket whose events and payloads a request may be served from, or
+/// the error reply: unknown plans, and parked plans, which must be
+/// resumed first.
+fn servable(registry: &Registry, plan: PlanId) -> Result<PlanTicket, ServiceReply> {
+    match lookup(registry, plan) {
+        Some(ticket) if ticket.phase() == PlanPhase::Interrupted => Err(ServiceReply::Error {
+            message: format!(
+                "plan {plan} is interrupted (recovered from the spool); resume it first"
+            ),
+        }),
+        Some(ticket) => Ok(ticket),
+        None => Err(unknown_plan(plan)),
+    }
 }
 
 fn send_evicted(transport: &mut TcpTransport, plan: PlanId) -> Result<(), NetError> {
@@ -749,10 +566,10 @@ fn send_evicted(transport: &mut TcpTransport, plan: PlanId) -> Result<(), NetErr
     })
 }
 
-fn send_unknown_plan(transport: &mut TcpTransport, plan: PlanId) -> Result<(), NetError> {
-    transport.send_value(&ServiceReply::Error {
+fn unknown_plan(plan: PlanId) -> ServiceReply {
+    ServiceReply::Error {
         message: format!("unknown plan id {plan}"),
-    })
+    }
 }
 
 /// Client side of the campaign protocol: one connection, a sequence of
@@ -947,8 +764,7 @@ impl ServiceClient {
     ///
     /// # Errors
     ///
-    /// Transport failures, or [`NetError::Protocol`] for unknown plans
-    /// and unreadable journals.
+    /// Transport failures, or [`NetError::Protocol`] for unknown plans.
     pub fn resume(&mut self, plan: PlanId) -> Result<(PlanPhase, usize, usize), NetError> {
         match self.request(&ServiceRequest::Resume { plan })? {
             ServiceReply::Resumed {

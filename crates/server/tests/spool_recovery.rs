@@ -1,17 +1,18 @@
 //! Spool recovery across daemon restarts: finished plans reload
 //! fetchable with byte-identical results, interrupted journals surface
 //! as resumable (or restart automatically with auto-resume) and resume
-//! to the same bytes an uninterrupted run produces, and retention
-//! eviction deletes the spooled files while plan status survives.
+//! to the same bytes an uninterrupted run produces, a parked plan
+//! answers the same before and after a restart, and retention eviction
+//! deletes the spooled files while plan status survives.
 
 use avfi_core::campaign::RunResult;
-use avfi_core::engine::NullSink;
+use avfi_core::engine::{NullSink, TraceConfig};
 use avfi_core::{Engine, RunSink, WorkPlan};
 use avfi_net::proto::PlanPhase;
 use avfi_net::NetError;
 use avfi_server::{demo_plan, solo_results_json, CampaignServer, ServiceClient};
-use avfi_store::{Journal, JournalRecord};
-use avfi_trace::TraceLevel;
+use avfi_store::{Journal, JournalRecord, PlanJournal};
+use avfi_trace::{RunTrace, TraceLevel};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -78,6 +79,49 @@ fn write_interrupted_journal(spool: &Path, id: u64, plan: &WorkPlan, completed: 
             })
             .expect("append run");
     }
+}
+
+/// Writes a black-box interrupted journal for `plan` under plan id `id`
+/// the way a daemon killed mid-plan leaves it: the submission record and
+/// the first `completed` runs by flat index, each with its trace spooled
+/// under `plan-<id>/`. Returns how many traces were spooled.
+fn write_traced_interrupted_journal(
+    spool: &Path,
+    id: u64,
+    plan: &WorkPlan,
+    completed: usize,
+) -> usize {
+    type Run = (usize, RunResult, Option<RunTrace>);
+    #[derive(Default)]
+    struct Collect(parking_lot::Mutex<Vec<Run>>);
+    impl RunSink for Collect {
+        fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>) {
+            self.0
+                .lock()
+                .push((flat_index, result.clone(), trace.cloned()));
+        }
+    }
+    let engine_traces = spool.with_extension("traces");
+    let collector = Collect::default();
+    Engine::new()
+        .workers(2)
+        .with_trace(TraceConfig::new(&engine_traces, TraceLevel::Blackbox))
+        .execute_resumed(plan, Vec::new(), &NullSink, Some(&collector));
+    let _ = std::fs::remove_dir_all(&engine_traces);
+    let mut runs = collector.0.into_inner();
+    runs.sort_by_key(|(idx, ..)| *idx);
+
+    let journal = PlanJournal::create(
+        &spool.join(avfi_store::journal_file_name(id)),
+        serde_json::to_string(plan).expect("plan serializes"),
+        TraceLevel::Blackbox,
+        Some(spool.join(avfi_store::trace_dir_name(id))),
+    )
+    .expect("create journal");
+    for (idx, result, trace) in &runs[..completed] {
+        journal.run_completed(*idx, result, trace.as_ref());
+    }
+    runs[..completed].iter().filter(|r| r.2.is_some()).count()
 }
 
 /// A completed plan's results survive a daemon restart byte for byte,
@@ -211,5 +255,97 @@ fn retention_sweep_deletes_spooled_files() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Cancelling a parked traced plan keeps the traces it recovered: the
+/// live daemon and a restarted one serve the same non-empty payload, and
+/// the restarted one reports the cancel with the journaled run count.
+#[test]
+fn cancelled_interrupted_plan_serves_the_same_traces_after_restart() {
+    let spool = fresh_spool("cancel-traces");
+    let plan = demo_plan();
+    let id = 5u64;
+    let journaled = plan.total_runs() - 1;
+    let traced = write_traced_interrupted_journal(&spool, id, &plan, journaled);
+    assert_eq!(
+        traced, journaled,
+        "every demo run fails, so each has a trace"
+    );
+
+    let (addr, daemon) = spawn_daemon(&spool, false, None);
+    let mut c = ServiceClient::connect(&addr).expect("connect");
+    assert_eq!(c.cancel(id).expect("cancel"), PlanPhase::Cancelled);
+    let live = c.traces_json(id).expect("traces after cancel");
+    c.shutdown_server().expect("shutdown");
+    daemon.join().expect("daemon thread");
+
+    let (addr, daemon) = spawn_daemon(&spool, false, None);
+    let mut c = ServiceClient::connect(&addr).expect("reconnect");
+    assert_eq!(
+        c.status(id).expect("status after restart"),
+        (PlanPhase::Cancelled, journaled, plan.total_runs())
+    );
+    let restarted = c.traces_json(id).expect("traces after restart");
+    assert_ne!(live, "[]", "the cancelled plan lost its recovered traces");
+    assert_eq!(live, restarted);
+
+    c.shutdown_server().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Shutting a daemon down leaves a parked plan unfinished: two restarts
+/// with no resume in between both recover it interrupted with the same
+/// counters.
+#[test]
+fn parked_plan_stays_interrupted_across_restarts() {
+    let spool = fresh_spool("parked");
+    let plan = demo_plan();
+    let id = 9u64;
+    write_interrupted_journal(&spool, id, &plan, 2);
+
+    for _ in 0..2 {
+        let (addr, daemon) = spawn_daemon(&spool, false, None);
+        let mut c = ServiceClient::connect(&addr).expect("connect");
+        assert_eq!(
+            c.status(id).expect("status"),
+            (PlanPhase::Interrupted, 2, plan.total_runs())
+        );
+        c.shutdown_server().expect("shutdown");
+        daemon.join().expect("daemon thread");
+    }
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A journal holding every run but no terminal record has nothing left
+/// to resume: it reloads completed with identical bytes, and gains the
+/// missing terminal record.
+#[test]
+fn fully_journaled_plan_reloads_completed() {
+    let spool = fresh_spool("full");
+    let plan = demo_plan();
+    let id = 4u64;
+    write_interrupted_journal(&spool, id, &plan, plan.total_runs());
+
+    let (addr, daemon) = spawn_daemon(&spool, false, None);
+    let mut c = ServiceClient::connect(&addr).expect("connect");
+    assert_eq!(
+        c.status(id).expect("status"),
+        (PlanPhase::Completed, plan.total_runs(), plan.total_runs())
+    );
+    let results = c.results_json(id).expect("results");
+    assert_eq!(results, solo_results_json(&plan).expect("solo reference"));
+    c.shutdown_server().expect("shutdown");
+    daemon.join().expect("daemon thread");
+
+    let (records, _) =
+        avfi_store::recover_file(&spool.join(avfi_store::journal_file_name(id))).expect("read");
+    assert_eq!(
+        records.last(),
+        Some(&JournalRecord::PlanTerminal {
+            phase: "completed".into()
+        })
+    );
     let _ = std::fs::remove_dir_all(&spool);
 }

@@ -55,9 +55,9 @@
 #![warn(missing_docs)]
 
 use avfi_core::campaign::RunResult;
-use avfi_core::engine::{assemble_results, Engine, ProgressSink, RunSink};
+use avfi_core::engine::{assemble_results, Engine, PlanPhase, ProgressSink, RunSink};
 use avfi_core::{StudyResult, WorkPlan};
-use avfi_trace::RunTrace;
+use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -272,13 +272,16 @@ pub struct RecoveredPlan {
     /// The exact `plan_json` bytes the journal holds (for identity
     /// checks against a caller-provided plan).
     pub plan_json: String,
-    /// Trace level name recorded at submission.
-    pub trace_level: String,
+    /// Trace level recorded at submission ([`TraceLevel::Off`] when the
+    /// name is unknown).
+    pub level: TraceLevel,
     /// Completed runs: sorted by flat index, first record wins on
     /// duplicates, out-of-bounds indices dropped.
     pub completed: Vec<(usize, RunResult)>,
-    /// Terminal phase name, if the plan finished before the crash.
-    pub terminal: Option<String>,
+    /// The last journaled terminal phase, if the plan finished before the
+    /// crash. `Completed` only with every run journaled; `None` also for
+    /// unknown phase names.
+    pub terminal: Option<PlanPhase>,
 }
 
 impl RecoveredPlan {
@@ -294,6 +297,12 @@ impl RecoveredPlan {
 /// earlier flat index, or point outside the plan are skipped — resume
 /// simply re-executes those runs, and determinism keeps the output
 /// identical.
+///
+/// This is the one place a `completed` claim is checked: the journal
+/// appends every run record before the terminal one, so `completed`
+/// without every run journaled cannot come from the ordered path; such a
+/// claim is dropped and the plan recovers as interrupted, re-running the
+/// gap.
 pub fn summarize(records: &[JournalRecord]) -> Option<RecoveredPlan> {
     let Some(JournalRecord::PlanSubmitted {
         plan_json,
@@ -319,14 +328,20 @@ pub fn summarize(records: &[JournalRecord]) -> Option<RecoveredPlan> {
                     }
                 }
             }
-            JournalRecord::PlanTerminal { phase } => terminal = Some(phase.clone()),
+            JournalRecord::PlanTerminal { phase } => terminal = Some(phase.as_str()),
             JournalRecord::PlanSubmitted { .. } => {}
         }
     }
+    let terminal = match terminal {
+        Some("completed") if completed.len() == total => Some(PlanPhase::Completed),
+        Some("cancelled") => Some(PlanPhase::Cancelled),
+        Some("failed") => Some(PlanPhase::Failed),
+        _ => None,
+    };
     Some(RecoveredPlan {
         plan,
         plan_json: plan_json.clone(),
-        trace_level: trace_level.clone(),
+        level: TraceLevel::parse(trace_level).unwrap_or(TraceLevel::Off),
         completed: completed.into_iter().collect(),
         terminal,
     })
@@ -359,6 +374,27 @@ impl PlanJournal {
         }
     }
 
+    /// Creates (or truncates) the journal at `path` for a freshly accepted
+    /// plan and writes its [`JournalRecord::PlanSubmitted`] record; traces
+    /// are spooled into `trace_dir` when given.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn create(
+        path: &Path,
+        plan_json: String,
+        level: TraceLevel,
+        trace_dir: Option<PathBuf>,
+    ) -> io::Result<PlanJournal> {
+        let mut journal = Journal::create(path)?;
+        journal.append(&JournalRecord::PlanSubmitted {
+            plan_json,
+            trace_level: level.as_str().to_string(),
+        })?;
+        Ok(PlanJournal::new(journal, trace_dir))
+    }
+
     fn append(&self, record: &JournalRecord) {
         let mut journal = self.journal.lock();
         if let Err(e) = journal.append(record) {
@@ -389,9 +425,9 @@ impl RunSink for PlanJournal {
         });
     }
 
-    fn plan_terminal(&self, phase: &str) {
+    fn plan_terminal(&self, phase: PlanPhase) {
         self.append(&JournalRecord::PlanTerminal {
-            phase: phase.to_string(),
+            phase: phase.name().to_string(),
         });
     }
 }
@@ -445,7 +481,8 @@ pub fn list_journals(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// its own checkpoint and a different plan never collides with it. The
 /// final results are **byte-identical** to an uninterrupted
 /// `engine.execute(plan)` for any worker count and any interruption
-/// point.
+/// point. Any other terminal record is kept: the `completed` record
+/// this run appends comes last, and the last one decides.
 ///
 /// # Errors
 ///
@@ -455,7 +492,7 @@ pub fn run_spooled(
     engine: &Engine,
     plan: &WorkPlan,
     dir: &Path,
-    trace_level: &str,
+    level: TraceLevel,
     sink: &dyn ProgressSink,
 ) -> io::Result<Vec<StudyResult>> {
     let plan_json = serde_json::to_string(plan).expect("plan serializes");
@@ -463,52 +500,27 @@ pub fn run_spooled(
         "plan-{:016x}.{JOURNAL_EXT}",
         avfi_trace::fingerprint(plan_json.as_bytes())
     ));
-    let (records, mut journal) = Journal::resume(&path)?;
-    let recovered = summarize(&records);
-    if let Some(rec) = &recovered {
-        if rec.plan_json != plan_json {
+    let (records, journal) = Journal::resume(&path)?;
+    let (spool, prefilled) = match summarize(&records) {
+        Some(rec) if rec.plan_json != plan_json => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: journal belongs to a different plan", path.display()),
             ));
         }
-        if rec.terminal.as_deref() == Some("completed") && rec.is_complete() {
+        Some(rec) if rec.terminal == Some(PlanPhase::Completed) => {
             // Checkpoint hit: every run is journaled; assemble without
             // executing anything. Byte-identical by the resume argument.
-            let runs: Vec<RunResult> = rec.completed.iter().map(|(_, r)| r.clone()).collect();
+            let runs = rec.completed.into_iter().map(|(_, r)| r).collect();
             return Ok(assemble_results(plan, runs));
         }
-    }
-    let prefilled = match recovered {
-        // A terminal record without full coverage cannot happen through
-        // the ordered append path; if the journal shows one anyway,
-        // restart it cleanly (keeping the recovered runs as prefill).
-        Some(rec) if rec.terminal.is_some() => {
-            journal = Journal::create(&path)?;
-            journal.append(&JournalRecord::PlanSubmitted {
-                plan_json: plan_json.clone(),
-                trace_level: trace_level.to_string(),
-            })?;
-            for (idx, result) in &rec.completed {
-                journal.append(&JournalRecord::RunCompleted {
-                    flat_index: *idx as u64,
-                    result_json: serde_json::to_string(result).expect("run result serializes"),
-                })?;
-            }
-            rec.completed
-        }
-        Some(rec) => rec.completed,
-        None => {
-            // Fresh (or unrecoverable) journal: restart from the header.
-            journal = Journal::create(&path)?;
-            journal.append(&JournalRecord::PlanSubmitted {
-                plan_json: plan_json.clone(),
-                trace_level: trace_level.to_string(),
-            })?;
-            Vec::new()
-        }
+        Some(rec) => (PlanJournal::new(journal, None), rec.completed),
+        // Fresh (or unrecoverable) journal: restart from the header.
+        None => (
+            PlanJournal::create(&path, plan_json, level, None)?,
+            Vec::new(),
+        ),
     };
-    let spool = PlanJournal::new(journal, None);
     Ok(engine.execute_resumed(plan, prefilled, sink, Some(&spool)))
 }
 
@@ -636,6 +648,61 @@ mod tests {
         // No PlanSubmitted head → no summary.
         assert!(summarize(&records[1..]).is_none());
         assert!(summarize(&[]).is_none());
+    }
+
+    /// `summarize` types what the journal spells as strings: a
+    /// `completed` claim stands only with every run journaled, other
+    /// terminal phases stand as journaled (the last one wins), unknown
+    /// phase names read as no terminal, and an unknown level reads `Off`.
+    #[test]
+    fn summarize_types_level_and_checks_completed_coverage() {
+        use avfi_core::campaign::CampaignConfig;
+        use avfi_sim::scenario::{Scenario, TownSpec};
+
+        let summary = |plan: &WorkPlan, level: &str, phases: &[&str]| {
+            let mut records = vec![JournalRecord::PlanSubmitted {
+                plan_json: serde_json::to_string(plan).unwrap(),
+                trace_level: level.into(),
+            }];
+            records.extend(
+                phases
+                    .iter()
+                    .map(|p| JournalRecord::PlanTerminal { phase: (*p).into() }),
+            );
+            let rec = summarize(&records).expect("plan summarizes");
+            (rec.level, rec.terminal)
+        };
+        let one_run = WorkPlan::single(
+            "one",
+            CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(2, 2)).build()])
+                .runs_per_scenario(1)
+                .build(),
+        );
+        assert_eq!(one_run.total_runs(), 1);
+        let empty = WorkPlan::new();
+
+        assert_eq!(
+            summary(&one_run, "blackbox", &["completed"]),
+            (TraceLevel::Blackbox, None)
+        );
+        assert_eq!(
+            summary(&empty, "summary", &["completed"]),
+            (TraceLevel::Summary, Some(PlanPhase::Completed))
+        );
+        assert_eq!(
+            summary(&one_run, "off", &["cancelled"]),
+            (TraceLevel::Off, Some(PlanPhase::Cancelled))
+        );
+        assert_eq!(
+            summary(&one_run, "off", &["failed"]).1,
+            Some(PlanPhase::Failed)
+        );
+        assert_eq!(
+            summary(&empty, "off", &["cancelled", "completed"]).1,
+            Some(PlanPhase::Completed)
+        );
+        assert_eq!(summary(&one_run, "off", &["exploded"]).1, None);
+        assert_eq!(summary(&one_run, "verbose", &[]), (TraceLevel::Off, None));
     }
 
     /// A trace that cannot be spooled keeps its run out of the journal,

@@ -189,7 +189,7 @@ fn every_execution_path_yields_identical_results_and_traces() {
         &traced_engine(2, &trace_dir),
         &plan,
         &spool,
-        "blackbox",
+        TraceLevel::Blackbox,
         &NullSink,
     )
     .expect("spooled run");

@@ -10,6 +10,7 @@ use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::{Engine, RunSink, WorkPlan};
 use avfi_sim::scenario::{Scenario, TownSpec};
+use avfi_trace::TraceLevel;
 use std::path::PathBuf;
 
 /// A plan with two studies and a fault sweep — enough flat indices (8)
@@ -135,11 +136,13 @@ fn run_spooled_checkpoint_round_trip() {
     let dir = fresh_dir("checkpoint");
     let solo_json = results_json(&engine.execute(&plan));
 
-    let first = avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink).expect("spooled");
+    let first =
+        avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("spooled");
     assert_eq!(results_json(&first), solo_json);
 
     // Fast path: the journal is terminal and complete.
-    let again = avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink).expect("replay");
+    let again =
+        avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("replay");
     assert_eq!(results_json(&again), solo_json);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -192,12 +195,14 @@ fn run_spooled_resumes_after_torn_journal() {
             .expect("write torn tail");
     }
 
-    let resumed = avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink).expect("resume");
+    let resumed =
+        avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("resume");
     assert_eq!(results_json(&resumed), solo_json);
 
     // The resumed invocation completed the journal: the next one is a
     // pure checkpoint hit, still identical.
-    let replay = avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink).expect("replay");
+    let replay =
+        avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("replay");
     assert_eq!(results_json(&replay), solo_json);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -223,7 +228,7 @@ fn run_spooled_refuses_foreign_journal() {
         .expect("append submission");
     drop(journal);
 
-    let err = avfi_store::run_spooled(&engine, &plan, &dir, "off", &NullSink)
+    let err = avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink)
         .expect_err("foreign journal must be refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let _ = std::fs::remove_dir_all(&dir);

@@ -19,6 +19,20 @@ pub fn trace_file_name(flat_index: usize) -> String {
     format!("run-{flat_index:06}.{TRACE_EXT}")
 }
 
+/// The inverse of [`trace_file_name`]: the flat-plan index a trace file
+/// is named by (`traces/run-000042.avtr` → `42`), `None` for any other
+/// file.
+pub fn trace_file_index(path: &Path) -> Option<usize> {
+    if path.extension()?.to_str()? != TRACE_EXT {
+        return None;
+    }
+    path.file_stem()?
+        .to_str()?
+        .strip_prefix("run-")?
+        .parse()
+        .ok()
+}
+
 /// Encodes and writes `trace` into `dir` under its flat-index name,
 /// creating the directory if needed. Returns the written path.
 ///
@@ -90,6 +104,17 @@ mod tests {
                 "run-000100.avtr"
             ]
         );
+    }
+
+    #[test]
+    fn trace_index_round_trips_file_names() {
+        for i in [0usize, 42, 123456, 1_000_000] {
+            let path = Path::new("traces").join(trace_file_name(i));
+            assert_eq!(trace_file_index(&path), Some(i));
+        }
+        assert_eq!(trace_file_index(Path::new("notes.txt")), None);
+        assert_eq!(trace_file_index(Path::new("run-000042.json")), None);
+        assert_eq!(trace_file_index(Path::new("minimal-000042.avtr")), None);
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub mod io;
 pub mod model;
 
 pub use codec::{decode, encode, DecodeError};
-pub use io::{list_trace_files, read_trace_file, trace_file_name, write_trace_file};
+pub use io::{
+    list_trace_files, read_trace_file, trace_file_index, trace_file_name, write_trace_file,
+};
 pub use model::{
     fingerprint, FaultChannel, RunTrace, TraceEvent, TraceHeader, TraceLevel, TraceSummary,
 };

@@ -1,17 +1,17 @@
 //! Weather sweep: AVFI's data-fault class includes "changes in the
-//! external environment (such as fog or rain)". This example evaluates
-//! both agents across every weather preset and tabulates success rate and
-//! violations per km — the environment-robustness view of the paper's
-//! resilience metrics.
+//! external environment (such as fog or rain)". This example runs a
+//! fault-free campaign for both agents under every weather preset and
+//! tabulates success rate and violations per km — the
+//! environment-robustness view of the paper's resilience metrics.
 //!
 //! ```text
 //! cargo run --release --example weather_sweep
 //! ```
 
-use avfi::agent::controller::NeuralDriver;
-use avfi::agent::eval::evaluate;
 use avfi::agent::train::train_default_agent;
-use avfi::agent::{ExpertDriver, IlNetwork};
+use avfi::fi::campaign::{AgentSpec, CampaignConfig};
+use avfi::fi::engine::Engine;
+use avfi::fi::metrics::{aggregate_vpk, mission_success_rate};
 use avfi::fi::report::Table;
 use avfi::sim::scenario::{Scenario, TownSpec};
 use avfi::sim::weather::Weather;
@@ -36,7 +36,7 @@ fn scenarios(weather: Weather) -> Vec<Scenario> {
 fn main() {
     println!("training the IL agent (clear + overcast demonstrations only)...");
     let (mut net, _) = train_default_agent(42);
-    let weights = net.to_weights();
+    let agents = [AgentSpec::Expert, AgentSpec::neural(&mut net)];
 
     let mut table = Table::new(vec![
         "weather",
@@ -46,18 +46,17 @@ fn main() {
         "IL-CNN VPK",
     ]);
     for weather in Weather::ALL {
-        let suite = scenarios(weather);
-        let mut expert = ExpertDriver::new();
-        let e = evaluate(&suite, &mut expert);
-        let mut neural = NeuralDriver::new(IlNetwork::from_weights(&weights).expect("weights"));
-        let n = evaluate(&suite, &mut neural);
-        table.row(vec![
-            weather.to_string(),
-            format!("{:.0}", e.success_rate()),
-            format!("{:.2}", e.violations_per_km()),
-            format!("{:.0}", n.success_rate()),
-            format!("{:.2}", n.violations_per_km()),
-        ]);
+        let mut row = vec![weather.to_string()];
+        for agent in &agents {
+            let config = CampaignConfig::builder(scenarios(weather))
+                .runs_per_scenario(1)
+                .agent(agent.clone())
+                .build();
+            let result = Engine::new().run_campaign(config);
+            row.push(format!("{:.0}", mission_success_rate(result.runs())));
+            row.push(format!("{:.2}", aggregate_vpk(result.runs())));
+        }
+        table.row(row);
     }
     println!("\n{}", table.render());
     println!(

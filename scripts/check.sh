@@ -10,6 +10,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# perfbench/ is a workspace of its own, so the runs above never compile
+# it; --locked also fails if a change would alter perfbench/Cargo.lock.
+echo "==> perfbench: cargo test --release --locked"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
