@@ -17,55 +17,38 @@
 //! (honoring `AVFI_RESULTS_DIR`).
 
 use avfi_bench::experiments::{
-    adaptive_defaults, adaptive_space, export_trajectory, render_adaptive, run_adaptive_study,
-    ExecOptions, Scale,
+    adaptive_defaults, adaptive_space, export_json, render_adaptive, run_adaptive_study, Scale,
 };
+use avfi_server::cli::Args;
 use avfi_trace::write_trace_file;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
+    let mut args = Args::from_env();
+    let scale = Scale::parse(&mut args);
     let mut config = adaptive_defaults(scale);
-    let mut out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--budget" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    config.budget = n;
-                }
-            }
-            "--batch" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    config.batch = n;
-                }
-            }
-            "--seed" => {
-                if let Some(s) = args.next().and_then(|v| v.parse().ok()) {
-                    config.seed = s;
-                }
-            }
-            "--out" => out = args.next().map(PathBuf::from),
-            _ => {}
-        }
-    }
+    config.budget = args.value("--budget").unwrap_or(config.budget);
+    config.batch = args.value("--batch").unwrap_or(config.batch);
+    config.seed = args.value("--seed").unwrap_or(config.seed);
+    let workers = args.value("--workers").unwrap_or(0);
+    let trace: Option<PathBuf> = args.value("--trace");
+    let out: Option<PathBuf> = args.value("--out");
     if config.budget == 0 || config.batch == 0 {
-        eprintln!("usage: adaptive [--quick] [--budget N] [--batch N] [--seed S] [--workers N] [--trace DIR] [--out FILE]");
-        return ExitCode::from(2);
+        args.refuse("--budget and --batch must be positive");
     }
+    args.finish();
 
     let space = adaptive_space(scale);
     eprintln!(
         "[adaptive] scale = {scale:?}, config = {config:?}, lattice = {} arms",
         space.arms().len()
     );
-    let outcome = run_adaptive_study(&space, config, &opts);
+    let outcome = run_adaptive_study(&space, config, workers);
 
     println!("{}", render_adaptive(&outcome.trajectory));
 
-    if let Some(dir) = &opts.trace {
+    if let Some(dir) = &trace {
         match std::fs::create_dir_all(dir) {
             Ok(()) => {
                 let mut written = 0usize;
@@ -94,7 +77,7 @@ fn main() -> ExitCode {
             }
             eprintln!("[adaptive] wrote {}", path.display());
         }
-        None => export_trajectory("adaptive", &outcome.trajectory),
+        None => export_json("adaptive", &outcome.trajectory),
     }
     ExitCode::SUCCESS
 }

@@ -28,9 +28,11 @@
 //! lap two is the exploitation phase uniform cannot have; `--dump`
 //! prints per-arm outcome detail of a single uniform lap to stderr).
 
-use avfi_bench::experiments::{adaptive_space, neural_agent, ExecOptions, Scale};
+use avfi_bench::experiments::{adaptive_space, neural_agent, Scale};
 use avfi_core::adaptive::{run_adaptive, run_uniform, AdaptiveConfig, EngineOracle};
+use avfi_core::campaign::AgentSpec;
 use avfi_core::engine::Engine;
+use avfi_server::cli::Args;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -56,21 +58,24 @@ struct GainRecord {
 }
 
 fn main() {
-    let opts = ExecOptions::from_args();
-    let mut budget = 0usize;
-    let mut batch = 12usize;
-    let mut seed = 2018u64;
-    let mut expert = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--budget" => budget = args.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--batch" => batch = args.next().and_then(|v| v.parse().ok()).unwrap_or(12),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(2018),
-            "--agent" => expert = args.next().as_deref() != Some("neural"),
-            _ => {}
+    let mut args = Args::from_env();
+    let budget: Option<usize> = args.value("--budget");
+    let batch = args.value("--batch").unwrap_or(12);
+    let seed = args.value("--seed").unwrap_or(2018);
+    let workers = args.value("--workers").unwrap_or(0);
+    let neural = match args.value::<String>("--agent").as_deref() {
+        None | Some("expert") => false,
+        Some("neural") => true,
+        Some(other) => {
+            args.refuse(format!("--agent {other:?}: expected expert or neural"));
+            false
         }
+    };
+    let dump = args.flag("--dump");
+    if budget == Some(0) || batch == 0 {
+        args.refuse("--budget and --batch must be positive");
     }
+    args.finish();
 
     // Two evaluation scenarios keep the bench tractable, but missions
     // run at the full 150 s budget: at the quick 90 s budget the IL
@@ -82,18 +87,15 @@ fn main() {
         budget: 150.0,
     });
     let arms = space.arms().len();
-    if budget == 0 {
-        budget = 2 * arms;
-    }
-    let agent = if expert {
-        avfi_core::campaign::AgentSpec::Expert
-    } else {
+    let budget = budget.unwrap_or(2 * arms);
+    let agent = if neural {
         neural_agent()
+    } else {
+        AgentSpec::Expert
     };
-    let engine = Engine::new().workers(opts.workers);
+    let engine = Engine::new().workers(workers);
     eprintln!("[adaptive-gain] lattice = {arms} arms, budget = {budget}, batch = {batch}");
 
-    let dump = std::env::args().any(|a| a == "--dump");
     let mut uniform_oracle = EngineOracle::new(
         &engine,
         agent.clone(),

@@ -17,6 +17,7 @@
 //! reference-platform artifacts (pure f64 arithmetic: deterministic per
 //! platform/toolchain, not guaranteed identical across architectures).
 
+use avfi_server::cli::Args;
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::sensors::{avimg_checksum, read_avimg, write_avimg, CameraConfig};
@@ -148,15 +149,15 @@ fn weather_slug(w: Weather) -> &'static str {
 }
 
 fn main() {
-    let mut bless = false;
-    let mut dir = PathBuf::from("results/golden/camera");
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            "--check" => bless = false,
-            other => dir = PathBuf::from(other),
-        }
+    let mut args = Args::from_env();
+    let bless = args.flag("--bless");
+    if args.flag("--check") && bless {
+        args.refuse("--check and --bless are exclusive");
     }
+    let dir = args
+        .positional("DIR")
+        .unwrap_or_else(|| PathBuf::from("results/golden/camera"));
+    args.finish();
 
     let mut fail = 0usize;
     for spec in scenes() {

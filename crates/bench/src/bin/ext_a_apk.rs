@@ -6,16 +6,14 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_a_apk [--quick]
 //! [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
+//! [--spool DIR]`
 
-use avfi_bench::experiments::{
-    export_json, input_fault_study, shrink_after_study, ExecOptions, Scale,
-};
+use avfi_bench::experiments::{export_json, input_fault_study, study_args};
 use avfi_core::{metrics, report, stats};
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
+    let (scale, opts) = study_args();
     eprintln!("[ext-a] scale = {scale:?}, exec = {opts:?}");
     let results = input_fault_study(scale, &opts);
     let mut table = report::Table::new(vec![
@@ -47,5 +45,4 @@ fn main() {
         table.render()
     );
     export_json("ext_a_apk", &results);
-    shrink_after_study(&opts);
 }

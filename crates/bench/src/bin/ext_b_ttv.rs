@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p avfi-bench --bin ext_b_ttv [--quick]
 //! [--workers N] [--progress]
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
-//! [--adaptive BUDGET]`
+//! [--spool DIR]` or `ext_b_ttv [--quick] [--workers N] --adaptive BUDGET`
 //!
 //! With `--adaptive BUDGET`, the uniform injector grid is replaced by
 //! the Thompson-sampling planner over the same mid-mission onset: the
@@ -17,29 +17,19 @@
 //! uniformly, and the trajectory is exported as `ext_b_adaptive.json`.
 
 use avfi_bench::experiments::{
-    adaptive_space, export_json, export_trajectory, neural_agent, render_adaptive,
-    run_adaptive_study, run_study, shrink_after_study, ExecOptions, Scale,
+    adaptive_space, export_json, neural_agent, render_adaptive, run_adaptive_study, run_study,
+    ExecOptions, Scale,
 };
 use avfi_core::adaptive::AdaptiveConfig;
 use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::{metrics, report, stats};
-
-/// Parses `--adaptive BUDGET` from argv.
-fn adaptive_budget() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--adaptive" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
+use avfi_server::cli::Args;
 
 /// Adaptive-mode ext-b: the same fault-space search as the `adaptive`
 /// bin but pinned to the mid-mission onset (t₀ = 10 s, frame 150) this
 /// extension studies.
-fn run_adaptive_mode(scale: Scale, opts: &ExecOptions, budget: usize) {
+fn run_adaptive_mode(scale: Scale, workers: usize, budget: usize) {
     let mut space = adaptive_space(scale);
     space.onsets = vec![150];
     let config = AdaptiveConfig {
@@ -51,20 +41,24 @@ fn run_adaptive_mode(scale: Scale, opts: &ExecOptions, budget: usize) {
         "[ext-b] adaptive mode: {} arms, budget {budget}",
         space.arms().len()
     );
-    let outcome = run_adaptive_study(&space, config, opts);
+    let outcome = run_adaptive_study(&space, config, workers);
     println!("Extension B (adaptive) — Bayesian fault-space search at t0 = 10 s\n");
     println!("{}", render_adaptive(&outcome.trajectory));
-    export_trajectory("ext_b_adaptive", &outcome.trajectory);
+    export_json("ext_b_adaptive", &outcome.trajectory);
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
-    eprintln!("[ext-b] scale = {scale:?}, exec = {opts:?}");
-    if let Some(budget) = adaptive_budget() {
-        run_adaptive_mode(scale, &opts, budget);
+    let mut args = Args::from_env();
+    let scale = Scale::parse(&mut args);
+    if let Some(budget) = args.value("--adaptive") {
+        let workers = args.value("--workers").unwrap_or(0);
+        args.finish();
+        run_adaptive_mode(scale, workers, budget);
         return;
     }
+    let opts = ExecOptions::parse(&mut args);
+    args.finish();
+    eprintln!("[ext-b] scale = {scale:?}, exec = {opts:?}");
     // Inject 10 s into the mission (frame 150 at 15 FPS).
     let injection_frame = 150;
     let specs: Vec<FaultSpec> = ImageFault::paper_suite()
@@ -97,5 +91,4 @@ fn main() {
         table.render()
     );
     export_json("ext_b_ttv", &results);
-    shrink_after_study(&opts);
 }

@@ -8,19 +8,17 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_c_ml_faults
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
+//! [--spool DIR]`
 
-use avfi_bench::experiments::{
-    export_json, neural_agent, run_study, shrink_after_study, ExecOptions, Scale,
-};
+use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
 use avfi_core::fault::ml::MlFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::localizer::ParamSelector;
 use avfi_core::{metrics, report, stats};
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
+    let (scale, opts) = study_args();
     eprintln!("[ext-c] scale = {scale:?}, exec = {opts:?}");
     let mut specs = vec![FaultSpec::None];
     for sigma in [0.02, 0.05, 0.1, 0.2] {
@@ -53,5 +51,4 @@ fn main() {
         table.render()
     );
     export_json("ext_c_ml_faults", &results);
-    shrink_after_study(&opts);
 }

@@ -7,19 +7,17 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_d_hw_faults
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
+//! [--spool DIR]`
 
-use avfi_bench::experiments::{
-    export_json, neural_agent, run_study, shrink_after_study, ExecOptions, Scale,
-};
+use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::FaultSpec;
 use avfi_core::trigger::Trigger;
 use avfi_core::{metrics, report, stats};
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
+    let (scale, opts) = study_args();
     eprintln!("[ext-d] scale = {scale:?}, exec = {opts:?}");
     let mut specs = vec![FaultSpec::None];
     // Transient sign-bit flips on each command, 10% of frames.
@@ -73,5 +71,4 @@ fn main() {
         table.render()
     );
     export_json("ext_d_hw_faults", &results);
-    shrink_after_study(&opts);
 }

@@ -6,13 +6,13 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin fig4_output_delay
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
+//! [--spool DIR]`
 
-use avfi_bench::experiments::{export_json, output_delay_study, render_fig4, ExecOptions, Scale};
+use avfi_bench::experiments::{export_json, output_delay_study, render_fig4, study_args};
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
+    let (scale, opts) = study_args();
     eprintln!("[fig4] scale = {scale:?}, exec = {opts:?}");
     let results = output_delay_study(scale, &opts);
     println!("{}", render_fig4(&results));

@@ -15,6 +15,7 @@
 use avfi_core::fault::input::{GpsFault, ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::harness::AvDriver;
+use avfi_server::cli::Args;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::world::World;
 use std::time::Instant;
@@ -22,29 +23,22 @@ use std::time::Instant;
 const WARMUP_FRAMES: u64 = 200;
 
 fn main() {
-    let mut frames: u64 = 5000;
-    let mut fault_name = "none".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if let Ok(n) = arg.parse::<u64>() {
-            frames = n;
-        } else if arg == "--fault" {
-            fault_name = args.next().unwrap_or_default();
-        }
-    }
-    let fault = match fault_name.as_str() {
-        "none" | "" => FaultSpec::None,
-        "gaussian" => FaultSpec::Input(InputFault::always(ImageFault::gaussian(0.08))),
-        "gps" => FaultSpec::Input(InputFault::scalar_only().with_gps(GpsFault {
+    let mut args = Args::from_env();
+    let fault = match args.value::<String>("--fault").as_deref() {
+        None | Some("none") => FaultSpec::None,
+        Some("gaussian") => FaultSpec::Input(InputFault::always(ImageFault::gaussian(0.08))),
+        Some("gps") => FaultSpec::Input(InputFault::scalar_only().with_gps(GpsFault {
             bias_x: 3.0,
             bias_y: -2.0,
             sigma: 1.0,
         })),
-        other => {
-            eprintln!("unknown --fault {other:?} (use none|gaussian|gps)");
-            std::process::exit(2);
+        Some(other) => {
+            args.refuse(format!("--fault {other:?}: expected none, gaussian or gps"));
+            FaultSpec::None
         }
     };
+    let frames: u64 = args.positional("FRAMES").unwrap_or(5000);
+    args.finish();
     let label = fault.label();
     let scenario = Scenario::builder(TownSpec::grid(2, 2))
         .seed(5)

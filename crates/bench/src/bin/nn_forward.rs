@@ -15,6 +15,7 @@
 
 use avfi_nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use avfi_nn::Tensor;
+use avfi_server::cli::Args;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -121,14 +122,12 @@ fn time_us(frames: usize, mut f: impl FnMut(usize)) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
     let frames = args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
+        .value("--frames")
         .unwrap_or(if quick { 400 } else { 4000 });
+    args.finish();
 
     let mut net = IlLayers::new(42);
     let imgs = images(8);

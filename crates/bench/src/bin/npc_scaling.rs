@@ -18,12 +18,15 @@
 //!   event-mode trajectory bit-for-bit.
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin npc_scaling
-//! [--quick] [--workers N] [--frames N]`
+//! [--frames N]` (bench) or `npc_scaling --quick [--workers N]
+//! [--progress] [--trace DIR] [--trace-level LEVEL] [--shrink DIR]
+//! [--spool DIR]` (campaign)
 
 use avfi_bench::experiments::{export_json, ExecOptions};
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
+use avfi_server::cli::Args;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::world::World;
 use avfi_sim::VehicleControl;
@@ -158,19 +161,14 @@ fn campaign(opts: &ExecOptions) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut frames: u64 = 300;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--frames" {
-            if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                frames = n;
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--quick") {
-        campaign(&ExecOptions::from_args());
+    let mut args = Args::from_env();
+    if args.flag("--quick") {
+        let opts = ExecOptions::parse(&mut args);
+        args.finish();
+        campaign(&opts);
     } else {
+        let frames = args.value("--frames").unwrap_or(300);
+        args.finish();
         bench(frames);
     }
 }

@@ -13,55 +13,22 @@
 //! Exit status is nonzero when any trace fails to decode, cannot be
 //! replayed, or replays with a divergence.
 
-use avfi_bench::experiments::trained_weights;
+use avfi_bench::experiments::{read_weights, trace_files, trace_weights};
 use avfi_core::replay::{replay_trace, ReplayRecord, ReplayVerdict};
-use avfi_trace::{list_trace_files, read_trace_file};
+use avfi_server::cli::Args;
+use avfi_trace::read_trace_file;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut weights_path: Option<PathBuf> = None;
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--weights" => weights_path = args.next().map(PathBuf::from),
-            "--json" => json = true,
-            _ => inputs.push(PathBuf::from(arg)),
-        }
-    }
-    if inputs.is_empty() {
-        eprintln!("usage: replay [--weights PATH] [--json] <trace file or dir>...");
-        return ExitCode::from(2);
-    }
-
-    let mut files = Vec::new();
-    for input in inputs {
-        if input.is_dir() {
-            match list_trace_files(&input) {
-                Ok(found) => files.extend(found),
-                Err(e) => {
-                    eprintln!("[replay] cannot list {}: {e}", input.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            files.push(input);
-        }
-    }
-    if files.is_empty() {
-        eprintln!("[replay] no .avtr files found");
-        return ExitCode::from(2);
-    }
-
-    let explicit_weights = weights_path.map(|p| match std::fs::read(&p) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("[replay] cannot read weights {}: {e}", p.display());
-            std::process::exit(2);
-        }
-    });
+    let mut args = Args::from_env();
+    let explicit_weights = read_weights(&mut args);
+    let json = args.flag("--json");
+    let inputs: Vec<PathBuf> = args.positionals("TRACE");
+    let files = trace_files(&inputs)
+        .map_err(|e| args.refuse(e))
+        .unwrap_or_default();
+    args.finish();
 
     let (mut matched, mut failed) = (0usize, 0usize);
     let mut records: Vec<ReplayRecord> = Vec::new();
@@ -76,21 +43,8 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        // Neural traces need weights; the cached deterministic training
-        // run is the default source (its fingerprint is verified anyway).
-        let cached;
-        let weights: Option<&[u8]> = if trace.header.agent == "il-cnn" {
-            match &explicit_weights {
-                Some(w) => Some(w),
-                None => {
-                    cached = trained_weights();
-                    Some(cached.as_slice())
-                }
-            }
-        } else {
-            None
-        };
-        match replay_trace(&trace, weights) {
+        let weights = trace_weights(&trace, explicit_weights.as_ref());
+        match replay_trace(&trace, weights.as_deref().map(Vec::as_slice)) {
             Ok(verdict) => {
                 records.push(ReplayRecord::from_verdict(&file, &verdict));
                 match verdict {

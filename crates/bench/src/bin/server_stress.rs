@@ -16,6 +16,7 @@ use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
 use avfi_net::proto::PlanPhase;
+use avfi_server::cli::Args;
 use avfi_server::{solo_results_json, CampaignServer, ServiceClient};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::TraceLevel;
@@ -49,28 +50,11 @@ fn shape_plan(shape: u64) -> WorkPlan {
 }
 
 fn main() {
-    let mut clients: u64 = 200;
-    let mut plans_per_client: u64 = 1;
-    let mut workers: usize = 2;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--clients" => clients = args.next().and_then(|v| v.parse().ok()).unwrap_or(clients),
-            "--plans-per-client" => {
-                plans_per_client = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(plans_per_client);
-            }
-            "--workers" => workers = args.next().and_then(|v| v.parse().ok()).unwrap_or(workers),
-            _ => {
-                eprintln!(
-                    "usage: server_stress [--clients N] [--plans-per-client M] [--workers W]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut args = Args::from_env();
+    let clients: u64 = args.value("--clients").unwrap_or(200);
+    let plans_per_client: u64 = args.value("--plans-per-client").unwrap_or(1);
+    let workers: usize = args.value("--workers").unwrap_or(2);
+    args.finish();
 
     eprintln!("[server_stress] precomputing {SHAPES} solo goldens");
     let goldens: Vec<String> = (0..SHAPES)

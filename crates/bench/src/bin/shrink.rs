@@ -15,79 +15,36 @@
 //!
 //! Exit status is nonzero when no trace could be minimized.
 
-use avfi_bench::experiments::shrink_traces;
+use avfi_bench::experiments::{read_weights, shrink_traces, trace_files};
 use avfi_core::shrink::ShrinkConfig;
-use avfi_trace::list_trace_files;
+use avfi_server::cli::Args;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut weights_path: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("minimized");
-    let mut config = ShrinkConfig::default();
-    let mut workers = 0usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => {
-                workers = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            "--weights" => weights_path = args.next().map(PathBuf::from),
-            "--out" => {
-                if let Some(dir) = args.next() {
-                    out_dir = PathBuf::from(dir);
-                }
-            }
-            "--max-iterations" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    config.max_iterations = n;
-                }
-            }
-            _ => inputs.push(PathBuf::from(arg)),
-        }
-    }
-    if inputs.is_empty() {
-        eprintln!(
-            "usage: shrink [--workers N] [--weights PATH] [--out DIR] \
-             [--max-iterations N] <trace file or dir>..."
-        );
-        return ExitCode::from(2);
-    }
-
-    let mut files = Vec::new();
-    for input in inputs {
-        if input.is_dir() {
-            match list_trace_files(&input) {
-                Ok(found) => files.extend(found),
-                Err(e) => {
-                    eprintln!("[shrink] cannot list {}: {e}", input.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            files.push(input);
-        }
-    }
-    if files.is_empty() {
-        eprintln!("[shrink] no .avtr files found");
-        return ExitCode::from(2);
-    }
-
-    let explicit_weights = weights_path.map(|p| match std::fs::read(&p) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("[shrink] cannot read weights {}: {e}", p.display());
-            std::process::exit(2);
-        }
-    });
+    let mut args = Args::from_env();
+    let workers = args.value("--workers").unwrap_or(0);
+    let explicit_weights = read_weights(&mut args);
+    let out_dir = args
+        .value("--out")
+        .unwrap_or_else(|| PathBuf::from("minimized"));
+    let config = ShrinkConfig {
+        max_iterations: args
+            .value("--max-iterations")
+            .unwrap_or(ShrinkConfig::default().max_iterations),
+    };
+    let inputs: Vec<PathBuf> = args.positionals("TRACE");
+    let files = trace_files(&inputs)
+        .map_err(|e| args.refuse(e))
+        .unwrap_or_default();
+    args.finish();
 
     let (minimized, skipped) = shrink_traces(
         &files,
         &out_dir,
         workers,
         &config,
-        explicit_weights.as_deref(),
+        explicit_weights.as_ref(),
     );
     println!(
         "[shrink] {minimized}/{} trace(s) minimized ({skipped} skipped) → {}",

@@ -18,6 +18,7 @@ use avfi_core::engine::NullSink;
 use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::{Engine, WorkPlan};
+use avfi_server::cli::Args;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_store::{recover_file, Journal, JournalRecord};
 use avfi_trace::TraceLevel;
@@ -92,28 +93,11 @@ struct Recovery {
 }
 
 fn main() {
-    let mut runs_per_scenario = 12usize;
-    let mut reps = 3usize;
-    let mut records = 10_000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--runs" => {
-                runs_per_scenario = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(runs_per_scenario);
-            }
-            "--reps" => reps = args.next().and_then(|v| v.parse().ok()).unwrap_or(reps),
-            "--records" => {
-                records = args.next().and_then(|v| v.parse().ok()).unwrap_or(records);
-            }
-            _ => {
-                eprintln!("usage: store_overhead [--runs N] [--reps R] [--records K]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut args = Args::from_env();
+    let runs_per_scenario = args.value("--runs").unwrap_or(12);
+    let reps = args.value("--reps").unwrap_or(3);
+    let records = args.value("--records").unwrap_or(10_000);
+    args.finish();
 
     let plan = bench_plan(runs_per_scenario);
     let total_runs = plan.total_runs();

@@ -12,17 +12,18 @@
 //! Usage: `cargo run --release -p avfi-bench --bin study_speedup
 //! [--quick] [--workers N] [--neural]`
 
-use avfi_bench::experiments::{
-    neural_agent, output_delay_specs, plan_studies, ExecOptions, Scale, StudySpec,
-};
+use avfi_bench::experiments::{neural_agent, output_delay_specs, plan_studies, Scale, StudySpec};
 use avfi_core::campaign::AgentSpec;
 use avfi_core::engine::Engine;
+use avfi_server::cli::Args;
 use std::time::Instant;
 
 fn main() {
-    let scale = Scale::from_args();
-    let opts = ExecOptions::from_args();
-    let neural = std::env::args().any(|a| a == "--neural");
+    let mut args = Args::from_env();
+    let scale = Scale::parse(&mut args);
+    let workers = args.value("--workers").unwrap_or(0);
+    let neural = args.flag("--neural");
+    args.finish();
     let agent = if neural {
         neural_agent()
     } else {
@@ -41,7 +42,7 @@ fn main() {
         },
     ];
     let plan = plan_studies(&studies, scale);
-    let engine = Engine::new().workers(opts.workers);
+    let engine = Engine::new().workers(workers);
     let workers = engine.effective_workers(plan.total_runs());
     eprintln!(
         "[study_speedup] {} runs / {} campaigns, {workers} workers, agent = {}",

@@ -11,25 +11,20 @@
 //! aggregated across every campaign in the directory.
 
 use avfi_core::triage::TriageReport;
+use avfi_server::cli::Args;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut dir: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut cross: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = args.next().map(PathBuf::from),
-            "--cross" => cross = args.next().map(PathBuf::from),
-            _ => dir = Some(PathBuf::from(arg)),
-        }
+    let mut args = Args::from_env();
+    let out: Option<PathBuf> = args.value("--out");
+    let cross: Option<PathBuf> = args.value("--cross");
+    let dir: Option<PathBuf> = args.positional("TRACE-DIR");
+    if dir.is_none() {
+        args.refuse("missing TRACE-DIR");
     }
-    let Some(dir) = dir else {
-        eprintln!("usage: triage <trace-dir> [--out FILE.json] [--cross FILE.json]");
-        return ExitCode::from(2);
-    };
+    args.finish();
+    let dir = dir.expect("finish refuses a missing TRACE-DIR");
 
     let report = match TriageReport::from_dir(&dir) {
         Ok(r) => r,

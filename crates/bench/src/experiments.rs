@@ -20,9 +20,11 @@ use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::shrink::{shrink_trace, ShrinkConfig};
 use avfi_core::{metrics, report, stats};
+use avfi_server::cli::Args;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::weather::Weather;
-use avfi_trace::{list_trace_files, read_trace_file, TraceLevel};
+use avfi_trace::{list_trace_files, read_trace_file, RunTrace, TraceLevel};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -57,9 +59,9 @@ impl Scale {
         }
     }
 
-    /// Parses `--quick` from argv (binaries share this convention).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
+    /// Reads `--quick` ([`Scale::quick`]; [`Scale::full`] without it).
+    pub fn parse(args: &mut Args) -> Scale {
+        if args.flag("--quick") {
             Scale::quick()
         } else {
             Scale::full()
@@ -94,41 +96,30 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Parses `--workers N`, `--progress`, `--trace DIR`,
-    /// `--trace-level LEVEL`, `--shrink DIR`, and `--spool DIR` from
-    /// argv.
-    pub fn from_args() -> ExecOptions {
-        Self::parse(std::env::args())
-    }
-
-    fn parse(args: impl Iterator<Item = String>) -> ExecOptions {
-        let mut opts = ExecOptions::default();
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--workers" => {
-                    opts.workers = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                }
-                "--progress" => opts.progress = true,
-                "--trace" => {
-                    opts.trace = args.next().map(PathBuf::from);
-                    // `--trace` alone means "record": default to blackbox
-                    // unless a level was (or will be) given explicitly.
-                    if opts.trace_level == TraceLevel::Off {
-                        opts.trace_level = TraceLevel::Blackbox;
-                    }
-                }
-                "--trace-level" => {
-                    if let Some(level) = args.next().as_deref().and_then(TraceLevel::parse) {
-                        opts.trace_level = level;
-                    }
-                }
-                "--shrink" => opts.shrink = args.next().map(PathBuf::from),
-                "--spool" => opts.spool = args.next().map(PathBuf::from),
-                _ => {}
-            }
+    /// Reads `--workers N`, `--progress`, `--trace DIR`,
+    /// `--trace-level LEVEL`, `--shrink DIR`, and `--spool DIR`. `--trace`
+    /// without a level records at [`TraceLevel::Blackbox`]; `--shrink`
+    /// without `--trace` is refused, as there would be nothing to shrink.
+    pub fn parse(args: &mut Args) -> ExecOptions {
+        let workers = args.value("--workers").unwrap_or(0);
+        let progress = args.flag("--progress");
+        let trace: Option<PathBuf> = args.value("--trace");
+        let trace_level = args.value("--trace-level").unwrap_or(match trace {
+            Some(_) => TraceLevel::Blackbox,
+            None => TraceLevel::Off,
+        });
+        let shrink = args.value("--shrink");
+        if shrink.is_some() && trace.is_none() {
+            args.refuse("--shrink needs --trace DIR");
         }
-        opts
+        ExecOptions {
+            workers,
+            progress,
+            trace,
+            trace_level,
+            shrink,
+            spool: args.value("--spool"),
+        }
     }
 
     /// Executes a work plan through the engine with these options. With
@@ -136,7 +127,8 @@ impl ExecOptions {
     /// [`avfi_store::run_spooled`]: every completed run is journaled, a
     /// journal left by an interrupted earlier invocation is resumed
     /// (only the gap re-executes), and the results are byte-identical
-    /// either way.
+    /// either way. With `--shrink DIR`, every failed trace the study
+    /// recorded is then delta-debugged into a minimal repro under `DIR`.
     pub fn execute(&self, plan: &WorkPlan) -> Vec<StudyResult> {
         let mut engine = Engine::new().workers(self.workers);
         if let Some(dir) = &self.trace {
@@ -148,14 +140,43 @@ impl ExecOptions {
         } else {
             &avfi_core::engine::NullSink
         };
-        if let Some(spool) = &self.spool {
-            return avfi_store::run_spooled(&engine, plan, spool, self.trace_level, sink)
+        let results = match &self.spool {
+            Some(spool) => avfi_store::run_spooled(&engine, plan, spool, self.trace_level, sink)
                 .unwrap_or_else(|e| {
                     panic!("--spool {}: {e}", spool.display());
-                });
+                }),
+            None => engine.execute_with(plan, sink),
+        };
+        if let (Some(out_dir), Some(trace_dir)) = (&self.shrink, &self.trace) {
+            match trace_files(std::slice::from_ref(trace_dir)) {
+                Ok(files) => {
+                    let (minimized, skipped) = shrink_traces(
+                        &files,
+                        out_dir,
+                        self.workers,
+                        &ShrinkConfig::default(),
+                        None,
+                    );
+                    eprintln!(
+                        "[avfi-bench] shrink: {minimized} trace(s) minimized, {skipped} skipped → {}",
+                        out_dir.display()
+                    );
+                }
+                Err(e) => eprintln!("[avfi-bench] shrink skipped, {}: {e}", trace_dir.display()),
+            }
         }
-        engine.execute_with(plan, sink)
+        results
     }
+}
+
+/// Reads the flags of a plain study binary, `--quick` and the
+/// [`ExecOptions`], refusing any other argument.
+pub fn study_args() -> (Scale, ExecOptions) {
+    let mut args = Args::from_env();
+    let scale = Scale::parse(&mut args);
+    let opts = ExecOptions::parse(&mut args);
+    args.finish();
+    (scale, opts)
 }
 
 /// Declarative description of one study: a named sweep of fault specs
@@ -222,19 +243,57 @@ pub fn run_study(
 /// `42`), used to pair each minimal repro with its source trace.
 pub use avfi_trace::trace_file_index as trace_flat_index;
 
+/// Expands trace arguments into trace files: a directory contributes
+/// its `.avtr` files in flat-index order, a file itself. Errors when a
+/// directory cannot be listed or no file is found.
+pub fn trace_files(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
+    let mut files = Vec::new();
+    for input in inputs {
+        if input.is_dir() {
+            let found = list_trace_files(input)
+                .map_err(|e| format!("cannot list {}: {e}", input.display()))?;
+            files.extend(found);
+        } else {
+            files.push(input.clone());
+        }
+    }
+    if files.is_empty() {
+        return Err("no .avtr files found".to_string());
+    }
+    Ok(files)
+}
+
+/// Reads the serialized IL-CNN weights file `--weights` names, refusing
+/// the argument when the file cannot be read.
+pub fn read_weights(args: &mut Args) -> Option<Arc<Vec<u8>>> {
+    let path: PathBuf = args.value("--weights")?;
+    std::fs::read(&path)
+        .map_err(|e| args.refuse(format!("--weights {}: {e}", path.display())))
+        .map(Arc::new)
+        .ok()
+}
+
+/// The weights a trace replays with: `explicit` (from `--weights`),
+/// else the cached deterministic training run for a neural trace, and
+/// `None` for an expert trace. The header's fingerprint check catches a
+/// mismatch either way.
+pub fn trace_weights(trace: &RunTrace, explicit: Option<&Arc<Vec<u8>>>) -> Option<Arc<Vec<u8>>> {
+    (trace.header.agent == "il-cnn").then(|| explicit.cloned().unwrap_or_else(trained_weights))
+}
+
 /// Shrinks every failed trace in `files` into a minimal, replay-verified
 /// repro under `out_dir`: `minimal-{i:06}.json` (the repro) and
 /// `shrink-{i:06}.json` (the full candidate log), where `i` is the
-/// source trace's flat-plan index. Neural traces use `explicit_weights`
-/// when given, else the cached deterministic training run. Returns
-/// `(minimized, skipped)`; skipped covers unreadable traces, successful
-/// runs, and baseline mismatches (each reported to stderr).
+/// source trace's flat-plan index. Neural traces replay with
+/// [`trace_weights`]. Returns `(minimized, skipped)`; skipped covers
+/// unreadable traces, successful runs, and baseline mismatches (each
+/// reported to stderr).
 pub fn shrink_traces(
     files: &[PathBuf],
     out_dir: &Path,
     workers: usize,
     config: &ShrinkConfig,
-    explicit_weights: Option<&[u8]>,
+    explicit_weights: Option<&Arc<Vec<u8>>>,
 ) -> (usize, usize) {
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("[shrink] cannot create {}: {e}", out_dir.display());
@@ -251,25 +310,20 @@ pub fn shrink_traces(
                 continue;
             }
         };
-        let cached;
-        let weights: Option<&[u8]> = if trace.header.agent == "il-cnn" {
-            match explicit_weights {
-                Some(w) => Some(w),
-                None => {
-                    cached = trained_weights();
-                    Some(cached.as_slice())
-                }
-            }
-        } else {
-            None
-        };
+        let weights = trace_weights(&trace, explicit_weights);
         // The repro embeds the bare file name, not the path: golden
         // diffs must not depend on where the smoke dir landed.
         let source = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
-        let outcome = match shrink_trace(&engine, &source, &trace, weights, config) {
+        let outcome = match shrink_trace(
+            &engine,
+            &source,
+            &trace,
+            weights.as_deref().map(Vec::as_slice),
+            config,
+        ) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("[shrink] {source}: {e}");
@@ -300,45 +354,6 @@ pub fn shrink_traces(
         minimized += 1;
     }
     (minimized, skipped)
-}
-
-/// Post-study minimization hook: when `--shrink DIR` was given together
-/// with `--trace`, delta-debugs every failed trace the study just
-/// recorded into minimal repros under `DIR`.
-pub fn shrink_after_study(opts: &ExecOptions) {
-    let Some(out_dir) = &opts.shrink else { return };
-    let Some(trace_dir) = &opts.trace else {
-        eprintln!("[avfi-bench] --shrink requires --trace DIR (no traces recorded)");
-        return;
-    };
-    let files = match list_trace_files(trace_dir) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "[avfi-bench] --shrink: cannot list {}: {e}",
-                trace_dir.display()
-            );
-            return;
-        }
-    };
-    if files.is_empty() {
-        eprintln!(
-            "[avfi-bench] --shrink: no traces under {} (no failures recorded?)",
-            trace_dir.display()
-        );
-        return;
-    }
-    let (minimized, skipped) = shrink_traces(
-        &files,
-        out_dir,
-        opts.workers,
-        &ShrinkConfig::default(),
-        None,
-    );
-    eprintln!(
-        "[avfi-bench] shrink: {minimized} trace(s) minimized, {skipped} skipped → {}",
-        out_dir.display()
-    );
 }
 
 /// The adaptive search space at `scale`: the evaluation suite crossed
@@ -377,14 +392,14 @@ pub fn adaptive_defaults(scale: Scale) -> AdaptiveConfig {
 }
 
 /// Runs one adaptive search over `space` with the cached neural agent
-/// through an engine built from `opts` (workers only — the planner
-/// captures its own failure traces, so the engine recorder stays off).
+/// on `workers` engine threads (0 = one per core). The planner captures
+/// its own failure traces, so the engine recorder stays off.
 pub fn run_adaptive_study(
     space: &AdaptiveSpace,
     config: AdaptiveConfig,
-    opts: &ExecOptions,
+    workers: usize,
 ) -> AdaptiveOutcome {
-    let engine = Engine::new().workers(opts.workers);
+    let engine = Engine::new().workers(workers);
     run_adaptive(&engine, space, config, &neural_agent(), "adaptive")
 }
 
@@ -417,28 +432,6 @@ pub fn render_adaptive(trajectory: &AdaptiveTrajectory) -> String {
         r.budget,
         table.render()
     )
-}
-
-/// Writes an adaptive trajectory as JSON into `results/<name>.json`
-/// (same `AVFI_RESULTS_DIR` override as [`export_json`]).
-pub fn export_trajectory(name: &str, trajectory: &AdaptiveTrajectory) {
-    let dir = std::env::var_os("AVFI_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"));
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(trajectory) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("[avfi-bench] could not write {}: {e}", path.display());
-            } else {
-                eprintln!("[avfi-bench] wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("[avfi-bench] serialization failed: {e}"),
-    }
 }
 
 /// The evaluation scenario suite: unsignalized grid towns with light
@@ -516,18 +509,6 @@ pub fn neural_agent() -> AgentSpec {
     AgentSpec::Neural {
         weights: trained_weights(),
     }
-}
-
-/// Runs one campaign of `fault` over the evaluation suite (single-campaign
-/// convenience; studies should build a work plan so campaigns share one
-/// queue).
-pub fn run_campaign(fault: FaultSpec, agent: AgentSpec, scale: Scale) -> CampaignResult {
-    let config = CampaignConfig::builder(evaluation_suite(scale))
-        .runs_per_scenario(scale.runs)
-        .fault(fault)
-        .agent(agent)
-        .build();
-    Engine::new().run_campaign(config)
 }
 
 /// The six input-injector configurations of Figures 2 and 3, in paper
@@ -677,11 +658,12 @@ pub fn render_fig4(results: &[CampaignResult]) -> String {
     )
 }
 
-/// Writes campaign results as JSON into `results/<name>.json` under the
-/// repository root (best effort; failures are printed, not fatal). The
-/// `AVFI_RESULTS_DIR` environment variable overrides the output directory
-/// (the smoke-golden gate uses it to keep checked-in results pristine).
-pub fn export_json(name: &str, results: &[CampaignResult]) {
+/// Writes `results` (campaign results, an adaptive trajectory) as JSON
+/// into `results/<name>.json` under the repository root (best effort;
+/// failures are printed, not fatal). The `AVFI_RESULTS_DIR` environment
+/// variable overrides the output directory (the smoke-golden gate uses
+/// it to keep checked-in results pristine).
+pub fn export_json<T: Serialize + ?Sized>(name: &str, results: &T) {
     let dir = std::env::var_os("AVFI_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"));
@@ -751,9 +733,9 @@ mod tests {
 
     #[test]
     fn exec_options_parse_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = |v: &[&str]| Args::new(v.iter().copied());
         assert_eq!(
-            ExecOptions::parse(args(&["bin", "--workers", "6", "--progress"]).into_iter()),
+            ExecOptions::parse(&mut args(&["bin", "--workers", "6", "--progress"])),
             ExecOptions {
                 workers: 6,
                 progress: true,
@@ -761,35 +743,44 @@ mod tests {
             }
         );
         assert_eq!(
-            ExecOptions::parse(args(&["bin", "--quick"]).into_iter()),
+            ExecOptions::parse(&mut args(&["bin", "--quick"])),
             ExecOptions::default()
         );
-        // A malformed count falls back to auto.
-        assert_eq!(
-            ExecOptions::parse(args(&["bin", "--workers", "lots"]).into_iter()).workers,
-            0
-        );
+        // A malformed count is rejected.
+        let mut malformed = args(&["bin", "--workers", "lots"]);
+        ExecOptions::parse(&mut malformed);
+        assert!(malformed
+            .check()
+            .unwrap_err()
+            .contains("--workers \"lots\""));
     }
 
     #[test]
     fn exec_options_parse_trace_flags() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
+        let args = |v: &[&str]| Args::new(v.iter().copied());
         // `--trace` alone defaults to blackbox.
-        let o = ExecOptions::parse(args(&["bin", "--trace", "traces/"]));
+        let o = ExecOptions::parse(&mut args(&["bin", "--trace", "traces/"]));
         assert_eq!(o.trace.as_deref(), Some(std::path::Path::new("traces/")));
         assert_eq!(o.trace_level, TraceLevel::Blackbox);
         // An explicit level wins regardless of flag order.
-        let o = ExecOptions::parse(args(&["bin", "--trace", "t", "--trace-level", "summary"]));
+        let o = ExecOptions::parse(&mut args(&[
+            "bin",
+            "--trace",
+            "t",
+            "--trace-level",
+            "summary",
+        ]));
         assert_eq!(o.trace_level, TraceLevel::Summary);
-        let o = ExecOptions::parse(args(&["bin", "--trace-level", "summary", "--trace", "t"]));
+        let o = ExecOptions::parse(&mut args(&[
+            "bin",
+            "--trace-level",
+            "summary",
+            "--trace",
+            "t",
+        ]));
         assert_eq!(o.trace_level, TraceLevel::Summary);
         // `off` disables even with a directory given.
-        let o = ExecOptions::parse(args(&["bin", "--trace", "t", "--trace-level", "off"]));
+        let o = ExecOptions::parse(&mut args(&["bin", "--trace", "t", "--trace-level", "off"]));
         assert_eq!(o.trace_level, TraceLevel::Off);
         // No trace flags: recorder stays off.
         assert_eq!(ExecOptions::default().trace, None);
@@ -797,13 +788,14 @@ mod tests {
 
     #[test]
     fn exec_options_parse_shrink_flag() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-        let o = ExecOptions::parse(args(&["bin", "--trace", "t", "--shrink", "minimized/"]));
+        let args = |v: &[&str]| Args::new(v.iter().copied());
+        let o = ExecOptions::parse(&mut args(&[
+            "bin",
+            "--trace",
+            "t",
+            "--shrink",
+            "minimized/",
+        ]));
         assert_eq!(
             o.shrink.as_deref(),
             Some(std::path::Path::new("minimized/"))
@@ -813,18 +805,56 @@ mod tests {
 
     #[test]
     fn exec_options_parse_spool_flag() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-        let o = ExecOptions::parse(args(&["bin", "--spool", "checkpoints/"]));
+        let args = |v: &[&str]| Args::new(v.iter().copied());
+        let o = ExecOptions::parse(&mut args(&["bin", "--spool", "checkpoints/"]));
         assert_eq!(
             o.spool.as_deref(),
             Some(std::path::Path::new("checkpoints/"))
         );
         assert_eq!(ExecOptions::default().spool, None);
+    }
+
+    #[test]
+    fn execute_shrinks_the_failures_it_traced() {
+        use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
+        let mut refused = Args::new(["bin", "--shrink", "minimized/"]);
+        ExecOptions::parse(&mut refused);
+        assert!(refused
+            .check()
+            .unwrap_err()
+            .contains("--shrink needs --trace"));
+
+        let dir = std::env::temp_dir().join(format!("avfi-bench-shrink-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut town = TownSpec::grid(2, 2);
+        town.signalized = false;
+        let scenario = Scenario::builder(town)
+            .seed(71)
+            .npc_vehicles(0)
+            .pedestrians(0)
+            .time_budget(15.0)
+            .min_route_length(50.0)
+            .build();
+        let stuck_brake = FaultSpec::Hardware(HardwareFault::always(
+            HardwareTarget::ControlBrake,
+            BitFaultModel::StuckAt { value: 1.0 },
+        ));
+        let campaign = CampaignConfig::builder(vec![scenario])
+            .runs_per_scenario(1)
+            .fault(stuck_brake)
+            .agent(AgentSpec::Expert)
+            .build();
+        let opts = ExecOptions {
+            workers: 1,
+            trace: Some(dir.join("traces")),
+            trace_level: TraceLevel::Blackbox,
+            shrink: Some(dir.join("minimized")),
+            ..ExecOptions::default()
+        };
+        let results = opts.execute(&WorkPlan::new().with_study("stuck", vec![campaign]));
+        assert!(!results[0].campaigns[0].runs()[0].outcome.is_success());
+        assert!(dir.join("minimized/minimal-000000.json").is_file());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -729,14 +729,14 @@ impl<'a> EngineOracle<'a> {
     ) -> Self {
         EngineOracle {
             engine,
-            agent,
-            scenarios,
             spec: TraceSpec {
                 level: TraceLevel::Blackbox,
                 study: study.to_string(),
                 blackbox_frames: 64,
-                weights_fingerprint: None,
+                weights_fingerprint: agent.weights_fingerprint(),
             },
+            agent,
+            scenarios,
             evaluated: 0,
             traces: Vec::new(),
         }
@@ -1153,6 +1153,28 @@ mod tests {
         // Round-robin pulls the failing arm once per completed lap.
         assert_eq!(report.failures, 2);
         assert!((report.failures_per_run - 2.0 / budget as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn neural_oracle_traces_record_the_weights_fingerprint() {
+        let mut net = avfi_agent::IlNetwork::new(5);
+        let fingerprint = avfi_trace::fingerprint(&net.to_weights());
+        let engine = Engine::new().workers(1);
+        let agent = AgentSpec::neural(&mut net);
+        let mut oracle = EngineOracle::new(&engine, agent, vec![tiny_scenario(11)], "fp");
+        let stuck_brake = FaultChannel::HardwareStuck {
+            target: HardwareTarget::ControlBrake,
+            value: 1.0,
+        };
+        let observations = oracle.evaluate(&[Proposal {
+            arm: 0,
+            scenario_index: 0,
+            run_index: 0,
+            fault: stuck_brake.fault_spec(1.0, 0),
+        }]);
+        assert!(observations[0].failed, "a stuck brake fails the mission");
+        let (_, trace) = &oracle.traces[0];
+        assert_eq!(trace.header.weights_fingerprint, Some(fingerprint));
     }
 
     #[test]

@@ -49,6 +49,15 @@ impl AgentSpec {
             AgentSpec::Neural { .. } => "il-cnn",
         }
     }
+
+    /// The fingerprint a trace header records for this agent's weights,
+    /// so a replay with other weights fails (`None` for the expert).
+    pub fn weights_fingerprint(&self) -> Option<u64> {
+        match self {
+            AgentSpec::Expert => None,
+            AgentSpec::Neural { weights } => Some(avfi_trace::fingerprint(weights)),
+        }
+    }
 }
 
 /// Mission outcome of one run (serializable mirror of

@@ -205,28 +205,11 @@ impl ProgressSink for NullSink {
     fn event(&self, _event: &ProgressEvent) {}
 }
 
-/// Streams progress lines to stderr: a line every `every` completed runs
-/// plus campaign completions and a final utilization summary.
-#[derive(Debug)]
+/// Streams progress lines to stderr: a line per completed run plus
+/// campaign completions and a final utilization summary.
+#[derive(Debug, Default)]
 pub struct StderrProgress {
-    every: usize,
     totals: parking_lot::Mutex<(f64, usize)>,
-}
-
-impl StderrProgress {
-    /// Reports every `every` completed runs (minimum 1).
-    pub fn every(every: usize) -> Self {
-        StderrProgress {
-            every: every.max(1),
-            totals: parking_lot::Mutex::new((0.0, 0)),
-        }
-    }
-}
-
-impl Default for StderrProgress {
-    fn default() -> Self {
-        StderrProgress::every(1)
-    }
 }
 
 impl ProgressSink for StderrProgress {
@@ -249,12 +232,10 @@ impl ProgressSink for StderrProgress {
                 let mut t = self.totals.lock();
                 t.0 += km;
                 t.1 += violations;
-                if completed % self.every == 0 || completed == total {
-                    eprintln!(
-                        "[engine] {completed}/{total} runs · {:.2} km · {} violations",
-                        t.0, t.1
-                    );
-                }
+                eprintln!(
+                    "[engine] {completed}/{total} runs · {:.2} km · {} violations",
+                    t.0, t.1
+                );
             }
             ProgressEvent::CampaignCompleted {
                 study,
@@ -497,10 +478,7 @@ impl<'a> PlanExec<'a> {
                         level,
                         study: study.name.clone(),
                         blackbox_frames,
-                        weights_fingerprint: match &cfg.agent {
-                            AgentSpec::Neural { weights } => Some(avfi_trace::fingerprint(weights)),
-                            AgentSpec::Expert => None,
-                        },
+                        weights_fingerprint: cfg.agent.weights_fingerprint(),
                     });
                 }
             }

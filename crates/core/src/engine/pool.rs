@@ -80,9 +80,10 @@ struct PoolShared {
     sched: Mutex<Sched>,
     work_ready: Condvar,
     next_plan_id: AtomicU64,
-    /// Claim journal: (plan, flat index) in global claim order (claims
-    /// are serialized by the scheduler lock, so this is a total order).
-    /// Scheduling observability for fairness tests and diagnostics.
+    /// Claim journal for the fairness tests: (plan, flat index) in global
+    /// claim order (claims are serialized by the scheduler lock, so this
+    /// is a total order).
+    #[cfg(test)]
     journal: parking_lot::Mutex<Vec<(PlanId, usize)>>,
 }
 
@@ -426,6 +427,7 @@ impl MultiplexPool {
             }),
             work_ready: Condvar::new(),
             next_plan_id: AtomicU64::new(0),
+            #[cfg(test)]
             journal: parking_lot::Mutex::new(Vec::new()),
         });
         let handles = (0..workers)
@@ -570,7 +572,8 @@ impl MultiplexPool {
     }
 
     /// Global claim journal: (plan, flat index) in claim order.
-    pub fn execution_journal(&self) -> Vec<(PlanId, usize)> {
+    #[cfg(test)]
+    fn execution_journal(&self) -> Vec<(PlanId, usize)> {
         self.shared.journal.lock().clone()
     }
 
@@ -597,10 +600,7 @@ impl MultiplexPool {
 /// Claims the next run under fair round-robin: one run from the front
 /// plan, which then rotates to the back. Cancelled and fully claimed
 /// plans drop out of the rotation here.
-fn claim(
-    sched: &mut Sched,
-    journal: &parking_lot::Mutex<Vec<(PlanId, usize)>>,
-) -> Option<(Arc<PlanRun>, usize)> {
+fn claim(sched: &mut Sched) -> Option<(Arc<PlanRun>, usize)> {
     while let Some(plan) = sched.active.pop_front() {
         if plan.cancelled.load(Ordering::Acquire) {
             if plan.outstanding.load(Ordering::Acquire) == 0 {
@@ -616,7 +616,6 @@ fn claim(
         plan.next.store(i + 1, Ordering::Relaxed);
         plan.outstanding.fetch_add(1, Ordering::AcqRel);
         let flat = pending[i];
-        journal.lock().push((plan.id, flat));
         if i + 1 < pending.len() {
             sched.active.push_back(Arc::clone(&plan));
         }
@@ -636,7 +635,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                     return;
                 }
                 if !sched.paused {
-                    if let Some(claimed) = claim(&mut sched, &shared.journal) {
+                    if let Some(claimed) = claim(&mut sched) {
+                        #[cfg(test)]
+                        shared.journal.lock().push((claimed.0.id, claimed.1));
                         break claimed;
                     }
                 }

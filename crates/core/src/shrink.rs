@@ -57,17 +57,11 @@ pub struct ShrinkConfig {
     /// Hard cap on lattice iterations (each iteration accepts at most
     /// one reduction).
     pub max_iterations: usize,
-    /// Black-box window for candidate evaluation when the source trace
-    /// does not carry one (summary traces), seconds.
-    pub blackbox_seconds: f64,
 }
 
 impl Default for ShrinkConfig {
     fn default() -> Self {
-        ShrinkConfig {
-            max_iterations: 40,
-            blackbox_seconds: BLACKBOX_SECONDS,
-        }
+        ShrinkConfig { max_iterations: 40 }
     }
 }
 
@@ -935,18 +929,18 @@ pub struct EngineOracle<'a> {
 impl<'a> EngineOracle<'a> {
     /// Builds the oracle from a source trace and the agent
     /// [`decode_header`] rebuilt from its header (coordinates and
-    /// black-box window also come from the header).
+    /// black-box window also come from the header; a summary trace,
+    /// which has no window, gets the default one).
     pub fn from_trace(
         engine: &'a Engine,
         trace: &RunTrace,
         agent: AgentSpec,
         weights: Option<&[u8]>,
-        config: &ShrinkConfig,
     ) -> Self {
         let blackbox_frames = if trace.header.blackbox_frames > 0 {
             trace.header.blackbox_frames
         } else {
-            blackbox_frames(config.blackbox_seconds)
+            blackbox_frames(BLACKBOX_SECONDS)
         };
         EngineOracle {
             engine,
@@ -1021,7 +1015,7 @@ pub fn shrink_trace(
 ) -> Result<ShrinkOutcome, ShrinkError> {
     let class = failure_class(trace).ok_or(ShrinkError::NotAFailure)?;
     let (fault, agent) = decode_header(&trace.header, weights)?;
-    let mut oracle = EngineOracle::from_trace(engine, trace, agent, weights, config);
+    let mut oracle = EngineOracle::from_trace(engine, trace, agent, weights);
 
     // Baseline: the unreduced original must re-land in the recorded
     // class before any reduction is trusted (also seeds the anchors

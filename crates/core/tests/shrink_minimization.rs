@@ -64,10 +64,7 @@ fn failing_trace() -> RunTrace {
 }
 
 fn quick_config() -> ShrinkConfig {
-    ShrinkConfig {
-        max_iterations: 12,
-        ..ShrinkConfig::default()
-    }
+    ShrinkConfig { max_iterations: 12 }
 }
 
 #[test]

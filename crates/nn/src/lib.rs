@@ -8,9 +8,9 @@
 //! * [`layers`] — `Conv2d`, `MaxPool2d`, `Dense`, `ReLU`, `Tanh`,
 //!   `Flatten`, `Dropout`, each with hand-written forward and backward
 //!   passes,
-//! * [`Sequential`] and [`Branched`] — containers; `Branched` implements
-//!   the command-conditional architecture (shared trunk, one head per
-//!   high-level command),
+//! * [`Sequential`] — the layer container; the agent crate's
+//!   `IlNetwork` builds the command-conditional architecture (shared
+//!   trunk, one head per high-level command) from it,
 //! * [`optim`] — SGD-with-momentum and Adam,
 //! * [`loss`] — mean-squared-error with gradient,
 //! * named parameter access ([`ParamSlice`]) and activation-override hooks
@@ -59,5 +59,5 @@ pub mod serialize;
 pub mod tensor;
 
 pub use layers::{Layer, ParamSlice};
-pub use network::{Branched, Sequential};
+pub use network::Sequential;
 pub use tensor::Tensor;

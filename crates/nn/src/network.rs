@@ -1,5 +1,4 @@
-//! Network containers: [`Sequential`] stacks and the command-conditional
-//! [`Branched`] architecture of the imitation-learning agent.
+//! The [`Sequential`] network container.
 
 use crate::layers::{Layer, ParamSlice};
 use crate::tensor::Tensor;
@@ -113,109 +112,6 @@ impl Sequential {
     }
 }
 
-/// The command-conditional network of Codevilla et al.: a shared trunk
-/// (perception) feeding one head per high-level command; only the head
-/// selected by the current command drives the output.
-#[derive(Debug, Default)]
-pub struct Branched {
-    trunk: Sequential,
-    heads: Vec<Sequential>,
-    last_branch: Option<usize>,
-}
-
-impl Branched {
-    /// Creates a branched network from a trunk and heads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heads` is empty.
-    pub fn new(trunk: Sequential, heads: Vec<Sequential>) -> Self {
-        assert!(!heads.is_empty(), "need at least one head");
-        Branched {
-            trunk,
-            heads,
-            last_branch: None,
-        }
-    }
-
-    /// Number of heads.
-    pub fn branch_count(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// The shared trunk.
-    pub fn trunk_mut(&mut self) -> &mut Sequential {
-        &mut self.trunk
-    }
-
-    /// A head by branch index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch` is out of range.
-    pub fn head_mut(&mut self, branch: usize) -> &mut Sequential {
-        &mut self.heads[branch]
-    }
-
-    /// Runs the trunk and the selected head.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch` is out of range.
-    pub fn forward(&mut self, input: &Tensor, branch: usize, train: bool) -> Tensor {
-        assert!(branch < self.heads.len(), "branch {branch} out of range");
-        let feat = self.trunk.forward(input, train);
-        self.last_branch = Some(branch);
-        self.heads[branch].forward(&feat, train)
-    }
-
-    /// Backpropagates through the head used in the last `forward`, then the
-    /// trunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let b = self.last_branch.expect("backward before forward");
-        let g = self.heads[b].backward(grad_out);
-        self.trunk.backward(&g)
-    }
-
-    /// All parameters: trunk first, then each head, with qualified names.
-    pub fn params(&mut self) -> Vec<ParamSlice<'_>> {
-        let mut out = Vec::new();
-        for mut p in self.trunk.params() {
-            p.name = format!("trunk.{}", p.name);
-            out.push(p);
-        }
-        for (h, head) in self.heads.iter_mut().enumerate() {
-            for mut p in head.params() {
-                p.name = format!("head{h}.{}", p.name);
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&mut self) -> usize {
-        self.params().iter().map(|p| p.values.len()).sum()
-    }
-
-    /// Installs a stuck-at neuron fault in the trunk.
-    pub fn add_trunk_override(&mut self, ov: ActivationOverride) {
-        self.trunk.add_override(ov);
-    }
-
-    /// Clears all neuron faults (trunk and heads).
-    pub fn clear_overrides(&mut self) {
-        self.trunk.clear_overrides();
-        for h in &mut self.heads {
-            h.clear_overrides();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,72 +190,5 @@ mod tests {
         net.clear_overrides();
         let out2 = net.forward(&Tensor::from_vec(vec![0.1, 0.2], vec![2]), false);
         assert_ne!(out2.data()[2], 42.0);
-    }
-
-    #[test]
-    fn branched_heads_are_independent() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut trunk = Sequential::new();
-        trunk.push(Dense::new(2, 4, &mut rng));
-        trunk.push(Tanh::new());
-        let heads = (0..3)
-            .map(|_| {
-                let mut h = Sequential::new();
-                h.push(Dense::new(4, 1, &mut rng));
-                h
-            })
-            .collect();
-        let mut net = Branched::new(trunk, heads);
-        let x = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        let y0 = net.forward(&x, 0, false);
-        let y1 = net.forward(&x, 1, false);
-        assert_ne!(y0.data(), y1.data(), "heads should differ at init");
-        assert_eq!(net.branch_count(), 3);
-    }
-
-    #[test]
-    fn branched_trains_one_head_at_a_time() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut trunk = Sequential::new();
-        trunk.push(Dense::new(1, 8, &mut rng));
-        trunk.push(Tanh::new());
-        let heads = (0..2)
-            .map(|_| {
-                let mut h = Sequential::new();
-                h.push(Dense::new(8, 1, &mut rng));
-                h
-            })
-            .collect();
-        let mut net = Branched::new(trunk, heads);
-        let mut opt = Adam::new(0.02);
-        // Head 0 learns y = x; head 1 learns y = -x.
-        for _ in 0..500 {
-            for x in [-1.0f32, -0.5, 0.0, 0.5, 1.0] {
-                for (b, sign) in [(0usize, 1.0f32), (1, -1.0)] {
-                    let out = net.forward(&Tensor::from_vec(vec![x], vec![1]), b, true);
-                    let (_, g) = mse(&out, &Tensor::from_vec(vec![sign * x], vec![1]));
-                    net.backward(&g);
-                    opt.step(&mut net.params());
-                }
-            }
-        }
-        let x = Tensor::from_vec(vec![0.7], vec![1]);
-        let y0 = net.forward(&x, 0, false).data()[0];
-        let y1 = net.forward(&x, 1, false).data()[0];
-        assert!((y0 - 0.7).abs() < 0.15, "head0={y0}");
-        assert!((y1 + 0.7).abs() < 0.15, "head1={y1}");
-    }
-
-    #[test]
-    fn branched_param_names_qualified() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let mut trunk = Sequential::new();
-        trunk.push(Dense::new(1, 2, &mut rng));
-        let mut h = Sequential::new();
-        h.push(Dense::new(2, 1, &mut rng));
-        let mut net = Branched::new(trunk, vec![h]);
-        let names: Vec<String> = net.params().iter().map(|p| p.name.clone()).collect();
-        assert!(names.iter().any(|n| n.starts_with("trunk.")));
-        assert!(names.iter().any(|n| n.starts_with("head0.")));
     }
 }

@@ -38,12 +38,13 @@
 
 use avfi_core::WorkPlan;
 use avfi_net::NetError;
+use avfi_server::cli::Args;
 use avfi_server::{demo_plan, solo_results_json, with_retries_authed, RetryPolicy, ServiceClient};
 use avfi_trace::TraceLevel;
 use std::process::ExitCode;
 use std::time::Duration;
 
-struct Args {
+struct Options {
     addr: String,
     plan_id: Option<u64>,
     plan_file: Option<String>,
@@ -54,7 +55,7 @@ struct Args {
     token: Option<String>,
 }
 
-impl Args {
+impl Options {
     /// One connection, hello'd when `--token` was given.
     fn connect(&self) -> Result<ServiceClient, NetError> {
         ServiceClient::connect_with_token(&self.addr, self.token.as_deref())
@@ -70,62 +71,29 @@ impl Args {
 }
 
 fn main() -> ExitCode {
-    let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else {
-        return usage();
+    let mut args = Args::from_env();
+    // `--plan` names a served plan by id, or a plan JSON file.
+    let plan: Option<String> = args.value("--plan");
+    let plan_id = plan.as_deref().and_then(|p| p.parse().ok());
+    let options = Options {
+        addr: args
+            .value("--addr")
+            .unwrap_or_else(|| "127.0.0.1:7700".to_string()),
+        plan_id,
+        plan_file: plan.filter(|_| plan_id.is_none()),
+        out: args.value("--out"),
+        trace: args.value("--trace").unwrap_or(TraceLevel::Off),
+        from: args.value("--from").unwrap_or(0),
+        retry: RetryPolicy::new(
+            args.value("--retry").unwrap_or(0),
+            Duration::from_millis(args.value("--backoff").unwrap_or(0)),
+        ),
+        token: args.value("--token"),
     };
-    let mut args = Args {
-        addr: "127.0.0.1:7700".to_string(),
-        plan_id: None,
-        plan_file: None,
-        out: None,
-        trace: TraceLevel::Off,
-        from: 0,
-        retry: RetryPolicy::none(),
-        token: None,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--addr" => match argv.next() {
-                Some(a) => args.addr = a,
-                None => return usage(),
-            },
-            "--plan" => match argv.next() {
-                Some(p) => match p.parse::<u64>() {
-                    Ok(id) => args.plan_id = Some(id),
-                    Err(_) => args.plan_file = Some(p),
-                },
-                None => return usage(),
-            },
-            "--out" => match argv.next() {
-                Some(o) => args.out = Some(o),
-                None => return usage(),
-            },
-            "--trace" => match argv.next().as_deref().and_then(TraceLevel::parse) {
-                Some(level) => args.trace = level,
-                None => return usage(),
-            },
-            "--from" => match argv.next().and_then(|n| n.parse().ok()) {
-                Some(n) => args.from = n,
-                None => return usage(),
-            },
-            "--retry" => match argv.next().and_then(|n| n.parse().ok()) {
-                Some(n) => args.retry.attempts = n,
-                None => return usage(),
-            },
-            "--backoff" => match argv.next().and_then(|ms| ms.parse().ok()) {
-                Some(ms) => args.retry.backoff = Duration::from_millis(ms),
-                None => return usage(),
-            },
-            "--token" => match argv.next() {
-                Some(t) => args.token = Some(t),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
+    let cmd: String = args.positional("COMMAND").unwrap_or_default();
+    args.finish();
 
-    match run(&cmd, &args) {
+    match run(&cmd, &options) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("[avfi-client] {cmd} failed: {e}");
@@ -134,7 +102,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(cmd: &str, args: &Args) -> Result<ExitCode, NetError> {
+fn run(cmd: &str, args: &Options) -> Result<ExitCode, NetError> {
     match cmd {
         "demo-plan" => {
             let json = serde_json::to_string_pretty(&demo_plan())
@@ -235,7 +203,7 @@ fn run(cmd: &str, args: &Args) -> Result<ExitCode, NetError> {
     }
 }
 
-fn load_plan(args: &Args) -> Result<WorkPlan, NetError> {
+fn load_plan(args: &Options) -> Result<WorkPlan, NetError> {
     let Some(path) = &args.plan_file else {
         return Err(NetError::Protocol("missing --plan FILE".to_string()));
     };
@@ -243,7 +211,7 @@ fn load_plan(args: &Args) -> Result<WorkPlan, NetError> {
     serde_json::from_str(&json).map_err(|e| NetError::Protocol(format!("malformed plan: {e}")))
 }
 
-fn plan_id(args: &Args) -> Result<u64, NetError> {
+fn plan_id(args: &Options) -> Result<u64, NetError> {
     args.plan_id
         .ok_or_else(|| NetError::Protocol("missing --plan ID".to_string()))
 }

@@ -29,51 +29,34 @@
 //! * `--auto-resume` — with `--spool`, re-enter interrupted plans into
 //!   the pool at startup instead of parking them for an explicit resume.
 
+use avfi_server::cli::Args;
 use avfi_server::CampaignServer;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
-    let mut addr = "127.0.0.1:7700".to_string();
-    let mut workers = 0usize;
-    let mut addr_file: Option<String> = None;
-    let mut retain_secs: Option<f64> = None;
-    let mut auth_token: Option<String> = None;
-    let mut spool: Option<std::path::PathBuf> = None;
-    let mut auto_resume = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--spool" => match args.next() {
-                Some(d) => spool = Some(d.into()),
-                None => return usage(),
-            },
-            "--auto-resume" => auto_resume = true,
-            "--addr" => match args.next() {
-                Some(a) => addr = a,
-                None => return usage(),
-            },
-            "--workers" => match args.next().and_then(|w| w.parse().ok()) {
-                Some(w) => workers = w,
-                None => return usage(),
-            },
-            "--addr-file" => match args.next() {
-                Some(p) => addr_file = Some(p),
-                None => return usage(),
-            },
-            "--retain-secs" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(s) if s >= 0.0 => retain_secs = Some(s),
-                _ => return usage(),
-            },
-            "--auth-token" => match args.next() {
-                Some(t) if !t.is_empty() => auth_token = Some(t),
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
+    let mut args = Args::from_env();
+    let addr = args
+        .value("--addr")
+        .unwrap_or_else(|| "127.0.0.1:7700".to_string());
+    let workers = args.value("--workers").unwrap_or(0);
+    let addr_file: Option<PathBuf> = args.value("--addr-file");
+    let retention = args.value::<f64>("--retain-secs").and_then(|secs| {
+        Duration::try_from_secs_f64(secs)
+            .map_err(|e| args.refuse(format!("--retain-secs {secs}: {e}")))
+            .ok()
+    });
+    let auth_token: Option<String> = args.value("--auth-token");
+    if auth_token.as_deref() == Some("") {
+        args.refuse("--auth-token must not be empty");
     }
+    let spool: Option<PathBuf> = args.value("--spool");
+    let auto_resume = args.flag("--auto-resume");
+    args.finish();
 
     let server = match CampaignServer::bind(&addr, workers).and_then(|s| {
-        s.with_retention(retain_secs.map(std::time::Duration::from_secs_f64))
+        s.with_retention(retention)
             .with_auth_token(auth_token)
             .with_spool(spool, auto_resume)
     }) {
@@ -86,7 +69,7 @@ fn main() -> ExitCode {
     let bound = server.local_addr();
     if let Some(path) = addr_file {
         if let Err(e) = std::fs::write(&path, bound.to_string()) {
-            eprintln!("[avfi-server] cannot write {path}: {e}");
+            eprintln!("[avfi-server] cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
     }
@@ -101,12 +84,4 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: avfi-server [--addr HOST:PORT] [--workers N] [--addr-file PATH] \
-         [--retain-secs S] [--auth-token SECRET] [--spool DIR] [--auto-resume]"
-    );
-    ExitCode::from(2)
 }

@@ -36,6 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::engine::{Engine, MultiplexPool, PlanTicket, RecoveredSubmission, RunSink};
 use avfi_core::fault::timing::TimingFault;

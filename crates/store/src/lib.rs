@@ -103,30 +103,16 @@ pub enum JournalRecord {
     },
 }
 
-/// FNV-1a-64 over a sequence of byte slices (the same constants the
-/// `.avtr` codec and `avfi_trace::fingerprint` use).
-fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Encodes one record into its on-disk framing:
-/// `len(u32 LE) ‖ payload ‖ fnv64(len ‖ payload)(u64 LE)`.
+/// `len(u32 LE) ‖ payload ‖ fnv64(len ‖ payload)(u64 LE)`, the checksum
+/// being [`avfi_trace::fingerprint`] (FNV-1a-64).
 pub fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let payload = serde_json::to_string(record).expect("journal record serializes");
-    let payload = payload.as_bytes();
-    let len = (payload.len() as u32).to_le_bytes();
-    let cksum = fnv64(&[&len, payload]).to_le_bytes();
     let mut buf = Vec::with_capacity(payload.len() + RECORD_OVERHEAD);
-    buf.extend_from_slice(&len);
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&cksum);
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload.as_bytes());
+    let cksum = avfi_trace::fingerprint(&buf);
+    buf.extend_from_slice(&cksum.to_le_bytes());
     buf
 }
 
@@ -163,12 +149,13 @@ pub fn recover(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
         if end > bytes.len() {
             break;
         }
-        let payload = &bytes[pos + 4..pos + 4 + len];
+        let framed = &bytes[pos..pos + 4 + len];
         let trailer = &bytes[pos + 4 + len..end];
         let cksum = u64::from_le_bytes(trailer.try_into().expect("8-byte slice"));
-        if fnv64(&[len_bytes, payload]) != cksum {
+        if avfi_trace::fingerprint(framed) != cksum {
             break;
         }
+        let payload = &framed[4..];
         let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {
             break;
         };

@@ -49,6 +49,14 @@ impl fmt::Display for TraceLevel {
     }
 }
 
+impl std::str::FromStr for TraceLevel {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<TraceLevel, Self::Err> {
+        TraceLevel::parse(s).ok_or("expected off, summary or blackbox")
+    }
+}
+
 /// Which fault-injection channel an injection event perturbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultChannel {

@@ -27,6 +27,10 @@
 # same spool directory, resumes the interrupted plan, and asserts the
 # resumed results are byte-identical to an uninterrupted solo run.
 #
+# A flag tier runs every binary (found by globbing the bin sources, so new
+# ones are covered automatically) with an unknown flag and requires exit
+# status 2: each reads its arguments through the one strict reader.
+#
 # Usage: scripts/smoke.sh [--bless]
 #   --bless   regenerate the goldens instead of diffing against them
 #
@@ -393,6 +397,18 @@ else
     fail=1
   fi
 fi
+
+# Flag tier: an unknown flag must be refused (exit 2) before any work.
+echo "==> smoke: every binary refuses --no-such-flag"
+for src in crates/bench/src/bin/*.rs crates/server/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
+  status=0
+  "target/release/$bin" --no-such-flag >/dev/null 2>&1 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "smoke FAIL: $bin --no-such-flag exited $status, not 2" >&2
+    fail=1
+  fi
+done
 
 if [[ "$fail" != 0 ]]; then
   exit 1
