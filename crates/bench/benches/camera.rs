@@ -1,9 +1,10 @@
 //! Camera ground-pass benchmark: the analytic span rasterizer (default)
 //! against the per-pixel reference renderer it is proven bit-identical to
 //! (see `crates/sim/tests/camera_differential.rs` and the golden corpus).
-//! The `reference` numbers are the pre-span per-pixel cost; the `span`
-//! numbers are what campaigns actually pay. Results feed `BENCH_pr4.json`
-//! and the README performance table.
+//! The `reference` numbers are the plain per-pixel oracle (one
+//! `Map::material_at` call per ground pixel); the `span` numbers are what
+//! campaigns actually pay. `BENCH_pr4.json` and the README table measured
+//! the oracle when it still ran a caching cursor over the material index.
 
 use avfi_sim::map::town::{TownConfig, TownGenerator};
 use avfi_sim::map::LaneKind;

@@ -9,8 +9,11 @@
 //! scene geometry.
 //!
 //! Usage:
-//!   camera_golden --check [DIR]   # default; diff against DIR
-//!   camera_golden --bless [DIR]   # (re)generate the corpus in DIR
+//!
+//! ```text
+//! camera_golden --check [DIR]   # default; diff against DIR
+//! camera_golden --bless [DIR]   # (re)generate the corpus in DIR
+//! ```
 //!
 //! DIR defaults to `results/golden/camera`. Exit status is non-zero on any
 //! drift, missing file, or span/reference divergence. Goldens are

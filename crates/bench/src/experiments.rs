@@ -4,7 +4,7 @@
 //! Studies are *declarative*: a [`StudySpec`] names an agent and a sweep
 //! of fault specs, expands into campaigns over the evaluation suite, and
 //! executes through the deterministic work-stealing
-//! [`Engine`](avfi_core::engine::Engine) — every (study × fault ×
+//! [`Engine`] — every (study × fault ×
 //! scenario × repetition) tuple flows through one flattened work queue,
 //! so no cores idle between campaigns and results are bit-identical for
 //! any `--workers` count.

@@ -23,7 +23,7 @@
 //! is therefore not deterministic; only the returned results are.
 //!
 //! [`pool`] lifts the same scheme into a *persistent* service shape: a
-//! [`MultiplexPool`](pool::MultiplexPool) keeps one long-lived worker
+//! [`MultiplexPool`] keeps one long-lived worker
 //! pool and multiplexes many independently submitted plans onto it with
 //! fair round-robin scheduling and per-plan cancellation, while keeping
 //! every plan's results byte-identical to a solo [`Engine::execute`].
@@ -53,7 +53,7 @@ pub use pool::{MultiplexPool, PlanEvent, PlanTicket, RecoveredSubmission};
 ///
 /// Serializable so whole plans can cross the `avfi-server` wire; the
 /// neural agent's weights travel inside
-/// [`AgentSpec`](crate::campaign::AgentSpec).
+/// [`AgentSpec`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StudyPlan {
     /// Study name, echoed in results and progress events.

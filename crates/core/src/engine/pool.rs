@@ -16,7 +16,7 @@
 //!   unclaimed runs; the cooperative check in the worker drain loop skips
 //!   claimed-but-unstarted runs, and in-flight runs finish. Lifecycle
 //!   transitions go through the
-//!   [`PlanLifecycle`](avfi_net::proto::PlanLifecycle) state machine.
+//!   [`PlanLifecycle`] state machine.
 //! * **Parked plans**: a plan recovered from a journal with runs still
 //!   missing is submitted [`PlanPhase::Interrupted`] and stays out of the
 //!   rotation until [`PlanTicket::resume`] (or [`PlanTicket::cancel`]).

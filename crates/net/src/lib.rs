@@ -8,7 +8,7 @@
 //! the server, which applies those commands to the AV's actuators."
 //!
 //! This crate reproduces that loop in lockstep (CARLA synchronous mode) at
-//! 15 FPS:
+//! the world's fixed 15 FPS step (`avfi_sim::FRAME_DT`):
 //!
 //! * [`message::Message`] — the protocol: observation frames down,
 //!   control commands up,
@@ -16,8 +16,6 @@
 //! * [`transport`] — an in-process channel transport (crossbeam) and a
 //!   real localhost TCP transport,
 //! * [`server::SimServer`] / [`client::SimClient`] — the two endpoints,
-//! * [`clock::FrameClock`] — frame accounting and optional real-time
-//!   pacing,
 //! * [`proto`] — the campaign-service protocol (`avfi-server` /
 //!   `avfi-client`): plan submission, progress streaming, cancellation,
 //!   and result retrieval as framed request/reply messages.
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod clock;
 pub mod codec;
 pub mod error;
 pub mod message;

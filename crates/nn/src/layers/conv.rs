@@ -203,7 +203,7 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     /// Blocked, lane-batched forward: output channels are processed in
-    /// blocks of 8, then 4, then singly (see [`Conv2d::forward_block`]);
+    /// blocks of 8, then 4, then singly (see `Conv2d::forward_block`);
     /// an interior/border split keeps edge-clipping branches out of the
     /// hot loop. Bit-identical to [`Conv2d::forward_reference`] by
     /// construction — lanes are independent outputs and the per-output

@@ -1,40 +1,40 @@
 //! CLI client for the `avfi-server` campaign daemon.
 //!
-//! Subcommands (all network ones take `--addr HOST:PORT`, default
-//! `127.0.0.1:7700`):
+//! [`COMMANDS`] lists every subcommand with the flags it takes: the usage
+//! message prints it, and a flag a subcommand does not take is refused
+//! with exit status 2 before any work. `--plan` names a served plan by
+//! id, or a plan JSON file. Subcommands that dial the daemon take
+//! `--addr HOST:PORT` (default `127.0.0.1:7700`) and `--token SECRET`.
 //!
-//! * `demo-plan [--out FILE]` — emit the demo `WorkPlan` as JSON.
-//! * `submit --plan FILE [--trace LEVEL]` — submit a plan JSON file;
-//!   prints the server-assigned plan id on stdout.
-//! * `watch --plan ID [--from N]` — stream the plan's progress events as
-//!   JSON lines until it is terminal; prints the final phase to stderr.
-//! * `results --plan ID [--out FILE]` — fetch the results payload
-//!   (blocks until terminal). The bytes are exactly what the server
-//!   serialized — diffable against `solo` output.
-//! * `traces --plan ID [--out FILE]` — fetch the plan's trace payload.
-//! * `resume --plan ID` — resume an interrupted plan a `--spool` daemon
-//!   recovered after a crash; prints `phase completed/total`. Idempotent
-//!   on running and finished plans.
-//! * `cancel --plan ID` / `status --plan ID` / `shutdown`.
-//! * `run --plan FILE [--trace LEVEL] [--out FILE]` — submit, wait for
-//!   completion, fetch results (the submit/watch/results round trip as
-//!   one command).
+//! * `demo-plan` — emit the demo `WorkPlan` as JSON.
+//! * `submit` — submit a plan JSON file; prints the server-assigned plan
+//!   id on stdout.
+//! * `watch` — stream the plan's progress events, from event `--from` on,
+//!   as JSON lines until it is terminal; prints the final phase to stderr.
+//! * `results` — fetch the results payload (blocks until terminal). The
+//!   bytes are exactly what the server serialized — diffable against
+//!   `solo` output.
+//! * `traces` — fetch the plan's trace payload.
+//! * `resume` — resume an interrupted plan a `--spool` daemon recovered
+//!   after a crash; prints `phase completed/total`. Idempotent on running
+//!   and finished plans.
+//! * `cancel` / `status` / `shutdown`.
+//! * `run` — submit, wait for completion, fetch results (the
+//!   submit/watch/results round trip as one command).
+//! * `solo` — execute the plan in-process with a solo single-worker
+//!   engine and emit byte-comparable results JSON (no server involved;
+//!   the determinism-gate reference).
 //!
-//! `submit`, `watch`, `results`, `cancel`, and `status` accept
 //! `--retry N --backoff MS`: when the daemon connection drops
 //! mid-exchange the client re-dials up to N times with linear backoff
-//! (attempt k waits k×MS). A resumed watch continues from the last
-//! event it actually printed, so no lines repeat; cancel and status are
-//! idempotent on the server, so a replay is safe. Default is no
-//! retries.
+//! (attempt k waits k×MS). A resumed watch continues from the last event
+//! it actually printed, so no lines repeat; cancel, status and resume are
+//! idempotent on the server, so a replay is safe. Default is no retries.
 //!
-//! Every network subcommand accepts `--token SECRET`: the connection
-//! opens with a hello frame carrying the shared secret, required
-//! against a daemon running `--auth-token` (and acknowledged, harmless,
-//! against an open one). Reconnects repeat the handshake.
-//! * `solo --plan FILE [--out FILE]` — execute the plan in-process with a
-//!   solo single-worker engine and emit byte-comparable results JSON (no
-//!   server involved; the determinism-gate reference).
+//! `--token SECRET`: the connection opens with a hello frame carrying the
+//! shared secret, required against a daemon running `--auth-token` (and
+//! acknowledged, harmless, against an open one). Reconnects repeat the
+//! handshake.
 
 use avfi_core::WorkPlan;
 use avfi_net::NetError;
@@ -70,8 +70,39 @@ impl Options {
     }
 }
 
+/// Every subcommand with exactly the flags it takes, as the usage message
+/// prints them; [`main`] refuses any other flag.
+const COMMANDS: &str = "\
+demo-plan [--out FILE]
+submit    --plan FILE [--trace LEVEL] [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+watch     --plan ID [--from N] [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+results   --plan ID [--out FILE] [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+traces    --plan ID [--out FILE] [--addr HOST:PORT] [--token SECRET]
+resume    --plan ID [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+cancel    --plan ID [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+status    --plan ID [--retry N --backoff MS] [--addr HOST:PORT] [--token SECRET]
+run       --plan FILE [--trace LEVEL] [--out FILE] [--addr HOST:PORT] [--token SECRET]
+solo      --plan FILE [--out FILE]
+shutdown  [--addr HOST:PORT] [--token SECRET]";
+
+/// `cmd`'s line of [`COMMANDS`], if `cmd` is a subcommand.
+fn usage_line(cmd: &str) -> Option<&'static str> {
+    COMMANDS
+        .lines()
+        .find(|line| line.split(' ').next() == Some(cmd))
+}
+
+/// The flags named in `usage`, some lines of [`COMMANDS`].
+fn flags(usage: &str) -> impl Iterator<Item = &str> {
+    usage
+        .split_whitespace()
+        .map(|word| word.trim_start_matches('['))
+        .filter(|word| word.starts_with("--"))
+}
+
 fn main() -> ExitCode {
-    let mut args = Args::from_env();
+    let argv: Vec<String> = std::env::args().collect();
+    let mut args = Args::new(&argv);
     // `--plan` names a served plan by id, or a plan JSON file.
     let plan: Option<String> = args.value("--plan");
     let plan_id = plan.as_deref().and_then(|p| p.parse().ok());
@@ -91,6 +122,15 @@ fn main() -> ExitCode {
         token: args.value("--token"),
     };
     let cmd: String = args.positional("COMMAND").unwrap_or_default();
+    let Some(line) = usage_line(&cmd) else {
+        args.finish();
+        return usage();
+    };
+    for arg in &argv {
+        if flags(COMMANDS).any(|f| f == arg) && !flags(line).any(|f| f == arg) {
+            args.refuse(format!("{cmd} does not take {arg}"));
+        }
+    }
     args.finish();
 
     match run(&cmd, &options) {
@@ -227,20 +267,9 @@ fn emit(out: Option<&str>, payload: &str) -> Result<(), NetError> {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: avfi-client <command> [--addr HOST:PORT] [--token SECRET] [options]\n\
-         commands:\n\
-         \x20 demo-plan [--out FILE]\n\
-         \x20 submit   --plan FILE [--trace off|summary|blackbox] [--retry N --backoff MS]\n\
-         \x20 watch    --plan ID [--from N] [--retry N --backoff MS]\n\
-         \x20 results  --plan ID [--out FILE] [--retry N --backoff MS]\n\
-         \x20 traces   --plan ID [--out FILE]\n\
-         \x20 resume   --plan ID [--retry N --backoff MS]\n\
-         \x20 cancel   --plan ID [--retry N --backoff MS]\n\
-         \x20 status   --plan ID [--retry N --backoff MS]\n\
-         \x20 run      --plan FILE [--trace LEVEL] [--out FILE]\n\
-         \x20 solo     --plan FILE [--out FILE]\n\
-         \x20 shutdown"
-    );
+    eprintln!("usage: avfi-client <command> [flags]\ncommands:");
+    for line in COMMANDS.lines() {
+        eprintln!("  {line}");
+    }
     ExitCode::from(2)
 }

@@ -443,7 +443,7 @@ impl Traffic {
 
     /// Pushes actor billboards for the camera. Compat mode renders every
     /// actor in spawn order (the exact legacy billboard list the camera
-    /// goldens encode); event mode culls to [`BILLBOARD_RADIUS`] around
+    /// goldens encode); event mode culls to `BILLBOARD_RADIUS` around
     /// the ego via the index.
     pub fn fill_billboards(&mut self, map: &Map, ego_pos: Vec2, out: &mut Vec<Billboard>) {
         if self.horizon <= 1 {

@@ -332,31 +332,15 @@ impl Map {
             .any(|i| self.buildings[i].contains(p))
     }
 
-    /// Ground material at a world point (used by the camera).
+    /// Ground material at a world point.
     ///
-    /// This is the camera's per-pixel inner loop, so it goes through
-    /// [`MaterialGrid`]: one cell lookup pulls contiguous copies of exactly
-    /// the geometry that can decide the material near that point.
+    /// The camera's per-pixel reference pass calls this once per ground
+    /// pixel, and [`Map::classify_ground_row`] verifies each of its probes
+    /// with the same cell lookup and classification, so both passes take
+    /// every ground decision from one function.
     #[inline]
     pub fn material_at(&self, p: Vec2) -> Material {
         self.materials.material_at(p)
-    }
-
-    /// A reusable cursor for spatially coherent [`Map::material_at`] query
-    /// streams (the camera's ground pass): queries landing in the cell of
-    /// the previous query skip the per-cell slice lookup.
-    ///
-    /// Cell resolution is a pure function of the query point (never of the
-    /// query history), so a cursor, [`Map::material_at`] and the span
-    /// classifier ([`Map::classify_ground_row`]) always agree bit for bit.
-    pub fn material_cursor(&self) -> MaterialCursor<'_> {
-        MaterialCursor {
-            grid: &self.materials,
-            cell: None,
-            buildings: &[],
-            isect_areas: &[],
-            axes: &[],
-        }
     }
 
     /// Classifies the ground materials of one camera image row
@@ -402,72 +386,13 @@ pub struct RowLine {
     pub x1: u32,
 }
 
-/// See [`Map::material_cursor`].
-#[derive(Debug)]
-pub struct MaterialCursor<'a> {
-    grid: &'a MaterialGrid,
-    /// Grid cell the cached slices belong to (`None` until the first
-    /// in-grid query resolves).
-    cell: Option<(u32, u32)>,
-    buildings: &'a [Aabb],
-    isect_areas: &'a [Aabb],
-    axes: &'a [MatAxis],
-}
-
-impl MaterialCursor<'_> {
-    /// Ground material at `p`; equivalent to [`Map::material_at`].
-    #[inline]
-    pub fn material_at(&mut self, p: Vec2) -> Material {
-        let g = self.grid;
-        let Some(cell) = g.locate(p) else {
-            return Material::Grass;
-        };
-        if self.cell != Some(cell) {
-            let c = g.cells[cell.1 as usize * g.nx + cell.0 as usize];
-            self.buildings = &g.buildings[c.b0 as usize..c.b1 as usize];
-            self.isect_areas = &g.isect_areas[c.i0 as usize..c.i1 as usize];
-            self.axes = &g.axes[c.a0 as usize..c.a1 as usize];
-            self.cell = Some(cell);
-        }
-        classify(self.buildings, self.isect_areas, self.axes, p)
-    }
-
-    /// Classifies four independent points at once; bit-identical to four
-    /// [`MaterialCursor::material_at`] calls in order.
-    ///
-    /// The lane-batched fast path requires all four points to resolve to
-    /// the same grid cell — the common case for adjacent camera pixels,
-    /// where the axis `distance_sq`/band compares then run 4-wide over one
-    /// cached candidate list. Mixed-cell batches fall back to four scalar
-    /// queries.
-    #[inline]
-    pub fn material_at4(&mut self, ps: [Vec2; 4]) -> [Material; 4] {
-        let g = self.grid;
-        let c0 = g.locate(ps[0]);
-        if let Some(cell) =
-            c0.filter(|_| g.locate(ps[1]) == c0 && g.locate(ps[2]) == c0 && g.locate(ps[3]) == c0)
-        {
-            if self.cell != Some(cell) {
-                let c = g.cells[cell.1 as usize * g.nx + cell.0 as usize];
-                self.buildings = &g.buildings[c.b0 as usize..c.b1 as usize];
-                self.isect_areas = &g.isect_areas[c.i0 as usize..c.i1 as usize];
-                self.axes = &g.axes[c.a0 as usize..c.a1 as usize];
-                self.cell = Some(cell);
-            }
-            classify4(self.buildings, self.isect_areas, self.axes, ps)
-        } else {
-            ps.map(|p| self.material_at(p))
-        }
-    }
-}
-
 /// Flattened per-cell index for [`Map::material_at`].
 ///
 /// The general [`SpatialGrid`] stores per-cell `Vec`s of indices into the
 /// map's geometry arrays, which costs two dependent loads per candidate.
-/// The camera samples the ground material for every pixel of every frame,
-/// so this index re-packs the same per-cell candidate lists (same order,
-/// same membership) into contiguous record arrays with the geometry copied
+/// Every camera frame makes many ground-material decisions, so this index
+/// re-packs the same per-cell candidate lists (same order, same
+/// membership) into contiguous record arrays with the geometry copied
 /// inline, and compares squared distances so only the nearest axis pays a
 /// square root.
 #[derive(Debug, Clone)]
@@ -585,9 +510,9 @@ impl MaterialGrid {
 
     /// Grid cell containing `p`, or `None` outside the grid.
     ///
-    /// This is the *only* cell-resolution routine: [`material_at`],
-    /// [`MaterialCursor`], and the span classifier all call it, so a point
-    /// lands in the same cell no matter which query path asks.
+    /// This is the *only* cell-resolution routine: [`Map::material_at`]
+    /// and the span classifier both call it, so a point lands in the same
+    /// cell no matter which path asks.
     #[inline]
     fn locate(&self, p: Vec2) -> Option<(u32, u32)> {
         let fx = (p.x - self.origin.x) * self.inv_cell;
@@ -604,23 +529,13 @@ impl MaterialGrid {
 
     #[inline]
     fn material_at(&self, p: Vec2) -> Material {
-        match self.locate(p) {
-            None => Material::Grass,
-            Some((ix, iy)) => {
-                let cell = self.cells[iy as usize * self.nx + ix as usize];
-                classify(
-                    &self.buildings[cell.b0 as usize..cell.b1 as usize],
-                    &self.isect_areas[cell.i0 as usize..cell.i1 as usize],
-                    &self.axes[cell.a0 as usize..cell.a1 as usize],
-                    p,
-                )
-            }
-        }
+        self.classify_in(self.locate(p), p)
     }
 }
 
-/// Classifies a point against one cell's candidate geometry. Buildings win,
-/// then intersection pavement; otherwise the nearest road axis decides lane
+/// Classifies a point against one cell's candidate geometry; every ground
+/// material the map reports is decided here. Buildings win, then
+/// intersection pavement; otherwise the nearest road axis decides lane
 /// markings. All bands compare against precomputed squared widths, so the
 /// classification is square-root-free.
 #[inline]
@@ -658,60 +573,6 @@ fn classify(buildings: &[Aabb], isect_areas: &[Aabb], axes: &[MatAxis], p: Vec2)
         }
     }
     Material::Grass
-}
-
-/// Lane-batched [`classify`] over four points sharing one cell's candidate
-/// geometry: the axis `distance_sq` and band compares run 4-wide, while
-/// each lane's nearest-axis fold visits axes in exactly the scalar order
-/// (replace only on strictly smaller distance, first axis wins ties), so
-/// every lane is bit-identical to a scalar [`classify`] call.
-#[inline]
-fn classify4(
-    buildings: &[Aabb],
-    isect_areas: &[Aabb],
-    axes: &[MatAxis],
-    ps: [Vec2; 4],
-) -> [Material; 4] {
-    let mut decided = [None::<Material>; 4];
-    for (l, p) in ps.iter().enumerate() {
-        if buildings.iter().any(|b| b.contains(*p)) {
-            decided[l] = Some(Material::Building);
-        } else if isect_areas.iter().any(|a| a.contains(*p)) {
-            decided[l] = Some(Material::Road);
-        }
-    }
-    let mut best_d = [f64::INFINITY; 4];
-    let mut best: [Option<&MatAxis>; 4] = [None; 4];
-    for axis in axes {
-        for l in 0..4 {
-            let d_sq = axis.distance_sq(ps[l]);
-            if d_sq < best_d[l] {
-                best_d[l] = d_sq;
-                best[l] = Some(axis);
-            }
-        }
-    }
-    std::array::from_fn(|l| {
-        if let Some(m) = decided[l] {
-            return m;
-        }
-        if let Some(axis) = best[l] {
-            let d_sq = best_d[l];
-            if d_sq <= axis.road_sq {
-                if d_sq <= MARK_HALF * MARK_HALF {
-                    return Material::MarkCenter;
-                }
-                if d_sq >= axis.edge_lo_sq {
-                    return Material::MarkEdge;
-                }
-                return Material::Road;
-            }
-            if d_sq <= axis.walk_sq {
-                return Material::Sidewalk;
-            }
-        }
-        Material::Grass
-    })
 }
 
 /// Reusable buffers for [`Map::classify_ground_row`], so steady-state span
@@ -922,7 +783,8 @@ impl MaterialGrid {
         }
     }
 
-    /// Classification at a probe pixel, given its (already resolved) cell.
+    /// Material at `p`, given the cell [`MaterialGrid::locate`] resolved
+    /// for it (a span probe reuses its segment's cell).
     #[inline]
     fn classify_in(&self, cell: Option<(u32, u32)>, p: Vec2) -> Material {
         match cell {
@@ -1033,17 +895,22 @@ impl MaterialGrid {
             scratch.roots.clear();
             if let Some((ix, iy)) = cell {
                 let c = self.cells[iy as usize * self.nx + ix as usize];
-                self.gather_cell_roots(c, base, step, after, limit.min(seg_end as f64), scratch);
+                let (lo, hi) = (after - 0.5, limit.min(seg_end as f64));
+                self.gather_cell_roots(c, base, step, lo, hi, scratch);
             }
             if limit < seg_end as f64 {
                 scratch.roots.push(limit);
             }
 
-            // Each root r can flip the material at floor(r) or floor(r)+1
-            // (the linear model and the exact table differ by rounding).
+            // A boundary at r flips the material at the first pixel past
+            // it, or at r + 1 when pixel r lies on the boundary itself.
+            // The exact table differs from the linear model by rounding,
+            // so probe round(r) and round(r) + 1: they hold the flip for
+            // any root error under half a pixel. For the same reason the
+            // roots above are gathered from after - 0.5.
             scratch.probes.clear();
             for i in 0..scratch.roots.len() {
-                let f = scratch.roots[i].floor();
+                let f = scratch.roots[i].round();
                 for q in [f, f + 1.0] {
                     if q > after && q < seg_end as f64 {
                         scratch.probes.push(q as u32);

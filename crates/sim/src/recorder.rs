@@ -4,9 +4,7 @@
 //!
 //! The recorder has two storage modes:
 //!
-//! * **linear** — every pushed sample is kept (debug/eval use). The
-//!   buffer can be preallocated from the scenario's time budget so a run
-//!   never reallocates mid-flight.
+//! * **linear** — every pushed sample is kept (debug/eval use).
 //! * **ring** — a bounded window keeping only the *last* `capacity`
 //!   samples (black-box use): memory stays constant no matter how long
 //!   the run is, and `dropped()` counts the overwritten prefix.
@@ -61,31 +59,6 @@ impl Recorder {
         }
     }
 
-    /// Creates an enabled linear recorder with room for `frames` samples
-    /// already allocated (e.g. `time_budget / FRAME_DT` rounded up), so a
-    /// run never reallocates mid-flight.
-    pub fn preallocated(frames: usize) -> Self {
-        Recorder {
-            enabled: true,
-            capacity: None,
-            samples: Vec::with_capacity(frames),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Converts into an enabled linear recorder whose buffer can hold at
-    /// least `frames` samples, reusing the existing allocation.
-    pub fn into_preallocated(mut self, frames: usize) -> Self {
-        self.capacity = None;
-        self.enabled = true;
-        self.samples.clear();
-        self.samples.reserve(frames);
-        self.head = 0;
-        self.dropped = 0;
-        self
-    }
-
     /// Creates an enabled bounded recorder keeping only the last
     /// `capacity` samples (at least 1). Memory is allocated up front and
     /// never grows.
@@ -98,16 +71,6 @@ impl Recorder {
             head: 0,
             dropped: 0,
         }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Turns recording on or off without touching the buffer.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Ring capacity, or `None` in linear mode.
@@ -169,27 +132,6 @@ impl Recorder {
         };
         self.samples[split..].iter().chain(&self.samples[..split])
     }
-
-    /// Total path length of the recorded trajectory, meters.
-    pub fn path_length(&self) -> f64 {
-        let mut prev: Option<Vec2> = None;
-        let mut total = 0.0;
-        for s in self.chronological() {
-            if let Some(p) = prev {
-                total += p.distance(s.position);
-            }
-            prev = Some(s.position);
-        }
-        total
-    }
-
-    /// Mean speed over the recording, m/s.
-    pub fn mean_speed(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.speed).sum::<f64>() / self.samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -215,23 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn path_length_sums_steps() {
-        let mut r = Recorder::new(true);
-        r.push(sample(0.0, 0.0, 1.0));
-        r.push(sample(1.0, 3.0, 1.0));
-        r.push(sample(2.0, 7.0, 2.0));
-        assert_eq!(r.path_length(), 7.0);
-        assert!((r.mean_speed() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_recorder_stats() {
-        let r = Recorder::new(true);
-        assert_eq!(r.path_length(), 0.0);
-        assert_eq!(r.mean_speed(), 0.0);
-    }
-
-    #[test]
     fn ring_keeps_last_window() {
         let mut r = Recorder::ring(3);
         for i in 0..7 {
@@ -241,8 +166,6 @@ mod tests {
         assert_eq!(r.dropped(), 4);
         let times: Vec<f64> = r.chronological().map(|s| s.time).collect();
         assert_eq!(times, vec![4.0, 5.0, 6.0]);
-        // Path length walks the window chronologically despite rotation.
-        assert_eq!(r.path_length(), 2.0);
     }
 
     #[test]
@@ -274,17 +197,5 @@ mod tests {
         }
         let times: Vec<f64> = r.chronological().map(|s| s.time).collect();
         assert_eq!(times, vec![2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn preallocated_never_reallocates_within_budget() {
-        let mut r = Recorder::preallocated(64);
-        let before = r.samples.capacity();
-        for i in 0..64 {
-            r.push(sample(i as f64, 0.0, 0.0));
-        }
-        assert_eq!(r.samples.capacity(), before);
-        assert_eq!(r.len(), 64);
-        assert_eq!(r.dropped(), 0);
     }
 }

@@ -13,10 +13,10 @@
 //!   world-space line, so material boundaries are solved analytically via
 //!   [`Map::classify_ground_row`] and whole constant-material runs are
 //!   filled at once.
-//! - [`Camera::render_into_reference`] samples [`Map::material_at`] per
-//!   pixel through a cursor. It is kept as the differential oracle for the
-//!   span path — golden-image and property tests assert the two agree bit
-//!   for bit.
+//! - [`Camera::render_into_reference`] calls [`Map::material_at`] once per
+//!   ground pixel. It is kept as the differential oracle for the span
+//!   path — golden-image and property tests assert the two agree bit for
+//!   bit.
 
 use crate::map::{Map, Material, RowLine, SpanScratch};
 use crate::math::{Pose, Vec2};
@@ -471,70 +471,15 @@ impl Camera {
 
     /// Renders the scene with the per-pixel reference ground pass.
     ///
-    /// One table lookup plus one [`Map`] material query per pixel. This is
-    /// the differential oracle for the span renderer: slower, but with no
-    /// analytic machinery to get wrong. [`Camera::render_into`] must match
-    /// it bit for bit.
+    /// One table lookup plus one [`Map::material_at`] call per ground
+    /// pixel. This is the differential oracle for the span renderer:
+    /// slower, but with no analytic machinery to get wrong.
+    /// [`Camera::render_into`] must match it bit for bit.
     pub fn render_into_reference(&self, scene: &RenderScene<'_>, ego: Pose, img: &mut Image) {
-        let w = self.config.width;
-        let h = self.config.height;
-        img.reshape(w, h);
+        img.reshape(self.config.width, self.config.height);
         let ctx = self.frame_ctx(scene, ego);
-        let mut materials = scene.map.material_cursor();
-        let ground_pt = |a: f64, b: f64| {
-            Vec2::new(
-                ctx.cam_xy.x + ctx.f2.x * a + ctx.right2.x * b,
-                ctx.cam_xy.y + ctx.f2.y * a + ctx.right2.y * b,
-            )
-        };
-        let data = img.data_mut();
-        let n = self.rays.len();
-        let mut i = 0;
-        while i < n {
-            // Runs of four ground pixels classify 4-wide — the material
-            // query is this path's hot loop, and `material_at4` is
-            // bit-identical to four scalar queries. Everything else (sky,
-            // haze, ground remainders) takes the scalar path below.
-            if i + 4 <= n {
-                if let [PixelRay::Ground {
-                    fwd: a0,
-                    right: b0,
-                    dist: d0,
-                }, PixelRay::Ground {
-                    fwd: a1,
-                    right: b1,
-                    dist: d1,
-                }, PixelRay::Ground {
-                    fwd: a2,
-                    right: b2,
-                    dist: d2,
-                }, PixelRay::Ground {
-                    fwd: a3,
-                    right: b3,
-                    dist: d3,
-                }] = self.rays[i..i + 4]
-                {
-                    let mats = materials.material_at4([
-                        ground_pt(a0, b0),
-                        ground_pt(a1, b1),
-                        ground_pt(a2, b2),
-                        ground_pt(a3, b3),
-                    ]);
-                    for (l, (mat, dist)) in mats.iter().zip([d0, d1, d2, d3]).enumerate() {
-                        let base = ctx.shaded[*mat as usize];
-                        let color = if ctx.fog > 0.0 {
-                            let fb = 1.0 - (-ctx.fog * dist).exp();
-                            mix(base, ctx.haze, fb as f32)
-                        } else {
-                            base
-                        };
-                        data[(i + l) * 3..(i + l) * 3 + 3].copy_from_slice(&color);
-                    }
-                    i += 4;
-                    continue;
-                }
-            }
-            let color = match self.rays[i] {
+        for (ray, px) in self.rays.iter().zip(img.data_mut().chunks_exact_mut(3)) {
+            let color = match *ray {
                 PixelRay::Sky => ctx.sky,
                 PixelRay::Haze => ctx.haze,
                 PixelRay::Ground {
@@ -542,8 +487,11 @@ impl Camera {
                     right: b,
                     dist,
                 } => {
-                    let mat = materials.material_at(ground_pt(a, b));
-                    let base = ctx.shaded[mat as usize];
+                    let p = Vec2::new(
+                        ctx.cam_xy.x + ctx.f2.x * a + ctx.right2.x * b,
+                        ctx.cam_xy.y + ctx.f2.y * a + ctx.right2.y * b,
+                    );
+                    let base = ctx.shaded[scene.map.material_at(p) as usize];
                     if ctx.fog > 0.0 {
                         let fb = 1.0 - (-ctx.fog * dist).exp();
                         mix(base, ctx.haze, fb as f32)
@@ -552,8 +500,7 @@ impl Camera {
                     }
                 }
             };
-            data[i * 3..i * 3 + 3].copy_from_slice(&color);
-            i += 1;
+            px.copy_from_slice(&color);
         }
         self.billboard_pass(scene, &ctx, img);
     }

@@ -234,23 +234,6 @@ impl World {
         &self.monitor
     }
 
-    /// Trajectory recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Enables or disables trajectory recording. Enabling preallocates
-    /// the sample buffer from the scenario's time budget so the run never
-    /// reallocates mid-flight; re-enabling reuses the existing buffer.
-    pub fn set_recording(&mut self, enabled: bool) {
-        if enabled && self.recorder.capacity().is_none() {
-            let frames = (self.scenario.time_budget / FRAME_DT).ceil() as usize + 1;
-            self.recorder = std::mem::take(&mut self.recorder).into_preallocated(frames);
-        }
-        self.recorder.set_enabled(enabled);
-        self.recorder.reset();
-    }
-
     /// Replaces the world's recorder (e.g. with a bounded black-box ring
     /// reused across runs). The previous recorder is returned.
     pub fn install_recorder(&mut self, recorder: Recorder) -> Recorder {
@@ -720,10 +703,10 @@ mod tests {
     #[test]
     fn recording_can_be_enabled() {
         let mut w = small_world(8);
-        w.set_recording(true);
+        w.install_recorder(Recorder::ring(16));
         for _ in 0..10 {
             w.step(VehicleControl::new(0.0, 0.5, 0.0));
         }
-        assert_eq!(w.recorder().samples().len(), 10);
+        assert_eq!(w.take_recorder().len(), 10);
     }
 }

@@ -6,10 +6,12 @@
 //! These tests drive thousands of randomized and adversarially chosen
 //! (town, camera, weather, pose) combinations through both paths and
 //! require bit-identical output — any divergence is a bug in the span
-//! math's root finding, probe bracketing, or tie-breaking.
+//! math's root finding, probe bracketing, or tie-breaking. The last test
+//! drives the span classifier itself across material-grid cell
+//! boundaries.
 
 use avfi_sim::map::town::{TownConfig, TownGenerator};
-use avfi_sim::map::Map;
+use avfi_sim::map::{Map, Material, RowLine, SpanScratch};
 use avfi_sim::math::{Pose, Vec2};
 use avfi_sim::sensors::{Camera, CameraConfig, RenderScene};
 use avfi_sim::weather::Weather;
@@ -208,37 +210,80 @@ fn axis_aligned_headings_match() {
     }
 }
 
-/// Minimized regression for the cursor-cache fix that unblocked the span
-/// renderer: `MaterialCursor` used to cache the resolved cell's *world
-/// bounds* and re-resolve only when the query left them, so classification
-/// near a cell boundary could depend on the query history (a point
-/// epsilon-inside a cached cell per the bounds compare could land in the
-/// neighboring cell through fresh floor-resolution, and vice versa).
-/// Cell resolution is now a pure function of the point; interleaving
-/// queries from both sides of cell boundaries must match the stateless
-/// path exactly.
-#[test]
-fn cursor_is_history_free_at_cell_boundaries() {
-    let map = &maps()[0];
-    let b = *map.bounds();
-    let mut cursor = map.material_cursor();
-    // Walk cell-boundary multiples (the material grid uses 16 m cells
-    // anchored at the map bounds origin) and probe each side in an order
-    // designed to keep stale cached cells "covering" the query point.
-    let mut k = 0.0;
-    while b.min.x + k <= b.max.x {
-        let bx = b.min.x + k;
-        for dy in [0.0, 7.9, 16.0, 24.1] {
-            let y = b.min.y + dy;
-            for dx in [16.0, -1e-9, 0.0, 1e-9, -16.0, f64::EPSILON * bx.abs()] {
-                let p = Vec2::new(bx + dx, y);
-                assert_eq!(
-                    cursor.material_at(p),
-                    map.material_at(p),
-                    "cursor/history divergence at {p:?}"
-                );
+/// Every material-cell corner of `map` (the grid uses 16 m cells anchored
+/// at the map bounds' origin), and the points 1e-9 either side of it on
+/// each axis.
+fn cell_corners(map: &Map) -> Vec<Vec2> {
+    let b = map.bounds();
+    let lines = |lo: f64, hi: f64| {
+        (0..)
+            .map(move |k| lo + 16.0 * k as f64)
+            .take_while(move |v| *v <= hi)
+    };
+    let mut corners = Vec::new();
+    for x in lines(b.min.x, b.max.x) {
+        for y in lines(b.min.y, b.max.y) {
+            for jx in [-1e-9, 0.0, 1e-9] {
+                for jy in [-1e-9, 0.0, 1e-9] {
+                    corners.push(Vec2::new(x + jx, y + jy));
+                }
             }
         }
-        k += 16.0;
+    }
+    corners
+}
+
+/// Row steps along x, diagonally and along y. At 1 m per pixel, pixels
+/// land exactly on band and building edges (the towns use round
+/// coordinates); at 2.5 m a row reaches far enough into the next cell
+/// that a missed crossing meets geometry the old cell does not list.
+const STEPS: [Vec2; 6] = [
+    Vec2::new(1.0, 0.0),
+    Vec2::new(1.0, 1.0),
+    Vec2::new(0.0, 1.0),
+    Vec2::new(2.5, 0.0),
+    Vec2::new(2.5, 2.5),
+    Vec2::new(0.0, 2.5),
+];
+
+/// Cell resolution at material-grid boundaries: the span classifier
+/// resolves one cell per row segment and must restart wherever an exact
+/// pixel point lands in another cell. Rows of 32 pixels start at every
+/// cell corner of every test map and take each of [`STEPS`], so they run
+/// along boundaries and cross them mid-row. The spans must tile the row,
+/// change material from one span to the next, and equal
+/// `Map::material_at` at every pixel.
+#[test]
+fn span_rows_match_material_at_across_cell_boundaries() {
+    const PIXELS: u32 = 32;
+    let mut scratch = SpanScratch::new();
+    for map in maps() {
+        for base in cell_corners(map) {
+            for step in STEPS {
+                let exact = |x: u32| base + step * x as f64;
+                let line = RowLine {
+                    base,
+                    step,
+                    x0: 0,
+                    x1: PIXELS,
+                };
+                let mut spans = Vec::new();
+                map.classify_ground_row(&mut scratch, line, exact, |s, e, m| spans.push((s, e, m)));
+                let mut got = Vec::new();
+                for &(s, e, m) in &spans {
+                    assert!(
+                        s as usize == got.len() && s < e,
+                        "spans {spans:?} from {base:?} by {step:?} do not tile the row"
+                    );
+                    got.extend((s..e).map(|_| m));
+                }
+                assert!(
+                    spans.windows(2).all(|w| w[0].2 != w[1].2),
+                    "spans {spans:?} from {base:?} by {step:?} repeat a material"
+                );
+                let want: Vec<Material> = (0..PIXELS).map(|x| map.material_at(exact(x))).collect();
+                assert_eq!(got, want, "spans {spans:?} from {base:?} by {step:?}");
+            }
+        }
     }
 }

@@ -10,9 +10,9 @@
 //!   any recorded run can be re-executed bit-identically,
 //! * [`TraceEvent`]s: trigger firings, per-channel injection onsets, and
 //!   violation onsets,
-//! * a frame stream of [`TrajectorySample`]s (ego state + applied
-//!   control), captured at `blackbox` detail through a bounded ring so
-//!   memory stays constant at campaign scale,
+//! * a frame stream of [`avfi_sim::recorder::TrajectorySample`]s (ego
+//!   state + applied control), captured at `blackbox` detail through a
+//!   bounded ring so memory stays constant at campaign scale,
 //! * a compact binary [`codec`] (varint + XOR-delta encoding for the
 //!   frame stream, FNV-checksummed) with lossless JSON export.
 //!
