@@ -4,7 +4,7 @@
 use crate::features::{image_to_tensor, normalize_speed};
 use crate::ilnet::IlNetwork;
 use avfi_sim::physics::VehicleControl;
-use avfi_sim::sensors::{GpsFix, Image, LidarScan};
+use avfi_sim::sensors::{GpsFix, Image, LidarScan, SensorMask};
 use avfi_sim::world::{World, WorldObservation};
 
 /// Everything a driver may look at for one frame.
@@ -17,6 +17,10 @@ use avfi_sim::world::{World, WorldObservation};
 /// *expert* additionally reads ground truth through `world` (it stands in
 /// for a perfect-perception oracle). Keeping both in one struct lets the
 /// campaign runner treat all drivers uniformly.
+///
+/// Of the masked sensors (camera and LIDAR) a driver may read only those
+/// its [`Driver::reads`] declares: the campaign runner has the world
+/// compute just those, so the others can be stale.
 #[derive(Debug)]
 pub struct DriverInput<'a> {
     /// The observation from the server. Sensor channels duplicated in the
@@ -55,6 +59,11 @@ pub trait Driver {
 
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
+
+    /// The masked sensors this driver reads from [`DriverInput`]; a world
+    /// driven by it need compute no others (see
+    /// [`World::set_sensor_mask`]).
+    fn reads(&self) -> SensorMask;
 }
 
 /// The neural (conditional imitation) driver: camera + speed + command in,
@@ -90,6 +99,10 @@ impl Driver for NeuralDriver {
 
     fn name(&self) -> &'static str {
         "il-cnn"
+    }
+
+    fn reads(&self) -> SensorMask {
+        SensorMask::CAMERA
     }
 }
 

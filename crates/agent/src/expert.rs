@@ -15,6 +15,7 @@ use crate::controller::{Driver, DriverInput};
 use avfi_sim::map::{LaneKind, LightState, SignalGroup};
 use avfi_sim::math::{clamp, Ray};
 use avfi_sim::physics::{CollisionShape, VehicleControl};
+use avfi_sim::sensors::SensorMask;
 use avfi_sim::world::World;
 
 /// Tunable gains for the expert controller.
@@ -165,6 +166,11 @@ impl Driver for ExpertDriver {
 
     fn name(&self) -> &'static str {
         "expert"
+    }
+
+    /// None: the expert drives from ground truth.
+    fn reads(&self) -> SensorMask {
+        SensorMask::NONE
     }
 }
 

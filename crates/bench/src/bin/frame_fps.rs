@@ -1,17 +1,21 @@
 //! Closed-loop frame-rate benchmark: the `observe → drive_frame → step`
 //! loop every campaign run executes, measured end to end with the expert
-//! agent on a 2×2 town. Emits one JSON object on stdout (the record format
-//! stored in `BENCH_*.json` at the repo root).
+//! agent on a 2×2 town. As in a campaign run, the world computes only the
+//! sensors the driver reads (the expert's none plus what the fault
+//! corrupts). Emits one JSON object on stdout (the record format stored in
+//! `BENCH_*.json` at the repo root).
 //!
 //! `--fault` injects a fault plan into the loop to measure the injection
-//! hot path itself: `gaussian` pays the per-frame image copy + noise pass,
-//! `gps` is a scalar-only plan (camera model `None`) that corrupts GPS
-//! without ever touching the image — the measured gap is the cost the
-//! optional camera model removes for scalar-only campaigns.
+//! hot path itself: `gaussian` pays the camera render plus the per-frame
+//! image copy and noise pass, `gps` is a scalar-only plan (camera model
+//! `None`) that corrupts GPS without ever touching the image — the
+//! measured gap is the cost the optional camera model removes for
+//! scalar-only campaigns.
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin frame_fps [frames]
 //! [--fault none|gaussian|gps]`
 
+use avfi_agent::Driver;
 use avfi_core::fault::input::{GpsFault, ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::harness::AvDriver;
@@ -48,6 +52,7 @@ fn main() {
         .build();
     let mut world = World::from_scenario(&scenario);
     let mut driver = AvDriver::expert(fault, 11);
+    world.set_sensor_mask(driver.reads());
 
     let mut obs = world.observe();
     let mut frame_loop = |n: u64| {

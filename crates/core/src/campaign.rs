@@ -7,7 +7,7 @@
 
 use crate::fault::FaultSpec;
 use crate::harness::AvDriver;
-use avfi_agent::IlNetwork;
+use avfi_agent::{Driver, IlNetwork};
 use avfi_sim::recorder::Recorder;
 use avfi_sim::rng::run_seed;
 use avfi_sim::scenario::Scenario;
@@ -103,7 +103,7 @@ impl From<MissionStatus> for MissionOutcome {
 }
 
 /// Result of one fault-injected mission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Fault label (e.g. `"Gaussian"`, `"delay 30f"`).
     pub fault: String,
@@ -278,6 +278,10 @@ impl WorkerScratch {
 /// `Blackbox` only *failed* runs do (with the ring's frame window), so
 /// campaign-scale disk stays proportional to failures. With `trace`
 /// `None` or at `Off`, neither the event log nor a trace is built.
+///
+/// The world computes only the sensors the driver reads ([`Driver::reads`]:
+/// the agent's plus those the fault corrupts); the others cannot change
+/// the result.
 pub fn run_mission(
     template: &Scenario,
     scenario_index: usize,
@@ -305,6 +309,7 @@ pub fn run_mission(
     if trace.is_some() {
         driver.enable_event_log();
     }
+    world.set_sensor_mask(driver.reads());
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);

@@ -36,10 +36,13 @@
 use crate::campaign::{
     run_mission, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec, WorkerScratch,
 };
+use avfi_agent::IlNetwork;
+use avfi_nn::serialize::LoadWeightsError;
 use avfi_sim::FRAME_DT;
 use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -114,7 +117,67 @@ impl WorkPlan {
             .map(CampaignConfig::total_runs)
             .sum()
     }
+
+    /// Checks that every run of the plan can start: each neural
+    /// campaign's weights decode into the IL-CNN. Each distinct weight
+    /// blob is decoded once.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::Weights`] for the first campaign, in plan order, whose
+    /// weights do not decode.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        let mut decoded: Vec<&[u8]> = Vec::new();
+        for study in &self.studies {
+            for (campaign, cfg) in study.campaigns.iter().enumerate() {
+                let AgentSpec::Neural { weights } = &cfg.agent else {
+                    continue;
+                };
+                if decoded.contains(&weights.as_slice()) {
+                    continue;
+                }
+                IlNetwork::from_weights(weights).map_err(|error| PlanError::Weights {
+                    study: study.name.clone(),
+                    campaign,
+                    error,
+                })?;
+                decoded.push(weights);
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why [`WorkPlan::validate`] refused a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// A neural campaign's weights do not decode.
+    Weights {
+        /// Name of the study holding the campaign.
+        study: String,
+        /// Index of the campaign within its study.
+        campaign: usize,
+        /// The decoder's complaint.
+        error: LoadWeightsError,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Weights {
+                study,
+                campaign,
+                error,
+            } => write!(
+                f,
+                "study {study:?} campaign {campaign}: neural weights do not decode: {error}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// Results of one study: the campaigns in plan order.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -810,6 +873,7 @@ mod tests {
     use crate::fault::timing::TimingFault;
     use crate::fault::FaultSpec;
     use avfi_sim::scenario::{Scenario, TownSpec};
+    use std::sync::Arc;
 
     fn quick_scenario(seed: u64) -> Scenario {
         let mut town = TownSpec::grid(2, 2);
@@ -851,6 +915,28 @@ mod tests {
         let plan = two_study_plan();
         assert_eq!(plan.total_campaigns(), 3);
         assert_eq!(plan.total_runs(), 12);
+    }
+
+    #[test]
+    fn validate_names_the_campaign_whose_weights_do_not_decode() {
+        assert_eq!(two_study_plan().validate(), Ok(()));
+        let neural = |weights: Vec<u8>| CampaignConfig {
+            agent: AgentSpec::Neural {
+                weights: Arc::new(weights),
+            },
+            ..campaign(40, FaultSpec::None)
+        };
+        let good = avfi_agent::IlNetwork::new(3).to_weights();
+        let plan = two_study_plan().with_study(
+            "il",
+            vec![neural(good.clone()), neural(good), neural(vec![1, 2, 3])],
+        );
+        let err = plan.validate().unwrap_err();
+        assert!(matches!(
+            &err,
+            PlanError::Weights { study, campaign: 2, .. } if study == "il"
+        ));
+        assert!(err.to_string().contains("neural weights"), "{err}");
     }
 
     #[test]

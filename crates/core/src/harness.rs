@@ -13,7 +13,7 @@ use avfi_agent::controller::{Driver, DriverInput};
 use avfi_agent::{ExpertDriver, IlNetwork, NeuralDriver};
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::rng::stream_rng;
-use avfi_sim::sensors::{Image, LidarScan};
+use avfi_sim::sensors::{Image, LidarScan, SensorMask};
 use avfi_sim::world::{World, WorldObservation};
 use avfi_sim::FRAME_DT;
 use avfi_trace::{FaultChannel, TraceEvent};
@@ -324,6 +324,15 @@ impl Driver for AvDriver {
     fn name(&self) -> &'static str {
         self.agent_name()
     }
+
+    /// What the wrapped agent reads plus what the fault corrupts.
+    fn reads(&self) -> SensorMask {
+        let agent = match &self.inner {
+            Inner::Expert(e) => e.reads(),
+            Inner::Neural(n) => n.reads(),
+        };
+        agent.union(self.spec.touches())
+    }
 }
 
 #[cfg(test)]
@@ -482,6 +491,23 @@ mod tests {
         let mut scalar = AvDriver::neural(mk(), noop, 5);
         assert_eq!(clean.drive_frame(&obs, &w), scalar.drive_frame(&obs, &w));
         assert!(scalar.scratch_image.is_none());
+    }
+
+    #[test]
+    fn reads_is_the_agent_plus_what_the_fault_corrupts() {
+        use crate::fault::input::LidarFault;
+        let lidar = FaultSpec::Input(
+            InputFault::scalar_only().with_lidar(LidarFault::BeamDropout { p: 0.1 }),
+        );
+        let delay = FaultSpec::Timing(TimingFault::OutputDelay { frames: 3 });
+        let neural = |spec| AvDriver::neural(IlNetwork::new(1), spec, 1).reads();
+        assert_eq!(AvDriver::expert(delay.clone(), 1).reads(), SensorMask::NONE);
+        assert_eq!(
+            AvDriver::expert(lidar.clone(), 1).reads(),
+            SensorMask::LIDAR
+        );
+        assert_eq!(neural(delay), SensorMask::CAMERA);
+        assert_eq!(neural(lidar), SensorMask::ALL);
     }
 
     #[test]

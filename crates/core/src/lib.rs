@@ -85,8 +85,8 @@ pub use adaptive::{
 };
 pub use campaign::{CampaignConfig, CampaignResult, RunResult, TraceSpec};
 pub use engine::{
-    Engine, MultiplexPool, PlanEvent, PlanTicket, ProgressEvent, ProgressSink, RecoveredSubmission,
-    RunSink, StudyResult, TraceConfig, WorkPlan,
+    Engine, MultiplexPool, PlanError, PlanEvent, PlanTicket, ProgressEvent, ProgressSink,
+    RecoveredSubmission, RunSink, StudyResult, TraceConfig, WorkPlan,
 };
 pub use fault::FaultSpec;
 pub use harness::AvDriver;

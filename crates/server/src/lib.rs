@@ -311,6 +311,13 @@ fn serve_request(
             };
             match serde_json::from_str::<WorkPlan>(&plan_json) {
                 Ok(plan) => {
+                    // A plan whose runs cannot start would panic the pool's
+                    // workers and stop the daemon for every client.
+                    if let Err(e) = plan.validate() {
+                        return transport.send_value(&ServiceReply::Error {
+                            message: format!("invalid plan: {e}"),
+                        });
+                    }
                     let ticket = match spool {
                         Some(dir) => pool.submit_spooled(plan, level, |id| {
                             open_plan_journal(dir, id, plan_json, level)

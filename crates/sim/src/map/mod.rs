@@ -4,7 +4,6 @@
 
 mod intersection;
 mod lane;
-pub mod presets;
 pub mod route;
 pub mod town;
 

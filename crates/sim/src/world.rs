@@ -16,7 +16,7 @@ use crate::rng::stream_rng;
 use crate::scenario::Scenario;
 use crate::sensors::{
     Billboard, Camera, Gps, GpsFix, Image, Imu, ImuReading, Lidar, LidarScan, RenderScene,
-    SensorFrame,
+    SensorFrame, SensorMask,
 };
 use crate::violation::{EgoSnapshot, ViolationKind, ViolationMonitor};
 use crate::weather::Weather;
@@ -115,6 +115,8 @@ pub struct World {
     low_speed_time: f64,
     gps_rng: StdRng,
     imu_rng: StdRng,
+    /// The sensors [`World::observe_into`] computes.
+    sensor_mask: SensorMask,
     /// Reused per-frame billboard list (steady-state `observe` is
     /// allocation-free; see [`World::observe_into`]).
     scratch_billboards: Vec<Billboard>,
@@ -192,6 +194,7 @@ impl World {
             low_speed_time: 0.0,
             gps_rng: stream_rng(scenario.seed, STREAM_GPS),
             imu_rng: stream_rng(scenario.seed, STREAM_IMU),
+            sensor_mask: SensorMask::ALL,
             scenario: scenario.clone(),
             map,
             scratch_billboards: Vec::new(),
@@ -243,6 +246,15 @@ impl World {
     /// Takes the recorder out of the world, leaving a disabled one.
     pub fn take_recorder(&mut self) -> Recorder {
         std::mem::take(&mut self.recorder)
+    }
+
+    /// Restricts observation to the sensors in `mask` (a new world
+    /// observes every sensor). Camera and LIDAR draw no randomness and
+    /// their gathering touches only scratch buffers, so narrowing the
+    /// mask changes no other reading, no RNG stream and no trajectory —
+    /// only the skipped buffers go stale.
+    pub fn set_sensor_mask(&mut self, mask: SensorMask) {
+        self.sensor_mask = mask;
     }
 
     /// Simulation time, seconds.
@@ -388,7 +400,9 @@ impl World {
     ///
     /// Allocating convenience wrapper around [`World::observe_into`]; hot
     /// loops (the campaign runner, the sim server) should allocate one
-    /// observation up front and refresh it in place instead.
+    /// observation up front and refresh it in place instead. A sensor
+    /// outside the [`SensorMask`] comes back blank (a black image, an
+    /// empty scan).
     pub fn observe(&mut self) -> WorldObservation {
         let cam = *self.camera.config();
         let lidar_cfg = *self.lidar.config();
@@ -429,31 +443,37 @@ impl World {
 
     /// Refreshes `obs` in place with the current frame's observation,
     /// reusing the image and LIDAR buffers. Every field of `obs` is
-    /// overwritten; after the buffers have warmed up to the sensor
-    /// dimensions this performs no heap allocation.
+    /// overwritten, except the image and LIDAR buffers of sensors outside
+    /// the world's [`SensorMask`], which keep what they held; after the
+    /// buffers have warmed up to the sensor dimensions this performs no
+    /// heap allocation.
     pub fn observe_into(&mut self, obs: &mut WorldObservation) {
         // The scratch vectors are moved out while borrowed helpers run so
         // the scene can borrow `self.map` immutably; their capacity is
         // preserved across frames (`mem::take` leaves an empty Vec behind
         // without allocating).
-        let mut billboards = std::mem::take(&mut self.scratch_billboards);
-        billboards.clear();
-        self.fill_billboards(&mut billboards);
-        let scene = RenderScene {
-            map: &self.map,
-            weather: self.weather(),
-            billboards: &billboards,
-        };
-        self.camera
-            .render_into(&scene, self.ego.pose, &mut obs.sensors.image);
-        self.scratch_billboards = billboards;
+        if self.sensor_mask.camera {
+            let mut billboards = std::mem::take(&mut self.scratch_billboards);
+            billboards.clear();
+            self.fill_billboards(&mut billboards);
+            let scene = RenderScene {
+                map: &self.map,
+                weather: self.weather(),
+                billboards: &billboards,
+            };
+            self.camera
+                .render_into(&scene, self.ego.pose, &mut obs.sensors.image);
+            self.scratch_billboards = billboards;
+        }
 
-        let mut shapes = std::mem::take(&mut self.scratch_shapes);
-        shapes.clear();
-        self.fill_lidar_shapes(&mut shapes);
-        self.lidar
-            .scan_into(self.ego.pose, shapes.iter(), &mut obs.sensors.lidar);
-        self.scratch_shapes = shapes;
+        if self.sensor_mask.lidar {
+            let mut shapes = std::mem::take(&mut self.scratch_shapes);
+            shapes.clear();
+            self.fill_lidar_shapes(&mut shapes);
+            self.lidar
+                .scan_into(self.ego.pose, shapes.iter(), &mut obs.sensors.lidar);
+            self.scratch_shapes = shapes;
+        }
 
         obs.sensors.gps = self.gps.measure(self.ego.pose.position, &mut self.gps_rng);
         obs.sensors.imu = self.imu.measure(
@@ -667,6 +687,48 @@ mod tests {
         assert!(!obs.sensors.lidar.ranges.is_empty());
         assert!(obs.truth.goal_distance > 0.0);
         assert!(obs.truth.route_remaining > 0.0);
+    }
+
+    #[test]
+    fn empty_mask_changes_no_other_reading() {
+        // Camera and LIDAR draw no randomness, so a world that skips them
+        // reports the same GPS, IMU, odometry, command, mission and truth
+        // frame for frame, moves its traffic the same way, and leaves the
+        // skipped buffers as they were.
+        let mut full = small_world(9);
+        let mut masked = small_world(9);
+        masked.set_sensor_mask(SensorMask::NONE);
+        let mut full_obs = full.observe();
+        let (image, lidar) = (
+            full_obs.sensors.image.clone(),
+            full_obs.sensors.lidar.clone(),
+        );
+        assert!(!lidar.ranges.is_empty());
+        let mut masked_obs = full_obs.clone();
+        masked.observe_into(&mut masked_obs);
+        for i in 0..100 {
+            let (f, m) = (&full_obs.sensors, &masked_obs.sensors);
+            assert_eq!(
+                (f.frame, f.time, f.gps, f.imu, f.speed, f.heading),
+                (m.frame, m.time, m.gps, m.imu, m.speed, m.heading),
+                "frame {i}"
+            );
+            assert_eq!(full_obs.command, masked_obs.command);
+            assert_eq!(full_obs.mission, masked_obs.mission);
+            assert_eq!(full_obs.truth, masked_obs.truth);
+            assert_eq!(full.actor_shapes(), masked.actor_shapes());
+            assert_eq!(masked_obs.sensors.image, image);
+            assert_eq!(masked_obs.sensors.lidar, lidar);
+            let c = VehicleControl::new((i as f64 * 0.05).sin() * 0.3, 0.6, 0.0);
+            full.step(c);
+            masked.step(c);
+            full.observe_into(&mut full_obs);
+            masked.observe_into(&mut masked_obs);
+        }
+        assert_ne!(
+            full_obs.sensors.image, image,
+            "the full world kept rendering"
+        );
     }
 
     #[test]

@@ -29,4 +29,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --locked
 echo "==> smoke tier (scripts/smoke.sh)"
 scripts/smoke.sh
 
+# The benchmark's own correctness checks: each executed plan against
+# perfbench/digests.txt, and the traced loop (which observes every
+# sensor) against the engine's runs (which compute only the sensors the
+# driver reads), byte for byte.
+for workload in il_camera_faults expert_dense_delay; do
+  echo "==> perfbench: $workload correctness (--trace 1)"
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 4 --trace 1 | tail -n 1)
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" % (sys.argv[2], r.get("correct"), r.get("failed")))' \
+    "$result" "$workload"
+done
+
 echo "OK: all checks passed"

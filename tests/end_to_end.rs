@@ -2,14 +2,20 @@
 //! simulation through the client/server loop to campaign metrics.
 
 use avfi::agent::controller::{Driver, DriverInput};
-use avfi::agent::ExpertDriver;
-use avfi::fi::campaign::{run_single, AgentSpec, CampaignConfig, MissionOutcome};
+use avfi::agent::{ExpertDriver, IlNetwork};
+use avfi::fi::campaign::{run_single, AgentSpec, CampaignConfig, RunResult};
 use avfi::fi::engine::Engine;
+use avfi::fi::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
+use avfi::fi::fault::input::{GpsFault, ImageFault, InputFault, LidarFault};
+use avfi::fi::fault::ml::MlFault;
 use avfi::fi::fault::timing::TimingFault;
 use avfi::fi::fault::FaultSpec;
 use avfi::fi::harness::AvDriver;
+use avfi::fi::localizer::ParamSelector;
 use avfi::fi::metrics;
+use avfi::fi::Trigger;
 use avfi::net::{InProcTransport, SimClient, SimServer, TcpTransport};
+use avfi::sim::rng::run_seed;
 use avfi::sim::scenario::{Scenario, TownSpec};
 use avfi::sim::world::{MissionStatus, World};
 use std::net::TcpListener;
@@ -62,18 +68,12 @@ fn expert_completes_mission_through_tcp_loop() {
     assert_eq!(status, shadow.mission(), "shadow world diverged");
 }
 
-#[test]
-fn inproc_lockstep_is_bit_identical_to_run_single() {
-    // The same mission executed two ways — in-process by the campaign
-    // runner and over the SimServer/SimClient lockstep protocol — must
-    // produce bit-identical results, or campaign numbers would depend on
-    // the deployment topology.
-    let template = unsignalized_scenario(11, 60.0);
-    let direct = run_single(&template, 0, 0, &FaultSpec::None, &AgentSpec::Expert);
-
-    // Re-derive the exact per-run scenario run_single used.
+/// Runs one mission over the SimServer/SimClient lockstep protocol, whose
+/// world observes every sensor, and returns the result `run_single` would
+/// report for it at coordinates (0, 0).
+fn lockstep_result(template: &Scenario, fault: &FaultSpec, agent: &AgentSpec) -> RunResult {
     let mut derived = template.clone();
-    derived.seed = direct.seed;
+    derived.seed = run_seed(template.seed, 0, 0);
 
     let (server_end, client_end) = InProcTransport::pair();
     let scenario_server = derived.clone();
@@ -84,29 +84,120 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
         (status, server.into_world())
     });
 
-    // The expert is an oracle, so the client mirrors the world and steps it
-    // with the same controls (cross-thread determinism keeps them aligned).
+    // Drivers take a world (the expert is an oracle), so the client mirrors
+    // the world and steps it with the same controls (cross-thread
+    // determinism keeps them aligned).
     let mut shadow = World::from_scenario(&derived);
-    let mut driver = AvDriver::expert(FaultSpec::None, derived.seed);
+    let mut driver = match agent {
+        AgentSpec::Expert => AvDriver::expert(fault.clone(), derived.seed),
+        AgentSpec::Neural { weights } => AvDriver::neural(
+            IlNetwork::from_weights(weights).unwrap(),
+            fault.clone(),
+            derived.seed,
+        ),
+    };
     let mut client = SimClient::new(client_end);
     while let Some(obs) = client.recv_observation().unwrap() {
         let control = driver.drive_frame(&obs, &shadow);
         client.send_control(obs.sensors.frame, control).unwrap();
         shadow.step(control);
     }
-    let (status, server_world) = server.join().unwrap();
-
-    assert_eq!(MissionOutcome::from(status), direct.outcome);
-    assert_eq!(server_world.time(), direct.duration);
-    assert_eq!(server_world.odometer() / 1000.0, direct.distance_km);
-    let events = server_world.monitor().events();
-    assert_eq!(events.len(), direct.violations.len());
-    for (net, dir) in events.iter().zip(&direct.violations) {
-        assert_eq!(net.kind, dir.kind);
-        assert_eq!(net.time, dir.time);
-        assert_eq!(net.position, dir.position);
+    let (status, world) = server.join().unwrap();
+    RunResult {
+        fault: fault.label(),
+        agent: driver.agent_name().to_string(),
+        scenario_index: 0,
+        run_index: 0,
+        seed: derived.seed,
+        outcome: status.into(),
+        duration: world.time(),
+        distance_km: world.odometer() / 1000.0,
+        violations: world.monitor().events().to_vec(),
+        injection_time: driver.injection_time(),
     }
-    assert_eq!(driver.injection_time(), direct.injection_time);
+}
+
+#[test]
+fn inproc_lockstep_is_bit_identical_to_run_single() {
+    // The same mission executed two ways — in-process by the campaign
+    // runner and over the SimServer/SimClient lockstep protocol — must
+    // produce bit-identical results, or campaign numbers would depend on
+    // the deployment topology. The runner's world computes only the
+    // sensors the agent and its fault read; the server's observes them
+    // all, so every case also checks that the skipped sensors could not
+    // have mattered.
+    //
+    // Untrained weights: an IL agent that drives at all is enough to tell
+    // a blank or shifted frame from the real one. Many untrained seeds
+    // never leave the spawn point; seed 18 drives ~400 m in the budget.
+    let weights = AgentSpec::neural(&mut IlNetwork::new(18));
+    let camera = |model| FaultSpec::Input(InputFault::always(model));
+    let expert_faults = [
+        FaultSpec::None,
+        FaultSpec::Timing(TimingFault::OutputDelay { frames: 10 }),
+        camera(ImageFault::salt_pepper(0.02)),
+        FaultSpec::Input(InputFault {
+            trigger: Trigger::Bernoulli { p: 0.3 },
+            ..InputFault::scalar_only().with_lidar(LidarFault::Ghost {
+                count: 3,
+                range: 2.0,
+            })
+        }),
+        FaultSpec::Hardware(HardwareFault::transient(
+            HardwareTarget::SensorGpsX,
+            60,
+            0.2,
+        )),
+        FaultSpec::Hardware(HardwareFault {
+            trigger: Trigger::Window { start: 30, end: 45 },
+            ..HardwareFault::always(
+                HardwareTarget::ControlBrake,
+                BitFaultModel::StuckAt { value: 1.0 },
+            )
+        }),
+    ];
+    let neural_faults = [
+        FaultSpec::None,
+        camera(ImageFault::gaussian(0.08)),
+        FaultSpec::Input(InputFault::scalar_only().with_gps(GpsFault {
+            bias_x: 5.0,
+            bias_y: -3.0,
+            sigma: 1.0,
+        })),
+        FaultSpec::Input(
+            InputFault::always(ImageFault::salt_pepper(0.02))
+                .with_lidar(LidarFault::BeamDropout { p: 0.2 }),
+        ),
+        FaultSpec::Ml(MlFault::WeightNoise {
+            sigma: 0.05,
+            fraction: 0.5,
+            selector: ParamSelector::All,
+        }),
+    ];
+    let cases = expert_faults
+        .into_iter()
+        .map(|fault| (AgentSpec::Expert, fault))
+        .chain(neural_faults.into_iter().map(|f| (weights.clone(), f)));
+    for (agent, fault) in cases {
+        for horizon in [1, 8] {
+            let mut town = TownSpec::grid(3, 3);
+            town.signalized = false;
+            let template = Scenario::builder(town)
+                .seed(11)
+                .npc_vehicles(6)
+                .pedestrians(6)
+                .decision_horizon(horizon)
+                .time_budget(24.0)
+                .build();
+            let direct = run_single(&template, 0, 0, &fault, &agent);
+            assert_eq!(
+                lockstep_result(&template, &fault, &agent),
+                direct,
+                "{} under {fault:?} at horizon {horizon}",
+                direct.agent
+            );
+        }
+    }
 }
 
 #[test]
