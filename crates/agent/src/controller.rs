@@ -78,16 +78,6 @@ impl NeuralDriver {
     pub fn new(net: IlNetwork) -> Self {
         NeuralDriver { net }
     }
-
-    /// The underlying network (for ML fault injection).
-    pub fn network_mut(&mut self) -> &mut IlNetwork {
-        &mut self.net
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &IlNetwork {
-        &self.net
-    }
 }
 
 impl Driver for NeuralDriver {

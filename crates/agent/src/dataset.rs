@@ -66,15 +66,6 @@ impl DemoDataset {
     pub fn extend(&mut self, other: DemoDataset) {
         self.samples.extend(other.samples);
     }
-
-    /// Count of samples per command branch.
-    pub fn per_command_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for s in &self.samples {
-            counts[s.command.index()] += 1;
-        }
-        counts
-    }
 }
 
 /// Collection options.
@@ -193,7 +184,10 @@ mod tests {
             ..CollectConfig::default()
         };
         let data = collect_many(&[scenario(2), scenario(3)], &cfg);
-        let counts = data.per_command_counts();
+        let mut counts = [0usize; 4];
+        for s in data.samples() {
+            counts[s.command.index()] += 1;
+        }
         let covered = counts.iter().filter(|c| **c > 0).count();
         assert!(covered >= 2, "commands covered: {counts:?}");
     }

@@ -18,59 +18,32 @@ use avfi_sim::physics::{CollisionShape, VehicleControl};
 use avfi_sim::sensors::SensorMask;
 use avfi_sim::world::World;
 
-/// Tunable gains for the expert controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExpertGains {
-    /// Lookahead distance per m/s of speed.
-    pub lookahead_per_speed: f64,
-    /// Minimum lookahead distance, meters.
-    pub lookahead_min: f64,
-    /// Maximum lookahead distance, meters.
-    pub lookahead_max: f64,
-    /// Proportional throttle gain per m/s of speed error.
-    pub throttle_gain: f64,
-    /// Proportional brake gain per m/s of speed error.
-    pub brake_gain: f64,
-    /// Obstacle probe range, meters.
-    pub probe_range: f64,
-}
-
-impl Default for ExpertGains {
-    fn default() -> Self {
-        ExpertGains {
-            lookahead_per_speed: 1.1,
-            lookahead_min: 4.5,
-            lookahead_max: 13.0,
-            throttle_gain: 0.55,
-            brake_gain: 0.6,
-            probe_range: 28.0,
-        }
-    }
-}
+/// Lookahead distance per m/s of speed.
+const LOOKAHEAD_PER_SPEED: f64 = 1.1;
+/// Minimum lookahead distance, meters.
+const LOOKAHEAD_MIN: f64 = 4.5;
+/// Maximum lookahead distance, meters.
+const LOOKAHEAD_MAX: f64 = 13.0;
+/// Proportional throttle gain per m/s of speed error.
+const THROTTLE_GAIN: f64 = 0.55;
+/// Proportional brake gain per m/s of speed error.
+const BRAKE_GAIN: f64 = 0.6;
+/// Obstacle probe range, meters.
+const PROBE_RANGE: f64 = 28.0;
 
 /// The rule-based autopilot; see the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct ExpertDriver {
-    gains: ExpertGains,
-}
+pub struct ExpertDriver;
 
 impl ExpertDriver {
-    /// Creates an expert with default gains.
+    /// Creates an expert.
     pub fn new() -> Self {
-        ExpertDriver {
-            gains: ExpertGains::default(),
-        }
-    }
-
-    /// Creates an expert with custom gains.
-    pub fn with_gains(gains: ExpertGains) -> Self {
-        ExpertDriver { gains }
+        ExpertDriver
     }
 
     /// Computes the control for the current world state (also used by the
     /// demonstration collector to label noisy states).
     pub fn control_for(&self, world: &World) -> VehicleControl {
-        let g = &self.gains;
         let ego = world.ego();
         let tracker = world.tracker();
         let map = world.map();
@@ -78,7 +51,7 @@ impl ExpertDriver {
         let params = world.ego_model().params();
 
         // --- Pure-pursuit steering toward a lookahead waypoint.
-        let ld = clamp(g.lookahead_per_speed * v, g.lookahead_min, g.lookahead_max);
+        let ld = clamp(LOOKAHEAD_PER_SPEED * v, LOOKAHEAD_MIN, LOOKAHEAD_MAX);
         let target = tracker.lookahead(ld).position;
         let alpha = ego.pose.bearing_to(target);
         let raw_steer = (2.0 * params.wheelbase * alpha.sin()).atan2(ld) / params.max_steer;
@@ -136,7 +109,7 @@ impl ExpertDriver {
                 }
             }
         }
-        if d_min < g.probe_range {
+        if d_min < PROBE_RANGE {
             // Follow-distance rule: leave a 5 m standoff.
             v_target = v_target.min(((d_min - 5.0) * 0.5).max(0.0));
         }
@@ -144,9 +117,9 @@ impl ExpertDriver {
         // --- Longitudinal control.
         let err = v_target - v;
         let (throttle, brake) = if err >= 0.0 {
-            (clamp(g.throttle_gain * err + 0.05, 0.0, 1.0), 0.0)
+            (clamp(THROTTLE_GAIN * err + 0.05, 0.0, 1.0), 0.0)
         } else {
-            (0.0, clamp(-g.brake_gain * err, 0.0, 1.0))
+            (0.0, clamp(-BRAKE_GAIN * err, 0.0, 1.0))
         };
         // Emergency stop for very close obstacles.
         let (throttle, brake) = if d_min < 4.0 {

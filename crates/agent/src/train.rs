@@ -2,7 +2,7 @@
 
 use crate::dataset::{collect_many, CollectConfig, DemoDataset};
 use crate::ilnet::IlNetwork;
-use avfi_nn::optim::{Adam, Optimizer};
+use avfi_nn::optim::Adam;
 use avfi_sim::rng::stream_rng;
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_sim::weather::Weather;

@@ -63,7 +63,7 @@ const SAMPLER_STREAM: u64 = 0xADA7_71FE;
 /// whose severity scales with the arm's magnitude band and whose
 /// activation starts at the arm's onset band.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FaultChannel {
+pub enum ArmChannel {
     /// A camera fault model; magnitude scales its severity parameter.
     Camera(ImageFault),
     /// GPS bias + noise; magnitude scales bias and sigma.
@@ -99,37 +99,37 @@ pub enum FaultChannel {
     },
 }
 
-impl FaultChannel {
+impl ArmChannel {
     /// Short channel label for arms and reports.
     pub fn label(&self) -> String {
         match self {
-            FaultChannel::Camera(model) => format!("camera:{}", model.label()),
-            FaultChannel::GpsBias { .. } => "gps-bias".to_string(),
-            FaultChannel::SpeedScale { .. } => "speed-scale".to_string(),
-            FaultChannel::LidarDropout { .. } => "lidar-dropout".to_string(),
-            FaultChannel::HardwareStuck { target, .. } => format!("hw-stuck:{}", target.label()),
-            FaultChannel::OutputDelay { .. } => "output-delay".to_string(),
+            ArmChannel::Camera(model) => format!("camera:{}", model.label()),
+            ArmChannel::GpsBias { .. } => "gps-bias".to_string(),
+            ArmChannel::SpeedScale { .. } => "speed-scale".to_string(),
+            ArmChannel::LidarDropout { .. } => "lidar-dropout".to_string(),
+            ArmChannel::HardwareStuck { target, .. } => format!("hw-stuck:{}", target.label()),
+            ArmChannel::OutputDelay { .. } => "output-delay".to_string(),
         }
     }
 
     /// Whether the onset axis applies (timing delays are pipeline
     /// properties with no trigger, so their arms collapse to one onset).
     pub fn supports_onset(&self) -> bool {
-        !matches!(self, FaultChannel::OutputDelay { .. })
+        !matches!(self, ArmChannel::OutputDelay { .. })
     }
 
     /// Builds the concrete fault for one arm of the lattice.
     pub fn fault_spec(&self, magnitude: f64, onset: u64) -> FaultSpec {
         let trigger = Trigger::From { frame: onset };
         match *self {
-            FaultChannel::Camera(model) => FaultSpec::Input(InputFault {
+            ArmChannel::Camera(model) => FaultSpec::Input(InputFault {
                 model: Some(scale_image_fault(model, magnitude)),
                 gps: None,
                 speed: None,
                 lidar: None,
                 trigger,
             }),
-            FaultChannel::GpsBias { bias, sigma } => FaultSpec::Input(InputFault {
+            ArmChannel::GpsBias { bias, sigma } => FaultSpec::Input(InputFault {
                 model: None,
                 gps: Some(GpsFault {
                     bias_x: bias * magnitude,
@@ -140,14 +140,14 @@ impl FaultChannel {
                 lidar: None,
                 trigger,
             }),
-            FaultChannel::SpeedScale { factor } => FaultSpec::Input(InputFault {
+            ArmChannel::SpeedScale { factor } => FaultSpec::Input(InputFault {
                 model: None,
                 gps: None,
                 speed: Some(SpeedFault::Scale(1.0 + (factor - 1.0) * magnitude)),
                 lidar: None,
                 trigger,
             }),
-            FaultChannel::LidarDropout { p } => FaultSpec::Input(InputFault {
+            ArmChannel::LidarDropout { p } => FaultSpec::Input(InputFault {
                 model: None,
                 gps: None,
                 speed: None,
@@ -156,14 +156,14 @@ impl FaultChannel {
                 }),
                 trigger,
             }),
-            FaultChannel::HardwareStuck { target, value } => FaultSpec::Hardware(HardwareFault {
+            ArmChannel::HardwareStuck { target, value } => FaultSpec::Hardware(HardwareFault {
                 target,
                 model: BitFaultModel::StuckAt {
                     value: value * magnitude,
                 },
                 trigger,
             }),
-            FaultChannel::OutputDelay { frames } => FaultSpec::Timing(TimingFault::OutputDelay {
+            ArmChannel::OutputDelay { frames } => FaultSpec::Timing(TimingFault::OutputDelay {
                 frames: ((frames as f64 * magnitude).round() as usize).max(1),
             }),
         }
@@ -201,7 +201,7 @@ pub struct AdaptiveSpace {
     /// Scenario templates (the evaluation suite, usually).
     pub scenarios: Vec<Scenario>,
     /// Fault channels under search.
-    pub channels: Vec<FaultChannel>,
+    pub channels: Vec<ArmChannel>,
     /// Magnitude multipliers applied to each channel's base severity.
     pub magnitudes: Vec<f64>,
     /// Injection onset frames (15 frames = 1 s).
@@ -212,26 +212,26 @@ impl AdaptiveSpace {
     /// The paper-dimension channel set: the five Figure 2/3 camera
     /// models, GPS/speed/LIDAR data faults, stuck-at hardware faults on
     /// brake and throttle, and the Figure 4 output delay.
-    pub fn paper_channels() -> Vec<FaultChannel> {
-        let mut channels: Vec<FaultChannel> = ImageFault::paper_suite()
+    pub fn paper_channels() -> Vec<ArmChannel> {
+        let mut channels: Vec<ArmChannel> = ImageFault::paper_suite()
             .into_iter()
-            .map(FaultChannel::Camera)
+            .map(ArmChannel::Camera)
             .collect();
-        channels.push(FaultChannel::GpsBias {
+        channels.push(ArmChannel::GpsBias {
             bias: 4.0,
             sigma: 1.0,
         });
-        channels.push(FaultChannel::SpeedScale { factor: 1.8 });
-        channels.push(FaultChannel::LidarDropout { p: 0.3 });
-        channels.push(FaultChannel::HardwareStuck {
+        channels.push(ArmChannel::SpeedScale { factor: 1.8 });
+        channels.push(ArmChannel::LidarDropout { p: 0.3 });
+        channels.push(ArmChannel::HardwareStuck {
             target: HardwareTarget::ControlBrake,
             value: 1.0,
         });
-        channels.push(FaultChannel::HardwareStuck {
+        channels.push(ArmChannel::HardwareStuck {
             target: HardwareTarget::ControlThrottle,
             value: 0.9,
         });
-        channels.push(FaultChannel::OutputDelay { frames: 15 });
+        channels.push(ArmChannel::OutputDelay { frames: 15 });
         channels
     }
 
@@ -880,12 +880,12 @@ mod tests {
         AdaptiveSpace {
             scenarios: vec![tiny_scenario(11), tiny_scenario(13)],
             channels: vec![
-                FaultChannel::Camera(ImageFault::gaussian(0.08)),
-                FaultChannel::HardwareStuck {
+                ArmChannel::Camera(ImageFault::gaussian(0.08)),
+                ArmChannel::HardwareStuck {
                     target: HardwareTarget::ControlBrake,
                     value: 1.0,
                 },
-                FaultChannel::OutputDelay { frames: 15 },
+                ArmChannel::OutputDelay { frames: 15 },
             ],
             magnitudes: vec![0.5, 1.0],
             onsets: vec![0, 75],
@@ -1109,7 +1109,7 @@ mod tests {
 
     #[test]
     fn channel_faults_scale_with_magnitude_and_onset() {
-        let camera = FaultChannel::Camera(ImageFault::gaussian(0.08));
+        let camera = ArmChannel::Camera(ImageFault::gaussian(0.08));
         match camera.fault_spec(2.0, 75) {
             FaultSpec::Input(f) => {
                 assert_eq!(f.model, Some(ImageFault::Gaussian { sigma: 0.16 }));
@@ -1117,7 +1117,7 @@ mod tests {
             }
             other => panic!("unexpected spec {other:?}"),
         }
-        let stuck = FaultChannel::HardwareStuck {
+        let stuck = ArmChannel::HardwareStuck {
             target: HardwareTarget::ControlBrake,
             value: 1.0,
         };
@@ -1129,7 +1129,7 @@ mod tests {
             other => panic!("unexpected spec {other:?}"),
         }
         // Salt & pepper clamps its probability.
-        let sp = FaultChannel::Camera(ImageFault::salt_pepper(0.4));
+        let sp = ArmChannel::Camera(ImageFault::salt_pepper(0.4));
         match sp.fault_spec(4.0, 0) {
             FaultSpec::Input(f) => {
                 assert_eq!(f.model, Some(ImageFault::SaltPepper { p: 0.5 }))
@@ -1162,7 +1162,7 @@ mod tests {
         let engine = Engine::new().workers(1);
         let agent = AgentSpec::neural(&mut net);
         let mut oracle = EngineOracle::new(&engine, agent, vec![tiny_scenario(11)], "fp");
-        let stuck_brake = FaultChannel::HardwareStuck {
+        let stuck_brake = ArmChannel::HardwareStuck {
             target: HardwareTarget::ControlBrake,
             value: 1.0,
         };

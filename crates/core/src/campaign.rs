@@ -220,16 +220,6 @@ impl CampaignResult {
     pub fn runs(&self) -> &[RunResult] {
         &self.runs
     }
-
-    /// Total kilometers driven across runs.
-    pub fn total_km(&self) -> f64 {
-        self.runs.iter().map(|r| r.distance_km).sum()
-    }
-
-    /// Total violations across runs.
-    pub fn total_violations(&self) -> usize {
-        self.runs.iter().map(|r| r.violations.len()).sum()
-    }
 }
 
 /// What the flight recorder should capture for a traced run.

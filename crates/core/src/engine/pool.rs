@@ -17,6 +17,9 @@
 //!   claimed-but-unstarted runs, and in-flight runs finish. Lifecycle
 //!   transitions go through the
 //!   [`PlanLifecycle`] state machine.
+//! * **Failure containment**: a run that panics fails its plan
+//!   ([`PlanPhase::Failed`], no results) and drops the plan's remaining
+//!   runs; the worker survives and serves the next plan.
 //! * **Parked plans**: a plan recovered from a journal with runs still
 //!   missing is submitted [`PlanPhase::Interrupted`] and stays out of the
 //!   rotation until [`PlanTicket::resume`] (or [`PlanTicket::cancel`]).
@@ -45,9 +48,11 @@ use crate::campaign::{RunResult, WorkerScratch};
 use avfi_net::proto::{PlanId, PlanLifecycle, PlanPhase};
 use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -169,6 +174,8 @@ struct PlanRun {
     /// Claimed but not yet finished (executed or skipped).
     outstanding: AtomicUsize,
     cancelled: AtomicBool,
+    /// Set when one of the plan's runs panicked.
+    failed: AtomicBool,
     started: AtomicBool,
     finalized: AtomicBool,
     /// Result/trace payloads dropped by retention eviction (lifecycle
@@ -206,6 +213,19 @@ impl ProgressSink for PlanRun {
 }
 
 impl PlanRun {
+    /// The terminal phase a plan stopped early is headed for: `Failed`
+    /// once one of its runs panicked, `Cancelled` once cancelled, `None`
+    /// while it runs on. A stopped plan starts no further runs.
+    fn stopped(&self) -> Option<PlanPhase> {
+        if self.failed.load(Ordering::Acquire) {
+            Some(PlanPhase::Failed)
+        } else if self.cancelled.load(Ordering::Acquire) {
+            Some(PlanPhase::Cancelled)
+        } else {
+            None
+        }
+    }
+
     /// Queued → Running on the first claimed run.
     fn mark_running(&self) {
         if !self.started.swap(true, Ordering::AcqRel) {
@@ -375,14 +395,6 @@ impl PlanTicket {
         true
     }
 
-    /// Snapshot of the event log from sequence number `from` on, plus the
-    /// current phase.
-    pub fn events_after(&self, from: usize) -> (Vec<PlanEvent>, PlanPhase) {
-        let st = self.run.state.lock().expect("plan state lock");
-        let events = st.events.get(from..).unwrap_or_default().to_vec();
-        (events, st.lifecycle.phase())
-    }
-
     /// Blocks until the log grows past `from` or the plan is terminal,
     /// then returns the new events and the phase. An empty event list
     /// with a terminal phase means the stream is exhausted.
@@ -539,6 +551,7 @@ impl MultiplexPool {
             next: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
             started: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             evicted: AtomicBool::new(false),
@@ -598,13 +611,13 @@ impl MultiplexPool {
 }
 
 /// Claims the next run under fair round-robin: one run from the front
-/// plan, which then rotates to the back. Cancelled and fully claimed
-/// plans drop out of the rotation here.
+/// plan, which then rotates to the back. Stopped (cancelled or failed)
+/// and fully claimed plans drop out of the rotation here.
 fn claim(sched: &mut Sched) -> Option<(Arc<PlanRun>, usize)> {
     while let Some(plan) = sched.active.pop_front() {
-        if plan.cancelled.load(Ordering::Acquire) {
+        if let Some(phase) = plan.stopped() {
             if plan.outstanding.load(Ordering::Acquire) == 0 {
-                finalize(&plan, PlanPhase::Cancelled);
+                finalize(&plan, phase);
             }
             continue;
         }
@@ -649,23 +662,45 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 }
 
 /// Runs one claimed item through the plan's executor. The cooperative
-/// cancellation check sits here: a run claimed before its plan was
-/// cancelled is skipped, not executed.
+/// stop check sits here: a run claimed before its plan was cancelled or
+/// failed is skipped, not executed. A run that panics fails its plan
+/// instead of unwinding out of the worker.
 fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerScratch) {
-    if !plan.cancelled.load(Ordering::Acquire) {
+    if plan.stopped().is_none() {
         plan.mark_running();
         let spool = plan.spool.as_ref().map(|s| &*s.0 as &dyn RunSink);
-        plan.exec.run_item(idx, worker, scratch, plan, spool);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            plan.exec.run_item(idx, worker, scratch, plan, spool)
+        }));
+        if let Err(payload) = run {
+            eprintln!(
+                "avfi pool: plan {} run {idx} panicked: {}; the plan fails",
+                plan.id,
+                panic_message(&*payload)
+            );
+            plan.failed.store(true, Ordering::Release);
+            // The run may have left the scratch half-written.
+            *scratch = WorkerScratch::default();
+        }
     }
     // The last in-flight run finalizes, so every other run's events are
     // already in the log and `Finished` is the plan's last event.
     if plan.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
         if plan.exec.completed() == plan.exec.total() {
             finalize(plan, PlanPhase::Completed);
-        } else if plan.cancelled.load(Ordering::Acquire) {
-            finalize(plan, PlanPhase::Cancelled);
+        } else if let Some(phase) = plan.stopped() {
+            finalize(plan, phase);
         }
     }
+}
+
+/// The message a `panic!` or failed `assert!` carried.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -677,6 +712,7 @@ mod tests {
     use crate::fault::timing::TimingFault;
     use crate::fault::FaultSpec;
     use avfi_sim::scenario::{Scenario, TownSpec};
+    use std::time::Duration;
 
     fn quick_scenario(seed: u64) -> Scenario {
         let mut town = TownSpec::grid(2, 2);
@@ -719,6 +755,27 @@ mod tests {
         serde_json::to_string(v).unwrap()
     }
 
+    /// A 2-run expert plan on a 1×1 town: it passes `WorkPlan::validate`,
+    /// but each of its runs panics building the world.
+    fn poison_plan() -> WorkPlan {
+        let scenario = Scenario::builder(TownSpec::grid(1, 1)).build();
+        let poison = CampaignConfig::builder(vec![scenario])
+            .runs_per_scenario(2)
+            .agent(AgentSpec::Expert)
+            .build();
+        WorkPlan::new().with_study("poison", vec![poison])
+    }
+
+    /// Polls the plan's phase until it is terminal or `secs` have passed,
+    /// so a plan that never finishes fails the test instead of hanging it.
+    fn phase_within(ticket: &PlanTicket, secs: u64) -> PlanPhase {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !ticket.phase().is_terminal() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        ticket.phase()
+    }
+
     /// The multiplexing gate: plans sharing one pool produce results
     /// byte-identical to a solo `Engine::execute` of each plan.
     #[test]
@@ -741,12 +798,34 @@ mod tests {
         pool.shutdown();
     }
 
+    /// A panicking run fails its plan and nothing else: the workers
+    /// survive, the next plan completes byte-identical to a solo run, and
+    /// shutdown joins every worker.
+    #[test]
+    fn panicking_run_fails_its_plan_and_spares_the_pool() {
+        let poison = poison_plan();
+        let round_trip: WorkPlan = serde_json::from_str(&json(&poison)).unwrap();
+        assert!(poison.validate().is_ok() && round_trip.validate().is_ok());
+        let pool = MultiplexPool::new(2);
+        let bad = pool.submit(round_trip);
+        assert_eq!(phase_within(&bad, 30), PlanPhase::Failed);
+        assert!(bad.results().is_none());
+        assert_eq!(bad.completed_runs(), 0);
+        let good = pool.submit(plan_b());
+        assert_eq!(phase_within(&good, 60), PlanPhase::Completed);
+        assert_eq!(
+            json(&good.results().expect("plan b completed")),
+            json(&Engine::new().workers(1).execute(&plan_b()))
+        );
+        pool.shutdown();
+    }
+
     #[test]
     fn events_are_plan_tagged_and_complete() {
         let pool = MultiplexPool::new(2);
         let t = pool.submit(plan_a());
         t.wait_terminal();
-        let (events, phase) = t.events_after(0);
+        let (events, phase) = t.wait_events_after(0);
         assert_eq!(phase, PlanPhase::Completed);
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.plan, t.id());

@@ -13,8 +13,6 @@
 
 use crate::trigger::Trigger;
 use avfi_sim::physics::VehicleControl;
-use rand::rngs::StdRng;
-use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 /// Which scalar the fault corrupts.
@@ -180,24 +178,9 @@ impl HardwareFault {
     }
 }
 
-/// Samples a random bit position, weighted toward consequential bits (sign
-/// and high exponent flips are what real SDC studies observe mattering).
-pub fn sample_bit(rng: &mut StdRng) -> u8 {
-    // 25% sign, 35% exponent, 40% mantissa.
-    let r: f64 = rng.random_range(0.0..1.0);
-    if r < 0.25 {
-        63
-    } else if r < 0.60 {
-        rng.random_range(52..63) as u8
-    } else {
-        rng.random_range(0..52) as u8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avfi_sim::rng::stream_rng;
 
     #[test]
     fn flip_sign_bit() {
@@ -251,15 +234,6 @@ mod tests {
         fault.corrupt_sensors(&mut s, &mut x, &mut y);
         assert_eq!(s, 0.0);
         assert_eq!((x, y), (100.0, 50.0));
-    }
-
-    #[test]
-    fn sampled_bits_in_range_and_varied() {
-        let mut rng = stream_rng(9, 0);
-        let bits: Vec<u8> = (0..200).map(|_| sample_bit(&mut rng)).collect();
-        assert!(bits.iter().all(|b| *b < 64));
-        assert!(bits.contains(&63), "no sign flips sampled");
-        assert!(bits.iter().any(|b| *b < 52), "no mantissa flips sampled");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! network), which is modeled on real-world hardware failures."
 //!
 //! Fault localization — "choosing specific neurons and layers in the
-//! IL-CNN" — is delegated to [`crate::localizer`]; this module defines the
-//! mutation models applied at the chosen sites.
+//! IL-CNN" — is part of each fault: weight faults select parameters with a
+//! [`ParamSelector`] (see [`crate::localizer`]), and
+//! [`MlFault::NeuronStuckAt`] names its trunk layer and unit. This module
+//! defines the mutation models applied at those sites.
 
-use crate::fault::hardware::flip_bit as flip_bit_f64;
 use crate::localizer::ParamSelector;
 use avfi_agent::IlNetwork;
 use avfi_sim::rng::normal;
@@ -106,12 +107,6 @@ impl MlFault {
             }
         }
     }
-}
-
-/// Convenience: flips one bit of an `f64` (re-exported from the hardware
-/// model for cross-class sweeps).
-pub fn flip_f64_bit(value: f64, bit: u8) -> f64 {
-    flip_bit_f64(value, bit)
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl TimingChannel {
         }
     }
 
-    /// The configured fault.
-    pub fn fault(&self) -> &TimingFault {
-        &self.fault
-    }
-
     /// Pushes the command computed this frame and returns the command the
     /// actuator receives this frame.
     pub fn transfer(&mut self, fresh: VehicleControl, rng: &mut StdRng) -> VehicleControl {

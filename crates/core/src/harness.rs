@@ -175,11 +175,6 @@ impl AvDriver {
         }
     }
 
-    /// The fault plan.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Simulation time of the first actual injection, if any happened —
     /// the t₀ of the Time-to-Traffic-Violation metric.
     pub fn injection_time(&self) -> Option<f64> {

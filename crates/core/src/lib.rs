@@ -19,10 +19,12 @@
 //! | Timing faults | [`fault::timing`] | output delay between ADA and actuation, frame drops, out-of-order delivery |
 //! | Machine-learning faults | [`fault::ml`] | weight noise, weight bit flips, stuck-at neurons in the IL-CNN |
 //!
-//! Fault *location* selection lives in [`localizer`], *when* to inject in
-//! [`trigger`], and the wrapper that applies everything around a driving
-//! agent in [`harness`]. [`campaign`] defines campaigns and runs one
-//! seeded mission ([`campaign::run_mission`]);
+//! Fault *location* selection lives in [`localizer`] (weight faults pick
+//! parameters with a `ParamSelector`; a neuron fault names its trunk
+//! layer and unit), *when* to inject in [`trigger`], and the wrapper that
+//! applies everything around a driving agent in [`harness`].
+//! [`campaign`] defines campaigns and runs one seeded mission
+//! ([`campaign::run_mission`]);
 //! [`engine`] flattens whole multi-campaign studies into one
 //! deterministic work-stealing queue with streamed
 //! [`engine::ProgressSink`] observability, and [`engine::pool`] keeps a
@@ -66,7 +68,6 @@
 
 pub mod adaptive;
 pub mod campaign;
-pub mod compare;
 pub mod engine;
 pub mod fault;
 pub mod harness;

@@ -2,13 +2,12 @@
 //!
 //! AVFI campaigns first select fault locations — "e.g., choosing specific
 //! neurons and layers in the IL-CNN" — then apply a fault model there.
-//! This module provides the selection strategies: parameter-name
-//! selectors for weight faults, layer/unit sampling for neuron faults, and
-//! bit-position sampling for hardware faults.
+//! Weight faults select their parameters with a [`ParamSelector`] over
+//! the network's qualified parameter names (`trunk.*`, `headN.*`); a
+//! neuron fault names its site explicitly
+//! ([`MlFault::NeuronStuckAt`](crate::fault::ml::MlFault::NeuronStuckAt)
+//! `{ layer, unit }`).
 
-use avfi_agent::IlNetwork;
-use rand::rngs::StdRng;
-use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 /// Selects which named parameters of the network are fault-eligible.
@@ -34,63 +33,9 @@ impl ParamSelector {
     }
 }
 
-/// A fully resolved neuron fault site in the trunk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NeuronSite {
-    /// Trunk layer index.
-    pub layer: usize,
-    /// Flat unit index within that layer's output.
-    pub unit: usize,
-}
-
-/// Enumerates the qualified parameter names of a network (the localizer's
-/// "map" of the IL-CNN).
-pub fn parameter_names(net: &mut IlNetwork) -> Vec<String> {
-    net.params().iter().map(|p| p.name.clone()).collect()
-}
-
-/// Sizes of the trunk layer outputs of the default IL architecture, used
-/// to sample valid neuron sites. Index = trunk layer.
-fn trunk_output_sizes() -> Vec<usize> {
-    // conv(8@12x16), relu, conv(16@6x8), relu, flatten, dense 64, relu.
-    vec![
-        8 * 12 * 16,
-        8 * 12 * 16,
-        16 * 6 * 8,
-        16 * 6 * 8,
-        16 * 6 * 8,
-        64,
-        64,
-    ]
-}
-
-/// Samples a random neuron site in the trunk, uniformly over layers then
-/// units (matching the paper's per-layer selection step).
-pub fn sample_neuron_site(rng: &mut StdRng) -> NeuronSite {
-    let sizes = trunk_output_sizes();
-    let layer = rng.random_range(0..sizes.len());
-    let unit = rng.random_range(0..sizes[layer]);
-    NeuronSite { layer, unit }
-}
-
-/// Samples a neuron site in a *specific* trunk layer.
-///
-/// # Panics
-///
-/// Panics if `layer` is out of range for the default architecture.
-pub fn sample_neuron_in_layer(layer: usize, rng: &mut StdRng) -> NeuronSite {
-    let sizes = trunk_output_sizes();
-    assert!(layer < sizes.len(), "layer {layer} out of range");
-    NeuronSite {
-        layer,
-        unit: rng.random_range(0..sizes[layer]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avfi_sim::rng::stream_rng;
 
     #[test]
     fn selector_semantics() {
@@ -101,10 +46,12 @@ mod tests {
         assert!(!ParamSelector::WeightsOnly.matches("head2.dense0.bias"));
     }
 
+    /// The `trunk.` and `headN.` prefixes that `ParamSelector::Prefix`
+    /// selects on name real parameters of the IL-CNN.
     #[test]
     fn parameter_names_cover_trunk_and_heads() {
-        let mut net = IlNetwork::new(1);
-        let names = parameter_names(&mut net);
+        let mut net = avfi_agent::IlNetwork::new(1);
+        let names: Vec<String> = net.params().iter().map(|p| p.name.clone()).collect();
         assert!(names.iter().any(|n| n.starts_with("trunk.conv")));
         assert!(names.iter().any(|n| n.starts_with("trunk.dense")));
         for h in 0..4 {
@@ -113,39 +60,5 @@ mod tests {
                 "missing head{h}"
             );
         }
-    }
-
-    #[test]
-    fn neuron_sites_are_valid_overrides() {
-        // Installing a sampled site must actually affect the network (the
-        // override indices must be in range of the real layer outputs).
-        use avfi_nn::Tensor;
-        use avfi_sim::map::route::Command;
-        let mut rng = stream_rng(1, 0);
-        for _ in 0..10 {
-            let site = sample_neuron_site(&mut rng);
-            let mut net = IlNetwork::new(2);
-            let img = Tensor::zeros(vec![1, 24, 32]);
-            let clean = net.forward(&img, 0.1, Command::Follow, false);
-            net.add_trunk_override(site.layer, site.unit, 99.0);
-            let faulty = net.forward(&img, 0.1, Command::Follow, false);
-            assert_ne!(clean.data(), faulty.data(), "site {site:?} had no effect");
-            net.clear_overrides();
-        }
-    }
-
-    #[test]
-    fn per_layer_sampling_respects_layer() {
-        let mut rng = stream_rng(2, 0);
-        for layer in 0..7 {
-            let site = sample_neuron_in_layer(layer, &mut rng);
-            assert_eq!(site.layer, layer);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_layer_panics() {
-        let _ = sample_neuron_in_layer(99, &mut stream_rng(3, 0));
     }
 }

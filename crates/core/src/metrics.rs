@@ -1,8 +1,6 @@
 //! Resilience metrics from §II of the paper: MSR, VPK, APK, TTV.
 
 use crate::campaign::RunResult;
-use avfi_sim::violation::ViolationKind;
-use std::collections::BTreeMap;
 
 /// Floor on per-run distance when normalizing to per-km rates, km. A car
 /// that never moved has no exposure; rates below this floor would explode.
@@ -83,28 +81,12 @@ pub fn ttv_distribution(runs: &[RunResult]) -> Vec<f64> {
     runs.iter().filter_map(time_to_violation).collect()
 }
 
-/// Violation counts by kind across a campaign.
-pub fn violations_by_kind(runs: &[RunResult]) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    for kind in ViolationKind::ALL {
-        let n = runs
-            .iter()
-            .flat_map(|r| &r.violations)
-            .filter(|v| v.kind == kind)
-            .count();
-        if n > 0 {
-            map.insert(kind.to_string(), n);
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::MissionOutcome;
     use avfi_sim::math::Vec2;
-    use avfi_sim::violation::Violation;
+    use avfi_sim::violation::{Violation, ViolationKind};
 
     fn run(success: bool, km: f64, violations: Vec<Violation>, inj: Option<f64>) -> RunResult {
         RunResult {
@@ -222,23 +204,5 @@ mod tests {
             Some(3.0),
         );
         assert_eq!(time_to_violation(&all_before), None);
-    }
-
-    #[test]
-    fn kind_tabulation() {
-        let runs = vec![run(
-            true,
-            1.0,
-            vec![
-                violation(ViolationKind::LaneDeparture, 1.0),
-                violation(ViolationKind::LaneDeparture, 2.0),
-                violation(ViolationKind::CollisionStatic, 3.0),
-            ],
-            None,
-        )];
-        let by_kind = violations_by_kind(&runs);
-        assert_eq!(by_kind["lane-departure"], 2);
-        assert_eq!(by_kind["collision-static"], 1);
-        assert!(!by_kind.contains_key("speeding"));
     }
 }

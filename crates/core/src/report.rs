@@ -1,7 +1,7 @@
-//! Report rendering: aligned ASCII tables, bar charts, box-plot rows, and
-//! machine-readable JSON/CSV export of campaign results.
+//! Report rendering: aligned ASCII tables, bar charts and box-plot rows.
+//! Machine-readable results are the serde-serialized result types
+//! themselves.
 
-use crate::campaign::CampaignResult;
 use crate::stats::Summary;
 use std::fmt::Write as _;
 
@@ -27,16 +27,6 @@ impl Table {
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table.
@@ -116,45 +106,6 @@ pub fn box_plot_row(s: &Summary, axis_lo: f64, axis_hi: f64, width: usize) -> St
     chars.into_iter().collect()
 }
 
-/// Serializes a campaign result to pretty JSON.
-///
-/// # Errors
-///
-/// Propagates serialization failures (none occur for these types).
-pub fn to_json(result: &CampaignResult) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(result)
-}
-
-/// Renders per-run rows as CSV (one line per run, header included).
-pub fn to_csv(results: &[&CampaignResult]) -> String {
-    let mut out = String::from(
-        "fault,agent,scenario,run,seed,success,duration_s,distance_km,violations,accidents,injection_time_s\n",
-    );
-    for result in results {
-        for r in result.runs() {
-            let accidents = r.violations.iter().filter(|v| v.kind.is_accident()).count();
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{:.2},{:.4},{},{},{}",
-                r.fault,
-                r.agent,
-                r.scenario_index,
-                r.run_index,
-                r.seed,
-                r.outcome.is_success(),
-                r.duration,
-                r.distance_km,
-                r.violations.len(),
-                accidents,
-                r.injection_time
-                    .map(|t| format!("{t:.2}"))
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,8 +130,8 @@ mod tests {
     fn row_padding() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["only-one"]);
-        assert_eq!(t.len(), 1);
         let s = t.render();
+        assert_eq!(s.lines().count(), 3);
         assert!(s.contains("only-one"));
     }
 

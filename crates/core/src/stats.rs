@@ -1,8 +1,6 @@
-//! Statistical analysis of campaign results: summary statistics,
-//! percentiles, histograms, and bootstrap confidence intervals.
+//! Statistical analysis of campaign results: summary statistics and
+//! percentiles.
 
-use avfi_sim::rng::stream_rng;
-use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 /// Five-number summary plus mean/std of a sample.
@@ -87,85 +85,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Percentile of an unsorted sample.
-pub fn percentile(data: &[f64], p: f64) -> f64 {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    percentile_sorted(&sorted, p)
-}
-
-/// Bootstrap confidence interval for the mean: resamples with replacement
-/// `iters` times and reports the `(lo, hi)` percentile interval at the
-/// given confidence level (e.g. `0.95`).
-///
-/// Returns `(mean, mean)` for samples of size < 2.
-pub fn bootstrap_mean_ci(data: &[f64], iters: usize, confidence: f64, seed: u64) -> (f64, f64) {
-    if data.len() < 2 {
-        let m = data.first().copied().unwrap_or(0.0);
-        return (m, m);
-    }
-    let mut rng = stream_rng(seed, 0xB007);
-    let mut means: Vec<f64> = (0..iters)
-        .map(|_| {
-            let mut sum = 0.0;
-            for _ in 0..data.len() {
-                sum += data[rng.random_range(0..data.len())];
-            }
-            sum / data.len() as f64
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
-    let alpha = (1.0 - confidence) / 2.0;
-    (
-        percentile_sorted(&means, alpha * 100.0),
-        percentile_sorted(&means, (1.0 - alpha) * 100.0),
-    )
-}
-
-/// A histogram over equal-width bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Left edge of the first bin.
-    pub lo: f64,
-    /// Bin width.
-    pub width: f64,
-    /// Counts per bin.
-    pub counts: Vec<usize>,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width bins spanning the data
-    /// range. Empty data yields one empty bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`.
-    pub fn of(data: &[f64], bins: usize) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        if data.is_empty() {
-            return Histogram {
-                lo: 0.0,
-                width: 1.0,
-                counts: vec![0; bins],
-            };
-        }
-        let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let width = ((hi - lo) / bins as f64).max(1e-12);
-        let mut counts = vec![0usize; bins];
-        for &x in data {
-            let idx = (((x - lo) / width) as usize).min(bins - 1);
-            counts[idx] += 1;
-        }
-        Histogram { lo, width, counts }
-    }
-
-    /// Total count.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,41 +115,8 @@ mod tests {
     #[test]
     fn percentile_interpolates() {
         let data = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&data, 0.0), 10.0);
-        assert_eq!(percentile(&data, 100.0), 40.0);
-        assert_eq!(percentile(&data, 50.0), 25.0);
-    }
-
-    #[test]
-    fn bootstrap_brackets_mean() {
-        let data: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let (lo, hi) = bootstrap_mean_ci(&data, 500, 0.95, 1);
-        let mean = 4.5;
-        assert!(lo < mean && mean < hi, "({lo}, {hi})");
-        assert!(hi - lo < 1.5, "CI too wide: ({lo}, {hi})");
-    }
-
-    #[test]
-    fn bootstrap_deterministic() {
-        let data = [1.0, 5.0, 3.0, 8.0, 2.0, 9.0];
-        assert_eq!(
-            bootstrap_mean_ci(&data, 200, 0.9, 42),
-            bootstrap_mean_ci(&data, 200, 0.9, 42)
-        );
-    }
-
-    #[test]
-    fn histogram_counts() {
-        // Range [0, 1], two bins of width 0.5; 0.5 lands in the upper bin.
-        let h = Histogram::of(&[0.0, 0.1, 0.9, 1.0, 0.5], 2);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.counts, vec![2, 3]);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::of(&[], 4);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.counts.len(), 4);
+        assert_eq!(percentile_sorted(&data, 0.0), 10.0);
+        assert_eq!(percentile_sorted(&data, 100.0), 40.0);
+        assert_eq!(percentile_sorted(&data, 50.0), 25.0);
     }
 }

@@ -6,7 +6,7 @@
 
 use avfi_core::adaptive::{
     drive, run_adaptive, AdaptiveConfig, AdaptiveOracle, AdaptivePlanner, AdaptiveSpace,
-    FaultChannel, Observation, Proposal,
+    ArmChannel, Observation, Proposal,
 };
 use avfi_core::campaign::AgentSpec;
 use avfi_core::engine::Engine;
@@ -35,8 +35,8 @@ fn tiny_space() -> AdaptiveSpace {
     AdaptiveSpace {
         scenarios: vec![tiny_scenario(31), tiny_scenario(37)],
         channels: vec![
-            FaultChannel::Camera(ImageFault::gaussian(0.05)),
-            FaultChannel::HardwareStuck {
+            ArmChannel::Camera(ImageFault::gaussian(0.05)),
+            ArmChannel::HardwareStuck {
                 target: HardwareTarget::ControlBrake,
                 value: 1.0,
             },

@@ -97,23 +97,6 @@ pub enum ServiceRequest {
     Shutdown,
 }
 
-impl ServiceRequest {
-    /// Short tag for diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServiceRequest::Hello { .. } => "hello",
-            ServiceRequest::SubmitPlan { .. } => "submit-plan",
-            ServiceRequest::Watch { .. } => "watch",
-            ServiceRequest::Results { .. } => "results",
-            ServiceRequest::Traces { .. } => "traces",
-            ServiceRequest::Cancel { .. } => "cancel",
-            ServiceRequest::Resume { .. } => "resume",
-            ServiceRequest::Status { .. } => "status",
-            ServiceRequest::Shutdown => "shutdown",
-        }
-    }
-}
-
 /// One server → client reply frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServiceReply {
@@ -304,13 +287,6 @@ pub struct PlanLifecycle {
 }
 
 impl PlanLifecycle {
-    /// A fresh lifecycle in [`PlanPhase::Queued`].
-    pub fn new() -> Self {
-        PlanLifecycle {
-            phase: Some(PlanPhase::Queued),
-        }
-    }
-
     /// A lifecycle starting in an arbitrary phase — used by spool
     /// recovery, which reloads plans mid-lifecycle (e.g. at
     /// [`PlanPhase::Interrupted`]) instead of replaying their history.
@@ -355,7 +331,7 @@ mod tests {
 
     #[test]
     fn lifecycle_happy_path() {
-        let mut l = PlanLifecycle::new();
+        let mut l = PlanLifecycle::starting_at(PlanPhase::Queued);
         assert_eq!(l.phase(), PlanPhase::Queued);
         l.advance(PlanPhase::Running).unwrap();
         l.advance(PlanPhase::Completed).unwrap();
@@ -364,9 +340,9 @@ mod tests {
 
     #[test]
     fn cancel_is_legal_from_queued_and_running() {
-        let mut l = PlanLifecycle::new();
+        let mut l = PlanLifecycle::starting_at(PlanPhase::Queued);
         l.advance(PlanPhase::Cancelled).unwrap();
-        let mut l = PlanLifecycle::new();
+        let mut l = PlanLifecycle::starting_at(PlanPhase::Queued);
         l.advance(PlanPhase::Running).unwrap();
         l.advance(PlanPhase::Cancelled).unwrap();
     }
@@ -415,7 +391,7 @@ mod tests {
 
     #[test]
     fn skipping_running_to_complete_is_illegal() {
-        let mut l = PlanLifecycle::new();
+        let mut l = PlanLifecycle::starting_at(PlanPhase::Queued);
         let err = l.advance(PlanPhase::Completed).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
         assert_eq!(l.phase(), PlanPhase::Queued, "phase unchanged on error");
@@ -423,7 +399,7 @@ mod tests {
 
     #[test]
     fn advance_if_legal_resolves_races_quietly() {
-        let mut l = PlanLifecycle::new();
+        let mut l = PlanLifecycle::starting_at(PlanPhase::Queued);
         l.advance(PlanPhase::Running).unwrap();
         l.advance(PlanPhase::Completed).unwrap();
         // A cancel racing completion loses without erroring.
@@ -458,7 +434,6 @@ mod tests {
             let s = serde_json::to_string(&req).unwrap();
             let back: ServiceRequest = serde_json::from_str(&s).unwrap();
             assert_eq!(back, req);
-            assert!(!req.kind().is_empty());
         }
     }
 

@@ -27,11 +27,6 @@ impl<T: Transport> SimServer<T> {
         }
     }
 
-    /// Read access to the world (for inspection after serving).
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-
     /// Consumes the server, returning the world (for metric extraction).
     pub fn into_world(self) -> World {
         self.world
@@ -169,7 +164,7 @@ mod tests {
         let status = server.serve_mission().unwrap();
         assert_eq!(status, MissionStatus::Running);
         client.join().unwrap();
-        assert_eq!(server.world().frame(), 2);
+        assert_eq!(server.into_world().frame(), 2);
     }
 
     #[test]

@@ -2,30 +2,11 @@
 
 use rand::{Rng, RngExt};
 
-/// Samples a uniform value in `[-limit, limit]`.
-fn uniform<R: Rng + ?Sized>(rng: &mut R, limit: f32) -> f32 {
-    rng.random_range(-limit..=limit)
-}
-
-/// Xavier/Glorot uniform initialization for a weight matrix with the given
-/// fan-in and fan-out. Appropriate before `tanh` activations.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    rng: &mut R,
-    fan_in: usize,
-    fan_out: usize,
-    out: &mut [f32],
-) {
-    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    for w in out {
-        *w = uniform(rng, limit);
-    }
-}
-
 /// He/Kaiming uniform initialization. Appropriate before `ReLU` activations.
 pub fn he_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, out: &mut [f32]) {
     let limit = (6.0 / fan_in as f32).sqrt();
     for w in out {
-        *w = uniform(rng, limit);
+        *w = rng.random_range(-limit..=limit);
     }
 }
 
@@ -34,19 +15,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn xavier_within_limit() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut w = vec![0.0; 1000];
-        xavier_uniform(&mut rng, 64, 32, &mut w);
-        let limit = (6.0f32 / 96.0).sqrt();
-        assert!(w.iter().all(|v| v.abs() <= limit));
-        // Not all zero, roughly centered.
-        let mean: f32 = w.iter().sum::<f32>() / w.len() as f32;
-        assert!(mean.abs() < limit * 0.2);
-        assert!(w.iter().any(|v| v.abs() > limit * 0.5));
-    }
 
     #[test]
     fn he_within_limit() {
@@ -61,8 +29,8 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = vec![0.0; 16];
         let mut b = vec![0.0; 16];
-        xavier_uniform(&mut StdRng::seed_from_u64(7), 4, 4, &mut a);
-        xavier_uniform(&mut StdRng::seed_from_u64(7), 4, 4, &mut b);
+        he_uniform(&mut StdRng::seed_from_u64(7), 4, &mut a);
+        he_uniform(&mut StdRng::seed_from_u64(7), 4, &mut b);
         assert_eq!(a, b);
     }
 }

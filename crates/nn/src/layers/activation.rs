@@ -52,54 +52,9 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent activation.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cached_out: Vec<f32>,
-    shape: Vec<usize>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Tanh::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out: Vec<f32> = input.data().iter().map(|v| v.tanh()).collect();
-        self.cached_out = out.clone();
-        self.shape = input.shape().to_vec();
-        Tensor::from_vec(out, self.shape.clone())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.cached_out.len(),
-            "backward before forward"
-        );
-        Tensor::from_vec(
-            grad_out
-                .data()
-                .iter()
-                .zip(&self.cached_out)
-                .map(|(g, y)| g * (1.0 - y * y))
-                .collect(),
-            self.shape.clone(),
-        )
-    }
-
-    fn kind(&self) -> &'static str {
-        "tanh"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::testutil::check_input_gradient;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -108,21 +63,6 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = r.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0], vec![3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_check() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![-0.8, -0.1, 0.0, 0.4, 1.2], vec![5]);
-        check_input_gradient(&mut t, &x, 1e-2);
-    }
-
-    #[test]
-    fn tanh_bounded() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![-100.0, 100.0], vec![2]), false);
-        assert!((y.data()[0] + 1.0).abs() < 1e-6);
-        assert!((y.data()[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -9,16 +9,12 @@
 mod activation;
 mod conv;
 mod dense;
-mod dropout;
 mod flatten;
-mod pool;
 
-pub use activation::{Relu, Tanh};
+pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use pool::MaxPool2d;
 
 use crate::tensor::Tensor;
 
@@ -41,9 +37,8 @@ pub struct ParamSlice<'a> {
 /// A differentiable layer.
 pub trait Layer: std::fmt::Debug {
     /// Computes the layer output. With `train = true` the layer caches
-    /// whatever `backward` needs and enables training-only behavior
-    /// (dropout); with `train = false` no caching happens — inference is
-    /// allocation-lean and a subsequent `backward` panics.
+    /// whatever `backward` needs; with `train = false` no caching happens —
+    /// inference is allocation-lean and a subsequent `backward` panics.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagates `grad_out` (∂loss/∂output), accumulating parameter

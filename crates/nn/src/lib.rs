@@ -5,13 +5,12 @@
 //! Rust therefore needs a small but real deep-learning substrate:
 //!
 //! * [`Tensor`] — dense `f32` tensors with shape tracking,
-//! * [`layers`] — `Conv2d`, `MaxPool2d`, `Dense`, `ReLU`, `Tanh`,
-//!   `Flatten`, `Dropout`, each with hand-written forward and backward
-//!   passes,
+//! * [`layers`] — `Conv2d`, `Dense`, `ReLU` and `Flatten`, each with
+//!   hand-written forward and backward passes,
 //! * [`Sequential`] — the layer container; the agent crate's
 //!   `IlNetwork` builds the command-conditional architecture (shared
 //!   trunk, one head per high-level command) from it,
-//! * [`optim`] — SGD-with-momentum and Adam,
+//! * [`optim`] — Adam,
 //! * [`loss`] — mean-squared-error with gradient,
 //! * named parameter access ([`ParamSlice`]) and activation-override hooks
 //!   — the injection surface for AVFI's *machine-learning fault* class
@@ -21,18 +20,18 @@
 //! ## Example: tiny regression
 //!
 //! ```
-//! use avfi_nn::layers::{Dense, Tanh};
+//! use avfi_nn::layers::{Dense, Relu};
 //! use avfi_nn::loss::mse;
-//! use avfi_nn::optim::{Optimizer, Sgd};
+//! use avfi_nn::optim::Adam;
 //! use avfi_nn::{Sequential, Tensor};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut net = Sequential::new();
 //! net.push(Dense::new(1, 8, &mut rng));
-//! net.push(Tanh::new());
+//! net.push(Relu::new());
 //! net.push(Dense::new(8, 1, &mut rng));
-//! let mut opt = Sgd::new(0.02, 0.9);
+//! let mut opt = Adam::new(0.02);
 //! for _ in 0..200 {
 //!     for x in [-1.0f32, -0.5, 0.0, 0.5, 1.0] {
 //!         let input = Tensor::from_vec(vec![x], vec![1]);

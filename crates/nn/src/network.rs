@@ -38,34 +38,9 @@ impl Sequential {
         self
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` when the stack has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Layer kind tags, in order (for fault localization UIs).
-    pub fn layer_kinds(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.kind()).collect()
-    }
-
     /// Installs a stuck-at activation override (ML neuron fault).
     pub fn add_override(&mut self, ov: ActivationOverride) {
         self.overrides.push(ov);
-    }
-
-    /// Removes all activation overrides.
-    pub fn clear_overrides(&mut self) {
-        self.overrides.clear();
-    }
-
-    /// Currently installed overrides.
-    pub fn overrides(&self) -> &[ActivationOverride] {
-        &self.overrides
     }
 
     /// Runs the stack forward. The input is only cloned when the stack is
@@ -105,19 +80,14 @@ impl Sequential {
         }
         out
     }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&mut self) -> usize {
-        self.params().iter().map(|p| p.values.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu, Tanh};
+    use crate::layers::{Dense, Relu};
     use crate::loss::mse;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -125,7 +95,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = Sequential::new();
         net.push(Dense::new(2, 8, &mut rng));
-        net.push(Tanh::new());
+        net.push(Relu::new());
         net.push(Dense::new(8, 1, &mut rng));
         net
     }
@@ -171,7 +141,8 @@ mod tests {
                 "dense2.bias"
             ]
         );
-        assert_eq!(net.param_count(), 2 * 8 + 8 + 8 + 1);
+        let count: usize = net.params().iter().map(|p| p.values.len()).sum();
+        assert_eq!(count, 2 * 8 + 8 + 8 + 1);
     }
 
     #[test]
@@ -180,15 +151,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         net.push(Dense::new(2, 4, &mut rng));
         net.push(Relu::new());
+        let x = Tensor::from_vec(vec![0.1, 0.2], vec![2]);
+        let clean = net.forward(&x, false);
         net.add_override(ActivationOverride {
             layer: 1,
             unit: 2,
             value: 42.0,
         });
-        let out = net.forward(&Tensor::from_vec(vec![0.1, 0.2], vec![2]), false);
+        let out = net.forward(&x, false);
         assert_eq!(out.data()[2], 42.0);
-        net.clear_overrides();
-        let out2 = net.forward(&Tensor::from_vec(vec![0.1, 0.2], vec![2]), false);
-        assert_ne!(out2.data()[2], 42.0);
+        assert_ne!(clean.data()[2], 42.0);
     }
 }

@@ -1,69 +1,10 @@
-//! Optimizers: SGD with momentum, and Adam.
+//! The Adam optimizer.
 //!
-//! Optimizers hold per-parameter state keyed by the position of each
+//! Adam holds per-parameter state keyed by the position of each
 //! [`ParamSlice`] in the network's parameter list, which is stable across
 //! steps for a fixed architecture.
 
 use crate::layers::ParamSlice;
-
-/// Gradient-descent optimizer interface.
-pub trait Optimizer {
-    /// Applies one update step using the accumulated gradients, then zeroes
-    /// them.
-    fn step(&mut self, params: &mut [ParamSlice<'_>]);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and `0 ≤ momentum < 1`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamSlice<'_>]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
-        }
-        for (p, vel) in params.iter_mut().zip(&mut self.velocity) {
-            debug_assert_eq!(p.values.len(), vel.len(), "parameter shape changed");
-            for (i, v) in vel.iter_mut().enumerate() {
-                *v = self.momentum * *v - self.lr * p.grads[i];
-                p.values[i] += *v;
-                p.grads[i] = 0.0;
-            }
-        }
-    }
-}
 
 /// Adam optimizer (Kingma & Ba, 2015).
 #[derive(Debug, Clone)]
@@ -95,10 +36,10 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [ParamSlice<'_>]) {
+    /// Applies one update step using the accumulated gradients, then zeroes
+    /// them.
+    pub fn step(&mut self, params: &mut [ParamSlice<'_>]) {
         if self.m.len() != params.len() {
             self.m = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
             self.v = self.m.clone();
@@ -130,7 +71,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn train_linear(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn train_linear(opt: &mut Adam, steps: usize) -> f32 {
         // Learn y = 2x with a single dense unit.
         let mut rng = StdRng::seed_from_u64(13);
         let mut d = Dense::new(1, 1, &mut rng);
@@ -149,13 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_linear() {
-        let mut opt = Sgd::new(0.02, 0.9);
-        let loss = train_linear(&mut opt, 600);
-        assert!(loss < 1e-3, "loss={loss}");
-    }
-
-    #[test]
     fn adam_converges_on_linear() {
         let mut opt = Adam::new(0.05);
         let loss = train_linear(&mut opt, 300);
@@ -169,7 +103,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, -1.0], vec![2]);
         let y = d.forward(&x, true);
         d.backward(&y);
-        let mut opt = Sgd::new(0.01, 0.0);
+        let mut opt = Adam::new(0.01);
         opt.step(&mut d.params());
         for p in d.params() {
             assert!(p.grads.iter().all(|g| *g == 0.0));
@@ -179,6 +113,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn rejects_zero_lr() {
-        let _ = Sgd::new(0.0, 0.0);
+        let _ = Adam::new(0.0);
     }
 }

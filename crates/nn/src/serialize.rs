@@ -118,7 +118,7 @@ pub fn load_weights(bytes: &[u8], params: &mut [ParamSlice<'_>]) -> Result<(), L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Tanh};
+    use crate::layers::{Dense, Relu};
     use crate::network::Sequential;
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
@@ -128,7 +128,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut n = Sequential::new();
         n.push(Dense::new(3, 4, &mut rng));
-        n.push(Tanh::new());
+        n.push(Relu::new());
         n.push(Dense::new(4, 2, &mut rng));
         n
     }

@@ -93,53 +93,6 @@ impl Tensor {
         self
     }
 
-    /// Elementwise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "shape mismatch");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
-
-    /// Elementwise scale.
-    pub fn scale(&self, k: f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|a| a * k).collect(),
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        self.sum() / self.len() as f32
-    }
-
-    /// Index of the largest element.
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, v) in self.data.iter().enumerate() {
-            if *v > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// `true` when every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -161,13 +114,13 @@ mod tests {
         let t = Tensor::zeros(vec![2, 3]);
         assert_eq!(t.len(), 6);
         assert_eq!(t.shape(), &[2, 3]);
-        assert_eq!(t.sum(), 0.0);
+        assert!(t.data().iter().all(|v| *v == 0.0));
     }
 
     #[test]
     fn from_vec_checks_len() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], vec![3]);
-        assert_eq!(t.mean(), 2.0);
+        assert_eq!(t.data(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -181,20 +134,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![4]).reshaped(vec![2, 2]);
         assert_eq!(t.shape(), &[2, 2]);
         assert_eq!(t.data(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], vec![2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], vec![2]);
-        assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn argmax_finds_peak() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.5], vec![3]);
-        assert_eq!(t.argmax(), 1);
     }
 
     #[test]

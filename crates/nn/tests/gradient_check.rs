@@ -1,10 +1,10 @@
 //! End-to-end gradient verification and learning-capacity tests for the
-//! full network stack (conv → pool → dense), beyond the per-layer unit
-//! checks.
+//! full network stack (strided conv → dense), built from the layer kinds
+//! the IL-CNN uses, beyond the per-layer unit checks.
 
-use avfi_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Tanh};
+use avfi_nn::layers::{Conv2d, Dense, Flatten, Relu};
 use avfi_nn::loss::mse;
-use avfi_nn::optim::{Adam, Optimizer};
+use avfi_nn::optim::Adam;
 use avfi_nn::{Sequential, Tensor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -12,12 +12,11 @@ use rand::{RngExt, SeedableRng};
 fn small_cnn(seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = Sequential::new();
-    net.push(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
+    net.push(Conv2d::new(1, 4, 3, 2, 1, &mut rng));
     net.push(Relu::new());
-    net.push(MaxPool2d::new(2));
     net.push(Flatten::new());
     net.push(Dense::new(4 * 4 * 4, 8, &mut rng));
-    net.push(Tanh::new());
+    net.push(Relu::new());
     net.push(Dense::new(8, 1, &mut rng));
     net
 }
@@ -142,41 +141,4 @@ fn cnn_learns_bar_position_regression() {
         worst = worst.max((pred - t).abs());
     }
     assert!(worst < 0.35, "worst abs error {worst}");
-}
-
-/// Dropout regularization path: a network trains with dropout enabled and
-/// behaves deterministically at inference.
-#[test]
-fn dropout_training_still_converges() {
-    use avfi_nn::layers::Dropout;
-    let mut rng = StdRng::seed_from_u64(6);
-    let mut net = Sequential::new();
-    net.push(Dense::new(2, 16, &mut rng));
-    net.push(Relu::new());
-    net.push(Dropout::new(0.25, 99));
-    net.push(Dense::new(16, 1, &mut rng));
-    let mut opt = Adam::new(1e-2);
-    for _ in 0..600 {
-        for (x, t) in [
-            ([0.0f32, 0.0], 0.0f32),
-            ([1.0, 0.0], 1.0),
-            ([0.0, 1.0], 1.0),
-            ([1.0, 1.0], 0.0),
-        ] {
-            let out = net.forward(&Tensor::from_vec(x.to_vec(), vec![2]), true);
-            let (_, g) = mse(&out, &Tensor::from_vec(vec![t], vec![1]));
-            net.backward(&g);
-            opt.step(&mut net.params());
-        }
-    }
-    // Inference is deterministic (dropout off) and roughly solves XOR.
-    let eval = |net: &mut Sequential, x: [f32; 2]| {
-        net.forward(&Tensor::from_vec(x.to_vec(), vec![2]), false)
-            .data()[0]
-    };
-    let a = eval(&mut net, [1.0, 0.0]);
-    let b = eval(&mut net, [1.0, 0.0]);
-    assert_eq!(a, b);
-    assert!((eval(&mut net, [0.0, 0.0])).abs() < 0.4);
-    assert!((eval(&mut net, [1.0, 0.0]) - 1.0).abs() < 0.4);
 }

@@ -1,17 +1,32 @@
 //! A plan whose runs cannot start is refused at submit. Queued, a neural
-//! plan with undecodable weights would panic every pool worker that
-//! claimed one of its runs and leave the daemon serving no one. Refused,
+//! plan with undecodable weights would panic every run of it. Refused,
 //! it costs the daemon nothing: the next client's plan runs as usual and
-//! shutdown is clean.
+//! shutdown is clean. A plan that passes validation and still panics
+//! fails on its own, and the daemon keeps serving.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
-use avfi_net::proto::PlanPhase;
+use avfi_net::proto::{PlanId, PlanPhase};
 use avfi_net::NetError;
 use avfi_server::{demo_plan, solo_results_json, CampaignServer, ServiceClient};
+use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::TraceLevel;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Polls the plan's status until it is terminal or `secs` have passed,
+/// so a plan that never finishes fails the test instead of hanging it.
+fn phase_within(client: &mut ServiceClient, plan: PlanId, secs: u64) -> PlanPhase {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    loop {
+        let (phase, _, _) = client.status(plan).expect("status");
+        if phase.is_terminal() || Instant::now() >= deadline {
+            return phase;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
 
 #[test]
 fn undecodable_weights_are_refused_and_the_daemon_keeps_serving() {
@@ -48,6 +63,38 @@ fn undecodable_weights_are_refused_and_the_daemon_keeps_serving() {
         client.wait_terminal(id).expect("wait"),
         PlanPhase::Completed
     );
+    assert_eq!(
+        client.results_json(id).expect("results"),
+        solo_results_json(&demo).expect("solo run")
+    );
+
+    client.shutdown_server().expect("shutdown");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+}
+
+#[test]
+fn panicking_plan_fails_and_the_daemon_keeps_serving() {
+    let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+
+    // Two expert runs on a 1×1 town: the plan validates, but every run
+    // panics building its world.
+    let poison = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(1, 1)).build()])
+        .runs_per_scenario(2)
+        .agent(AgentSpec::Expert)
+        .build();
+    let plan = WorkPlan::new().with_study("poison", vec![poison]);
+    let (id, _) = client.submit(&plan, TraceLevel::Off).expect("submit");
+    assert_eq!(phase_within(&mut client, id, 30), PlanPhase::Failed);
+
+    let demo = demo_plan();
+    let (id, _) = client.submit(&demo, TraceLevel::Off).expect("submit");
+    assert_eq!(phase_within(&mut client, id, 120), PlanPhase::Completed);
     assert_eq!(
         client.results_json(id).expect("results"),
         solo_results_json(&demo).expect("solo run")

@@ -234,9 +234,11 @@ fn retention_sweep_deletes_spooled_files() {
     let (addr, daemon) = spawn_daemon(&spool, false, Some(Duration::ZERO));
     let mut c = ServiceClient::connect(&addr).expect("connect");
     let (id, total) = c.submit(&plan, TraceLevel::Blackbox).expect("submit");
-    assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
+    // Checked before the next request: the sweep runs as each request
+    // arrives, and the plan may finish before the watch below is served.
     let journal_path = spool.join(avfi_store::journal_file_name(id));
     assert!(journal_path.exists(), "journal must exist while retained");
+    assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
 
     // Any served request triggers the sweep; retention 0 = expired now.
     let _ = c.results_json(id);

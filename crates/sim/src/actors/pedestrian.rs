@@ -1,7 +1,6 @@
 //! Pedestrians: sidewalk walkers that occasionally cross the road.
 
 use crate::math::{Segment, Vec2};
-use crate::physics::CollisionShape;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -86,29 +85,9 @@ impl Pedestrian {
         self.position
     }
 
-    /// Current phase.
-    #[inline]
-    pub fn phase(&self) -> &PedestrianPhase {
-        &self.phase
-    }
-
-    /// Walking speed, m/s.
-    #[inline]
-    pub fn walk_speed(&self) -> f64 {
-        self.walk_speed
-    }
-
     /// `true` while the pedestrian is on the roadway.
     pub fn is_crossing(&self) -> bool {
         matches!(self.phase, PedestrianPhase::Crossing { .. })
-    }
-
-    /// Collision footprint.
-    pub fn shape(&self) -> CollisionShape {
-        CollisionShape::Circle {
-            center: self.position,
-            radius: PEDESTRIAN_RADIUS,
-        }
     }
 
     /// Marks the pedestrian as struck by the ego vehicle; it despawns.

@@ -174,11 +174,6 @@ impl Traffic {
         &self.peds
     }
 
-    /// Maximum ticks an agent may sleep between decisions.
-    pub fn horizon(&self) -> u32 {
-        self.horizon
-    }
-
     /// Maximum distance any actor can be from its indexed position.
     fn slack(&self) -> f64 {
         self.vmax * FRAME_DT * (self.horizon as f64 + 1.0)

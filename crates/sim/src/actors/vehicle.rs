@@ -93,15 +93,6 @@ impl NpcVehicle {
         Pose::new(lane.point_at(self.s), lane.heading_at(self.s))
     }
 
-    /// Collision footprint.
-    pub fn shape(&self, map: &Map) -> CollisionShape {
-        CollisionShape::Box(Obb::new(
-            self.pose(map),
-            self.params.length,
-            self.params.width,
-        ))
-    }
-
     /// Vehicle parameters.
     pub fn params(&self) -> &VehicleParams {
         &self.params

@@ -151,20 +151,10 @@ impl Lane {
         *self.points.last().expect("points is non-empty")
     }
 
-    /// Heading of the first segment, radians.
-    pub fn start_heading(&self) -> f64 {
-        (self.points[1] - self.points[0]).angle()
-    }
-
     /// Heading of the last segment, radians.
     pub fn end_heading(&self) -> f64 {
         let n = self.points.len();
         (self.points[n - 1] - self.points[n - 2]).angle()
-    }
-
-    /// Centerline segments.
-    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.points.windows(2).map(|w| Segment::new(w[0], w[1]))
     }
 
     /// Point on the centerline at arc length `s` (clamped to `[0, length]`).
@@ -295,7 +285,7 @@ mod tests {
             5.0,
             Some(TurnKind::Left),
         );
-        assert!((l.start_heading()).abs() < 1e-12);
+        assert!(l.heading_at(0.0).abs() < 1e-12);
         assert!((l.end_heading() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert_eq!(l.turn(), Some(TurnKind::Left));
     }

@@ -72,10 +72,8 @@ pub struct MapParts {
 pub struct Map {
     lanes: Vec<Lane>,
     successors: Vec<Vec<LaneId>>,
-    predecessors: Vec<Vec<LaneId>>,
     intersections: Vec<Intersection>,
     lane_to_intersection: HashMap<LaneId, IntersectionId>,
-    connector_to_intersection: HashMap<LaneId, IntersectionId>,
     road_axes: Vec<RoadAxis>,
     buildings: Vec<Aabb>,
     bounds: Aabb,
@@ -84,8 +82,8 @@ pub struct Map {
 }
 
 impl Map {
-    /// Assembles a map from builder output, computing predecessor links,
-    /// bounds and spatial indexes.
+    /// Assembles a map from builder output, computing bounds and spatial
+    /// indexes.
     ///
     /// # Panics
     ///
@@ -105,18 +103,8 @@ impl Map {
             successors.len(),
             "successor table must match lane count"
         );
-        let mut predecessors = vec![Vec::new(); lanes.len()];
-        for (i, succs) in successors.iter().enumerate() {
-            for s in succs {
-                assert!((s.0 as usize) < lanes.len(), "successor {s} out of range");
-                predecessors[s.0 as usize].push(LaneId(i as u32));
-            }
-        }
-        let mut connector_to_intersection = HashMap::new();
-        for isect in &intersections {
-            for c in isect.connectors() {
-                connector_to_intersection.insert(*c, isect.id());
-            }
+        for s in successors.iter().flatten() {
+            assert!((s.0 as usize) < lanes.len(), "successor {s} out of range");
         }
         let mut bounds: Option<Aabb> = None;
         for axis in &road_axes {
@@ -149,10 +137,8 @@ impl Map {
         Map {
             lanes,
             successors,
-            predecessors,
             intersections,
             lane_to_intersection,
-            connector_to_intersection,
             road_axes,
             buildings,
             bounds,
@@ -183,12 +169,6 @@ impl Map {
         &self.successors[id.0 as usize]
     }
 
-    /// Predecessor lanes of `id`.
-    #[inline]
-    pub fn predecessors(&self, id: LaneId) -> &[LaneId] {
-        &self.predecessors[id.0 as usize]
-    }
-
     /// All intersections.
     #[inline]
     pub fn intersections(&self) -> &[Intersection] {
@@ -205,12 +185,6 @@ impl Map {
     #[inline]
     pub fn intersection_after(&self, lane: LaneId) -> Option<IntersectionId> {
         self.lane_to_intersection.get(&lane).copied()
-    }
-
-    /// The intersection a connector lane crosses, if it is a connector.
-    #[inline]
-    pub fn intersection_of_connector(&self, lane: LaneId) -> Option<IntersectionId> {
-        self.connector_to_intersection.get(&lane).copied()
     }
 
     /// Road corridors.
@@ -278,25 +252,6 @@ impl Map {
         best
     }
 
-    /// Nearest *drive* lane (ignoring connectors); used for spawning.
-    pub fn nearest_drive_lane(&self, p: Vec2, max_dist: f64) -> Option<(LaneId, LaneProjection)> {
-        let mut best: Option<(LaneId, LaneProjection)> = None;
-        for id in self.grid.lanes_near(p, max_dist) {
-            let lane = &self.lanes[id.0 as usize];
-            if lane.kind() != LaneKind::Drive {
-                continue;
-            }
-            let proj = lane.project(p);
-            if proj.distance <= max_dist {
-                match &best {
-                    Some((_, b)) if b.distance <= proj.distance => {}
-                    _ => best = Some((id, proj)),
-                }
-            }
-        }
-        best
-    }
-
     /// `true` when the point is on pavement (road corridor or intersection).
     pub fn on_drivable(&self, p: Vec2) -> bool {
         if self
@@ -322,13 +277,6 @@ impl Map {
             let axis = &self.road_axes[i];
             axis.axis.distance_to(p) <= axis.half_road + axis.sidewalk
         })
-    }
-
-    /// `true` when the point is inside a building footprint.
-    pub fn in_building(&self, p: Vec2) -> bool {
-        self.grid
-            .buildings_near(p)
-            .any(|i| self.buildings[i].contains(p))
     }
 
     /// Ground material at a world point.
@@ -1068,12 +1016,6 @@ impl SpatialGrid {
             .flat_map(move |c| self.axes[c].iter().copied())
     }
 
-    fn buildings_near(&self, p: Vec2) -> impl Iterator<Item = usize> + '_ {
-        self.cell_of(p)
-            .into_iter()
-            .flat_map(move |c| self.buildings[c].iter().copied())
-    }
-
     fn intersections_near(&self, p: Vec2) -> impl Iterator<Item = IntersectionId> + '_ {
         self.cell_of(p)
             .into_iter()
@@ -1097,20 +1039,6 @@ mod tests {
         assert!(!m.intersections().is_empty());
         assert!(!m.road_axes().is_empty());
         assert!(!m.buildings().is_empty());
-    }
-
-    #[test]
-    fn successors_and_predecessors_agree() {
-        let m = town();
-        for lane in m.lanes() {
-            for s in m.successors(lane.id()) {
-                assert!(
-                    m.predecessors(*s).contains(&lane.id()),
-                    "{} -> {s} missing back-link",
-                    lane.id()
-                );
-            }
-        }
     }
 
     #[test]

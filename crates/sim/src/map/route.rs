@@ -329,16 +329,6 @@ impl RouteTracker {
     pub fn remaining(&self) -> f64 {
         self.route.length() - self.current().s
     }
-
-    /// Cross-track distance from `p` to the nearest tracked waypoint.
-    pub fn cross_track(&self, p: Vec2) -> f64 {
-        self.current().position.distance(p)
-    }
-
-    /// `true` once the tracker has reached the final waypoint region.
-    pub fn at_end(&self) -> bool {
-        self.index + 1 >= self.route.waypoints().len()
-    }
 }
 
 #[cfg(test)]
@@ -459,7 +449,7 @@ mod tests {
             assert!(tracker.index() >= last);
             last = tracker.index();
         }
-        assert!(tracker.at_end());
+        assert!(tracker.index() + 1 >= wps.len());
         assert!(tracker.remaining() < 1.0);
     }
 

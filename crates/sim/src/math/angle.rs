@@ -1,8 +1,6 @@
 //! Angle normalization helpers.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
-use std::fmt;
 
 /// Normalizes an angle in radians into `(-π, π]`.
 ///
@@ -23,58 +21,6 @@ pub fn normalize_angle(theta: f64) -> f64 {
     a
 }
 
-/// A heading angle, kept normalized in `(-π, π]`.
-///
-/// A thin newtype over `f64` radians that makes heading arithmetic
-/// self-normalizing and distinguishes headings from other scalars in
-/// signatures ([C-NEWTYPE]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Angle(f64);
-
-impl Angle {
-    /// Creates an angle from radians, normalizing into `(-π, π]`.
-    #[inline]
-    pub fn from_radians(theta: f64) -> Self {
-        Angle(normalize_angle(theta))
-    }
-
-    /// Creates an angle from degrees.
-    #[inline]
-    pub fn from_degrees(deg: f64) -> Self {
-        Angle::from_radians(deg.to_radians())
-    }
-
-    /// The angle in radians, in `(-π, π]`.
-    #[inline]
-    pub fn radians(self) -> f64 {
-        self.0
-    }
-
-    /// The angle in degrees, in `(-180, 180]`.
-    #[inline]
-    pub fn degrees(self) -> f64 {
-        self.0.to_degrees()
-    }
-
-    /// Smallest signed difference `self - other`, normalized.
-    #[inline]
-    pub fn diff(self, other: Angle) -> Angle {
-        Angle::from_radians(self.0 - other.0)
-    }
-
-    /// Adds radians, renormalizing.
-    #[inline]
-    pub fn add_radians(self, delta: f64) -> Angle {
-        Angle::from_radians(self.0 + delta)
-    }
-}
-
-impl fmt::Display for Angle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1}°", self.degrees())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,20 +31,5 @@ mod tests {
         assert!((normalize_angle(-PI) - PI).abs() < 1e-12);
         assert!((normalize_angle(PI) - PI).abs() < 1e-12);
         assert!((normalize_angle(7.0) - (7.0 - 2.0 * PI)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diff_takes_short_way() {
-        let a = Angle::from_degrees(170.0);
-        let b = Angle::from_degrees(-170.0);
-        assert!((a.diff(b).degrees() - (-20.0)).abs() < 1e-9);
-        assert!((b.diff(a).degrees() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degree_roundtrip() {
-        let a = Angle::from_degrees(90.0);
-        assert!((a.radians() - PI / 2.0).abs() < 1e-12);
-        assert!((a.degrees() - 90.0).abs() < 1e-12);
     }
 }

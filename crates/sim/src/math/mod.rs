@@ -10,7 +10,7 @@ mod rect;
 mod seg;
 mod vec2;
 
-pub use angle::{normalize_angle, Angle};
+pub use angle::normalize_angle;
 pub use pose::Pose;
 pub use ray::Ray;
 pub use rect::{Aabb, Obb};
@@ -27,12 +27,6 @@ pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
     x.max(lo).min(hi)
 }
 
-/// Linear interpolation between `a` and `b` with parameter `t` in `[0, 1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,12 +37,5 @@ mod tests {
         assert_eq!(clamp(5.0, 1.0, 0.0), 1.0);
         assert_eq!(clamp(-5.0, 0.0, 1.0), 0.0);
         assert_eq!(clamp(0.5, 0.0, 1.0), 0.5);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        assert_eq!(lerp(2.0, 4.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 4.0, 1.0), 4.0);
-        assert_eq!(lerp(2.0, 4.0, 0.5), 3.0);
     }
 }

@@ -14,26 +14,12 @@ pub struct Ray {
 }
 
 impl Ray {
-    /// Creates a ray; the direction is normalized.
-    pub fn new(origin: Vec2, direction: Vec2) -> Self {
-        Ray {
-            origin,
-            direction: direction.normalized(),
-        }
-    }
-
     /// Creates a ray from an origin and an angle in radians.
     pub fn from_angle(origin: Vec2, theta: f64) -> Self {
         Ray {
             origin,
             direction: Vec2::from_angle(theta),
         }
-    }
-
-    /// Point at distance `t` along the ray.
-    #[inline]
-    pub fn point_at(&self, t: f64) -> Vec2 {
-        self.origin + self.direction * t
     }
 
     /// Distance to the first intersection with a segment, if any.

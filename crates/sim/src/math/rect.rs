@@ -139,12 +139,6 @@ impl Obb {
         ]
     }
 
-    /// Loose axis-aligned bound.
-    pub fn aabb(&self) -> Aabb {
-        let r = self.half_length.hypot(self.half_width);
-        Aabb::from_center(self.pose.position, r, r)
-    }
-
     /// Radius of the bounding circle.
     #[inline]
     pub fn bounding_radius(&self) -> f64 {

@@ -66,27 +66,6 @@ impl Segment {
     pub fn signed_offset(&self, p: Vec2) -> f64 {
         self.direction().cross(p - self.a)
     }
-
-    /// Intersection of two segments, if any, as a world point.
-    ///
-    /// Returns `None` for parallel or non-crossing segments. Endpoint
-    /// touches count as intersections.
-    pub fn intersect(&self, other: &Segment) -> Option<Vec2> {
-        let r = self.b - self.a;
-        let s = other.b - other.a;
-        let denom = r.cross(s);
-        if denom.abs() < 1e-12 {
-            return None;
-        }
-        let qp = other.a - self.a;
-        let t = qp.cross(s) / denom;
-        let u = qp.cross(r) / denom;
-        if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
-            Some(self.point_at(t))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,28 +85,6 @@ mod tests {
         let s = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0));
         assert!(s.signed_offset(Vec2::new(0.5, 1.0)) > 0.0);
         assert!(s.signed_offset(Vec2::new(0.5, -1.0)) < 0.0);
-    }
-
-    #[test]
-    fn intersection_cross() {
-        let a = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(2.0, 2.0));
-        let b = Segment::new(Vec2::new(0.0, 2.0), Vec2::new(2.0, 0.0));
-        let p = a.intersect(&b).unwrap();
-        assert!((p - Vec2::new(1.0, 1.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_parallel_none() {
-        let a = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(2.0, 0.0));
-        let b = Segment::new(Vec2::new(0.0, 1.0), Vec2::new(2.0, 1.0));
-        assert!(a.intersect(&b).is_none());
-    }
-
-    #[test]
-    fn intersection_disjoint_none() {
-        let a = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0));
-        let b = Segment::new(Vec2::new(2.0, -1.0), Vec2::new(2.0, 1.0));
-        assert!(a.intersect(&b).is_none());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl VehicleState {
             steer_angle: 0.0,
         }
     }
-
-    /// Velocity vector in the world frame.
-    pub fn velocity(&self) -> Vec2 {
-        self.pose.forward() * self.speed
-    }
 }
 
 /// Integrates the kinematic bicycle model.

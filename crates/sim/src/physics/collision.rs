@@ -36,17 +36,6 @@ impl CollisionShape {
         }
     }
 
-    /// Loose axis-aligned bound.
-    pub fn aabb(&self) -> Aabb {
-        match self {
-            CollisionShape::Box(o) => o.aabb(),
-            CollisionShape::Circle { center, radius } => {
-                Aabb::from_center(*center, *radius, *radius)
-            }
-            CollisionShape::Fixed(a) => *a,
-        }
-    }
-
     /// Tests two shapes for overlap and returns a contact if they touch.
     pub fn contact(&self, other: &CollisionShape) -> Option<Contact> {
         use CollisionShape::*;

@@ -254,24 +254,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the LIDAR configuration.
-    pub fn lidar(mut self, lidar: LidarConfig) -> Self {
-        self.scenario.lidar = lidar;
-        self
-    }
-
-    /// Sets the GPS configuration.
-    pub fn gps(mut self, gps: GpsConfig) -> Self {
-        self.scenario.gps = gps;
-        self
-    }
-
-    /// Sets the IMU configuration.
-    pub fn imu(mut self, imu: ImuConfig) -> Self {
-        self.scenario.imu = imu;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> Scenario {
         self.scenario

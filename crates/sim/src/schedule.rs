@@ -75,17 +75,6 @@ impl Scheduler {
         None
     }
 
-    /// The earliest scheduled wake tick, if any agent is pending.
-    pub fn peek_tick(&mut self) -> Option<u64> {
-        while let Some(&Reverse((tick, agent))) = self.heap.peek() {
-            if self.slot.get(agent as usize).copied() == Some(tick) {
-                return Some(tick);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
     /// Number of agents with a pending wake.
     pub fn len(&self) -> usize {
         self.slot.iter().filter(|&&t| t != UNSCHEDULED).count()
@@ -160,13 +149,5 @@ mod tests {
         s.deschedule(0);
         assert_eq!(drain(&mut s, 1), vec![1]);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_stale_entries() {
-        let mut s = Scheduler::new();
-        s.schedule(0, 2);
-        s.schedule(0, 9);
-        assert_eq!(s.peek_tick(), Some(9));
     }
 }

@@ -39,11 +39,6 @@ impl Gps {
         Gps { config }
     }
 
-    /// Sensor configuration.
-    pub fn config(&self) -> &GpsConfig {
-        &self.config
-    }
-
     /// Produces a fix for the true position.
     pub fn measure(&self, truth: Vec2, rng: &mut StdRng) -> GpsFix {
         let s = self.config.sigma;

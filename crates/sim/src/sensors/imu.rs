@@ -46,11 +46,6 @@ impl Imu {
         Imu { config, last: None }
     }
 
-    /// Sensor configuration.
-    pub fn config(&self) -> &ImuConfig {
-        &self.config
-    }
-
     /// Produces a reading from the current true speed and heading; `dt` is
     /// the time since the previous call. The first call reports zeros
     /// (no history to differentiate).

@@ -56,11 +56,6 @@ impl SpatialIndex {
         }
     }
 
-    /// Cell edge length, meters.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of indexed keys.
     pub fn len(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()

@@ -162,11 +162,6 @@ impl ViolationMonitor {
         &self.events
     }
 
-    /// Consumes the monitor, returning the events.
-    pub fn into_events(self) -> Vec<Violation> {
-        self.events
-    }
-
     /// Number of recorded events.
     pub fn count(&self) -> usize {
         self.events.len()

@@ -202,11 +202,6 @@ impl World {
         }
     }
 
-    /// The scenario this world was built from.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
     /// The road map.
     pub fn map(&self) -> &Map {
         &self.map
@@ -453,17 +448,8 @@ impl World {
         // preserved across frames (`mem::take` leaves an empty Vec behind
         // without allocating).
         if self.sensor_mask.camera {
-            let mut billboards = std::mem::take(&mut self.scratch_billboards);
-            billboards.clear();
-            self.fill_billboards(&mut billboards);
-            let scene = RenderScene {
-                map: &self.map,
-                weather: self.weather(),
-                billboards: &billboards,
-            };
-            self.camera
-                .render_into(&scene, self.ego.pose, &mut obs.sensors.image);
-            self.scratch_billboards = billboards;
+            let image = &mut obs.sensors.image;
+            self.with_camera_scene(|camera, scene, ego| camera.render_into(scene, ego, image));
         }
 
         if self.sensor_mask.lidar {
@@ -507,23 +493,24 @@ impl World {
     /// rasterizer; this is its differential oracle, used by the golden
     /// corpus tool and equivalence tests. Does not advance any sensor RNG.
     pub fn render_camera_reference(&mut self) -> Image {
-        let mut billboards = std::mem::take(&mut self.scratch_billboards);
-        billboards.clear();
-        self.fill_billboards(&mut billboards);
-        let scene = RenderScene {
-            map: &self.map,
-            weather: self.weather(),
-            billboards: &billboards,
-        };
-        let img = self.camera.render_reference(&scene, self.ego.pose);
-        self.scratch_billboards = billboards;
-        img
+        self.with_camera_scene(|camera, scene, ego| camera.render_reference(scene, ego))
     }
 
     /// Renders the current frame's camera image through the default span
     /// path, with the same billboard set [`World::observe`] draws. Does
     /// not advance any sensor RNG.
     pub fn render_camera(&mut self) -> Image {
+        self.with_camera_scene(|camera, scene, ego| camera.render(scene, ego))
+    }
+
+    /// Gathers this frame's billboards into the scratch buffer and hands
+    /// the camera, the scene and the ego pose to `render`. The buffer is
+    /// moved out while `render` runs so the scene can borrow `self.map`,
+    /// and put back afterwards, keeping its capacity across frames.
+    fn with_camera_scene<R>(
+        &mut self,
+        render: impl FnOnce(&Camera, &RenderScene<'_>, Pose) -> R,
+    ) -> R {
         let mut billboards = std::mem::take(&mut self.scratch_billboards);
         billboards.clear();
         self.fill_billboards(&mut billboards);
@@ -532,9 +519,9 @@ impl World {
             weather: self.weather(),
             billboards: &billboards,
         };
-        let img = self.camera.render(&scene, self.ego.pose);
+        let out = render(&self.camera, &scene, self.ego.pose);
         self.scratch_billboards = billboards;
-        img
+        out
     }
 
     fn snapshot(&self) -> EgoSnapshot {

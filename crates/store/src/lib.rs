@@ -271,13 +271,6 @@ pub struct RecoveredPlan {
     pub terminal: Option<PlanPhase>,
 }
 
-impl RecoveredPlan {
-    /// `true` when every run of the plan is journaled.
-    pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.plan.total_runs()
-    }
-}
-
 /// Summarizes recovered records into a [`RecoveredPlan`]. Returns `None`
 /// unless the first record is a [`JournalRecord::PlanSubmitted`] whose
 /// plan deserializes. Run records that do not deserialize, duplicate an
@@ -630,7 +623,6 @@ mod tests {
         ];
         let rec = summarize(&records).expect("plan summarizes");
         assert!(rec.completed.is_empty());
-        assert!(rec.is_complete());
         assert!(rec.terminal.is_none());
         // No PlanSubmitted head → no summary.
         assert!(summarize(&records[1..]).is_none());

@@ -263,15 +263,6 @@ impl RunTrace {
             })
             .next_back()
     }
-
-    /// Lossless JSON export of the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures (none occur for these types).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
 }
 
 /// FNV-1a fingerprint of a byte slice (used for the weights fingerprint

@@ -5,7 +5,7 @@
 use avfi::fi::fault::hardware::flip_bit;
 use avfi::fi::fault::input::{ImageFault, ImageFaultLayout};
 use avfi::fi::fault::timing::{TimingChannel, TimingFault};
-use avfi::fi::stats::{percentile, Summary};
+use avfi::fi::stats::{percentile_sorted, Summary};
 use avfi::nn::Tensor;
 use avfi::sim::math::{normalize_angle, Pose, Segment, Vec2};
 use avfi::sim::physics::{BicycleModel, VehicleControl, VehicleParams, VehicleState};
@@ -168,23 +168,20 @@ proptest! {
     fn percentile_monotone(data in proptest::collection::vec(-1e3f64..1e3, 2..50),
                            p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-        prop_assert!(percentile(&data, lo) <= percentile(&data, hi) + 1e-9);
+        let mut sorted = data.clone();
+        sorted.sort_by(f64::total_cmp);
+        prop_assert!(percentile_sorted(&sorted, lo) <= percentile_sorted(&sorted, hi) + 1e-9);
     }
 
     // --- NN ------------------------------------------------------------
 
-    /// Tensor reshape preserves contents; add is commutative.
+    /// Tensor reshape preserves contents.
     #[test]
     fn tensor_algebra(data in proptest::collection::vec(-10.0f32..10.0, 1..64)) {
         let n = data.len();
         let t = Tensor::from_vec(data.clone(), vec![n]);
         let u = t.clone().reshaped(vec![1, n]).reshaped(vec![n]);
         prop_assert_eq!(t.data(), u.data());
-        let a = Tensor::from_vec(data.clone(), vec![n]);
-        let b = Tensor::from_vec(data.iter().rev().cloned().collect(), vec![n]);
-        let ab = a.add(&b);
-        let ba = b.add(&a);
-        prop_assert_eq!(ab.data(), ba.data());
     }
 }
 
