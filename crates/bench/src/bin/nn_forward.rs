@@ -1,8 +1,8 @@
 //! IL-CNN forward wall-clock: blocked lane-batched kernels vs the retained
 //! scalar `forward_reference` oracles, per layer and whole-net. Bitwise
-//! equality of every compared output is asserted *before* timing (the
-//! `study_speedup` pattern) — a speedup over non-identical results would be
-//! meaningless. Emits one JSON object on stdout (the record stored in
+//! equality of every compared output is asserted *before* timing — a
+//! speedup over non-identical results would be meaningless. Emits one
+//! JSON object on stdout (the record stored in
 //! `BENCH_pr9.json` at the repo root).
 //!
 //! The layers are the exact production shapes of the driving agent

@@ -28,7 +28,7 @@ use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-/// Experiment scale: `quick` for smoke tests and criterion, `full` for the
+/// Experiment scale: `quick` for smoke tests (`--quick`), `full` for the
 /// figure reproductions in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
@@ -41,7 +41,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Small scale for CI / criterion.
+    /// Small scale for CI and the smoke goldens.
     pub fn quick() -> Scale {
         Scale {
             scenarios: 2,

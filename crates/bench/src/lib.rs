@@ -10,7 +10,7 @@
 //!
 //! [`experiments`] provides the shared machinery (scenario suite, cached
 //! agent training, campaign studies); each `src/bin/figN_*.rs` binary
-//! regenerates one figure as a table; `benches/` adds criterion coverage.
+//! regenerates one figure as a table. Timing lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

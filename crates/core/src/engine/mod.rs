@@ -750,7 +750,7 @@ impl Engine {
     }
 
     /// The worker count `execute` would use for `total` queued runs.
-    pub fn effective_workers(&self, total: usize) -> usize {
+    fn effective_workers(&self, total: usize) -> usize {
         let auto = if self.workers > 0 {
             self.workers
         } else {

@@ -96,8 +96,9 @@ fn one_worker_and_eight_workers_serialize_identically() {
 /// span renderer (per-thread scratch reuse, material-cursor state, fog
 /// tables) — or any perturbation from the flight recorder — would change
 /// trajectories and therefore the serialized results. This pins the image
-/// path end to end: results are byte-identical across worker counts and
-/// across trace levels (off / summary / blackbox).
+/// path end to end: results are byte-identical across worker counts,
+/// across trace levels (off / summary / blackbox), and to each campaign
+/// run on its own through `Engine::run_campaign`.
 #[test]
 fn image_fault_campaign_is_invariant_under_workers_and_trace_level() {
     let agent = AgentSpec::neural(&mut IlNetwork::new(41));
@@ -140,6 +141,17 @@ fn image_fault_campaign_is_invariant_under_workers_and_trace_level() {
         serde_json::to_string(&stolen).unwrap(),
         "worker count must not affect an image-fault campaign"
     );
+
+    // Per-campaign path: each campaign run on its own matches its slot.
+    let configs = &plan.studies()[0].campaigns;
+    for (got, cfg) in baseline[0].campaigns.iter().zip(configs) {
+        let alone = Engine::new().workers(2).run_campaign(cfg.clone());
+        assert_eq!(
+            serde_json::to_string(got).unwrap(),
+            serde_json::to_string(&alone).unwrap(),
+            "a campaign run on its own must match the flattened plan"
+        );
+    }
 
     // Trace-level sweep on a work-stealing engine.
     for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Blackbox] {

@@ -5,12 +5,11 @@
 //! frames accumulate without copying.
 //!
 //! The framing is generic over any serde value: the lockstep loop frames
-//! [`Message`]s, the campaign service (`proto`) frames its request/reply
-//! enums through the same functions via [`encode_value`] /
+//! [`Message`](crate::message::Message)s and the campaign service
+//! (`proto`) its request/reply enums, both through [`encode_value`] /
 //! [`decode_value`].
 
 use crate::error::NetError;
-use crate::message::Message;
 use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
@@ -42,15 +41,6 @@ pub fn encode_value<T: Serialize + ?Sized>(value: &T, out: &mut BytesMut) -> Res
     out.put_u32_le(payload.len() as u32);
     out.put_slice(&payload);
     Ok(())
-}
-
-/// Encodes one [`Message`] into a length-prefixed frame.
-///
-/// # Errors
-///
-/// Same failure modes as [`encode_value`].
-pub fn encode(msg: &Message, out: &mut BytesMut) -> Result<(), NetError> {
-    encode_value(msg, out)
 }
 
 /// Total length (prefix + payload) of the frame accumulating at the
@@ -91,18 +81,10 @@ pub fn decode_value<T: Deserialize>(buf: &mut BytesMut) -> Result<Option<T>, Net
     Ok(Some(msg))
 }
 
-/// Attempts to decode one [`Message`] from the accumulation buffer.
-///
-/// # Errors
-///
-/// Same failure modes as [`decode_value`].
-pub fn decode(buf: &mut BytesMut) -> Result<Option<Message>, NetError> {
-    decode_value(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use avfi_sim::physics::VehicleControl;
 
     fn ctrl(frame: u64) -> Message {
@@ -115,8 +97,8 @@ mod tests {
     #[test]
     fn roundtrip_single() {
         let mut buf = BytesMut::new();
-        encode(&ctrl(7), &mut buf).unwrap();
-        let got = decode(&mut buf).unwrap().unwrap();
+        encode_value(&ctrl(7), &mut buf).unwrap();
+        let got = decode_value::<Message>(&mut buf).unwrap().unwrap();
         assert_eq!(got, ctrl(7));
         assert!(buf.is_empty());
     }
@@ -124,12 +106,12 @@ mod tests {
     #[test]
     fn partial_frame_waits() {
         let mut full = BytesMut::new();
-        encode(&ctrl(1), &mut full).unwrap();
+        encode_value(&ctrl(1), &mut full).unwrap();
         let mut buf = BytesMut::new();
         // Feed one byte at a time; decode must return None until complete.
         for (i, b) in full.iter().enumerate() {
             buf.put_u8(*b);
-            let r = decode(&mut buf).unwrap();
+            let r = decode_value::<Message>(&mut buf).unwrap();
             if i + 1 < full.len() {
                 assert!(r.is_none(), "decoded early at byte {i}");
             } else {
@@ -141,13 +123,16 @@ mod tests {
     #[test]
     fn multiple_frames_in_one_buffer() {
         let mut buf = BytesMut::new();
-        encode(&ctrl(1), &mut buf).unwrap();
-        encode(&Message::Shutdown, &mut buf).unwrap();
-        encode(&ctrl(3), &mut buf).unwrap();
-        assert_eq!(decode(&mut buf).unwrap().unwrap(), ctrl(1));
-        assert_eq!(decode(&mut buf).unwrap().unwrap(), Message::Shutdown);
-        assert_eq!(decode(&mut buf).unwrap().unwrap(), ctrl(3));
-        assert!(decode(&mut buf).unwrap().is_none());
+        encode_value(&ctrl(1), &mut buf).unwrap();
+        encode_value(&Message::Shutdown, &mut buf).unwrap();
+        encode_value(&ctrl(3), &mut buf).unwrap();
+        assert_eq!(decode_value::<Message>(&mut buf).unwrap().unwrap(), ctrl(1));
+        assert_eq!(
+            decode_value::<Message>(&mut buf).unwrap().unwrap(),
+            Message::Shutdown
+        );
+        assert_eq!(decode_value::<Message>(&mut buf).unwrap().unwrap(), ctrl(3));
+        assert!(decode_value::<Message>(&mut buf).unwrap().is_none());
     }
 
     #[test]
@@ -164,10 +149,10 @@ mod tests {
     fn pending_frame_len_reports_total() {
         let mut buf = BytesMut::new();
         assert_eq!(pending_frame_len(&buf), None);
-        encode(&ctrl(1), &mut buf).unwrap();
+        encode_value(&ctrl(1), &mut buf).unwrap();
         let total = buf.len();
         assert_eq!(pending_frame_len(&buf), Some(total));
-        decode(&mut buf).unwrap().unwrap();
+        decode_value::<Message>(&mut buf).unwrap().unwrap();
         assert_eq!(pending_frame_len(&buf), None);
         // An oversized prefix is not a plannable frame.
         let mut bad = BytesMut::new();
@@ -180,7 +165,10 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(u32::MAX);
         buf.put_slice(b"junk");
-        assert!(matches!(decode(&mut buf), Err(NetError::Codec(_))));
+        assert!(matches!(
+            decode_value::<Message>(&mut buf),
+            Err(NetError::Codec(_))
+        ));
     }
 
     #[test]
@@ -188,7 +176,10 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(4);
         buf.put_slice(b"{{{{");
-        assert!(matches!(decode(&mut buf), Err(NetError::Codec(_))));
+        assert!(matches!(
+            decode_value::<Message>(&mut buf),
+            Err(NetError::Codec(_))
+        ));
     }
 
     /// Regression (send-side frame cap): a payload one byte over

@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn recv_retries_interrupted_reads_mid_frame() {
         let mut wire = BytesMut::new();
-        codec::encode(&ctrl(99), &mut wire).unwrap();
+        codec::encode_value(&ctrl(99), &mut wire).unwrap();
         let mut t = TcpTransport::from_stream(InterruptingStream::serving(wire.to_vec()));
         assert_eq!(t.recv().unwrap(), ctrl(99));
         assert!(
@@ -399,7 +399,7 @@ mod tests {
         let mut t = TcpTransport::from_stream(InterruptingStream::serving(Vec::new()));
         t.send(ctrl(7)).unwrap();
         let mut expected = BytesMut::new();
-        codec::encode(&ctrl(7), &mut expected).unwrap();
+        codec::encode_value(&ctrl(7), &mut expected).unwrap();
         assert_eq!(t.stream.written, expected.to_vec());
         assert!(t.stream.writes_interrupted >= expected.len());
     }

@@ -99,8 +99,6 @@ pub struct Intersection {
     area: Aabb,
     /// Incoming drive lanes (ending at this intersection).
     incoming: Vec<LaneId>,
-    /// Connector lanes through this intersection.
-    connectors: Vec<LaneId>,
     signalized: bool,
     timing: SignalTiming,
     /// Phase offset in seconds, so not all lights in a town are in sync.
@@ -120,7 +118,6 @@ impl Intersection {
             id,
             area,
             incoming: Vec::new(),
-            connectors: Vec::new(),
             signalized,
             timing,
             phase_offset,
@@ -157,23 +154,10 @@ impl Intersection {
         &self.incoming
     }
 
-    /// Connector lanes through the intersection.
-    #[inline]
-    pub fn connectors(&self) -> &[LaneId] {
-        &self.connectors
-    }
-
     /// Registers an incoming lane (called by map builders).
     pub fn add_incoming(&mut self, lane: LaneId) {
         if !self.incoming.contains(&lane) {
             self.incoming.push(lane);
-        }
-    }
-
-    /// Registers a connector lane (called by map builders).
-    pub fn add_connector(&mut self, lane: LaneId) {
-        if !self.connectors.contains(&lane) {
-            self.connectors.push(lane);
         }
     }
 
@@ -304,9 +288,6 @@ mod tests {
         let mut i = isect(true);
         i.add_incoming(LaneId(3));
         i.add_incoming(LaneId(3));
-        i.add_connector(LaneId(9));
-        i.add_connector(LaneId(9));
         assert_eq!(i.incoming().len(), 1);
-        assert_eq!(i.connectors().len(), 1);
     }
 }

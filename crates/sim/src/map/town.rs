@@ -236,7 +236,6 @@ impl TownGenerator {
                         );
                         successors[in_lane.0 as usize].push(conn);
                         successors[conn.0 as usize].push(*out_lane);
-                        isect.add_connector(conn);
                     }
                 }
                 intersections.push(isect);

@@ -83,23 +83,6 @@ impl Lidar {
         &self.config
     }
 
-    /// Scans from the ego pose against the given obstacle shapes.
-    ///
-    /// Allocating convenience wrapper around [`Lidar::scan_into`].
-    pub fn scan<'a>(
-        &self,
-        ego: Pose,
-        obstacles: impl Iterator<Item = &'a CollisionShape> + Clone,
-    ) -> LidarScan {
-        let mut out = LidarScan {
-            ranges: Vec::with_capacity(self.config.beams),
-            fov_deg: self.config.fov_deg,
-            max_range: self.config.max_range,
-        };
-        self.scan_into(ego, obstacles, &mut out);
-        out
-    }
-
     /// Scans from the ego pose, reusing `out`'s range buffer.
     pub fn scan_into<'a>(
         &self,
@@ -139,10 +122,23 @@ mod tests {
     use super::*;
     use crate::math::{Aabb, Vec2};
 
+    fn scan_at_origin<'a>(
+        lidar: &Lidar,
+        obstacles: impl Iterator<Item = &'a CollisionShape> + Clone,
+    ) -> LidarScan {
+        let mut out = LidarScan {
+            ranges: Vec::new(),
+            fov_deg: 0.0,
+            max_range: 0.0,
+        };
+        lidar.scan_into(Pose::origin(), obstacles, &mut out);
+        out
+    }
+
     #[test]
     fn clear_scan_reports_max_range() {
         let lidar = Lidar::new(LidarConfig::default());
-        let scan = lidar.scan(Pose::origin(), std::iter::empty());
+        let scan = scan_at_origin(&lidar, std::iter::empty());
         assert_eq!(scan.ranges.len(), 36);
         for r in &scan.ranges {
             assert_eq!(*r, 50.0);
@@ -158,7 +154,7 @@ mod tests {
         });
         let wall = CollisionShape::Fixed(Aabb::new(Vec2::new(10.0, -20.0), Vec2::new(12.0, 20.0)));
         let shapes = [wall];
-        let scan = lidar.scan(Pose::origin(), shapes.iter());
+        let scan = scan_at_origin(&lidar, shapes.iter());
         // Center beam hits at 10 m.
         let mid = scan.ranges[4];
         assert!((mid - 10.0).abs() < 1e-9, "mid={mid}");
@@ -176,7 +172,7 @@ mod tests {
             fov_deg: 120.0,
             max_range: 30.0,
         });
-        let scan = lidar.scan(Pose::origin(), std::iter::empty());
+        let scan = scan_at_origin(&lidar, std::iter::empty());
         assert!((scan.beam_angle(0).to_degrees() - 60.0).abs() < 1e-9);
         assert!((scan.beam_angle(4).to_degrees() + 60.0).abs() < 1e-9);
         assert!((scan.beam_angle(2)).abs() < 1e-9);
@@ -194,7 +190,7 @@ mod tests {
             radius: 1.0,
         };
         let shapes = [ped];
-        let scan = lidar.scan(Pose::origin(), shapes.iter());
+        let scan = scan_at_origin(&lidar, shapes.iter());
         let hit_idx: Vec<usize> = (0..scan.ranges.len())
             .filter(|&i| scan.ranges[i] < 50.0)
             .collect();
