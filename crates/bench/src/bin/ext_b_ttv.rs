@@ -8,56 +8,15 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_b_ttv [--quick]
 //! [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
-//! [--spool DIR]` or `ext_b_ttv [--quick] [--workers N] --adaptive BUDGET`
-//!
-//! With `--adaptive BUDGET`, the uniform injector grid is replaced by
-//! the Thompson-sampling planner over the same mid-mission onset: the
-//! fixed run budget is spent where failures concentrate instead of
-//! uniformly, and the trajectory is exported as `ext_b_adaptive.json`.
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
-use avfi_bench::experiments::{
-    adaptive_space, export_json, neural_agent, render_adaptive, run_adaptive_study, run_study,
-    ExecOptions, Scale,
-};
-use avfi_core::adaptive::AdaptiveConfig;
+use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
 use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::{metrics, report, stats};
-use avfi_server::cli::Args;
-
-/// Adaptive-mode ext-b: the same fault-space search as the `adaptive`
-/// bin but pinned to the mid-mission onset (t₀ = 10 s, frame 150) this
-/// extension studies.
-fn run_adaptive_mode(scale: Scale, workers: usize, budget: usize) {
-    let mut space = adaptive_space(scale);
-    space.onsets = vec![150];
-    let config = AdaptiveConfig {
-        budget,
-        batch: 8,
-        seed: 2018,
-    };
-    eprintln!(
-        "[ext-b] adaptive mode: {} arms, budget {budget}",
-        space.arms().len()
-    );
-    let outcome = run_adaptive_study(&space, config, workers);
-    println!("Extension B (adaptive) — Bayesian fault-space search at t0 = 10 s\n");
-    println!("{}", render_adaptive(&outcome.trajectory));
-    export_json("ext_b_adaptive", &outcome.trajectory);
-}
 
 fn main() {
-    let mut args = Args::from_env();
-    let scale = Scale::parse(&mut args);
-    if let Some(budget) = args.value("--adaptive") {
-        let workers = args.value("--workers").unwrap_or(0);
-        args.finish();
-        run_adaptive_mode(scale, workers, budget);
-        return;
-    }
-    let opts = ExecOptions::parse(&mut args);
-    args.finish();
+    let (scale, opts) = study_args();
     eprintln!("[ext-b] scale = {scale:?}, exec = {opts:?}");
     // Inject 10 s into the mission (frame 150 at 15 FPS).
     let injection_frame = 150;

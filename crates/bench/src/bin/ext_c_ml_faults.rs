@@ -8,8 +8,7 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_c_ml_faults
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
-//! [--spool DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
 use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
 use avfi_core::fault::ml::MlFault;

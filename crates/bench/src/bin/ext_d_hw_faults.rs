@@ -7,8 +7,7 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin ext_d_hw_faults
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
-//! [--spool DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
 use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};

@@ -6,8 +6,7 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin fig4_output_delay
 //! [--quick] [--workers N] [--progress]
-//! [--trace DIR] [--trace-level off|summary|blackbox] [--shrink DIR]
-//! [--spool DIR]`
+//! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
 use avfi_bench::experiments::{export_json, output_delay_study, render_fig4, study_args};
 

@@ -19,8 +19,8 @@
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin npc_scaling
 //! [--frames N]` (bench) or `npc_scaling --quick [--workers N]
-//! [--progress] [--trace DIR] [--trace-level LEVEL] [--shrink DIR]
-//! [--spool DIR]` (campaign)
+//! [--progress] [--trace DIR] [--trace-level LEVEL] [--spool DIR]`
+//! (campaign)
 
 use avfi_bench::experiments::{export_json, ExecOptions};
 use avfi_core::campaign::{AgentSpec, CampaignConfig};

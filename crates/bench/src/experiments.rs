@@ -72,8 +72,7 @@ impl Scale {
 /// Engine execution options shared by every experiment binary:
 /// `--workers N` (0 = one per core), `--progress` (stream engine events
 /// to stderr), the flight recorder (`--trace DIR` plus
-/// `--trace-level off|summary|blackbox`), post-study failure
-/// minimization (`--shrink DIR`, requires `--trace`), and durable
+/// `--trace-level off|summary|blackbox`), and durable
 /// checkpointing (`--spool DIR`: journal every completed run so an
 /// interrupted invocation resumes where it stopped, byte-identically).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,9 +85,6 @@ pub struct ExecOptions {
     pub trace: Option<PathBuf>,
     /// Flight-recorder detail level (meaningful only with `trace`).
     pub trace_level: TraceLevel,
-    /// Minimal-repro output directory: after the study, every failed
-    /// trace is delta-debugged into a minimal repro (`None` disables).
-    pub shrink: Option<PathBuf>,
     /// Checkpoint directory: write-ahead journal every completed run
     /// (`avfi-store`), resuming any earlier interrupted invocation of
     /// the same plan found there (`None` disables).
@@ -97,9 +93,8 @@ pub struct ExecOptions {
 
 impl ExecOptions {
     /// Reads `--workers N`, `--progress`, `--trace DIR`,
-    /// `--trace-level LEVEL`, `--shrink DIR`, and `--spool DIR`. `--trace`
-    /// without a level records at [`TraceLevel::Blackbox`]; `--shrink`
-    /// without `--trace` is refused, as there would be nothing to shrink.
+    /// `--trace-level LEVEL`, and `--spool DIR`. `--trace`
+    /// without a level records at [`TraceLevel::Blackbox`].
     pub fn parse(args: &mut Args) -> ExecOptions {
         let workers = args.value("--workers").unwrap_or(0);
         let progress = args.flag("--progress");
@@ -108,16 +103,11 @@ impl ExecOptions {
             Some(_) => TraceLevel::Blackbox,
             None => TraceLevel::Off,
         });
-        let shrink = args.value("--shrink");
-        if shrink.is_some() && trace.is_none() {
-            args.refuse("--shrink needs --trace DIR");
-        }
         ExecOptions {
             workers,
             progress,
             trace,
             trace_level,
-            shrink,
             spool: args.value("--spool"),
         }
     }
@@ -127,8 +117,7 @@ impl ExecOptions {
     /// [`avfi_store::run_spooled`]: every completed run is journaled, a
     /// journal left by an interrupted earlier invocation is resumed
     /// (only the gap re-executes), and the results are byte-identical
-    /// either way. With `--shrink DIR`, every failed trace the study
-    /// recorded is then delta-debugged into a minimal repro under `DIR`.
+    /// either way.
     pub fn execute(&self, plan: &WorkPlan) -> Vec<StudyResult> {
         let mut engine = Engine::new().workers(self.workers);
         if let Some(dir) = &self.trace {
@@ -140,32 +129,13 @@ impl ExecOptions {
         } else {
             &avfi_core::engine::NullSink
         };
-        let results = match &self.spool {
+        match &self.spool {
             Some(spool) => avfi_store::run_spooled(&engine, plan, spool, self.trace_level, sink)
                 .unwrap_or_else(|e| {
                     panic!("--spool {}: {e}", spool.display());
                 }),
             None => engine.execute_with(plan, sink),
-        };
-        if let (Some(out_dir), Some(trace_dir)) = (&self.shrink, &self.trace) {
-            match trace_files(std::slice::from_ref(trace_dir)) {
-                Ok(files) => {
-                    let (minimized, skipped) = shrink_traces(
-                        &files,
-                        out_dir,
-                        self.workers,
-                        &ShrinkConfig::default(),
-                        None,
-                    );
-                    eprintln!(
-                        "[avfi-bench] shrink: {minimized} trace(s) minimized, {skipped} skipped → {}",
-                        out_dir.display()
-                    );
-                }
-                Err(e) => eprintln!("[avfi-bench] shrink skipped, {}: {e}", trace_dir.display()),
-            }
         }
-        results
     }
 }
 
@@ -621,6 +591,38 @@ pub fn render_fig3(results: &[CampaignResult]) -> String {
     )
 }
 
+/// Renders the Extension A table (accidents per km per injector: the
+/// §II APK metric over the Figure 2/3 campaigns).
+pub fn render_apk(results: &[CampaignResult]) -> String {
+    let mut table = report::Table::new(vec![
+        "Input Fault Injector",
+        "aggregate APK",
+        "median APK",
+        "max APK",
+        "collisions",
+    ]);
+    for r in results {
+        let s = stats::Summary::of(&metrics::apk_distribution(r.runs()));
+        let collisions = r
+            .runs()
+            .iter()
+            .flat_map(|run| &run.violations)
+            .filter(|v| v.kind.is_accident())
+            .count();
+        table.row(vec![
+            r.fault.clone(),
+            format!("{:.2}", metrics::aggregate_apk(r.runs())),
+            format!("{:.2}", s.median),
+            format!("{:.2}", s.max),
+            collisions.to_string(),
+        ]);
+    }
+    format!(
+        "Extension A — Accidents per km under input fault injectors\n\n{}",
+        table.render()
+    )
+}
+
 /// Renders the Figure 4 table (violations per km vs output delay).
 pub fn render_fig4(results: &[CampaignResult]) -> String {
     let dists: Vec<Vec<f64>> = results
@@ -667,7 +669,8 @@ pub fn export_json<T: Serialize + ?Sized>(name: &str, results: &T) {
     let dir = std::env::var_os("AVFI_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"));
-    if std::fs::create_dir_all(&dir).is_err() {
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("[avfi-bench] could not create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{name}.json"));
@@ -787,23 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_options_parse_shrink_flag() {
-        let args = |v: &[&str]| Args::new(v.iter().copied());
-        let o = ExecOptions::parse(&mut args(&[
-            "bin",
-            "--trace",
-            "t",
-            "--shrink",
-            "minimized/",
-        ]));
-        assert_eq!(
-            o.shrink.as_deref(),
-            Some(std::path::Path::new("minimized/"))
-        );
-        assert_eq!(ExecOptions::default().shrink, None);
-    }
-
-    #[test]
     fn exec_options_parse_spool_flag() {
         let args = |v: &[&str]| Args::new(v.iter().copied());
         let o = ExecOptions::parse(&mut args(&["bin", "--spool", "checkpoints/"]));
@@ -812,49 +798,6 @@ mod tests {
             Some(std::path::Path::new("checkpoints/"))
         );
         assert_eq!(ExecOptions::default().spool, None);
-    }
-
-    #[test]
-    fn execute_shrinks_the_failures_it_traced() {
-        use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
-        let mut refused = Args::new(["bin", "--shrink", "minimized/"]);
-        ExecOptions::parse(&mut refused);
-        assert!(refused
-            .check()
-            .unwrap_err()
-            .contains("--shrink needs --trace"));
-
-        let dir = std::env::temp_dir().join(format!("avfi-bench-shrink-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut town = TownSpec::grid(2, 2);
-        town.signalized = false;
-        let scenario = Scenario::builder(town)
-            .seed(71)
-            .npc_vehicles(0)
-            .pedestrians(0)
-            .time_budget(15.0)
-            .min_route_length(50.0)
-            .build();
-        let stuck_brake = FaultSpec::Hardware(HardwareFault::always(
-            HardwareTarget::ControlBrake,
-            BitFaultModel::StuckAt { value: 1.0 },
-        ));
-        let campaign = CampaignConfig::builder(vec![scenario])
-            .runs_per_scenario(1)
-            .fault(stuck_brake)
-            .agent(AgentSpec::Expert)
-            .build();
-        let opts = ExecOptions {
-            workers: 1,
-            trace: Some(dir.join("traces")),
-            trace_level: TraceLevel::Blackbox,
-            shrink: Some(dir.join("minimized")),
-            ..ExecOptions::default()
-        };
-        let results = opts.execute(&WorkPlan::new().with_study("stuck", vec![campaign]));
-        assert!(!results[0].campaigns[0].runs()[0].outcome.is_success());
-        assert!(dir.join("minimized/minimal-000000.json").is_file());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -887,5 +830,6 @@ mod tests {
         let results: Vec<CampaignResult> = Vec::new();
         assert!(render_fig2(&results).contains("Figure 2"));
         assert!(render_fig3(&results).contains("Figure 3"));
+        assert!(render_apk(&results).contains("Extension A"));
     }
 }

@@ -9,8 +9,11 @@
 //!   frames between the ADA and actuation (15 FPS).
 //!
 //! [`experiments`] provides the shared machinery (scenario suite, cached
-//! agent training, campaign studies); each `src/bin/figN_*.rs` binary
-//! regenerates one figure as a table. Timing lives in `perfbench/`.
+//! agent training, campaign studies); each study binary runs its
+//! campaigns once and prints every table drawn from them:
+//! `fig2_mission_success` prints Figures 2 and 3 and the §II
+//! accidents-per-km table, `fig4_output_delay` prints Figure 4. Timing
+//! lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,8 +46,9 @@ pub trait Transport {
     fn recv(&mut self) -> Result<Message, NetError>;
 }
 
-/// In-process transport endpoint backed by crossbeam channels — the fast
-/// path used by campaign runners (no serialization).
+/// In-process transport endpoint backed by crossbeam channels (no
+/// serialization), used by the lockstep tests; campaigns call
+/// `run_mission` directly and use no transport.
 #[derive(Debug)]
 pub struct InProcTransport {
     tx: Sender<Message>,

@@ -6,9 +6,10 @@
 //! `f32::to_bits` comparison — not approximate equality — over randomized
 //! shapes, strides, and paddings, plus deterministic adversarial shapes
 //! (dimensions not a multiple of the lane width, 1×1 images, fewer outputs
-//! than lanes) and the exact IL-CNN layer shapes.
+//! than lanes) and the exact IL-CNN layer shapes, alone and chained into
+//! the whole net.
 
-use avfi_nn::layers::{Conv2d, Dense, Layer};
+use avfi_nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use avfi_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,4 +147,34 @@ fn il_cnn_layer_shapes_match_bitwise() {
     check_dense(768, 64, 44).unwrap();
     check_dense(65, 32, 45).unwrap();
     check_dense(32, 3, 46).unwrap();
+
+    // The same shapes chained into the whole net (conv → relu → conv →
+    // relu → flatten → dense → relu, then the command head on features ⊕
+    // speed): blocked kernels vs scalar oracles on 8 inputs.
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut conv1 = Conv2d::new(1, 8, 5, 2, 2, &mut rng);
+    let mut conv2 = Conv2d::new(8, 16, 3, 2, 1, &mut rng);
+    let mut dense = Dense::new(768, 64, &mut rng);
+    let mut head_a = Dense::new(65, 32, &mut rng);
+    let mut head_b = Dense::new(32, 3, &mut rng);
+    let relu = |x: Tensor| Relu::new().forward(&x, false);
+    let flat = |x: Tensor| Flatten::new().forward(&x, false);
+    let with_speed =
+        |x: Tensor, speed: f32| Tensor::from_vec([x.data(), &[speed]].concat(), vec![65]);
+    let mut rng = StdRng::seed_from_u64(7);
+    for i in 0..8 {
+        let img = random_input(&mut rng, vec![1, 24, 32]);
+        let speed = i as f32 * 0.1;
+        let x = relu(conv1.forward(&img, false));
+        let x = relu(conv2.forward(&x, false));
+        let x = relu(dense.forward(&flat(x), false));
+        let x = relu(head_a.forward(&with_speed(x, speed), false));
+        let blocked = head_b.forward(&x, false);
+        let x = relu(conv1.forward_reference(&img));
+        let x = relu(conv2.forward_reference(&x));
+        let x = relu(dense.forward_reference(&flat(x)));
+        let x = relu(head_a.forward_reference(&with_speed(x, speed)));
+        let reference = head_b.forward_reference(&x);
+        assert_eq!(bits(&blocked), bits(&reference), "whole-net input {i}");
+    }
 }

@@ -93,7 +93,7 @@ impl SignalTiming {
 
 /// An intersection: a square region where connector lanes meet, plus a
 /// traffic light (uncontrolled intersections have none).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Intersection {
     id: IntersectionId,
     area: Aabb,

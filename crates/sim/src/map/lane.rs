@@ -49,7 +49,7 @@ pub struct LaneProjection {
 
 /// A directed lane: polyline centerline, width, speed limit, and graph
 /// connectivity (successors are stored on the [`crate::map::Map`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lane {
     id: LaneId,
     kind: LaneKind,

@@ -33,7 +33,7 @@ pub enum Material {
 
 /// One road corridor: the straight axis between two intersections, carrying
 /// one lane in each direction plus sidewalks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoadAxis {
     /// Axis segment from one intersection boundary to the other.
     pub axis: Segment,

@@ -71,7 +71,7 @@ impl fmt::Display for Command {
 }
 
 /// One densified route waypoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// World position.
     pub position: Vec2,
@@ -86,7 +86,7 @@ pub struct Waypoint {
 }
 
 /// A planned route: an ordered lane sequence and its densified waypoints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Route {
     lanes: Vec<LaneId>,
     waypoints: Vec<Waypoint>,

@@ -49,6 +49,7 @@ fn main() {
 
     // 4. The full campaign machinery, metrics (MSR/VPK/APK/TTV), and the
     //    neural agent under all four fault classes live in the other
-    //    examples and in `cargo run -p avfi-bench --bin fig2_mission_success`.
+    //    examples and in avfi-bench: `cargo run -p avfi-bench --bin
+    //    fig2_mission_success` prints MSR, VPK and APK from one campaign run.
     println!("next: cargo run --release --example il_agent_campaign");
 }

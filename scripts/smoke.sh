@@ -45,9 +45,7 @@ BLESS=0
 
 BINARIES=(
   fig2_mission_success
-  fig3_violations_per_km
   fig4_output_delay
-  ext_a_apk
   ext_b_ttv
   ext_c_ml_faults
   ext_d_hw_faults
@@ -348,11 +346,10 @@ elif ! diff -u "$GOLDEN_DIR/adaptive_quick.json" "$SMOKE_DIR/$ADAPTIVE_BIN.json"
 fi
 
 # NN tier: the lane-batched inference kernels, end to end. Runs the
-# logit golden (weights-fingerprint + bitwise logit regression), the
-# nn_forward bench's internal bit-identity gate (blocked vs scalar
-# reference), and a 1-worker rerun of the IL-CNN ML-fault campaign
-# diffed against the same golden the 2-worker main loop used — proving
-# the kernel swap is invisible end to end *and* worker-invariant.
+# logit golden (weights-fingerprint + bitwise logit regression) and a
+# 1-worker rerun of the IL-CNN ML-fault campaign diffed against the same
+# golden the 2-worker main loop used — proving the kernel swap is
+# invisible end to end *and* worker-invariant.
 NN_BIN=ext_c_ml_faults
 NN_DIR="$SMOKE_DIR/nn"
 mkdir -p "$NN_DIR"
@@ -364,13 +361,6 @@ elif ! cargo test --release -q -p avfi-nn --test logit_golden \
     >"$NN_DIR/logit_golden.stdout" 2>&1; then
   echo "smoke FAIL: IL-CNN logit golden drifted (see $NN_DIR/logit_golden.stdout)" >&2
   tail -40 "$NN_DIR/logit_golden.stdout" >&2
-  fail=1
-fi
-echo "==> smoke: nn_forward --quick (kernel bit-identity gate)"
-if ! target/release/nn_forward --quick >"$NN_DIR/nn_forward.json" \
-    2>"$NN_DIR/nn_forward.stderr"; then
-  echo "smoke FAIL: nn_forward bit-identity assertion failed" >&2
-  cat "$NN_DIR/nn_forward.stderr" >&2
   fail=1
 fi
 echo "==> smoke: $NN_BIN --quick --workers 1 (nn tier, worker invariance)"
