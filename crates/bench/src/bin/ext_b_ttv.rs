@@ -10,7 +10,7 @@
 //! [--workers N] [--progress]
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
-use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
+use avfi_bench::experiments::{export_json, run_study, study_args};
 use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::{metrics, report, stats};
@@ -24,7 +24,7 @@ fn main() {
         .into_iter()
         .map(|m| FaultSpec::Input(InputFault::from_frame(m, injection_frame)))
         .collect();
-    let results = run_study("ttv", neural_agent(), specs, scale, &opts);
+    let results = run_study("ttv", specs, scale, &opts);
     let mut table = report::Table::new(vec![
         "Injector (t0=10s)",
         "runs w/ violation",

@@ -10,7 +10,7 @@
 //! [--quick] [--workers N] [--progress]
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
-use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
+use avfi_bench::experiments::{export_json, run_study, study_args};
 use avfi_core::fault::ml::MlFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::localizer::ParamSelector;
@@ -33,7 +33,7 @@ fn main() {
             selector: ParamSelector::WeightsOnly,
         }));
     }
-    let results = run_study("ml-faults", neural_agent(), specs, scale, &opts);
+    let results = run_study("ml-faults", specs, scale, &opts);
     let mut table = report::Table::new(vec!["ML Fault", "MSR (%)", "median VPK", "mean VPK"]);
     for result in &results {
         let vpk = metrics::vpk_distribution(result.runs());

@@ -9,7 +9,7 @@
 //! [--quick] [--workers N] [--progress]
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
-use avfi_bench::experiments::{export_json, neural_agent, run_study, study_args};
+use avfi_bench::experiments::{export_json, run_study, study_args};
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::FaultSpec;
 use avfi_core::trigger::Trigger;
@@ -46,7 +46,7 @@ fn main() {
         model: BitFaultModel::MultiBitFlip { bits: vec![62, 61] },
         trigger: Trigger::Bernoulli { p: 0.05 },
     }));
-    let results = run_study("hw-faults", neural_agent(), specs, scale, &opts);
+    let results = run_study("hw-faults", specs, scale, &opts);
     let mut table = report::Table::new(vec![
         "Hardware Fault",
         "MSR (%)",

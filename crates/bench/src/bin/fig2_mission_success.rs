@@ -9,13 +9,13 @@
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
 use avfi_bench::experiments::{
-    export_json, input_fault_study, render_apk, render_fig2, render_fig3, study_args,
+    export_json, input_fault_specs, render_apk, render_fig2, render_fig3, run_study, study_args,
 };
 
 fn main() {
     let (scale, opts) = study_args();
     eprintln!("[fig2] scale = {scale:?}, exec = {opts:?}");
-    let results = input_fault_study(scale, &opts);
+    let results = run_study("input-faults", input_fault_specs(), scale, &opts);
     println!("{}", render_fig2(&results));
     println!("{}", render_fig3(&results));
     println!("{}", render_apk(&results));

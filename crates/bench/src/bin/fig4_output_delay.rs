@@ -8,12 +8,14 @@
 //! [--quick] [--workers N] [--progress]
 //! [--trace DIR] [--trace-level off|summary|blackbox] [--spool DIR]`
 
-use avfi_bench::experiments::{export_json, output_delay_study, render_fig4, study_args};
+use avfi_bench::experiments::{
+    export_json, output_delay_specs, render_fig4, run_study, study_args,
+};
 
 fn main() {
     let (scale, opts) = study_args();
     eprintln!("[fig4] scale = {scale:?}, exec = {opts:?}");
-    let results = output_delay_study(scale, &opts);
+    let results = run_study("output-delay", output_delay_specs(), scale, &opts);
     println!("{}", render_fig4(&results));
     export_json("fig4_output_delay", &results);
 }

@@ -1,13 +1,12 @@
 //! Shared experiment machinery: evaluation scenarios, cached agent
 //! training, and the campaign studies behind each figure.
 //!
-//! Studies are *declarative*: a [`StudySpec`] names an agent and a sweep
-//! of fault specs, expands into campaigns over the evaluation suite, and
-//! executes through the deterministic work-stealing
-//! [`Engine`] — every (study × fault ×
-//! scenario × repetition) tuple flows through one flattened work queue,
-//! so no cores idle between campaigns and results are bit-identical for
-//! any `--workers` count.
+//! A study is a sweep of fault specs against the IL agent: [`run_study`]
+//! expands it into one campaign per fault over the evaluation suite and
+//! executes them through the deterministic work-stealing [`Engine`] —
+//! every (fault × scenario × repetition) tuple flows through one
+//! flattened work queue, so no cores idle between campaigns and results
+//! are bit-identical for any `--workers` count.
 
 use avfi_agent::train::train_default_agent;
 use avfi_core::adaptive::{
@@ -149,61 +148,27 @@ pub fn study_args() -> (Scale, ExecOptions) {
     (scale, opts)
 }
 
-/// Declarative description of one study: a named sweep of fault specs
-/// over the evaluation suite with one agent.
-#[derive(Debug, Clone)]
-pub struct StudySpec {
-    /// Study name (used in plans and progress events).
-    pub name: &'static str,
-    /// The agent under test.
-    pub agent: AgentSpec,
-    /// One campaign per fault spec, in output order.
-    pub faults: Vec<FaultSpec>,
-}
-
-impl StudySpec {
-    /// Expands the study into campaign configurations at `scale`.
-    pub fn campaigns(&self, scale: Scale) -> Vec<CampaignConfig> {
-        self.faults
-            .iter()
-            .map(|fault| {
-                CampaignConfig::builder(evaluation_suite(scale))
-                    .runs_per_scenario(scale.runs)
-                    .fault(fault.clone())
-                    .agent(self.agent.clone())
-                    .build()
-            })
-            .collect()
-    }
-}
-
-/// Builds a work plan from declarative studies at `scale`.
-pub fn plan_studies(studies: &[StudySpec], scale: Scale) -> WorkPlan {
-    let mut plan = WorkPlan::new();
-    for study in studies {
-        plan.add_study(study.name, study.campaigns(scale));
-    }
-    plan
-}
-
-/// Runs one declarative study through the engine and returns its
-/// campaigns in fault-spec order.
+/// Runs one study through the engine: one campaign per fault spec over
+/// the evaluation suite at `scale`, all with the IL agent
+/// ([`neural_agent`]), returned in fault-spec order.
 pub fn run_study(
     name: &'static str,
-    agent: AgentSpec,
     faults: Vec<FaultSpec>,
     scale: Scale,
     opts: &ExecOptions,
 ) -> Vec<CampaignResult> {
-    let plan = plan_studies(
-        &[StudySpec {
-            name,
-            agent,
-            faults,
-        }],
-        scale,
-    );
-    opts.execute(&plan)
+    let agent = neural_agent();
+    let campaigns = faults
+        .into_iter()
+        .map(|fault| {
+            CampaignConfig::builder(evaluation_suite(scale))
+                .runs_per_scenario(scale.runs)
+                .fault(fault)
+                .agent(agent.clone())
+                .build()
+        })
+        .collect();
+    opts.execute(&WorkPlan::new().with_study(name, campaigns))
         .pop()
         .expect("plan has one study")
         .campaigns
@@ -493,18 +458,6 @@ pub fn input_fault_specs() -> Vec<FaultSpec> {
     specs
 }
 
-/// Runs the Figure 2/3 study: one campaign per input injector, all
-/// flattened into one engine queue.
-pub fn input_fault_study(scale: Scale, opts: &ExecOptions) -> Vec<CampaignResult> {
-    run_study(
-        "input-faults",
-        neural_agent(),
-        input_fault_specs(),
-        scale,
-        opts,
-    )
-}
-
 /// The output-delay sweep of Figure 4, in frames (15 FPS ⇒ 30 frames =
 /// 2 s).
 pub const FIG4_DELAYS: [usize; 5] = [0, 5, 10, 20, 30];
@@ -521,18 +474,6 @@ pub fn output_delay_specs() -> Vec<FaultSpec> {
             }
         })
         .collect()
-}
-
-/// Runs the Figure 4 study: one campaign per output delay, all flattened
-/// into one engine queue.
-pub fn output_delay_study(scale: Scale, opts: &ExecOptions) -> Vec<CampaignResult> {
-    run_study(
-        "output-delay",
-        neural_agent(),
-        output_delay_specs(),
-        scale,
-        opts,
-    )
 }
 
 /// Renders the Figure 2 table (mission success rate per injector).
@@ -798,30 +739,6 @@ mod tests {
             Some(std::path::Path::new("checkpoints/"))
         );
         assert_eq!(ExecOptions::default().spool, None);
-    }
-
-    #[test]
-    fn study_plan_flattens_every_tuple() {
-        let scale = Scale::quick();
-        let studies = [
-            StudySpec {
-                name: "a",
-                agent: AgentSpec::Expert,
-                faults: input_fault_specs(),
-            },
-            StudySpec {
-                name: "b",
-                agent: AgentSpec::Expert,
-                faults: output_delay_specs(),
-            },
-        ];
-        let plan = plan_studies(&studies, scale);
-        assert_eq!(plan.total_campaigns(), 11);
-        assert_eq!(
-            plan.total_runs(),
-            11 * scale.scenarios * scale.runs,
-            "every (study, fault, scenario, repetition) tuple must be queued"
-        );
     }
 
     #[test]

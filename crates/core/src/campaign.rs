@@ -161,9 +161,9 @@ impl CampaignConfig {
         }
     }
 
-    /// Total number of runs.
+    /// Total number of runs, saturating at `usize::MAX`.
     pub fn total_runs(&self) -> usize {
-        self.scenarios.len() * self.runs_per_scenario
+        self.scenarios.len().saturating_mul(self.runs_per_scenario)
     }
 }
 

@@ -41,10 +41,13 @@ use avfi_nn::serialize::LoadWeightsError;
 use avfi_sim::FRAME_DT;
 use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod pool;
@@ -109,24 +112,29 @@ impl WorkPlan {
         self.studies.iter().map(|s| s.campaigns.len()).sum()
     }
 
-    /// Total number of runs across studies.
+    /// Total number of runs across studies, saturating at `usize::MAX`.
     pub fn total_runs(&self) -> usize {
         self.studies
             .iter()
             .flat_map(|s| &s.campaigns)
             .map(CampaignConfig::total_runs)
-            .sum()
+            .fold(0, usize::saturating_add)
     }
 
-    /// Checks that every run of the plan can start: each neural
-    /// campaign's weights decode into the IL-CNN. Each distinct weight
-    /// blob is decoded once.
+    /// Checks that every run of the plan can start: the plan holds at
+    /// most [`MAX_PLAN_RUNS`] runs, and each neural campaign's weights
+    /// decode into the IL-CNN. Each distinct weight blob is decoded once.
     ///
     /// # Errors
     ///
+    /// [`PlanError::TooManyRuns`] for a plan over the cap, else
     /// [`PlanError::Weights`] for the first campaign, in plan order, whose
     /// weights do not decode.
     pub fn validate(&self) -> Result<(), PlanError> {
+        let runs = self.total_runs();
+        if runs > MAX_PLAN_RUNS {
+            return Err(PlanError::TooManyRuns { runs });
+        }
         let mut decoded: Vec<&[u8]> = Vec::new();
         for study in &self.studies {
             for (campaign, cfg) in study.campaigns.iter().enumerate() {
@@ -148,9 +156,21 @@ impl WorkPlan {
     }
 }
 
+/// The most runs [`WorkPlan::validate`] accepts in one plan. Before any
+/// run starts, the executor holds a queue entry, a work item and a result
+/// slot per run, 200 bytes in all, so the cap bounds a plan's setup at
+/// 200 MiB. The largest plan in the repository (smoke's store tier) has
+/// 200 runs.
+pub const MAX_PLAN_RUNS: usize = 1 << 20;
+
 /// Why [`WorkPlan::validate`] refused a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
+    /// The plan holds more than [`MAX_PLAN_RUNS`] runs.
+    TooManyRuns {
+        /// The plan's run count, saturating at `usize::MAX`.
+        runs: usize,
+    },
     /// A neural campaign's weights do not decode.
     Weights {
         /// Name of the study holding the campaign.
@@ -165,6 +185,12 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PlanError::TooManyRuns { runs } => {
+                write!(
+                    f,
+                    "plan has {runs} runs, more than the cap of {MAX_PLAN_RUNS}"
+                )
+            }
             PlanError::Weights {
                 study,
                 campaign,
@@ -352,19 +378,18 @@ impl ProgressSink for CollectSink {
 /// Consumer of durable run completions: the write-ahead seam the
 /// `avfi-store` crate plugs into. Where [`ProgressSink`] streams
 /// observability events, a `RunSink` receives the *payloads* — each
-/// finished run's [`RunResult`] (and trace, when one was recorded) keyed
-/// by flat plan index, plus the plan's terminal phase — so an
-/// implementation can journal them to disk as they happen.
+/// finished run's [`RunResult`] keyed by flat plan index, plus the plan's
+/// terminal phase — so an implementation can journal them to disk as
+/// they happen.
 ///
 /// Implementations are called concurrently from worker threads and must
 /// handle their own synchronization. The executor calls `run_completed`
 /// *after* writing the run's trace file and *before* publishing the
-/// result to its in-memory slot, so a journal record always exists for
-/// any run the engine counts as finished.
+/// result to its in-memory slot. A run whose trace could not be written
+/// is published but not reported here, so resume re-runs it.
 pub trait RunSink: Sync {
-    /// One run finished: its flat-plan index, result, and trace (if the
-    /// flight recorder emitted one).
-    fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>);
+    /// One run finished: its flat-plan index and result.
+    fn run_completed(&self, flat_index: usize, result: &RunResult);
 
     /// The plan reached a terminal phase. Called at most once.
     fn plan_terminal(&self, phase: PlanPhase) {
@@ -477,11 +502,12 @@ struct WorkItem {
 /// [`MultiplexPool`] both execute plans through it, so "flat plan index"
 /// means the same thing — and derives the same per-run seeds — in both.
 ///
-/// Every item runs in one order: run → persist (trace file, then journal
-/// record) → slot → counter → `RunCompleted` (plus `CampaignCompleted`
-/// after a campaign's last run). Hence a journal record never names a
-/// trace that was not written, a counter at the total implies every slot
-/// is filled, and an event never reports a run that is not yet counted.
+/// Every item runs in one order: run (under `catch_unwind`) → persist
+/// (trace file, then journal record) → slot → counter → `RunCompleted`
+/// (plus `CampaignCompleted` after a campaign's last run). Hence a
+/// journal record never names a trace that was not written, a counter at
+/// the total implies every slot is filled, and an event never reports a
+/// run that is not yet counted.
 #[derive(Debug)]
 pub(crate) struct PlanExec<'a> {
     plan: Cow<'a, WorkPlan>,
@@ -489,9 +515,12 @@ pub(crate) struct PlanExec<'a> {
     /// Per-flat-campaign trace specs; `None` with tracing off.
     specs: Option<Vec<TraceSpec>>,
     /// Directory trace files go to; `None` keeps traces in `traces`.
-    trace_dir: Option<PathBuf>,
+    pub(crate) trace_dir: Option<PathBuf>,
     /// In-memory traces by flat index (sorted by [`PlanExec::finish`]).
     pub(crate) traces: parking_lot::Mutex<Vec<(usize, RunTrace)>>,
+    /// `run I panicked: <message>` of the first run that panicked; once
+    /// set, the plan has failed and both executors start no further run.
+    pub(crate) failure: OnceLock<String>,
     slots: Vec<parking_lot::Mutex<Option<RunResult>>>,
     /// Flat indices still to run, in flat-plan order: the whole plan for
     /// a fresh execution, only the unfilled gap on resume.
@@ -562,6 +591,7 @@ impl<'a> PlanExec<'a> {
             specs: trace.map(|_| specs),
             trace_dir,
             traces: parking_lot::Mutex::new(Vec::new()),
+            failure: OnceLock::new(),
             slots: slots.into_iter().map(parking_lot::Mutex::new).collect(),
             remaining: remaining.into_iter().map(AtomicUsize::new).collect(),
             completed: AtomicUsize::new(completed),
@@ -597,7 +627,8 @@ impl<'a> PlanExec<'a> {
         self.completed.load(Ordering::Acquire)
     }
 
-    /// Runs flat item `i` on `worker`, reporting to `sink` and `spool`.
+    /// Runs flat item `i` on `worker`, reporting to `sink` and `spool`. A
+    /// run that panics leaves its slot empty and reports nothing.
     pub(crate) fn run_item(
         &self,
         i: usize,
@@ -609,15 +640,27 @@ impl<'a> PlanExec<'a> {
         let t0 = Instant::now();
         let item = self.items[i];
         let cfg = &self.plan.studies[item.study].campaigns[item.campaign];
-        let (result, trace) = run_mission(
-            &cfg.scenarios[item.scenario],
-            item.scenario,
-            item.run,
-            &cfg.fault,
-            &cfg.agent,
-            self.specs.as_ref().map(|specs| &specs[item.flat_campaign]),
-            scratch,
-        );
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_mission(
+                &cfg.scenarios[item.scenario],
+                item.scenario,
+                item.run,
+                &cfg.fault,
+                &cfg.agent,
+                self.specs.as_ref().map(|specs| &specs[item.flat_campaign]),
+                scratch,
+            )
+        }));
+        let (result, trace) = match run {
+            Ok(run) => run,
+            Err(payload) => {
+                // The run may have left the scratch half-written.
+                *scratch = WorkerScratch::default();
+                let message = format!("run {i} panicked: {}", panic_message(&*payload));
+                let _ = self.failure.set(message);
+                return;
+            }
+        };
         self.persist(i, &result, trace, spool);
         let (km, violations, success) = (
             result.distance_km,
@@ -650,7 +693,8 @@ impl<'a> PlanExec<'a> {
 
     /// Makes a finished run durable before it is published: the trace
     /// file first, then the journal record, so a crash between the two
-    /// leaves an unjournaled run that resume re-executes. Without a trace
+    /// leaves an unjournaled run that resume re-executes; so does a trace
+    /// that cannot be written (reported on stderr). Without a trace
     /// directory the trace is kept in memory.
     fn persist(
         &self,
@@ -659,15 +703,18 @@ impl<'a> PlanExec<'a> {
         trace: Option<RunTrace>,
         spool: Option<&dyn RunSink>,
     ) {
-        if let (Some(dir), Some(trace)) = (&self.trace_dir, &trace) {
-            avfi_trace::write_trace_file(dir, i, trace)
-                .unwrap_or_else(|e| panic!("cannot write trace for run {i}: {e}"));
+        match (&self.trace_dir, trace) {
+            (Some(dir), Some(trace)) => {
+                if let Err(e) = avfi_trace::write_trace_file(dir, i, &trace) {
+                    eprintln!("avfi engine: cannot write the trace of run {i}: {e}; not journaled");
+                    return;
+                }
+            }
+            (None, Some(trace)) => self.traces.lock().push((i, trace)),
+            (_, None) => {}
         }
         if let Some(spool) = spool {
-            spool.run_completed(i, result, trace.as_ref());
-        }
-        if let (None, Some(trace)) = (&self.trace_dir, trace) {
-            self.traces.lock().push((i, trace));
+            spool.run_completed(i, result);
         }
     }
 
@@ -696,18 +743,32 @@ impl<'a> PlanExec<'a> {
     }
 }
 
+/// The message a `panic!` or failed `assert!` carried.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// The scoped-thread cursor: `workers` threads claim indices `0..total`
 /// in order from one shared counter, each keeping one [`WorkerScratch`]
-/// for every item it runs. Which thread runs which index affects only
-/// wall-clock.
-fn drain(workers: usize, total: usize, run: impl Fn(usize, usize, &mut WorkerScratch) + Sync) {
+/// for every item it runs, until the indices run out or `stop` holds.
+/// Which thread runs which index affects only wall-clock.
+fn drain(
+    workers: usize,
+    total: usize,
+    stop: impl Fn() -> bool + Sync,
+    run: impl Fn(usize, usize, &mut WorkerScratch) + Sync,
+) {
     let next = AtomicUsize::new(0);
-    let (next, run) = (&next, &run);
+    let (next, stop, run) = (&next, &stop, &run);
     crossbeam::scope(|scope| {
         for worker in 0..workers {
             scope.spawn(move |_| {
                 let mut scratch = WorkerScratch::default();
-                loop {
+                while !stop() {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     if k >= total {
                         break;
@@ -797,6 +858,7 @@ impl Engine {
         drain(
             self.effective_workers(jobs.len()),
             jobs.len(),
+            || false,
             |_, i, scratch| {
                 let job = &jobs[i];
                 *slots[i].lock() = Some(run_mission(
@@ -839,6 +901,12 @@ impl Engine {
     /// [`Engine::execute`] of the same plan, for any worker count and any
     /// prefilled subset. Out-of-range or duplicate prefilled indices are
     /// ignored (first entry wins).
+    ///
+    /// # Panics
+    ///
+    /// Once a run panics, no further run starts; in-flight runs finish,
+    /// `spool` receives [`PlanPhase::Failed`], and this call panics with
+    /// `plan failed: run I panicked: <message>`.
     pub fn execute_resumed(
         &self,
         plan: &WorkPlan,
@@ -855,9 +923,18 @@ impl Engine {
         );
         let workers = self.effective_workers(exec.pending.len());
         sink.event(&exec.start(workers));
-        drain(workers, exec.pending.len(), |worker, k, scratch| {
-            exec.run_item(exec.pending[k], worker, scratch, sink, spool);
-        });
+        drain(
+            workers,
+            exec.pending.len(),
+            || exec.failure.get().is_some(),
+            |worker, k, scratch| exec.run_item(exec.pending[k], worker, scratch, sink, spool),
+        );
+        if let Some(message) = exec.failure.get() {
+            if let Some(spool) = spool {
+                spool.plan_terminal(PlanPhase::Failed);
+            }
+            panic!("plan failed: {message}");
+        }
         let results = exec.finish(sink);
         if let Some(spool) = spool {
             spool.plan_terminal(PlanPhase::Completed);
@@ -937,6 +1014,147 @@ mod tests {
             PlanError::Weights { study, campaign: 2, .. } if study == "il"
         ));
         assert!(err.to_string().contains("neural weights"), "{err}");
+    }
+
+    /// A plan over the run cap is refused before anything is built for
+    /// it, and a count that would overflow saturates instead of wrapping.
+    #[test]
+    fn validate_refuses_a_plan_over_the_run_cap() {
+        let plan = |scenarios: usize, runs: usize| {
+            let cfg = CampaignConfig::builder(vec![quick_scenario(1); scenarios])
+                .runs_per_scenario(runs)
+                .build();
+            WorkPlan::single("big", cfg)
+        };
+        assert_eq!(plan(1, MAX_PLAN_RUNS).validate(), Ok(()));
+        let err = plan(1, 1 << 40).validate().unwrap_err();
+        assert_eq!(err, PlanError::TooManyRuns { runs: 1 << 40 });
+        assert!(
+            err.to_string()
+                .contains("1099511627776 runs, more than the cap of 1048576"),
+            "{err}"
+        );
+        let overflow = plan(2, usize::MAX);
+        assert_eq!(overflow.total_runs(), usize::MAX);
+        assert_eq!(
+            overflow.validate(),
+            Err(PlanError::TooManyRuns { runs: usize::MAX })
+        );
+    }
+
+    /// What a [`RunSink`] is told: journaled flat indices and terminal
+    /// phases.
+    #[derive(Default)]
+    struct Journaled {
+        runs: parking_lot::Mutex<Vec<usize>>,
+        terminal: parking_lot::Mutex<Vec<PlanPhase>>,
+    }
+
+    impl RunSink for Journaled {
+        fn run_completed(&self, flat_index: usize, _result: &RunResult) {
+            self.runs.lock().push(flat_index);
+        }
+
+        fn plan_terminal(&self, phase: PlanPhase) {
+            self.terminal.lock().push(phase);
+        }
+    }
+
+    /// A panicking run fails the engine's plan as it fails a pool plan:
+    /// the workers start no further run, the journal records the failure,
+    /// and the call panics once with the run's message.
+    #[test]
+    fn a_panicking_run_fails_the_plan_and_starts_no_further_run() {
+        // The process's first unwind is slow (tens of ms); take it here so
+        // the poison run fails before a mission can finish.
+        let _ = panic::catch_unwind(|| panic!("warming the unwinder"));
+        let poison = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(1, 1)).build()])
+            .runs_per_scenario(1)
+            .agent(AgentSpec::Expert)
+            .build();
+        let missions = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(3, 3))
+            .seed(7)
+            .time_budget(60.0)
+            .build()])
+        .runs_per_scenario(8)
+        .agent(AgentSpec::Expert)
+        .build();
+        let plan = WorkPlan::new().with_study("poison", vec![poison, missions]);
+        let (sink, journal) = (CollectSink::new(), Journaled::default());
+        let failed = panic::catch_unwind(AssertUnwindSafe(|| {
+            Engine::new()
+                .workers(2)
+                .execute_resumed(&plan, Vec::new(), &sink, Some(&journal))
+        }));
+        let payload = failed.expect_err("the plan must fail");
+        let message = panic_message(&*payload);
+        assert!(
+            message.starts_with("plan failed: run 0 panicked: ")
+                && message.contains("town needs at least two intersections"),
+            "{message}"
+        );
+        let completed = sink
+            .take()
+            .iter()
+            .filter(|e| matches!(e, ProgressEvent::RunCompleted { .. }))
+            .count();
+        assert!(
+            completed < 8,
+            "{completed} runs completed after the failure"
+        );
+        assert_eq!(journal.runs.lock().len(), completed);
+        assert_eq!(*journal.terminal.lock(), [PlanPhase::Failed]);
+    }
+
+    /// A trace that cannot be written costs the run its journal record,
+    /// not its result: the results match an untraced run, every traced
+    /// (failed) run is left for resume to re-run, and nothing panics.
+    #[test]
+    fn an_unwritable_trace_leaves_its_run_unjournaled() {
+        use crate::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
+        let dir = std::env::temp_dir().join(format!("avfi-unwritable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // The trace "directory" is an existing regular file.
+        let not_a_dir = dir.join("traces");
+        std::fs::write(&not_a_dir, b"").unwrap();
+        let stuck = FaultSpec::Hardware(HardwareFault::always(
+            HardwareTarget::ControlBrake,
+            BitFaultModel::StuckAt { value: 1.0 },
+        ));
+        // A budget roomy enough for the clean runs to succeed untraced.
+        let clean = CampaignConfig::builder(vec![quick_scenario(60)
+            .to_builder()
+            .time_budget(60.0)
+            .build()])
+        .runs_per_scenario(2)
+        .agent(AgentSpec::Expert)
+        .build();
+        let plan = WorkPlan::new().with_study("unwritable", vec![campaign(40, stuck), clean]);
+        let journal = Journaled::default();
+        let traced = Engine::new()
+            .workers(2)
+            .with_trace(TraceConfig::new(&not_a_dir, TraceLevel::Blackbox))
+            .execute_resumed(&plan, Vec::new(), &NullSink, Some(&journal));
+        let untraced = Engine::new().workers(2).execute(&plan);
+        assert_eq!(
+            serde_json::to_string(&traced).unwrap(),
+            serde_json::to_string(&untraced).unwrap()
+        );
+        let succeeded: Vec<usize> = untraced
+            .iter()
+            .flat_map(|study| &study.campaigns)
+            .flat_map(|campaign| campaign.runs())
+            .enumerate()
+            .filter(|(_, run)| run.outcome.is_success())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(succeeded, [4, 5], "only the clean runs succeed");
+        let mut journaled = journal.runs.into_inner();
+        journaled.sort_unstable();
+        assert_eq!(journaled, succeeded);
+        assert_eq!(journal.terminal.into_inner(), [PlanPhase::Completed]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

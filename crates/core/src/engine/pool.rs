@@ -17,9 +17,10 @@
 //!   claimed-but-unstarted runs, and in-flight runs finish. Lifecycle
 //!   transitions go through the
 //!   [`PlanLifecycle`] state machine.
-//! * **Failure containment**: a run that panics fails its plan
-//!   ([`PlanPhase::Failed`], no results) and drops the plan's remaining
-//!   runs; the worker survives and serves the next plan.
+//! * **Failure containment**: the plan's executor contains a run that
+//!   panics, as it does for the one-shot engine. The plan fails
+//!   ([`PlanPhase::Failed`], no results, the message on stderr), its
+//!   remaining runs are dropped, and the worker serves the next plan.
 //! * **Parked plans**: a plan recovered from a journal with runs still
 //!   missing is submitted [`PlanPhase::Interrupted`] and stays out of the
 //!   rotation until [`PlanTicket::resume`] (or [`PlanTicket::cancel`]).
@@ -46,13 +47,12 @@ use super::{
 };
 use crate::campaign::{RunResult, WorkerScratch};
 use avfi_net::proto::{PlanId, PlanLifecycle, PlanPhase};
-use avfi_trace::{RunTrace, TraceLevel};
+use avfi_trace::{list_trace_files, read_trace_file, trace_file_index, RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -134,8 +134,9 @@ pub struct RecoveredSubmission {
     pub id: PlanId,
     /// Journaled run results by flat plan index.
     pub prefilled: Vec<(usize, RunResult)>,
-    /// Traces reloaded from spooled `.avtr` files, by flat plan index.
-    pub traces: Vec<(usize, RunTrace)>,
+    /// Directory the plan's traces are written to and read back from;
+    /// `None` keeps them in memory.
+    pub trace_dir: Option<PathBuf>,
     /// The phase the plan is recovered in. A terminal phase reloads the
     /// plan as fetchable state without executing anything (`Completed`
     /// requires every run prefilled); [`PlanPhase::Interrupted`] parks it
@@ -154,7 +155,7 @@ impl fmt::Debug for RecoveredSubmission {
             .field("id", &self.id)
             .field("level", &self.level)
             .field("prefilled", &self.prefilled.len())
-            .field("traces", &self.traces.len())
+            .field("trace_dir", &self.trace_dir)
             .field("phase", &self.phase)
             .finish_non_exhaustive()
     }
@@ -166,7 +167,7 @@ struct PlanRun {
     id: PlanId,
     /// The plan's executor: an owned copy of the plan (so the submitting
     /// client can disconnect while it runs), its slots, counters and
-    /// in-memory traces.
+    /// traces.
     exec: PlanExec<'static>,
     /// Claim cursor into `exec.pending`; mutated only under the scheduler
     /// lock.
@@ -174,8 +175,6 @@ struct PlanRun {
     /// Claimed but not yet finished (executed or skipped).
     outstanding: AtomicUsize,
     cancelled: AtomicBool,
-    /// Set when one of the plan's runs panicked.
-    failed: AtomicBool,
     started: AtomicBool,
     finalized: AtomicBool,
     /// Result/trace payloads dropped by retention eviction (lifecycle
@@ -217,7 +216,7 @@ impl PlanRun {
     /// once one of its runs panicked, `Cancelled` once cancelled, `None`
     /// while it runs on. A stopped plan starts no further runs.
     fn stopped(&self) -> Option<PlanPhase> {
-        if self.failed.load(Ordering::Acquire) {
+        if self.exec.failure.get().is_some() {
             Some(PlanPhase::Failed)
         } else if self.cancelled.load(Ordering::Acquire) {
             Some(PlanPhase::Cancelled)
@@ -239,11 +238,15 @@ impl PlanRun {
 }
 
 /// Moves a plan into a terminal phase exactly once: for `Completed`,
-/// appends the `Finished` event and assembles results (sorting traces);
-/// then advances the lifecycle and wakes every waiter.
+/// appends the `Finished` event and assembles results (sorting traces),
+/// for `Failed` prints the failure; then advances the lifecycle and wakes
+/// every waiter.
 fn finalize(run: &PlanRun, phase: PlanPhase) {
     if run.finalized.swap(true, Ordering::AcqRel) {
         return;
+    }
+    if let (PlanPhase::Failed, Some(message)) = (phase, run.exec.failure.get()) {
+        eprintln!("avfi pool: plan {} failed: {message}", run.id);
     }
     let results = (phase == PlanPhase::Completed).then(|| run.exec.finish(run));
     let mut st = run.state.lock().expect("plan state lock");
@@ -359,10 +362,20 @@ impl PlanTicket {
         self.results()
     }
 
-    /// The traces collected so far, keyed and (after completion) sorted
-    /// by flat plan index.
+    /// The traces written so far, sorted by flat plan index: read back
+    /// from the plan's trace directory when it has one (skipping files
+    /// that do not decode), else from memory (sorted at completion).
     pub fn traces(&self) -> Vec<(usize, RunTrace)> {
-        self.run.exec.traces.lock().clone()
+        let Some(dir) = &self.run.exec.trace_dir else {
+            return self.run.exec.traces.lock().clone();
+        };
+        let mut traces: Vec<(usize, RunTrace)> = list_trace_files(dir)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|p| Some((trace_file_index(p)?, read_trace_file(p).ok()?)))
+            .collect();
+        traces.sort_by_key(|(i, _)| *i);
+        traces
     }
 
     /// Time since the plan reached a terminal phase, `None` while it is
@@ -388,10 +401,12 @@ impl PlanTicket {
         if !st.lifecycle.phase().is_terminal() {
             return false;
         }
+        // Flagged first, so a reader that finds the payloads gone also
+        // finds the flag.
+        self.run.evicted.store(true, Ordering::Release);
         st.results = None;
         drop(st);
         self.run.exec.traces.lock().clear();
-        self.run.evicted.store(true, Ordering::Release);
         true
     }
 
@@ -483,22 +498,23 @@ impl MultiplexPool {
     /// server creates the plan's journal file there, named by id, and
     /// writes the `PlanSubmitted` record), and only then lets the plan
     /// enter the rotation — so every run a worker executes already has a
-    /// journal to land in. A factory returning `None` (e.g. on an I/O
-    /// failure it chose to swallow) submits the plan unspooled.
+    /// journal to land in, with the plan's trace directory. A factory
+    /// returning `None` (e.g. on an I/O failure it chose to swallow)
+    /// submits the plan unspooled, its traces in memory.
     pub fn submit_spooled(
         &self,
         plan: WorkPlan,
         level: TraceLevel,
-        make_spool: impl FnOnce(PlanId) -> Option<Arc<dyn RunSink + Send + Sync>>,
+        make_spool: impl FnOnce(PlanId) -> Option<(Arc<dyn RunSink + Send + Sync>, PathBuf)>,
     ) -> PlanTicket {
         let id = self.allocate_id();
-        let spool = make_spool(id);
+        let (spool, trace_dir) = make_spool(id).unzip();
         self.submit_full(RecoveredSubmission {
             plan,
             level,
             id,
             prefilled: Vec::new(),
-            traces: Vec::new(),
+            trace_dir,
             phase: None,
             spool,
         })
@@ -507,8 +523,8 @@ impl MultiplexPool {
     /// Re-submits a plan recovered from an `avfi-store` journal under its
     /// **original** id, in the phase [`RecoveredSubmission::phase`]
     /// names: journaled results slot straight into their preassigned
-    /// positions, recovered traces re-attach, and only the unjournaled gap
-    /// fans out across the workers — so the final results are
+    /// positions, the plan's trace directory re-attaches, and only the
+    /// unjournaled gap fans out across the workers — so the final results are
     /// byte-identical to an uninterrupted run ([`Engine`]'s resume
     /// argument, lifted into the pool). Call
     /// [`MultiplexPool::reserve_plan_ids`] with the highest recovered id
@@ -540,9 +556,8 @@ impl MultiplexPool {
             Cow::Owned(sub.plan),
             sub.prefilled,
             Some((sub.level, blackbox_frames(BLACKBOX_SECONDS))),
-            None,
+            sub.trace_dir,
         );
-        *exec.traces.get_mut() = sub.traces;
         let phase = sub.phase.unwrap_or(PlanPhase::Queued);
         let started = exec.start(self.shared.workers);
         let run = Arc::new(PlanRun {
@@ -551,7 +566,6 @@ impl MultiplexPool {
             next: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
             started: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             evicted: AtomicBool::new(false),
@@ -663,25 +677,12 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 
 /// Runs one claimed item through the plan's executor. The cooperative
 /// stop check sits here: a run claimed before its plan was cancelled or
-/// failed is skipped, not executed. A run that panics fails its plan
-/// instead of unwinding out of the worker.
+/// failed is skipped, not executed.
 fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerScratch) {
     if plan.stopped().is_none() {
         plan.mark_running();
         let spool = plan.spool.as_ref().map(|s| &*s.0 as &dyn RunSink);
-        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            plan.exec.run_item(idx, worker, scratch, plan, spool)
-        }));
-        if let Err(payload) = run {
-            eprintln!(
-                "avfi pool: plan {} run {idx} panicked: {}; the plan fails",
-                plan.id,
-                panic_message(&*payload)
-            );
-            plan.failed.store(true, Ordering::Release);
-            // The run may have left the scratch half-written.
-            *scratch = WorkerScratch::default();
-        }
+        plan.exec.run_item(idx, worker, scratch, plan, spool);
     }
     // The last in-flight run finalizes, so every other run's events are
     // already in the log and `Finished` is the plan's last event.
@@ -692,15 +693,6 @@ fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerS
             finalize(plan, phase);
         }
     }
-}
-
-/// The message a `panic!` or failed `assert!` carried.
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -1012,7 +1004,7 @@ mod tests {
             level: TraceLevel::Off,
             id: 11,
             prefilled: runs.clone(),
-            traces: Vec::new(),
+            trace_dir: None,
             phase: Some(PlanPhase::Completed),
             spool: None,
         });
@@ -1027,7 +1019,7 @@ mod tests {
             level: TraceLevel::Off,
             id: 12,
             prefilled: runs[..total / 2].to_vec(),
-            traces: Vec::new(),
+            trace_dir: None,
             phase: None,
             spool: None,
         });
@@ -1053,7 +1045,7 @@ mod tests {
                 level: TraceLevel::Off,
                 id,
                 prefilled: Vec::new(),
-                traces: Vec::new(),
+                trace_dir: None,
                 phase: Some(PlanPhase::Interrupted),
                 spool: None,
             })

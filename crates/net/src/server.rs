@@ -3,7 +3,7 @@
 use crate::error::NetError;
 use crate::message::Message;
 use crate::transport::Transport;
-use avfi_sim::world::{MissionStatus, World, WorldObservation};
+use avfi_sim::world::{MissionStatus, World};
 
 /// Serves a [`World`] over a [`Transport`] in lockstep: each cycle sends an
 /// observation, waits for the matching control, and advances one frame.
@@ -11,20 +11,12 @@ use avfi_sim::world::{MissionStatus, World, WorldObservation};
 pub struct SimServer<T> {
     world: World,
     transport: T,
-    /// Observation buffer reclaimed from serializing transports, refreshed
-    /// in place via [`World::observe_into`] so steady-state serving does
-    /// not reallocate the sensor payload each frame.
-    scratch: Option<Box<WorldObservation>>,
 }
 
 impl<T: Transport> SimServer<T> {
     /// Creates a server for a world and a transport endpoint.
     pub fn new(world: World, transport: T) -> Self {
-        SimServer {
-            world,
-            transport,
-            scratch: None,
-        }
+        SimServer { world, transport }
     }
 
     /// Consumes the server, returning the world (for metric extraction).
@@ -42,19 +34,9 @@ impl<T: Transport> SimServer<T> {
     /// Propagates transport failures; replies other than `Control` or
     /// `Shutdown` are a [`NetError::Protocol`] error.
     pub fn serve_step(&mut self) -> Result<Option<MissionStatus>, NetError> {
-        let obs = match self.scratch.take() {
-            Some(mut obs) => {
-                self.world.observe_into(&mut obs);
-                obs
-            }
-            None => Box::new(self.world.observe()),
-        };
+        let obs = self.world.observe();
         let frame = obs.sensors.frame;
-        if let Some(Message::Observation(obs)) =
-            self.transport.send_reclaim(Message::Observation(obs))?
-        {
-            self.scratch = Some(obs);
-        }
+        self.transport.send(Message::Observation(Box::new(obs)))?;
         match self.transport.recv()? {
             Message::Control {
                 frame: ack,

@@ -22,22 +22,6 @@ pub trait Transport {
     /// codec error for socket transports.
     fn send(&mut self, msg: Message) -> Result<(), NetError>;
 
-    /// Sends one message and hands it back when the transport merely
-    /// serialized it (socket transports) rather than transferring ownership
-    /// (channel transports). Hot loops use the returned message to reuse
-    /// large payload buffers (e.g. observation frames) across cycles.
-    ///
-    /// The default implementation forwards to [`Transport::send`] and
-    /// returns `None`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Transport::send`].
-    fn send_reclaim(&mut self, msg: Message) -> Result<Option<Message>, NetError> {
-        self.send(msg)?;
-        Ok(None)
-    }
-
     /// Receives the next message, blocking until one arrives.
     ///
     /// # Errors
@@ -204,11 +188,6 @@ impl<S: Read + Write> TcpTransport<S> {
 impl<S: Read + Write> Transport for TcpTransport<S> {
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
         self.send_value(&msg)
-    }
-
-    fn send_reclaim(&mut self, msg: Message) -> Result<Option<Message>, NetError> {
-        self.send_value(&msg)?;
-        Ok(Some(msg))
     }
 
     fn recv(&mut self) -> Result<Message, NetError> {

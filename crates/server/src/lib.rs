@@ -311,8 +311,9 @@ fn serve_request(
             };
             match serde_json::from_str::<WorkPlan>(&plan_json) {
                 Ok(plan) => {
-                    // A plan whose runs cannot start would panic the pool's
-                    // workers and stop the daemon for every client.
+                    // A plan whose runs cannot start would only fail in the
+                    // pool; one over the run cap would exhaust the daemon's
+                    // memory before its first run.
                     if let Err(e) = plan.validate() {
                         return transport.send_value(&ServiceReply::Error {
                             message: format!("invalid plan: {e}"),
@@ -384,12 +385,15 @@ fn serve_request(
                 Ok(ticket) => ticket,
                 Err(reply) => return transport.send_value(&reply),
             };
+            ticket.wait_terminal();
+            let traces = ticket.traces();
+            // Checked after reading, since a sweep may delete a spooled
+            // plan's trace files mid-read: every trace or the error.
             if ticket.is_evicted() {
                 return send_evicted(transport, plan);
             }
-            ticket.wait_terminal();
-            let traces_json = serde_json::to_string(&ticket.traces())
-                .map_err(|e| NetError::Codec(e.to_string()))?;
+            let traces_json =
+                serde_json::to_string(&traces).map_err(|e| NetError::Codec(e.to_string()))?;
             transport.send_value(&ServiceReply::Traces { plan, traces_json })
         }
         ServiceRequest::Cancel { plan } => {
@@ -466,20 +470,20 @@ fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option
 
 /// Opens the write-ahead journal for a freshly accepted plan (the
 /// [`MultiplexPool::submit_spooled`] factory): creates
-/// `dir/plan-<id>.avj` holding the submission record, and points trace
-/// spooling at `dir/plan-<id>/`. Journal creation failures degrade to an
-/// unspooled plan (reported on stderr) — the daemon keeps serving rather
-/// than rejecting work over disk trouble.
+/// `dir/plan-<id>.avj` holding the submission record, and names
+/// `dir/plan-<id>/` as the plan's trace directory. Journal creation
+/// failures degrade to an unspooled plan (reported on stderr) — the
+/// daemon keeps serving rather than rejecting work over disk trouble.
 fn open_plan_journal(
     dir: &Path,
     id: PlanId,
     plan_json: String,
     level: TraceLevel,
-) -> Option<Arc<dyn RunSink + Send + Sync>> {
+) -> Option<(Arc<dyn RunSink + Send + Sync>, PathBuf)> {
     let path = dir.join(avfi_store::journal_file_name(id));
     let trace_dir = dir.join(avfi_store::trace_dir_name(id));
-    match PlanJournal::create(&path, plan_json, level, Some(trace_dir)) {
-        Ok(journal) => Some(Arc::new(journal)),
+    match PlanJournal::create(&path, plan_json, level) {
+        Ok(journal) => Some((Arc::new(journal), trace_dir)),
         Err(e) => {
             eprintln!(
                 "[avfi-server] spool journal create failed ({}): {e}",
@@ -496,8 +500,11 @@ fn open_plan_journal(
 /// uninterrupted run). Any other plan keeps its reopened journal and is
 /// recovered [`PlanPhase::Interrupted`]: parked until resumed or
 /// cancelled — or, with every run already journaled, completed at once,
-/// appending the missing terminal record. Unrecoverable journals are
-/// skipped with a stderr note — recovery never takes the daemon down.
+/// appending the missing terminal record. Either way the plan's traces
+/// stay in its `plan-<id>/` directory, read only when a client asks for
+/// them. Unrecoverable journals, and plans that
+/// [`WorkPlan::validate`] refuses, are skipped with a stderr note —
+/// recovery never takes the daemon down.
 fn recover_journal(
     pool: &MultiplexPool,
     dir: &Path,
@@ -516,36 +523,26 @@ fn recover_journal(
     };
     // Header-only or unparseable journal: nothing to reload.
     let rec = avfi_store::summarize(&records)?;
-    let trace_dir = dir.join(avfi_store::trace_dir_name(id));
+    if let Err(e) = rec.plan.validate() {
+        eprintln!(
+            "[avfi-server] spool recovery skipped ({}): {e}",
+            path.display()
+        );
+        return None;
+    }
     let spool: Option<Arc<dyn RunSink + Send + Sync>> = match rec.terminal {
         Some(_) => None, // terminal: nothing more to append; the file stays
-        None => Some(Arc::new(PlanJournal::new(journal, Some(trace_dir.clone())))),
+        None => Some(Arc::new(PlanJournal::new(journal))),
     };
     Some(pool.submit_recovered(RecoveredSubmission {
         plan: rec.plan,
         level: rec.level,
         id,
         prefilled: rec.completed,
-        traces: load_spooled_traces(&trace_dir),
+        trace_dir: Some(dir.join(avfi_store::trace_dir_name(id))),
         phase: Some(rec.terminal.unwrap_or(PlanPhase::Interrupted)),
         spool,
     }))
-}
-
-/// Reloads the `.avtr` traces a spooled plan's runs left in its trace
-/// directory, keyed by flat plan index. Unreadable files are skipped — a
-/// missing trace never blocks recovery.
-fn load_spooled_traces(trace_dir: &Path) -> Vec<(usize, RunTrace)> {
-    let files = avfi_trace::list_trace_files(trace_dir).unwrap_or_default();
-    files
-        .iter()
-        .filter_map(|p| {
-            Some((
-                avfi_trace::trace_file_index(p)?,
-                avfi_trace::read_trace_file(p).ok()?,
-            ))
-        })
-        .collect()
 }
 
 fn lookup(registry: &Registry, plan: PlanId) -> Option<PlanTicket> {

@@ -1,8 +1,9 @@
 //! A plan whose runs cannot start is refused at submit. Queued, a neural
-//! plan with undecodable weights would panic every run of it. Refused,
-//! it costs the daemon nothing: the next client's plan runs as usual and
-//! shutdown is clean. A plan that passes validation and still panics
-//! fails on its own, and the daemon keeps serving.
+//! plan with undecodable weights would panic every run of it, and a plan
+//! over the run cap would exhaust the daemon's memory before its first
+//! run. Refused, either costs the daemon nothing: the next client's plan
+//! runs as usual and shutdown is clean. A plan that passes validation and
+//! still panics fails on its own, and the daemon keeps serving.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::FaultSpec;
@@ -63,6 +64,41 @@ fn undecodable_weights_are_refused_and_the_daemon_keeps_serving() {
         client.wait_terminal(id).expect("wait"),
         PlanPhase::Completed
     );
+    assert_eq!(
+        client.results_json(id).expect("results"),
+        solo_results_json(&demo).expect("solo run")
+    );
+
+    client.shutdown_server().expect("shutdown");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+}
+
+#[test]
+fn a_plan_over_the_run_cap_is_refused_and_the_daemon_keeps_serving() {
+    let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+
+    let scenario = demo_plan().studies()[0].campaigns[0].scenarios[0].clone();
+    let huge = CampaignConfig::builder(vec![scenario])
+        .runs_per_scenario(1 << 40)
+        .build();
+    let plan = WorkPlan::new().with_study("huge", vec![huge]);
+    match client.submit(&plan, TraceLevel::Off) {
+        Err(NetError::Protocol(message)) => assert!(
+            message.contains("1099511627776 runs") && message.contains("cap"),
+            "{message}"
+        ),
+        other => panic!("a plan over the run cap must be refused, got {other:?}"),
+    }
+
+    let demo = demo_plan();
+    let (id, _) = client.submit(&demo, TraceLevel::Off).expect("submit");
+    assert_eq!(phase_within(&mut client, id, 120), PlanPhase::Completed);
     assert_eq!(
         client.results_json(id).expect("results"),
         solo_results_json(&demo).expect("solo run")

@@ -11,8 +11,8 @@ use avfi_core::{Engine, RunSink, WorkPlan};
 use avfi_net::proto::PlanPhase;
 use avfi_net::NetError;
 use avfi_server::{demo_plan, solo_results_json, CampaignServer, ServiceClient};
-use avfi_store::{Journal, JournalRecord, PlanJournal};
-use avfi_trace::{RunTrace, TraceLevel};
+use avfi_store::{JournalRecord, PlanJournal};
+use avfi_trace::TraceLevel;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -40,88 +40,90 @@ fn spawn_daemon(
     (addr, daemon)
 }
 
-/// Writes an interrupted journal for `plan` under plan id `id`: the
-/// submission record plus the first `completed` runs, no terminal — what
-/// a daemon killed mid-plan leaves behind.
-fn write_interrupted_journal(spool: &Path, id: u64, plan: &WorkPlan, completed: usize) {
-    #[derive(Default)]
-    struct Collect(parking_lot::Mutex<Vec<(usize, RunResult)>>);
-    impl RunSink for Collect {
-        fn run_completed(
-            &self,
-            flat_index: usize,
-            result: &RunResult,
-            _trace: Option<&avfi_trace::RunTrace>,
-        ) {
-            self.0.lock().push((flat_index, result.clone()));
-        }
-    }
-    let collector = Collect::default();
-    Engine::new()
-        .workers(2)
-        .execute_resumed(plan, Vec::new(), &NullSink, Some(&collector));
-    let runs = collector.0.into_inner();
-    assert!(completed <= runs.len());
-
-    let path = spool.join(avfi_store::journal_file_name(id));
-    let mut journal = Journal::create(&path).expect("create journal");
-    journal
-        .append(&JournalRecord::PlanSubmitted {
-            plan_json: serde_json::to_string(plan).expect("plan serializes"),
-            trace_level: "off".into(),
-        })
-        .expect("append submission");
-    for (idx, result) in &runs[..completed] {
-        journal
-            .append(&JournalRecord::RunCompleted {
-                flat_index: *idx as u64,
-                result_json: serde_json::to_string(result).expect("result serializes"),
-            })
-            .expect("append run");
-    }
-}
-
-/// Writes a black-box interrupted journal for `plan` under plan id `id`
-/// the way a daemon killed mid-plan leaves it: the submission record and
-/// the first `completed` runs by flat index, each with its trace spooled
-/// under `plan-<id>/`. Returns how many traces were spooled.
-fn write_traced_interrupted_journal(
+/// Writes an interrupted journal for `plan` under plan id `id` the way a
+/// daemon killed mid-plan leaves it: the submission record at `level`
+/// and the first `completed` runs by flat index, no terminal, with the
+/// traces of those runs in `plan-<id>/`. Returns how many traces are
+/// there.
+fn write_interrupted_journal(
     spool: &Path,
     id: u64,
     plan: &WorkPlan,
     completed: usize,
+    level: TraceLevel,
 ) -> usize {
-    type Run = (usize, RunResult, Option<RunTrace>);
     #[derive(Default)]
-    struct Collect(parking_lot::Mutex<Vec<Run>>);
+    struct Collect(parking_lot::Mutex<Vec<(usize, RunResult)>>);
     impl RunSink for Collect {
-        fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>) {
-            self.0
-                .lock()
-                .push((flat_index, result.clone(), trace.cloned()));
+        fn run_completed(&self, flat_index: usize, result: &RunResult) {
+            self.0.lock().push((flat_index, result.clone()));
         }
     }
-    let engine_traces = spool.with_extension("traces");
+    let trace_dir = spool.join(avfi_store::trace_dir_name(id));
     let collector = Collect::default();
     Engine::new()
         .workers(2)
-        .with_trace(TraceConfig::new(&engine_traces, TraceLevel::Blackbox))
+        .with_trace(TraceConfig::new(&trace_dir, level))
         .execute_resumed(plan, Vec::new(), &NullSink, Some(&collector));
-    let _ = std::fs::remove_dir_all(&engine_traces);
     let mut runs = collector.0.into_inner();
-    runs.sort_by_key(|(idx, ..)| *idx);
+    runs.sort_by_key(|(idx, _)| *idx);
+    for (idx, _) in &runs[completed..] {
+        let _ = std::fs::remove_file(trace_dir.join(avfi_trace::trace_file_name(*idx)));
+    }
 
     let journal = PlanJournal::create(
         &spool.join(avfi_store::journal_file_name(id)),
         serde_json::to_string(plan).expect("plan serializes"),
-        TraceLevel::Blackbox,
-        Some(spool.join(avfi_store::trace_dir_name(id))),
+        level,
     )
     .expect("create journal");
-    for (idx, result, trace) in &runs[..completed] {
-        journal.run_completed(*idx, result, trace.as_ref());
+    for (idx, result) in &runs[..completed] {
+        journal.run_completed(*idx, result);
     }
-    runs[..completed].iter().filter(|r| r.2.is_some()).count()
+    avfi_trace::list_trace_files(&trace_dir)
+        .expect("list traces")
+        .len()
+}
+
+/// A journal whose plan is over the run cap is skipped at startup
+/// instead of rebuilding, at every start, an executor that would exhaust
+/// the daemon's memory; the daemon serves the next plan as usual.
+#[test]
+fn journal_over_the_run_cap_is_skipped_at_startup() {
+    let spool = fresh_spool("huge");
+    let scenario = demo_plan().studies()[0].campaigns[0].scenarios[0].clone();
+    let huge = avfi_core::CampaignConfig::builder(vec![scenario])
+        .runs_per_scenario(1 << 40)
+        .build();
+    let plan = WorkPlan::new().with_study("huge", vec![huge]);
+    PlanJournal::create(
+        &spool.join(avfi_store::journal_file_name(2)),
+        serde_json::to_string(&plan).expect("plan serializes"),
+        TraceLevel::Off,
+    )
+    .expect("create journal");
+
+    let (addr, daemon) = spawn_daemon(&spool, true, None);
+    let mut c = ServiceClient::connect(&addr).expect("connect");
+    match c.status(2) {
+        Err(NetError::Protocol(message)) => assert!(message.contains("unknown plan"), "{message}"),
+        other => panic!("the refused journal must not be recovered, got {other:?}"),
+    }
+    let demo = demo_plan();
+    let (id, _) = c.submit(&demo, TraceLevel::Off).expect("submit");
+    assert!(
+        id > 2,
+        "the skipped journal's id must stay reserved, got {id}"
+    );
+    assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
+    assert_eq!(
+        c.results_json(id).expect("results"),
+        solo_results_json(&demo).expect("solo reference")
+    );
+
+    c.shutdown_server().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// A completed plan's results survive a daemon restart byte for byte,
@@ -163,7 +165,7 @@ fn interrupted_plan_resumes_to_identical_bytes() {
     let spool = fresh_spool("resume");
     let plan = demo_plan();
     let id = 7u64;
-    write_interrupted_journal(&spool, id, &plan, 2);
+    write_interrupted_journal(&spool, id, &plan, 2, TraceLevel::Off);
     let reference = solo_results_json(&plan).expect("solo reference");
 
     let (addr, daemon) = spawn_daemon(&spool, false, None);
@@ -209,7 +211,7 @@ fn auto_resume_restarts_interrupted_plans() {
     let spool = fresh_spool("auto");
     let plan = demo_plan();
     let id = 3u64;
-    write_interrupted_journal(&spool, id, &plan, 1);
+    write_interrupted_journal(&spool, id, &plan, 1, TraceLevel::Off);
     let reference = solo_results_json(&plan).expect("solo reference");
 
     let (addr, daemon) = spawn_daemon(&spool, true, None);
@@ -269,7 +271,7 @@ fn cancelled_interrupted_plan_serves_the_same_traces_after_restart() {
     let plan = demo_plan();
     let id = 5u64;
     let journaled = plan.total_runs() - 1;
-    let traced = write_traced_interrupted_journal(&spool, id, &plan, journaled);
+    let traced = write_interrupted_journal(&spool, id, &plan, journaled, TraceLevel::Blackbox);
     assert_eq!(
         traced, journaled,
         "every demo run fails, so each has a trace"
@@ -305,7 +307,7 @@ fn parked_plan_stays_interrupted_across_restarts() {
     let spool = fresh_spool("parked");
     let plan = demo_plan();
     let id = 9u64;
-    write_interrupted_journal(&spool, id, &plan, 2);
+    write_interrupted_journal(&spool, id, &plan, 2, TraceLevel::Off);
 
     for _ in 0..2 {
         let (addr, daemon) = spawn_daemon(&spool, false, None);
@@ -328,7 +330,7 @@ fn fully_journaled_plan_reloads_completed() {
     let spool = fresh_spool("full");
     let plan = demo_plan();
     let id = 4u64;
-    write_interrupted_journal(&spool, id, &plan, plan.total_runs());
+    write_interrupted_journal(&spool, id, &plan, plan.total_runs(), TraceLevel::Off);
 
     let (addr, daemon) = spawn_daemon(&spool, false, None);
     let mut c = ServiceClient::connect(&addr).expect("connect");

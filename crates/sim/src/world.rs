@@ -6,7 +6,7 @@
 //! payload the server would ship to the driving-agent client.
 
 use crate::actors::{spawn_npc_vehicles, spawn_pedestrians, NpcVehicle, Pedestrian, Traffic};
-use crate::map::route::{Command, Route, RouteTracker};
+use crate::map::route::{Command, RouteTracker};
 use crate::map::town::TownGenerator;
 use crate::map::{LightState, Map, SignalGroup};
 use crate::math::{Obb, Pose, Vec2};
@@ -146,12 +146,6 @@ impl World {
         let route = scenario
             .sample_mission(&map, &mut mission_rng)
             .expect("scenario town has no drivable mission route");
-        Self::with_route(scenario, map, route)
-    }
-
-    /// Builds the world with an explicit mission route (used by campaign
-    /// runners that pin missions).
-    pub fn with_route(scenario: &Scenario, map: Map, route: Route) -> Self {
         let wps = route.waypoints();
         let heading = if wps.len() >= 2 {
             (wps[1].position - wps[0].position).angle()

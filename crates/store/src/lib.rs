@@ -27,6 +27,13 @@
 //! one `write(2)` of the fully assembled record, so a crash leaves at
 //! most one torn record, always at the tail.
 //!
+//! ## Traces
+//!
+//! The journal holds no trace. The engine's executor writes a run's
+//! `.avtr` file before it reports the run to the [`PlanJournal`], and
+//! reports no run whose trace it could not write: a journaled run's trace
+//! is on disk, and a run whose trace was lost is re-run on resume.
+//!
 //! ## Recovery rule
 //!
 //! [`recover`] reads the **longest valid prefix**: records are accepted
@@ -57,7 +64,7 @@
 use avfi_core::campaign::RunResult;
 use avfi_core::engine::{assemble_results, Engine, PlanPhase, ProgressSink, RunSink};
 use avfi_core::{StudyResult, WorkPlan};
-use avfi_trace::{RunTrace, TraceLevel};
+use avfi_trace::TraceLevel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -329,50 +336,39 @@ pub fn summarize(records: &[JournalRecord]) -> Option<RecoveredPlan> {
 
 /// A live write-ahead journal for one executing plan: the engine-facing
 /// [`RunSink`] that appends a [`JournalRecord::RunCompleted`] as each run
-/// finishes (when a trace directory is configured, after spooling the
-/// run's `.avtr` trace there) and the terminal record at the end.
+/// finishes and the terminal record at the end. It only journals: the
+/// executor writes a run's trace file before it reports the run here,
+/// and reports no run whose trace it could not write.
 ///
 /// Append failures are reported to stderr and swallowed: journaling is
 /// best-effort durability, and a lost record only means the run is
 /// re-executed on resume — determinism keeps the final output identical.
-/// A trace that cannot be spooled is reported the same way and its run
-/// is left unjournaled, since resume never re-executes a journaled run
-/// and the trace would otherwise be lost for good.
 #[derive(Debug)]
 pub struct PlanJournal {
     journal: parking_lot::Mutex<Journal>,
-    trace_dir: Option<PathBuf>,
 }
 
 impl PlanJournal {
-    /// Wraps an open journal; traces are spooled into `trace_dir` when
-    /// given.
-    pub fn new(journal: Journal, trace_dir: Option<PathBuf>) -> PlanJournal {
+    /// Wraps an open journal.
+    pub fn new(journal: Journal) -> PlanJournal {
         PlanJournal {
             journal: parking_lot::Mutex::new(journal),
-            trace_dir,
         }
     }
 
     /// Creates (or truncates) the journal at `path` for a freshly accepted
-    /// plan and writes its [`JournalRecord::PlanSubmitted`] record; traces
-    /// are spooled into `trace_dir` when given.
+    /// plan and writes its [`JournalRecord::PlanSubmitted`] record.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn create(
-        path: &Path,
-        plan_json: String,
-        level: TraceLevel,
-        trace_dir: Option<PathBuf>,
-    ) -> io::Result<PlanJournal> {
+    pub fn create(path: &Path, plan_json: String, level: TraceLevel) -> io::Result<PlanJournal> {
         let mut journal = Journal::create(path)?;
         journal.append(&JournalRecord::PlanSubmitted {
             plan_json,
             trace_level: level.as_str().to_string(),
         })?;
-        Ok(PlanJournal::new(journal, trace_dir))
+        Ok(PlanJournal::new(journal))
     }
 
     fn append(&self, record: &JournalRecord) {
@@ -387,17 +383,7 @@ impl PlanJournal {
 }
 
 impl RunSink for PlanJournal {
-    fn run_completed(&self, flat_index: usize, result: &RunResult, trace: Option<&RunTrace>) {
-        if let (Some(dir), Some(trace)) = (&self.trace_dir, trace) {
-            if let Err(e) = avfi_trace::write_trace_file(dir, flat_index, trace) {
-                eprintln!(
-                    "[avfi-store] trace spool failed ({}): {e}; run {flat_index} \
-                     left unjournaled",
-                    dir.display()
-                );
-                return;
-            }
-        }
+    fn run_completed(&self, flat_index: usize, result: &RunResult) {
         let result_json = serde_json::to_string(result).expect("run result serializes");
         self.append(&JournalRecord::RunCompleted {
             flat_index: flat_index as u64,
@@ -494,12 +480,9 @@ pub fn run_spooled(
             let runs = rec.completed.into_iter().map(|(_, r)| r).collect();
             return Ok(assemble_results(plan, runs));
         }
-        Some(rec) => (PlanJournal::new(journal, None), rec.completed),
+        Some(rec) => (PlanJournal::new(journal), rec.completed),
         // Fresh (or unrecoverable) journal: restart from the header.
-        None => (
-            PlanJournal::create(&path, plan_json, level, None)?,
-            Vec::new(),
-        ),
+        None => (PlanJournal::create(&path, plan_json, level)?, Vec::new()),
     };
     Ok(engine.execute_resumed(plan, prefilled, sink, Some(&spool)))
 }
@@ -682,62 +665,6 @@ mod tests {
         );
         assert_eq!(summary(&one_run, "off", &["exploded"]).1, None);
         assert_eq!(summary(&one_run, "verbose", &[]), (TraceLevel::Off, None));
-    }
-
-    /// A trace that cannot be spooled keeps its run out of the journal,
-    /// so a restart re-runs it instead of losing the trace for good.
-    #[test]
-    fn unspoolable_trace_leaves_run_unjournaled() {
-        use avfi_core::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
-        use avfi_core::fault::FaultSpec;
-        use avfi_sim::scenario::{Scenario, TownSpec};
-        use avfi_trace::TraceLevel;
-
-        let dir = std::env::temp_dir().join(format!("avfi-store-unspool-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // The trace "directory" is an existing regular file.
-        let not_a_dir = dir.join("traces");
-        std::fs::write(&not_a_dir, b"").unwrap();
-        let path = dir.join("j.avj");
-        let spool = PlanJournal::new(Journal::create(&path).unwrap(), Some(not_a_dir));
-
-        let mut town = TownSpec::grid(2, 2);
-        town.signalized = false;
-        let scenario = Scenario::builder(town)
-            .seed(3)
-            .npc_vehicles(0)
-            .pedestrians(0)
-            .time_budget(5.0)
-            .min_route_length(50.0)
-            .build();
-        let spec = TraceSpec {
-            level: TraceLevel::Summary,
-            study: "unspool".into(),
-            blackbox_frames: 0,
-            weights_fingerprint: None,
-        };
-        let (result, trace) = run_mission(
-            &scenario,
-            0,
-            0,
-            &FaultSpec::None,
-            &AgentSpec::Expert,
-            Some(&spec),
-            &mut WorkerScratch::default(),
-        );
-        assert!(trace.is_some(), "summary runs always emit a trace");
-        spool.run_completed(0, &result, trace.as_ref());
-        drop(spool);
-
-        let (records, _) = recover_file(&path).unwrap();
-        assert!(
-            !records
-                .iter()
-                .any(|r| matches!(r, JournalRecord::RunCompleted { .. })),
-            "a run whose trace was lost must not be journaled"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

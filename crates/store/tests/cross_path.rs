@@ -1,19 +1,22 @@
 //! Cross-path differential test: one black-box plan executed by every
 //! path that runs plans — the one-shot engine on 1 and 3 workers, the
-//! multiplexing pool next to a neighbour plan, ad-hoc evaluation jobs at
-//! the same coordinates, and the checkpointed `run_spooled` — must yield
-//! byte-identical `StudyResult` JSON and byte-identical trace bytes for
-//! every flat index.
+//! multiplexing pool next to a neighbour plan, the pool spooling the plan
+//! to a journal and a trace directory as the daemon does, ad-hoc
+//! evaluation jobs at the same coordinates, and the checkpointed
+//! `run_spooled` — must yield byte-identical `StudyResult` JSON and
+//! byte-identical trace bytes for every flat index.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig, RunResult, TraceSpec};
-use avfi_core::engine::{assemble_results, EvalJob, NullSink, TraceConfig};
+use avfi_core::engine::{assemble_results, EvalJob, NullSink, PlanPhase, TraceConfig};
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::FaultSpec;
-use avfi_core::{Engine, MultiplexPool, StudyResult, WorkPlan};
+use avfi_core::{Engine, MultiplexPool, RunSink, StudyResult, WorkPlan};
 use avfi_sim::scenario::{Scenario, TownSpec};
+use avfi_store::PlanJournal;
 use avfi_trace::{RunTrace, TraceLevel};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Encoded trace bytes by flat plan index.
 type Traces = BTreeMap<usize, Vec<u8>>;
@@ -147,7 +150,35 @@ fn every_execution_path_yields_identical_results_and_traces() {
     }
     pool.shutdown();
 
-    // 3. Ad-hoc evaluation jobs at the plan's coordinates.
+    // 3. The pool spooling the plan as the daemon does: a journal, and a
+    // `plan-<id>/` directory the traces are written to and read back from.
+    let spool = fresh_dir("pool-spooled");
+    let pool = MultiplexPool::new(2);
+    let mut journal_path = PathBuf::new();
+    let ticket = pool.submit_spooled(plan.clone(), TraceLevel::Blackbox, |id| {
+        journal_path = spool.join(avfi_store::journal_file_name(id));
+        let plan_json = serde_json::to_string(&plan).expect("plan serializes");
+        let journal = PlanJournal::create(&journal_path, plan_json, TraceLevel::Blackbox)
+            .expect("create journal");
+        let journal: Arc<dyn RunSink + Send + Sync> = Arc::new(journal);
+        Some((journal, spool.join(avfi_store::trace_dir_name(id))))
+    });
+    let results = ticket.wait_results().expect("spooled pool plan completed");
+    pool.shutdown();
+    paths.push((
+        "pool, spooled".to_string(),
+        json(&results),
+        encoded(ticket.traces()),
+    ));
+    let (records, _) = avfi_store::recover_file(&journal_path).expect("journal reads");
+    let journaled = avfi_store::summarize(&records).expect("journal summarizes");
+    assert_eq!(journaled.terminal, Some(PlanPhase::Completed));
+    let runs: Vec<RunResult> = journaled.completed.into_iter().map(|(_, r)| r).collect();
+    assert_eq!(runs.len(), total, "the journal holds every run");
+    assert_eq!(json(&assemble_results(&plan, runs)), want_json);
+    let _ = std::fs::remove_dir_all(&spool);
+
+    // 4. Ad-hoc evaluation jobs at the plan's coordinates.
     let jobs: Vec<EvalJob> = plan.studies()[0]
         .campaigns
         .iter()
@@ -182,7 +213,7 @@ fn every_execution_path_yields_identical_results_and_traces() {
         encoded(traces),
     ));
 
-    // 4. The checkpointed solo path, journaling as it goes.
+    // 5. The checkpointed solo path, journaling as it goes.
     let spool = fresh_dir("spooled");
     let trace_dir = spool.join("traces");
     let results = avfi_store::run_spooled(

@@ -51,12 +51,7 @@ fn test_plan() -> WorkPlan {
 struct CollectRuns(parking_lot::Mutex<Vec<(usize, RunResult)>>);
 
 impl RunSink for CollectRuns {
-    fn run_completed(
-        &self,
-        flat_index: usize,
-        result: &RunResult,
-        _trace: Option<&avfi_trace::RunTrace>,
-    ) {
+    fn run_completed(&self, flat_index: usize, result: &RunResult) {
         self.0.lock().push((flat_index, result.clone()));
     }
 }

@@ -6,8 +6,9 @@
 # goldens were produced by the same seeded plans.
 #
 # A trace tier then reruns one faulted experiment with the flight recorder
-# in blackbox mode, replays every emitted trace (bit-identity check), and
-# golden-diffs the triage report plus the cross-campaign failure-class
+# in blackbox mode, reruns it checkpointed (--spool) on a fresh and then a
+# finished checkpoint, replays every emitted trace (bit-identity check),
+# and golden-diffs the triage report plus the cross-campaign failure-class
 # grouping.
 #
 # A shrink tier delta-debugs one known-failing trace into a minimal,
@@ -81,6 +82,8 @@ done
 
 # Trace tier: rerun one faulted experiment with the flight recorder in
 # blackbox mode, check that tracing does not perturb the experiment JSON,
+# run it checkpointed (--spool) twice — a fresh checkpoint must write the
+# same JSON and trace files, a finished one the same JSON and no trace —
 # replay every emitted trace (failing on any divergence), and golden-diff
 # the triage report.
 TRACE_BIN=ext_b_ttv
@@ -96,6 +99,28 @@ if ! diff -u "$SMOKE_DIR/$TRACE_BIN.json" "$TRACED_OUT/$TRACE_BIN.json"; then
   echo "smoke FAIL: enabling the flight recorder changed $TRACE_BIN output" >&2
   fail=1
 fi
+
+SPOOL_TRACES="$SMOKE_DIR/spooled-traces"
+SPOOL_CKPT="$SMOKE_DIR/checkpoint"
+rm -rf "$SPOOL_TRACES" "$SPOOL_CKPT"
+for pass in fresh finished; do
+  echo "==> smoke: $TRACE_BIN --quick --workers 2 --trace-level blackbox --spool ($pass checkpoint)"
+  rm -rf "$SPOOL_TRACES" "$TRACED_OUT/$TRACE_BIN.json"
+  AVFI_RESULTS_DIR="$TRACED_OUT" \
+    "target/release/$TRACE_BIN" --quick --workers 2 --trace "$SPOOL_TRACES" \
+    --trace-level blackbox --spool "$SPOOL_CKPT" >"$TRACED_OUT/$TRACE_BIN.stdout"
+  if ! diff -u "$GOLDEN_DIR/$TRACE_BIN.json" "$TRACED_OUT/$TRACE_BIN.json"; then
+    echo "smoke FAIL: --spool ($pass checkpoint) changed $TRACE_BIN output" >&2
+    fail=1
+  fi
+  if [[ "$pass" == fresh ]] && ! diff -r "$TRACE_DIR" "$SPOOL_TRACES"; then
+    echo "smoke FAIL: --spool changed the traces $TRACE_BIN writes" >&2
+    fail=1
+  elif [[ "$pass" == finished ]] && [[ -n "$(find "$SPOOL_TRACES" -name '*.avtr' 2>/dev/null)" ]]; then
+    echo "smoke FAIL: a finished checkpoint re-ran $TRACE_BIN and wrote traces" >&2
+    fail=1
+  fi
+done
 
 ntraces=$(find "$TRACE_DIR" -name '*.avtr' 2>/dev/null | wc -l)
 echo "==> smoke: replaying $ntraces blackbox traces"
