@@ -47,8 +47,10 @@ use crate::spatial::SpatialIndex;
 use crate::FRAME_DT;
 use rand::rngs::StdRng;
 
-/// Grid cell edge, meters. A third of the NPC scan horizon: perceive
-/// queries touch ~4×4 cells while collision queries stay within one or two.
+/// Grid cell edge, meters: a third of the NPC scan horizon, 15 m. A
+/// perceive query (the 45 m scan horizon plus drift slack: a 46 m radius
+/// at horizon 1, 50 m at horizon 8) spans 7×7 or 8×8 cells; ego collision
+/// queries span one to three cells a side.
 const CELL_SIZE: f64 = SCAN_AHEAD / 3.0;
 
 /// Event-mode billboard visibility radius around the ego, meters. Beyond
@@ -93,6 +95,9 @@ pub struct Traffic {
     q: Vec<u32>,
     info: Vec<(Vec2, f64, f64)>,
     leaders: Vec<Option<(f64, f64)>>,
+    /// Each NPC's position at the current frame boundary, by slot, filled
+    /// once per frame before phase A (see [`Traffic::fill_npc_positions`]).
+    npc_pos: Vec<Vec2>,
 }
 
 impl Traffic {
@@ -124,10 +129,10 @@ impl Traffic {
             })
             .fold(PEDESTRIAN_RADIUS.max(2.5), f64::max);
 
-        let mut index = SpatialIndex::new(CELL_SIZE);
+        let mut index = SpatialIndex::new(CELL_SIZE, map.bounds());
         let mut scheduler = Scheduler::new();
         for (slot, npc) in npcs.iter().enumerate() {
-            index.update(slot as u32, npc.pose(map).position);
+            index.update(slot as u32, npc.position_at(map, 0.0));
             scheduler.schedule(slot as u32, 0);
         }
         for (slot, ped) in peds.iter().enumerate() {
@@ -158,6 +163,7 @@ impl Traffic {
             q: Vec::new(),
             info: Vec::new(),
             leaders: Vec::new(),
+            npc_pos: Vec::new(),
         }
     }
 
@@ -187,17 +193,28 @@ impl Traffic {
         (boundary - self.ped_anchor[slot]) as f64 * FRAME_DT
     }
 
+    /// Fills the position table with every NPC's position at `boundary`.
+    /// `position_at` is pure in (NPC, seconds) and no NPC moves before
+    /// phase B, so each perceive of the frame reads the value it would
+    /// have computed itself.
+    fn fill_npc_positions(&mut self, map: &Map, boundary: u64) {
+        self.npc_pos.clear();
+        for slot in 0..self.npcs.len() {
+            let secs = self.npc_dormant_secs(slot, boundary);
+            let pos = self.npcs[slot].position_at(map, secs);
+            self.npc_pos.push(pos);
+        }
+    }
+
     /// Lead-vehicle candidates for the NPC with key `skip`: every *other*
-    /// NPC within the scan horizon (plus drift slack) of `center`,
-    /// materialized at the `boundary` frame, in spawn order — the exact
-    /// (sub)sequence the legacy full scan fed to `perceive`, which then
-    /// re-applies its own exact scan-distance prefilter.
+    /// NPC within the scan horizon (plus drift slack) of `center`, at the
+    /// boundary the position table was filled for, in spawn order — the
+    /// exact (sub)sequence the legacy full scan fed to `perceive`, which
+    /// then re-applies its own exact scan-distance prefilter.
     fn vehicle_candidates(
         &self,
-        map: &Map,
         skip: u32,
         center: Vec2,
-        boundary: u64,
         q: &mut Vec<u32>,
         info: &mut Vec<(Vec2, f64, f64)>,
     ) {
@@ -210,12 +227,7 @@ impl Traffic {
             }
             let slot = self.slot_of[key as usize];
             let npc = &self.npcs[slot];
-            let secs = self.npc_dormant_secs(slot, boundary);
-            info.push((
-                npc.pose_at(map, secs).position,
-                npc.speed(),
-                npc.params().length * 0.5,
-            ));
+            info.push((self.npc_pos[slot], npc.speed(), npc.params().length * 0.5));
         }
     }
 
@@ -251,6 +263,9 @@ impl Traffic {
             self.npcs[slot].coast(secs);
             self.npc_anchor[slot] = frame;
         }
+        if !self.due_npcs.is_empty() {
+            self.fill_npc_positions(map, frame);
+        }
 
         // Phase A: perceive for every due NPC against the pre-step
         // snapshot. No NPC steps until phase B, so candidate positions are
@@ -261,15 +276,15 @@ impl Traffic {
         leaders.clear();
         for di in 0..self.due_npcs.len() {
             let key = self.due_npcs[di];
-            let npc = &self.npcs[self.slot_of[key as usize]];
+            let slot = self.slot_of[key as usize];
+            let npc = &self.npcs[slot];
             if npc.is_knocked() {
                 // A knocked vehicle's step ignores the leader; skipping the
                 // (pure) perceive changes nothing.
                 leaders.push(None);
                 continue;
             }
-            let my_pos = npc.pose(map).position;
-            self.vehicle_candidates(map, key, my_pos, frame, &mut q, &mut info);
+            self.vehicle_candidates(key, self.npc_pos[slot], &mut q, &mut info);
             info.push(ego);
             leaders.push(npc.perceive(map, info.iter().copied(), time));
         }
@@ -286,7 +301,7 @@ impl Traffic {
                 npc_despawn = true;
                 continue;
             }
-            let pos = self.npcs[slot].pose(map).position;
+            let pos = self.npcs[slot].position_at(map, 0.0);
             self.index.update(key, pos);
             let next = self.npc_next_wake(map, slot, leader);
             self.scheduler.schedule(key, frame + next);
@@ -379,7 +394,8 @@ impl Traffic {
                     self.npcs[slot].coast(secs);
                     self.npc_anchor[slot] = boundary;
                     self.npcs[slot].knock();
-                    self.index.update(key, self.npcs[slot].pose(map).position);
+                    self.index
+                        .update(key, self.npcs[slot].position_at(map, 0.0));
                     self.scheduler.schedule(key, boundary);
                     hit_vehicle = true;
                 }
@@ -443,7 +459,7 @@ impl Traffic {
     pub fn fill_billboards(&mut self, map: &Map, ego_pos: Vec2, out: &mut Vec<Billboard>) {
         if self.horizon <= 1 {
             for npc in &self.npcs {
-                out.push(npc_billboard(npc.pose(map).position, npc.params().width));
+                out.push(npc_billboard(npc.position_at(map, 0.0), npc.params().width));
             }
             for ped in &self.peds {
                 out.push(ped_billboard(ped.position()));
@@ -459,7 +475,7 @@ impl Traffic {
             if key < self.ped_base {
                 let secs = self.npc_dormant_secs(slot, boundary);
                 out.push(npc_billboard(
-                    self.npcs[slot].pose_at(map, secs).position,
+                    self.npcs[slot].position_at(map, secs),
                     self.npcs[slot].params().width,
                 ));
             } else {
@@ -630,11 +646,13 @@ mod tests {
             let mut slow = Vec::new();
             for f in 0..240u64 {
                 let time = f as f64 * FRAME_DT;
+                traffic.fill_npc_positions(&map, f);
                 for slot in 0..traffic.npcs.len() {
                     let key = traffic.npc_keys[slot];
                     let secs = traffic.npc_dormant_secs(slot, f);
                     let my_pos = traffic.npcs[slot].pose_at(&map, secs).position;
-                    traffic.vehicle_candidates(&map, key, my_pos, f, &mut q, &mut fast);
+                    assert_eq!(traffic.npc_pos[slot], my_pos, "frame={f} slot={slot}");
+                    traffic.vehicle_candidates(key, my_pos, &mut q, &mut fast);
                     traffic.vehicle_candidates_full_scan(&map, key, f, &mut slow);
                     let npc = &traffic.npcs[slot];
                     // The fast list is a pre-filtered subsequence; the

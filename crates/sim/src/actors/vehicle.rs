@@ -87,12 +87,6 @@ impl NpcVehicle {
         self.knocked && self.knocked_for > 3.0
     }
 
-    /// World pose on the lane centerline.
-    pub fn pose(&self, map: &Map) -> Pose {
-        let lane = map.lane(self.lane);
-        Pose::new(lane.point_at(self.s), lane.heading_at(self.s))
-    }
-
     /// Vehicle parameters.
     pub fn params(&self) -> &VehicleParams {
         &self.params
@@ -121,6 +115,13 @@ impl NpcVehicle {
         let lane = map.lane(self.lane);
         let s = self.s_after(seconds);
         Pose::new(lane.point_at(s), lane.heading_at(s))
+    }
+
+    /// Position on the lane centerline after coasting dormant for
+    /// `seconds`: `pose_at(map, seconds).position` without computing the
+    /// heading.
+    pub(crate) fn position_at(&self, map: &Map, seconds: f64) -> Vec2 {
+        map.lane(self.lane).point_at(self.s_after(seconds))
     }
 
     /// Collision footprint after coasting dormant for `seconds`.
@@ -235,6 +236,8 @@ impl NpcVehicle {
         let lane = map.lane(self.lane);
         let my_pos = lane.point_at(self.s);
         let remaining = lane.length() - self.s;
+        let reach = lane.width() * 0.7;
+        let lane_box = lane.reach_box(reach);
         let mut best: Option<(f64, f64)> = None;
         let mut consider = |gap: f64, v: f64| {
             if gap < SCAN_AHEAD {
@@ -246,22 +249,32 @@ impl NpcVehicle {
         };
 
         // Other vehicles projected onto my lane (plus its successor run).
+        // A lane is projected onto only when the vehicle lies in its reach
+        // box: outside it the projection distance cannot fall below
+        // `0.7 × width` (see `Lane::reach_box`), so skipping it changes no
+        // outcome.
         for (pos, v, half_len) in others {
             // Cheap prefilter.
             if pos.distance_sq(my_pos) > SCAN_AHEAD * SCAN_AHEAD {
                 continue;
             }
-            let proj = lane.project(pos);
-            if proj.distance < lane.width() * 0.7 && proj.s > self.s + 0.5 {
-                let gap = proj.s - self.s - half_len - self.params.length * 0.5;
-                consider(gap.max(0.0), v);
-                continue;
+            if lane_box.contains(pos) {
+                let proj = lane.project(pos);
+                if proj.distance < reach && proj.s > self.s + 0.5 {
+                    let gap = proj.s - self.s - half_len - self.params.length * 0.5;
+                    consider(gap.max(0.0), v);
+                    continue;
+                }
             }
             // Check successor lanes too (one hop).
             for succ in map.successors(self.lane) {
                 let sl = map.lane(*succ);
+                let reach = sl.width() * 0.7;
+                if !sl.reach_box(reach).contains(pos) {
+                    continue;
+                }
                 let p2 = sl.project(pos);
-                if p2.distance < sl.width() * 0.7 && p2.s < SCAN_AHEAD {
+                if p2.distance < reach && p2.s < SCAN_AHEAD {
                     let gap = remaining + p2.s - half_len - self.params.length * 0.5;
                     consider(gap.max(0.0), v);
                 }

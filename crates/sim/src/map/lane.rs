@@ -1,6 +1,6 @@
 //! Lanes: directed polyline centerlines with width and speed limit.
 
-use crate::math::{Segment, Vec2};
+use crate::math::{Aabb, Segment, Vec2};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -47,6 +47,27 @@ pub struct LaneProjection {
     pub distance: f64,
 }
 
+/// Rounding margin of [`Lane::reach_box`], meters.
+///
+/// [`Lane::project`] reports `d = hypot(p.x − c.x, p.y − c.y)` for the
+/// computed closest point `c = a + (b − a)·t`, `t ∈ [0, 1]`, of a
+/// centerline segment `ab`. With unit roundoff `u = 2⁻⁵³`:
+///
+/// * `c` lies within `3u·(|a| + |b|)` of the segment's box on each axis
+///   (one subtraction, one multiplication and one addition per axis);
+/// * each difference `p − c` is rounded by at most `u` relative;
+/// * `hypot` is accurate to one ulp (`2u` relative), and the exact
+///   `hypot(x, y)` is at least `max(|x|, |y|)`.
+///
+/// So a computed `d < max_dist` puts `p` within
+/// `max_dist·(1 + 4u) + 3u·(|a| + |b|)` of the centerline box on each
+/// axis. Growing the box costs two more roundings, at most
+/// `u·(|edge| + 2·(max_dist + margin))`. For points within 10⁶ m of the origin
+/// and `max_dist` below 100 m all of this stays under 10⁻⁹ m, a thousandth
+/// of the margin, so every point `project` could report nearer than
+/// `max_dist` lies inside the grown box.
+const REACH_MARGIN: f64 = 1e-6;
+
 /// A directed lane: polyline centerline, width, speed limit, and graph
 /// connectivity (successors are stored on the [`crate::map::Map`]).
 #[derive(Debug, Clone)]
@@ -56,6 +77,8 @@ pub struct Lane {
     points: Vec<Vec2>,
     /// Cumulative arc length at each point; `cum[0] == 0`.
     cum: Vec<f64>,
+    /// Bounding box of `points`.
+    bounds: Aabb,
     width: f64,
     speed_limit: f64,
     turn: Option<TurnKind>,
@@ -86,11 +109,15 @@ impl Lane {
             let last = *cum.last().expect("cum is non-empty");
             cum.push(last + w[0].distance(w[1]));
         }
+        let bounds = points.iter().fold(Aabb::new(points[0], points[0]), |b, p| {
+            b.union(&Aabb::new(*p, *p))
+        });
         Lane {
             id,
             kind,
             points,
             cum,
+            bounds,
             width,
             speed_limit,
             turn,
@@ -137,6 +164,22 @@ impl Lane {
     #[inline]
     pub fn points(&self) -> &[Vec2] {
         &self.points
+    }
+
+    /// Bounding box of the centerline points.
+    #[inline]
+    pub(crate) fn bounds(&self) -> &Aabb {
+        &self.bounds
+    }
+
+    /// The centerline's bounding box grown by `max_dist` plus a 1 µm
+    /// rounding margin (`REACH_MARGIN`). [`Lane::project`] reports a distance below
+    /// `max_dist` only for points inside it, so a caller that tests
+    /// `project(p).distance < max_dist` may skip every point outside it.
+    /// A NaN point is outside; its projection distance is infinite.
+    #[inline]
+    pub fn reach_box(&self, max_dist: f64) -> Aabb {
+        self.bounds.inflated(max_dist + REACH_MARGIN)
     }
 
     /// First centerline point.

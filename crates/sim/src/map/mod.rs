@@ -951,17 +951,9 @@ impl SpatialGrid {
             intersections: vec![Vec::new(); n],
         };
         for lane in lanes {
-            let mut b: Option<Aabb> = None;
-            for p in lane.points() {
-                let pb = Aabb::new(*p, *p);
-                b = Some(match b {
-                    Some(acc) => acc.union(&pb),
-                    None => pb,
-                });
-            }
             // Inflate by lane width plus a search margin so `lanes_near`
             // with a modest max_dist finds it.
-            let b = b.expect("lane has points").inflated(lane.width() + 8.0);
+            let b = lane.bounds().inflated(lane.width() + 8.0);
             grid.insert_box(&b, |g, c| g.lanes[c].push(lane.id()));
         }
         for (i, axis) in axes.iter().enumerate() {

@@ -15,14 +15,24 @@
 //! boundary exactly still visits both cells because the candidate cell
 //! range is computed from the floor of `center ± radius`.
 //!
+//! ## Dense grid and clamping
+//!
+//! The cells form one dense array over a bounding box fixed at
+//! construction (the world passes [`crate::map::Map::bounds`]). A point
+//! outside the box is stored in the nearest border cell, and a query's
+//! cell range is clamped the same way. Clamping is monotone, so every cell
+//! an unbounded walk over `floor(center ± radius)` would visit maps into
+//! the clamped range: the walk sees a superset of the unbounded walk's
+//! keys, and the exact distance filter then decides the answer. Inside the
+//! box the two walks are the same walk.
+//!
 //! ## Determinism
 //!
 //! Query results are sorted by key before they are returned, so the answer
-//! never depends on insertion history or on `HashMap` iteration order —
-//! a requirement for the bit-reproducible campaign goldens.
+//! never depends on insertion history or on bucket order — a requirement
+//! for the bit-reproducible campaign goldens.
 
-use crate::math::Vec2;
-use std::collections::HashMap;
+use crate::math::{Aabb, Vec2};
 
 /// A uniform-grid point index over small integer keys.
 ///
@@ -32,26 +42,37 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     cell: f64,
-    cells: HashMap<(i32, i32), Vec<u32>>,
-    /// Per-key stored position and containing cell (`None` = absent).
-    entries: Vec<Option<(Vec2, (i32, i32))>>,
+    /// Cell coordinates of the grid's lowest and highest cell.
+    lo: (i32, i32),
+    hi: (i32, i32),
+    /// Row-major cell buckets, `hi.0 - lo.0 + 1` per row.
+    cells: Vec<Vec<u32>>,
+    /// Per-key stored position and bucket index (`None` = absent).
+    entries: Vec<Option<(Vec2, usize)>>,
 }
 
 impl SpatialIndex {
-    /// Creates an empty index with the given cell edge length (meters).
+    /// Creates an empty index with the given cell edge length (meters)
+    /// whose grid covers `bounds`.
     ///
     /// The cell size should be on the order of the dominant interaction
-    /// radius; queries pay for `O((r / cell)²)` cell lookups plus the
-    /// candidates they contain.
+    /// radius; queries pay for `O((r / cell)²)` cell visits (at most the
+    /// whole grid) plus the candidates they contain.
     ///
     /// # Panics
     ///
     /// Panics if `cell` is not strictly positive and finite.
-    pub fn new(cell: f64) -> Self {
+    pub fn new(cell: f64, bounds: &Aabb) -> Self {
         assert!(cell.is_finite() && cell > 0.0, "cell size must be positive");
+        let floor = |v: f64| (v / cell).floor() as i32;
+        let lo = (floor(bounds.min.x), floor(bounds.min.y));
+        let hi = (floor(bounds.max.x).max(lo.0), floor(bounds.max.y).max(lo.1));
+        let span = |a: i32, b: i32| b.abs_diff(a) as usize + 1;
         SpatialIndex {
             cell,
-            cells: HashMap::new(),
+            lo,
+            hi,
+            cells: vec![Vec::new(); span(lo.0, hi.0) * span(lo.1, hi.1)],
             entries: Vec::new(),
         }
     }
@@ -66,12 +87,19 @@ impl SpatialIndex {
         self.entries.iter().all(|e| e.is_none())
     }
 
-    /// The grid cell containing `p` (half-open convention, see module docs).
+    /// The grid cell holding `p`: `floor(p / cell)` on each axis (half-open
+    /// convention, see module docs), clamped to the grid.
     pub fn cell_of(&self, p: Vec2) -> (i32, i32) {
         (
-            (p.x / self.cell).floor() as i32,
-            (p.y / self.cell).floor() as i32,
+            ((p.x / self.cell).floor() as i32).clamp(self.lo.0, self.hi.0),
+            ((p.y / self.cell).floor() as i32).clamp(self.lo.1, self.hi.1),
         )
+    }
+
+    /// Index into `cells` of a cell inside the grid.
+    fn bucket(&self, (cx, cy): (i32, i32)) -> usize {
+        let row = self.hi.0.abs_diff(self.lo.0) as usize + 1;
+        cy.abs_diff(self.lo.1) as usize * row + cx.abs_diff(self.lo.0) as usize
     }
 
     /// The stored position for `key`, if indexed.
@@ -90,28 +118,23 @@ impl SpatialIndex {
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, None);
         }
-        let cell = self.cell_of(pos);
+        let bucket = self.bucket(self.cell_of(pos));
         match self.entries[idx] {
-            Some((_, old_cell)) if old_cell == cell => {
-                self.entries[idx] = Some((pos, cell));
+            Some((_, old)) if old == bucket => {}
+            Some((_, old)) => {
+                remove_from_bucket(&mut self.cells[old], key);
+                self.cells[bucket].push(key);
             }
-            Some((_, old_cell)) => {
-                remove_from_cell(&mut self.cells, old_cell, key);
-                self.cells.entry(cell).or_default().push(key);
-                self.entries[idx] = Some((pos, cell));
-            }
-            None => {
-                self.cells.entry(cell).or_default().push(key);
-                self.entries[idx] = Some((pos, cell));
-            }
+            None => self.cells[bucket].push(key),
         }
+        self.entries[idx] = Some((pos, bucket));
     }
 
     /// Removes `key` from the index (no-op when absent).
     pub fn remove(&mut self, key: u32) {
         let idx = key as usize;
-        if let Some(Some((_, cell))) = self.entries.get(idx).copied() {
-            remove_from_cell(&mut self.cells, cell, key);
+        if let Some(Some((_, bucket))) = self.entries.get(idx).copied() {
+            remove_from_bucket(&mut self.cells[bucket], key);
             self.entries[idx] = None;
         }
     }
@@ -131,11 +154,10 @@ impl SpatialIndex {
         let r_sq = radius * radius;
         let min = self.cell_of(Vec2::new(center.x - radius, center.y - radius));
         let max = self.cell_of(Vec2::new(center.x + radius, center.y + radius));
-        for cx in min.0..=max.0 {
-            for cy in min.1..=max.1 {
-                let Some(bucket) = self.cells.get(&(cx, cy)) else {
-                    continue;
-                };
+        let cols = max.0.abs_diff(min.0) as usize;
+        for cy in min.1..=max.1 {
+            let first = self.bucket((min.0, cy));
+            for bucket in &self.cells[first..=first + cols] {
                 for &key in bucket {
                     let (pos, _) =
                         self.entries[key as usize].expect("bucket entries are always indexed");
@@ -168,10 +190,7 @@ impl SpatialIndex {
     }
 }
 
-fn remove_from_cell(cells: &mut HashMap<(i32, i32), Vec<u32>>, cell: (i32, i32), key: u32) {
-    let bucket = cells
-        .get_mut(&cell)
-        .expect("entry cell always has a bucket");
+fn remove_from_bucket(bucket: &mut Vec<u32>, key: u32) {
     let at = bucket
         .iter()
         .position(|&k| k == key)
@@ -183,9 +202,17 @@ fn remove_from_cell(cells: &mut HashMap<(i32, i32), Vec<u32>>, cell: (i32, i32),
 mod tests {
     use super::*;
 
+    /// An index whose grid spans ±200 m, wider than every test point.
+    fn index(cell: f64) -> SpatialIndex {
+        SpatialIndex::new(
+            cell,
+            &Aabb::new(Vec2::new(-200.0, -200.0), Vec2::new(200.0, 200.0)),
+        )
+    }
+
     #[test]
     fn insert_query_remove_roundtrip() {
-        let mut idx = SpatialIndex::new(10.0);
+        let mut idx = index(10.0);
         idx.update(0, Vec2::new(1.0, 1.0));
         idx.update(1, Vec2::new(4.0, 1.0));
         idx.update(2, Vec2::new(100.0, 100.0));
@@ -200,7 +227,7 @@ mod tests {
 
     #[test]
     fn update_moves_between_cells() {
-        let mut idx = SpatialIndex::new(5.0);
+        let mut idx = index(5.0);
         idx.update(7, Vec2::new(1.0, 1.0));
         idx.update(7, Vec2::new(26.0, 1.0));
         let mut out = Vec::new();
@@ -213,7 +240,7 @@ mod tests {
 
     #[test]
     fn boundary_points_and_radius_are_inclusive() {
-        let mut idx = SpatialIndex::new(10.0);
+        let mut idx = index(10.0);
         // Exactly on the cell boundary: belongs to the upper cell but must
         // still be found from either side.
         idx.update(0, Vec2::new(10.0, 0.0));
@@ -229,7 +256,7 @@ mod tests {
 
     #[test]
     fn coincident_keys_all_reported_sorted() {
-        let mut idx = SpatialIndex::new(4.0);
+        let mut idx = index(4.0);
         for key in [3, 0, 2, 1] {
             idx.update(key, Vec2::new(-7.5, 2.5));
         }
@@ -238,16 +265,27 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
+    /// Inside the grid a cell is the floor of `p / cell`, also below zero;
+    /// outside it (and for NaN, which `as i32` maps to 0) the floor is
+    /// clamped to the border cell.
     #[test]
     fn negative_coordinates_floor_correctly() {
-        let idx = SpatialIndex::new(10.0);
+        let idx = SpatialIndex::new(
+            10.0,
+            &Aabb::new(Vec2::new(-30.0, -30.0), Vec2::new(25.0, 30.0)),
+        );
         assert_eq!(idx.cell_of(Vec2::new(-0.5, -10.0)), (-1, -1));
         assert_eq!(idx.cell_of(Vec2::new(0.0, -10.1)), (0, -2));
+        assert_eq!(idx.cell_of(Vec2::new(-30.0, 29.9)), (-3, 2));
+        assert_eq!(idx.cell_of(Vec2::new(-30.1, 30.0)), (-3, 3));
+        assert_eq!(idx.cell_of(Vec2::new(-1e9, 1e300)), (-3, 3));
+        assert_eq!(idx.cell_of(Vec2::new(f64::INFINITY, -45.0)), (2, -3));
+        assert_eq!(idx.cell_of(Vec2::new(f64::NAN, 1e-300)), (0, 0));
     }
 
     #[test]
     fn matches_reference_on_a_small_cloud() {
-        let mut idx = SpatialIndex::new(7.0);
+        let mut idx = index(7.0);
         for k in 0..40u32 {
             let a = k as f64 * 0.7;
             idx.update(k, Vec2::new(a.sin() * 30.0, a.cos() * 30.0));

@@ -2,16 +2,30 @@
 //! agent clouds and adversarial hand-picked cases, the grid-walk query
 //! must return exactly the same key set as the full-scan reference —
 //! including after arbitrary interleavings of `update` (moves) and
-//! `remove` (despawns).
+//! `remove` (despawns), and for points and queries outside the grid's
+//! bounds, which the index clamps into its border cells.
 //!
 //! The world routes every neighbor query (lead-vehicle search, collision
 //! checks, LIDAR culling) through [`SpatialIndex::query_circle`]; any
 //! divergence from the O(n) scan would silently change campaign goldens,
 //! so the oracle is exercised both in bulk and per-mutation.
 
-use avfi_sim::math::Vec2;
+use avfi_sim::math::{Aabb, Vec2};
 use avfi_sim::spatial::SpatialIndex;
 use proptest::prelude::*;
+
+/// Grid bounds that cover every test point.
+fn wide() -> Aabb {
+    Aabb::new(Vec2::new(-500.0, -500.0), Vec2::new(500.0, 500.0))
+}
+
+/// Random grid bounds inside the ±130 m the clouds span, from a point
+/// (one clamped cell for everything) to most of the cloud, so many
+/// points and query ranges fall outside and clamp to border cells.
+fn arb_bounds() -> impl Strategy<Value = Aabb> {
+    (-90.0f64..40.0, -90.0f64..40.0, 0.0f64..120.0, 0.0f64..120.0)
+        .prop_map(|(x, y, w, h)| Aabb::new(Vec2::new(x, y), Vec2::new(x + w, y + h)))
+}
 
 /// One scripted mutation of the index under test.
 #[derive(Debug, Clone)]
@@ -73,7 +87,7 @@ proptest! {
         qy in -140.0f64..140.0,
         radius in 0.0f64..80.0,
     ) {
-        let mut idx = SpatialIndex::new(cell);
+        let mut idx = SpatialIndex::new(cell, &wide());
         for (key, &(x, y)) in points.iter().enumerate() {
             let p = Vec2::new(snap_to_boundary(x, cell), snap_to_boundary(y, cell));
             idx.update(key as u32, p);
@@ -94,8 +108,9 @@ proptest! {
         cell in 2.0f64..20.0,
         ops in prop::collection::vec(arb_op(), 1..80),
         radius in 0.0f64..60.0,
+        bounds in arb_bounds(),
     ) {
-        let mut idx = SpatialIndex::new(cell);
+        let mut idx = SpatialIndex::new(cell, &bounds);
         for op in &ops {
             let probe = match *op {
                 Op::Update(key, x, y) => {
@@ -131,7 +146,7 @@ proptest! {
         y in -50.0f64..50.0,
         n in 1usize..24,
     ) {
-        let mut idx = SpatialIndex::new(cell);
+        let mut idx = SpatialIndex::new(cell, &wide());
         let p = Vec2::new(snap_to_boundary(x, cell), snap_to_boundary(y, cell));
         // Insert in reverse order so sortedness is not an accident of
         // insertion.
@@ -143,6 +158,32 @@ proptest! {
         let expect: Vec<u32> = (0..n as u32).collect();
         prop_assert_eq!(out, expect);
     }
+
+    /// Clamped cells: with grid bounds smaller than the cloud, points
+    /// outside the bounds share border cells with points inside them, and
+    /// every query (inside, straddling or wholly outside the bounds, some
+    /// centered on a bounds edge) still agrees with the full scan.
+    #[test]
+    fn points_outside_the_bounds_clamp_and_match_full_scan(
+        cell in 2.0f64..25.0,
+        bounds in arb_bounds(),
+        points in prop::collection::vec((-130.0f64..130.0, -130.0f64..130.0), 0..64),
+        queries in prop::collection::vec((-160.0f64..160.0, -160.0f64..160.0, 0.0f64..90.0), 1..12),
+    ) {
+        let mut idx = SpatialIndex::new(cell, &bounds);
+        for (key, &(x, y)) in points.iter().enumerate() {
+            let p = Vec2::new(snap_to_boundary(x, cell), snap_to_boundary(y, cell));
+            idx.update(key as u32, p);
+        }
+        for &(qx, qy, radius) in &queries {
+            assert_query_matches(&idx, Vec2::new(qx, qy), radius)?;
+        }
+        let edges = [bounds.min, bounds.max, Vec2::new(bounds.min.x, bounds.max.y)];
+        for c in edges {
+            assert_query_matches(&idx, c, queries[0].2)?;
+            assert_query_matches(&idx, c, cell)?;
+        }
+    }
 }
 
 /// A point sitting exactly on a cell corner belongs to the upper-right
@@ -151,7 +192,7 @@ proptest! {
 #[test]
 fn corner_point_visible_from_all_quadrants() {
     let cell = 10.0;
-    let mut idx = SpatialIndex::new(cell);
+    let mut idx = SpatialIndex::new(cell, &wide());
     idx.update(0, Vec2::new(30.0, -20.0)); // exact corner of four cells
     let mut out = Vec::new();
     for (dx, dy) in [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)] {
@@ -169,7 +210,7 @@ fn corner_point_visible_from_all_quadrants() {
 /// populated index probed far away — return nothing and never panic.
 #[test]
 fn empty_cells_and_empty_index_yield_nothing() {
-    let mut idx = SpatialIndex::new(8.0);
+    let mut idx = SpatialIndex::new(8.0, &wide());
     let mut out = vec![99]; // stale content must be cleared
     idx.query_circle(Vec2::new(0.0, 0.0), 50.0, &mut out);
     assert!(out.is_empty());
@@ -189,7 +230,7 @@ fn empty_cells_and_empty_index_yield_nothing() {
 /// and a zero radius matches only exact hits.
 #[test]
 fn degenerate_radii() {
-    let mut idx = SpatialIndex::new(5.0);
+    let mut idx = SpatialIndex::new(5.0, &wide());
     idx.update(0, Vec2::new(2.0, 2.0));
     let mut out = Vec::new();
     idx.query_circle(Vec2::new(2.0, 2.0), -1.0, &mut out);
@@ -197,5 +238,26 @@ fn degenerate_radii() {
     idx.query_circle(Vec2::new(2.0, 2.0), 0.0, &mut out);
     assert_eq!(out, vec![0]);
     idx.query_circle(Vec2::new(2.0, 2.0 + 1e-9), 0.0, &mut out);
+    assert!(out.is_empty());
+}
+
+/// A grid over a single cell holds everything in that cell: far-away
+/// points, points beyond every edge and non-finite queries all clamp into
+/// it, and the exact distance filter still picks the answer.
+#[test]
+fn single_cell_grid_clamps_everything() {
+    let bounds = Aabb::new(Vec2::new(1.0, 1.0), Vec2::new(2.0, 2.0));
+    let mut idx = SpatialIndex::new(10.0, &bounds);
+    let far = [(-1e6, 3.0), (3.0, 1e6), (1e6, -1e6), (1.5, 1.5)];
+    for (key, &(x, y)) in far.iter().enumerate() {
+        idx.update(key as u32, Vec2::new(x, y));
+        assert_eq!(idx.cell_of(Vec2::new(x, y)), (0, 0));
+    }
+    let mut out = Vec::new();
+    idx.query_circle(Vec2::new(-1e6, 0.0), 5.0, &mut out);
+    assert_eq!(out, vec![0]);
+    idx.query_circle(Vec2::new(0.0, 0.0), f64::INFINITY, &mut out);
+    assert_eq!(out, vec![0, 1, 2, 3]);
+    idx.query_circle(Vec2::new(f64::NAN, 0.0), 1e9, &mut out);
     assert!(out.is_empty());
 }

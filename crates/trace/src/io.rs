@@ -62,8 +62,10 @@ pub fn read_trace_file(path: &Path) -> io::Result<RunTrace> {
     })
 }
 
-/// Lists the `.avtr` files in `dir`, sorted by file name (= flat-plan
-/// order). A missing directory lists as empty.
+/// Lists the `.avtr` files in `dir` in flat-plan order: `run-N` files by
+/// their index `N` (see [`trace_file_index`]; the name's six-digit
+/// padding stops sorting by name from `run-1000000` on), then any other
+/// `.avtr` file by name. A missing directory lists as empty.
 ///
 /// # Errors
 ///
@@ -78,7 +80,10 @@ pub fn list_trace_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(TRACE_EXT))
         .collect();
-    files.sort();
+    files.sort_by_cached_key(|p| {
+        let index = trace_file_index(p);
+        (index.is_none(), index, p.clone())
+    });
     Ok(files)
 }
 
@@ -115,6 +120,37 @@ mod tests {
         assert_eq!(trace_file_index(Path::new("notes.txt")), None);
         assert_eq!(trace_file_index(Path::new("run-000042.json")), None);
         assert_eq!(trace_file_index(Path::new("minimal-000042.avtr")), None);
+    }
+
+    #[test]
+    fn listing_follows_the_index_past_six_digits() {
+        let dir = std::env::temp_dir().join(format!("avfi-trace-list-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in [
+            trace_file_name(1_000_000),
+            trace_file_name(999_999),
+            "minimal-000001.avtr".to_string(),
+            trace_file_name(2),
+            "notes.txt".to_string(),
+        ] {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        let names: Vec<String> = list_trace_files(&dir)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            names,
+            [
+                "run-000002.avtr",
+                "run-999999.avtr",
+                "run-1000000.avtr",
+                "minimal-000001.avtr"
+            ]
+        );
     }
 
     #[test]

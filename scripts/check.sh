@@ -10,6 +10,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# The simulator's exactness arguments (spatial-grid clamping, the lane
+# reach-box margin) rest on f64 rounding and `as i32` cell arithmetic,
+# and release code wraps on integer overflow where debug code panics:
+# run its suite once more as it ships.
+echo "==> cargo test --release -q -p avfi-sim"
+cargo test --release -q -p avfi-sim
+
 # perfbench/ is a workspace of its own, so the runs above never compile
 # it; --locked also fails if a change would alter perfbench/Cargo.lock.
 echo "==> perfbench: cargo test --release --locked"
