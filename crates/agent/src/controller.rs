@@ -1,10 +1,10 @@
 //! The driver abstraction shared by the expert, the neural agent, and the
 //! fault-injecting wrappers in `avfi-core`.
 
-use crate::features::{image_to_tensor, normalize_speed};
+use crate::features::{image_to_tensor, net_footprint, normalize_speed};
 use crate::ilnet::IlNetwork;
 use avfi_sim::physics::VehicleControl;
-use avfi_sim::sensors::{GpsFix, Image, LidarScan, SensorMask};
+use avfi_sim::sensors::{GpsFix, Image, LidarScan, PixelFootprint, SensorMask};
 use avfi_sim::world::{World, WorldObservation};
 
 /// Everything a driver may look at for one frame.
@@ -28,7 +28,9 @@ pub struct DriverInput<'a> {
     pub obs: &'a WorldObservation,
     /// Ground-truth world access (oracle drivers only).
     pub world: &'a World,
-    /// Effective (possibly fault-injected) camera image.
+    /// Effective (possibly fault-injected) camera image. Only the pixels
+    /// in the driver's [`Driver::footprint`] are specified: a fault may
+    /// leave the others unwritten or stale.
     pub image: &'a Image,
     /// Effective LIDAR sweep.
     pub lidar: &'a LidarScan,
@@ -64,6 +66,10 @@ pub trait Driver {
     /// driven by it need compute no others (see
     /// [`World::set_sensor_mask`]).
     fn reads(&self) -> SensorMask;
+
+    /// The pixels of a `width × height` camera image this driver reads
+    /// from [`DriverInput::image`]; a camera fault need compute no others.
+    fn footprint(&self, width: usize, height: usize) -> PixelFootprint;
 }
 
 /// The neural (conditional imitation) driver: camera + speed + command in,
@@ -93,6 +99,10 @@ impl Driver for NeuralDriver {
 
     fn reads(&self) -> SensorMask {
         SensorMask::CAMERA
+    }
+
+    fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
+        net_footprint(width, height)
     }
 }
 

@@ -11,8 +11,8 @@
 //! WaterDrop.
 
 use crate::trigger::Trigger;
-use avfi_sim::rng::normal;
-use avfi_sim::sensors::Image;
+use avfi_sim::rng::{normal, skip_standard_normal};
+use avfi_sim::sensors::{Image, PixelFootprint};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -105,14 +105,38 @@ impl ImageFault {
     /// Applies the fault to an image. `layout` carries the per-run random
     /// geometry (occlusion position, droplet layout); per-frame noise draws
     /// from `rng`.
-    pub fn apply(&self, image: &mut Image, layout: &ImageFaultLayout, rng: &mut StdRng) {
+    ///
+    /// `footprint` is the set of pixels the image's reader looks at.
+    /// Gaussian noise is computed and written only there, and pixels
+    /// outside it are left unspecified; it still draws every value's
+    /// randomness in order, so the stream, and every pixel inside, are
+    /// the same for any footprint. The other models are cheap and write
+    /// the whole image (water drops read pixels anywhere in it).
+    pub fn apply(
+        &self,
+        image: &mut Image,
+        layout: &ImageFaultLayout,
+        footprint: &PixelFootprint,
+        rng: &mut StdRng,
+    ) {
         let (w, h) = (image.width(), image.height());
         match *self {
             ImageFault::Gaussian { sigma } => {
-                for v in image.data_mut() {
-                    *v += normal(rng, 0.0, sigma) as f32;
+                for (y, row) in image.data_mut().chunks_exact_mut(w * 3).enumerate() {
+                    let read_row = footprint.row(y);
+                    for (x, px) in row.chunks_exact_mut(3).enumerate() {
+                        if read_row && footprint.col(x) {
+                            // Saturated, as a camera pipeline would.
+                            for v in px {
+                                *v = (*v + normal(rng, 0.0, sigma) as f32).clamp(0.0, 1.0);
+                            }
+                        } else {
+                            for _ in px {
+                                skip_standard_normal(rng);
+                            }
+                        }
+                    }
                 }
-                image.saturate();
             }
             ImageFault::SaltPepper { p } => {
                 for y in 0..h {
@@ -383,6 +407,11 @@ mod tests {
     use super::*;
     use avfi_sim::rng::stream_rng;
 
+    /// Every pixel of a [`test_image`]-sized image.
+    fn whole() -> PixelFootprint {
+        PixelFootprint::whole(64, 48)
+    }
+
     fn test_image() -> Image {
         let mut img = Image::filled(64, 48, [0.5, 0.5, 0.5]);
         // A bright stripe so structure is measurable.
@@ -396,7 +425,7 @@ mod tests {
         let before = img.mean_luma();
         let fault = ImageFault::gaussian(0.1);
         let layout = ImageFaultLayout::default();
-        fault.apply(&mut img, &layout, &mut stream_rng(1, 0));
+        fault.apply(&mut img, &layout, &whole(), &mut stream_rng(1, 0));
         let after = img.mean_luma();
         assert!(
             (after - before).abs() < 0.03,
@@ -406,12 +435,36 @@ mod tests {
     }
 
     #[test]
+    fn gaussian_over_a_footprint_is_the_whole_image_noise_inside_it() {
+        use rand::RngExt;
+        let footprint = PixelFootprint::grid(64, 48, (0..64).step_by(3), [0, 7, 8, 47]);
+        let fault = ImageFault::gaussian(0.3);
+        let layout = ImageFaultLayout::default();
+        let (mut all, mut some) = (test_image(), test_image());
+        let (mut rng_all, mut rng_some) = (stream_rng(11, 0), stream_rng(11, 0));
+        fault.apply(&mut all, &layout, &whole(), &mut rng_all);
+        fault.apply(&mut some, &layout, &footprint, &mut rng_some);
+        let mut inside = 0;
+        for y in 0..48 {
+            for x in 0..64 {
+                if footprint.row(y) && footprint.col(x) {
+                    assert_eq!(some.pixel(x, y), all.pixel(x, y), "pixel ({x}, {y})");
+                    inside += 1;
+                }
+            }
+        }
+        assert_eq!(inside, 22 * 4);
+        assert_eq!(rng_some.random::<u64>(), rng_all.random::<u64>());
+    }
+
+    #[test]
     fn salt_pepper_rate() {
         let mut img = Image::filled(100, 100, [0.5, 0.5, 0.5]);
         let fault = ImageFault::salt_pepper(0.1);
         fault.apply(
             &mut img,
             &ImageFaultLayout::default(),
+            &PixelFootprint::whole(100, 100),
             &mut stream_rng(2, 0),
         );
         let corrupted = (0..100 * 100)
@@ -430,7 +483,7 @@ mod tests {
         let fault = ImageFault::solid_occlusion(0.5);
         let mut rng = stream_rng(3, 0);
         let layout = ImageFaultLayout::sample(&fault, img.width(), img.height(), &mut rng);
-        fault.apply(&mut img, &layout, &mut rng);
+        fault.apply(&mut img, &layout, &whole(), &mut rng);
         let dark = img.data().chunks_exact(3).filter(|p| p[0] < 0.05).count();
         // Patch is 24x24 of 64x48 = 576 of 3072 pixels.
         assert!(dark >= 570, "dark pixels = {dark}");
@@ -442,7 +495,7 @@ mod tests {
         let fault = ImageFault::transparent_occlusion(0.5, 0.5);
         let mut rng = stream_rng(4, 0);
         let layout = ImageFaultLayout::sample(&fault, 64, 48, &mut rng);
-        fault.apply(&mut img, &layout, &mut rng);
+        fault.apply(&mut img, &layout, &whole(), &mut rng);
         // Blended pixels are between film gray and white.
         let blended = img
             .data()
@@ -458,7 +511,7 @@ mod tests {
         let fault = ImageFault::water_drop(4, 0.08);
         let mut rng = stream_rng(5, 0);
         let layout = ImageFaultLayout::sample(&fault, 64, 48, &mut rng);
-        fault.apply(&mut img, &layout, &mut rng);
+        fault.apply(&mut img, &layout, &whole(), &mut rng);
         let clean = test_image();
         let changed = img
             .data()
@@ -479,8 +532,8 @@ mod tests {
         let layout = ImageFaultLayout::sample(&fault, 64, 48, &mut rng);
         let mut a = test_image();
         let mut b = test_image();
-        fault.apply(&mut a, &layout, &mut rng);
-        fault.apply(&mut b, &layout, &mut rng);
+        fault.apply(&mut a, &layout, &whole(), &mut rng);
+        fault.apply(&mut b, &layout, &whole(), &mut rng);
         assert_eq!(a, b, "occlusion must not move between frames");
     }
 

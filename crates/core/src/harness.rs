@@ -13,7 +13,7 @@ use avfi_agent::controller::{Driver, DriverInput};
 use avfi_agent::{ExpertDriver, IlNetwork, NeuralDriver};
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::rng::stream_rng;
-use avfi_sim::sensors::{Image, LidarScan, SensorMask};
+use avfi_sim::sensors::{Image, LidarScan, PixelFootprint, SensorMask};
 use avfi_sim::world::{World, WorldObservation};
 use avfi_sim::FRAME_DT;
 use avfi_trace::{FaultChannel, TraceEvent};
@@ -70,6 +70,15 @@ enum Inner {
     Neural(NeuralDriver),
 }
 
+impl Inner {
+    fn driver(&self) -> &dyn Driver {
+        match self {
+            Inner::Expert(e) => e,
+            Inner::Neural(n) => n,
+        }
+    }
+}
+
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -87,6 +96,9 @@ pub struct AvDriver {
     rng: StdRng,
     timing: Option<TimingChannel>,
     image_layout: Option<ImageFaultLayout>,
+    /// The camera pixels the wrapped agent reads, built from it on the
+    /// first frame a camera fault is active.
+    footprint: Option<PixelFootprint>,
     injected_at_frame: Option<u64>,
     /// Reused buffer for the fault-injected camera image, so the hot path
     /// never clones the observation (allocation-free after the first
@@ -131,6 +143,7 @@ impl AvDriver {
             rng: stream_rng(seed, 0xFB),
             timing,
             image_layout: None,
+            footprint: None,
             // Timing faults are marked lazily, the first time the channel
             // actually perturbs the command stream — a no-op channel (e.g.
             // a zero-frame delay) must not report an injection time.
@@ -169,10 +182,7 @@ impl AvDriver {
 
     /// Agent name for reports.
     pub fn agent_name(&self) -> &'static str {
-        match &self.inner {
-            Inner::Expert(_) => "expert",
-            Inner::Neural(_) => "il-cnn",
-        }
+        self.inner.driver().name()
     }
 
     /// Simulation time of the first actual injection, if any happened —
@@ -193,6 +203,7 @@ impl AvDriver {
             rng,
             timing,
             image_layout,
+            footprint,
             injected_at_frame,
             scratch_image,
             scratch_lidar,
@@ -230,10 +241,11 @@ impl AvDriver {
                         }
                         None => scratch_image.insert(obs.sensors.image.clone()),
                     };
-                    let layout = image_layout.get_or_insert_with(|| {
-                        ImageFaultLayout::sample(model, img.width(), img.height(), rng)
-                    });
-                    model.apply(img, layout, rng);
+                    let (w, h) = (img.width(), img.height());
+                    let layout = image_layout
+                        .get_or_insert_with(|| ImageFaultLayout::sample(model, w, h, rng));
+                    let footprint = footprint.get_or_insert_with(|| inner.driver().footprint(w, h));
+                    model.apply(img, layout, footprint, rng);
                     input.image = img;
                 }
                 if let Some(g) = &f.gps {
@@ -322,11 +334,13 @@ impl Driver for AvDriver {
 
     /// What the wrapped agent reads plus what the fault corrupts.
     fn reads(&self) -> SensorMask {
-        let agent = match &self.inner {
-            Inner::Expert(e) => e.reads(),
-            Inner::Neural(n) => n.reads(),
-        };
-        agent.union(self.spec.touches())
+        self.inner.driver().reads().union(self.spec.touches())
+    }
+
+    /// What the wrapped agent reads: the wrapper corrupts its own copy of
+    /// the camera image for the agent and reads nothing else of it.
+    fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
+        self.inner.driver().footprint(width, height)
     }
 }
 
@@ -503,6 +517,72 @@ mod tests {
         );
         assert_eq!(neural(delay), SensorMask::CAMERA);
         assert_eq!(neural(lidar), SensorMask::ALL);
+    }
+
+    /// Every paper camera model, under both agents and three triggers
+    /// (on from frame 0, on from frame 5, Bernoulli), injected over the
+    /// agent's own footprint and over the whole image: each frame gives
+    /// the same control, the IL agent sees the same tensor, and the fault
+    /// stream's next draw is the same. The later triggers sample the
+    /// layout mid-run, and Bernoulli interleaves its own draws.
+    #[test]
+    fn agent_footprint_injects_as_the_whole_image_does() {
+        use avfi_agent::features::image_to_tensor;
+        use rand::RngExt;
+        let tensor_bits = |img: &Option<Image>| {
+            img.as_ref().map(|img| {
+                let t = image_to_tensor(img);
+                t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            })
+        };
+        let triggers = [
+            Trigger::Always,
+            Trigger::From { frame: 5 },
+            Trigger::Bernoulli { p: 0.5 },
+        ];
+        for model in ImageFault::paper_suite() {
+            for trigger in triggers {
+                for neural in [false, true] {
+                    let spec = FaultSpec::Input(InputFault {
+                        trigger,
+                        ..InputFault::always(model)
+                    });
+                    let make = || match neural {
+                        true => AvDriver::neural(IlNetwork::new(11), spec.clone(), 5),
+                        false => AvDriver::expert(spec.clone(), 5),
+                    };
+                    let (mut own, mut whole) = (make(), make());
+                    let mut w = world();
+                    for frame in 0..12 {
+                        let obs = w.observe();
+                        let img = &obs.sensors.image;
+                        whole.footprint.get_or_insert_with(|| {
+                            PixelFootprint::whole(img.width(), img.height())
+                        });
+                        let at = format!(
+                            "{} {trigger:?} neural={neural} frame {frame}",
+                            model.label()
+                        );
+                        let control = own.drive_frame(&obs, &w);
+                        assert_eq!(control, whole.drive_frame(&obs, &w), "{at}");
+                        if neural {
+                            assert_eq!(
+                                tensor_bits(&own.scratch_image),
+                                tensor_bits(&whole.scratch_image),
+                                "{at}"
+                            );
+                        }
+                        assert_eq!(
+                            own.rng.clone().random::<u64>(),
+                            whole.rng.clone().random::<u64>(),
+                            "{at}"
+                        );
+                        w.step(control);
+                    }
+                    assert!(own.scratch_image.is_some(), "the fault never fired");
+                }
+            }
+        }
     }
 
     #[test]

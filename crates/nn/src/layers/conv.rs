@@ -1,9 +1,11 @@
 //! 2-D convolution layer.
 
+use super::panel::{lane_blocks, WeightPanel};
 use super::{Layer, ParamSlice};
 use crate::init::he_uniform;
 use crate::tensor::Tensor;
 use rand::Rng;
+use std::ops::Range;
 
 /// A 2-D convolution over `[C, H, W]` tensors with square kernels.
 ///
@@ -18,6 +20,8 @@ pub struct Conv2d {
     pad: usize,
     /// `[out_ch × in_ch × k × k]`.
     weight: Vec<f32>,
+    /// `weight` interleaved for the forward kernel.
+    panel: WeightPanel,
     bias: Vec<f32>,
     grad_weight: Vec<f32>,
     grad_bias: Vec<f32>,
@@ -49,6 +53,7 @@ impl Conv2d {
             stride,
             pad,
             weight,
+            panel: WeightPanel::default(),
             bias: vec![0.0; out_ch],
             grad_weight: vec![0.0; n],
             grad_bias: vec![0.0; out_ch],
@@ -69,7 +74,7 @@ impl Conv2d {
 
     /// Interior range `[lo, hi)` of output indices along one spatial axis
     /// (input size `n`, output size `on`): outputs whose whole `k`-tap
-    /// window lands in-bounds, so the kernel loop needs no edge branches.
+    /// window lands in-bounds.
     fn interior(&self, n: usize, on: usize) -> (usize, usize) {
         let lo = self.pad.div_ceil(self.stride).min(on);
         let hi = if n + self.pad >= self.k {
@@ -105,78 +110,98 @@ impl Conv2d {
         acc
     }
 
-    /// Computes `L` consecutive output channels (`o0..o0 + L`) for every
-    /// output pixel — the lane-batched hot path.
+    /// The kernel offsets of output index `o` whose taps land inside an
+    /// input axis of size `n`, and the input index of the first of them
+    /// (clamped to `n` when none does).
+    fn taps_in_bounds(&self, o: usize, n: usize) -> (Range<usize>, usize) {
+        let start = (o * self.stride) as isize - self.pad as isize;
+        let k = self.k as isize;
+        let lo = (-start).clamp(0, k);
+        let hi = (n as isize - start).clamp(lo, k);
+        (lo as usize..hi as usize, ((start + lo) as usize).min(n))
+    }
+
+    /// Computes output channels `first..first + L` for every output
+    /// pixel — the lane-batched hot path.
     ///
-    /// Lanes run across *independent output channels*: every lane shares
-    /// the same input load (one broadcast feeds `L` multiply-adds) while
-    /// each lane's accumulator walks the reduction (ascending `c`, `ky`,
-    /// `kx`, skipping out-of-bounds taps) in the exact scalar order, so
-    /// per-lane results are bit-identical to [`Self::accumulate_one`].
-    /// Interior pixels (receptive field fully in-bounds) take a
-    /// branch-free inner loop with a sequential weight offset; border
-    /// pixels share the scalar path's bounds tests across all lanes.
+    /// Lanes run across *independent output channels*: one input load
+    /// feeds `L` multiply-adds whose weights are one contiguous `[f32; L]`
+    /// of the packed panel, and each lane's accumulator walks the taps
+    /// that land in bounds (ascending `c`, `ky`, `kx`) in the exact
+    /// scalar order, so per-lane results are bit-identical to
+    /// [`Self::accumulate_one`]. Each pixel's in-bounds taps are a window
+    /// clipped once, so no tap tests bounds. Pixels whose columns clip
+    /// nothing go two horizontally adjacent pixels per pass, for two
+    /// independent sets of accumulators; the clipped border columns go
+    /// one at a time.
     fn forward_block<const L: usize>(
         &self,
         x: &[f32],
         (h, w): (usize, usize),
         (oh, ow): (usize, usize),
-        ((oy_lo, oy_hi), (ox_lo, ox_hi)): ((usize, usize), (usize, usize)),
-        o0: usize,
+        (ox_lo, ox_hi): (usize, usize),
+        first: usize,
         y: &mut [f32],
     ) {
-        let (k, stride, pad) = (self.k, self.stride, self.pad);
-        let ickk = self.in_ch * k * k;
-        let wrows: [&[f32]; L] =
-            std::array::from_fn(|l| &self.weight[(o0 + l) * ickk..(o0 + l + 1) * ickk]);
-        let biases: [f32; L] = std::array::from_fn(|l| self.bias[o0 + l]);
+        let taps = self.panel.block::<L>(first, self.in_ch * self.k * self.k);
+        let biases: [f32; L] = std::array::from_fn(|l| self.bias[first + l]);
+        let mut store = |oy: usize, ox: usize, acc: &[f32; L]| {
+            for (l, a) in acc.iter().enumerate() {
+                y[((first + l) * oh + oy) * ow + ox] = *a;
+            }
+        };
         for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = biases;
-                if oy >= oy_lo && oy < oy_hi && ox >= ox_lo && ox < ox_hi {
-                    let y0 = oy * stride - pad;
-                    let x0 = ox * stride - pad;
-                    let mut off = 0;
-                    for c in 0..self.in_ch {
-                        let plane = &x[c * h * w..(c + 1) * h * w];
-                        for ky in 0..k {
-                            let row = &plane[(y0 + ky) * w..(y0 + ky) * w + w];
-                            for &xi in &row[x0..x0 + k] {
-                                for (l, a) in acc.iter_mut().enumerate() {
-                                    *a += wrows[l][off] * xi;
-                                }
-                                off += 1;
-                            }
-                        }
-                    }
+            let rows = self.taps_in_bounds(oy, h);
+            let mut ox = 0;
+            while ox < ow {
+                let cols = self.taps_in_bounds(ox, w);
+                if ox >= ox_lo && ox + 2 <= ox_hi {
+                    let [a, b] = self.pixels::<L, 2>(x, (h, w), rows.clone(), cols, taps, biases);
+                    store(oy, ox, &a);
+                    store(oy, ox + 1, &b);
+                    ox += 2;
                 } else {
-                    let y0 = (oy * stride) as isize - pad as isize;
-                    let x0 = (ox * stride) as isize - pad as isize;
-                    for c in 0..self.in_ch {
-                        for ky in 0..k {
-                            let iy = y0 + ky as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = x0 + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let xi = x[(c * h + iy as usize) * w + ix as usize];
-                                let off = (c * k + ky) * k + kx;
-                                for (l, a) in acc.iter_mut().enumerate() {
-                                    *a += wrows[l][off] * xi;
-                                }
-                            }
-                        }
-                    }
-                }
-                for (l, a) in acc.iter().enumerate() {
-                    y[((o0 + l) * oh + oy) * ow + ox] = *a;
+                    let [acc] = self.pixels::<L, 1>(x, (h, w), rows.clone(), cols, taps, biases);
+                    store(oy, ox, &acc);
+                    ox += 1;
                 }
             }
         }
+    }
+
+    /// Output pixels `ox..ox + P` of one row, for one lane block, over
+    /// the in-bounds taps `(ky, iy)` and `(kx, ix)` of the first pixel
+    /// (see [`Self::taps_in_bounds`]); pixel `p` reads `p · stride`
+    /// columns further, so every pixel must clip the same taps.
+    #[inline(always)]
+    fn pixels<const L: usize, const P: usize>(
+        &self,
+        x: &[f32],
+        (h, w): (usize, usize),
+        (ky, iy): (Range<usize>, usize),
+        (kx, ix): (Range<usize>, usize),
+        taps: &[[f32; L]],
+        biases: [f32; L],
+    ) -> [[f32; L]; P] {
+        let (k, stride) = (self.k, self.stride);
+        let span = (P - 1) * stride + kx.len();
+        let mut acc = [biases; P];
+        for c in 0..self.in_ch {
+            for (dy, ky) in ky.clone().enumerate() {
+                let start = (c * h + iy + dy) * w + ix;
+                let window = &x[start..start + span];
+                let row_taps = &taps[(c * k + ky) * k + kx.start..][..kx.len()];
+                for (dx, wl) in row_taps.iter().enumerate() {
+                    for (p, acc) in acc.iter_mut().enumerate() {
+                        let xi = window[p * stride + dx];
+                        for (a, &wl) in acc.iter_mut().zip(wl) {
+                            *a += wl * xi;
+                        }
+                    }
+                }
+            }
+        }
+        acc
     }
 
     /// Scalar reference forward — the pre-blocking loop nest, retained as
@@ -202,37 +227,31 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    /// Blocked, lane-batched forward: output channels are processed in
-    /// blocks of 8, then 4, then singly (see `Conv2d::forward_block`);
-    /// an interior/border split keeps edge-clipping branches out of the
-    /// hot loop. Bit-identical to [`Conv2d::forward_reference`] by
-    /// construction — lanes are independent outputs and the per-output
-    /// reduction order is untouched.
+    /// Blocked, lane-batched forward: output channels are split into lane
+    /// blocks (16 wide, then 8, then single; see `Conv2d::forward_block`)
+    /// that read their weights from the packed panel, two output pixels
+    /// per pass where neither clips a column of taps. Bit-identical to
+    /// [`Conv2d::forward_reference`] by construction — lanes are
+    /// independent outputs and the per-output reduction order is
+    /// untouched.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 3, "conv2d expects [C, H, W]");
         assert_eq!(shape[0], self.in_ch, "channel mismatch");
         let (h, w) = (shape[1], shape[2]);
         let (oh, ow) = self.out_hw(h, w);
-        let oy_r = self.interior(h, oh);
-        let ox_r = self.interior(w, ow);
+        let cols = self.interior(w, ow);
+        self.panel
+            .refresh(&self.weight, self.in_ch * self.k * self.k);
         let x = input.data();
         let mut y = vec![0.0f32; self.out_ch * oh * ow];
-        let mut o = 0;
-        while o + 8 <= self.out_ch {
-            self.forward_block::<8>(x, (h, w), (oh, ow), (oy_r, ox_r), o, &mut y);
-            o += 8;
-        }
-        while o + 4 <= self.out_ch {
-            self.forward_block::<4>(x, (h, w), (oh, ow), (oy_r, ox_r), o, &mut y);
-            o += 4;
-        }
-        for o in o..self.out_ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    y[(o * oh + oy) * ow + ox] = self.accumulate_one(x, h, w, o, oy, ox);
-                }
-            }
+        for (first, lanes) in lane_blocks(self.out_ch) {
+            let block = match lanes {
+                16 => Self::forward_block::<16>,
+                8 => Self::forward_block::<8>,
+                _ => Self::forward_block::<1>,
+            };
+            block(self, x, (h, w), (oh, ow), cols, first, &mut y);
         }
         self.cached_input = if train { Some(input.clone()) } else { None };
         Tensor::from_vec(y, vec![self.out_ch, oh, ow])
@@ -285,6 +304,7 @@ impl Layer for Conv2d {
     }
 
     fn params(&mut self) -> Vec<ParamSlice<'_>> {
+        self.panel.mark_stale();
         vec![
             ParamSlice {
                 name: "weight".to_string(),

@@ -1,16 +1,10 @@
 //! Fully-connected layer.
 
+use super::panel::{lane_blocks, WeightPanel};
 use super::{Layer, ParamSlice};
 use crate::init::he_uniform;
 use crate::tensor::Tensor;
 use rand::Rng;
-
-/// Output neurons computed per block in the lane-batched forward kernel.
-///
-/// Lanes run across *independent output neurons*; each lane's dot product
-/// walks the input in the exact scalar order, so results are bit-identical
-/// to [`Dense::forward_reference`].
-const DENSE_LANES: usize = 8;
 
 /// A fully-connected (affine) layer: `y = W·x + b`.
 #[derive(Debug, Clone)]
@@ -19,6 +13,8 @@ pub struct Dense {
     out_dim: usize,
     /// Row-major `[out_dim × in_dim]`.
     weight: Vec<f32>,
+    /// `weight` interleaved for the forward kernel.
+    panel: WeightPanel,
     bias: Vec<f32>,
     grad_weight: Vec<f32>,
     grad_bias: Vec<f32>,
@@ -39,6 +35,7 @@ impl Dense {
             in_dim,
             out_dim,
             weight,
+            panel: WeightPanel::default(),
             bias: vec![0.0; out_dim],
             grad_weight: vec![0.0; in_dim * out_dim],
             grad_bias: vec![0.0; out_dim],
@@ -78,13 +75,27 @@ impl Dense {
         }
         Tensor::from_vec(y, vec![self.out_dim])
     }
+
+    /// Outputs `first..first + L`, one accumulator lane each, over one
+    /// pass of the input.
+    fn forward_block<const L: usize>(&self, x: &[f32], first: usize, y: &mut [f32]) {
+        let mut acc: [f32; L] = std::array::from_fn(|l| self.bias[first + l]);
+        for (w, &xi) in self.panel.block::<L>(first, self.in_dim).iter().zip(x) {
+            for (a, &wl) in acc.iter_mut().zip(w) {
+                *a += wl * xi;
+            }
+        }
+        y[first..first + L].copy_from_slice(&acc);
+    }
 }
 
 impl Layer for Dense {
-    /// Blocked, lane-batched forward: `DENSE_LANES` independent output
-    /// neurons per block share one pass over the input, breaking the FP
-    /// add latency chain while leaving each neuron's accumulation order
-    /// untouched — bit-identical to [`Dense::forward_reference`].
+    /// Blocked, lane-batched forward: the outputs are split into lane
+    /// blocks (16 wide, then 8, then single), and a block's lanes share
+    /// one pass over the input with their weights read contiguously from
+    /// the packed panel. Lanes are independent outputs and each output
+    /// accumulates in the exact scalar order, so the result is
+    /// bit-identical to [`Dense::forward_reference`].
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(
             input.len(),
@@ -93,29 +104,16 @@ impl Layer for Dense {
             self.in_dim,
             input.len()
         );
+        self.panel.refresh(&self.weight, self.in_dim);
         let x = input.data();
-        let n = self.in_dim;
         let mut y = vec![0.0f32; self.out_dim];
-        let mut o = 0;
-        while o + DENSE_LANES <= self.out_dim {
-            let mut chunks = self.weight[o * n..(o + DENSE_LANES) * n].chunks_exact(n);
-            let rows: [&[f32]; DENSE_LANES] = std::array::from_fn(|_| chunks.next().unwrap());
-            let mut acc: [f32; DENSE_LANES] = std::array::from_fn(|l| self.bias[o + l]);
-            for (i, &xi) in x.iter().enumerate() {
-                for (l, a) in acc.iter_mut().enumerate() {
-                    *a += rows[l][i] * xi;
-                }
-            }
-            y[o..o + DENSE_LANES].copy_from_slice(&acc);
-            o += DENSE_LANES;
-        }
-        for (o, yo) in y.iter_mut().enumerate().skip(o) {
-            let row = &self.weight[o * n..(o + 1) * n];
-            let mut acc = self.bias[o];
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            *yo = acc;
+        for (first, lanes) in lane_blocks(self.out_dim) {
+            let block = match lanes {
+                16 => Self::forward_block::<16>,
+                8 => Self::forward_block::<8>,
+                _ => Self::forward_block::<1>,
+            };
+            block(self, x, first, &mut y);
         }
         self.cached_input = if train { Some(input.clone()) } else { None };
         Tensor::from_vec(y, vec![self.out_dim])
@@ -143,6 +141,7 @@ impl Layer for Dense {
     }
 
     fn params(&mut self) -> Vec<ParamSlice<'_>> {
+        self.panel.mark_stale();
         vec![
             ParamSlice {
                 name: "weight".to_string(),

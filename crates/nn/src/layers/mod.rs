@@ -10,6 +10,7 @@ mod activation;
 mod conv;
 mod dense;
 mod flatten;
+mod panel;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
@@ -50,7 +51,9 @@ pub trait Layer: std::fmt::Debug {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Mutable views of the layer's parameters (empty for stateless
-    /// layers).
+    /// layers). This is the only way to write them: a layer may keep a
+    /// copy derived from its weights (the packed panel of its forward
+    /// kernel), which a call here marks stale for the next `forward`.
     fn params(&mut self) -> Vec<ParamSlice<'_>> {
         Vec::new()
     }

@@ -5,11 +5,14 @@
 //! accumulation order is untouched). This suite enforces that claim with
 //! `f32::to_bits` comparison — not approximate equality — over randomized
 //! shapes, strides, and paddings, plus deterministic adversarial shapes
-//! (dimensions not a multiple of the lane width, 1×1 images, fewer outputs
-//! than lanes) and the exact IL-CNN layer shapes, alone and chained into
-//! the whole net.
+//! (output counts that leave 16- and 8-lane tails, odd runs of interior
+//! pixels for the 2-pixel passes, 1×1 images, fewer outputs than lanes)
+//! and the exact IL-CNN layer shapes, alone and chained into the whole
+//! net. The kernels read a packed copy of the weights, so the suite also
+//! rewrites weights through `params()` between forward passes, on a layer
+//! and on its clone.
 
-use avfi_nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
+use avfi_nn::layers::{Conv2d, Dense, Flatten, Layer, ParamSlice, Relu};
 use avfi_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,6 +63,38 @@ fn check_dense(in_dim: usize, out_dim: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Overwrites a random third of every parameter (weights and biases)
+/// through `params()`, the path loading, optimizers and ML faults take.
+fn mutate(params: Vec<ParamSlice<'_>>, rng: &mut StdRng) {
+    for p in params {
+        for v in p.values.iter_mut() {
+            if rng.random_range(0..3) == 0 {
+                *v = rng.random_range(-1.5f32..1.5);
+            }
+        }
+    }
+}
+
+/// Forward, then rewrite the weights, then forward again, on the layer
+/// and independently on a clone taken after the first pass: every pass
+/// must match the oracle of the weights it ran with. A packed panel that
+/// `params()` failed to mark stale would still hold the first weights.
+fn check_after_mutation<L: Layer + Clone>(
+    mut layer: L,
+    x: &Tensor,
+    reference: impl Fn(&L, &Tensor) -> Tensor,
+    rng: &mut StdRng,
+) -> Result<(), String> {
+    prop_assert_eq!(bits(&layer.forward(x, false)), bits(&reference(&layer, x)));
+    let mut clone = layer.clone();
+    prop_assert_eq!(bits(&clone.forward(x, false)), bits(&reference(&layer, x)));
+    for l in [&mut layer, &mut clone] {
+        mutate(l.params(), rng);
+        prop_assert_eq!(bits(&l.forward(x, false)), bits(&reference(l, x)));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -91,6 +126,47 @@ proptest! {
     ) {
         check_dense(in_dim, out_dim, seed)?;
     }
+
+    #[test]
+    fn conv_repacks_after_params_rewrite(
+        in_ch in 1usize..=3,
+        out_ch in 1usize..=26,
+        h in 3usize..=9,
+        w in 3usize..=11,
+        stride in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let conv = Conv2d::new(in_ch, out_ch, 3, stride, 1, &mut rng);
+        let x = random_input(&mut rng, vec![in_ch, h, w]);
+        check_after_mutation(conv, &x, Conv2d::forward_reference, &mut rng)?;
+    }
+
+    #[test]
+    fn dense_repacks_after_params_rewrite(
+        in_dim in 1usize..=40,
+        out_dim in 1usize..=50,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dense = Dense::new(in_dim, out_dim, &mut rng);
+        let x = random_input(&mut rng, vec![in_dim]);
+        check_after_mutation(dense, &x, Dense::forward_reference, &mut rng)?;
+    }
+}
+
+#[test]
+fn il_cnn_layers_repack_after_params_rewrite() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let conv1 = Conv2d::new(1, 8, 5, 2, 2, &mut rng);
+    let conv2 = Conv2d::new(8, 16, 3, 2, 1, &mut rng);
+    let dense = Dense::new(768, 64, &mut rng);
+    let x1 = random_input(&mut rng, vec![1, 24, 32]);
+    let x2 = random_input(&mut rng, vec![8, 12, 16]);
+    let x3 = random_input(&mut rng, vec![768]);
+    check_after_mutation(conv1, &x1, Conv2d::forward_reference, &mut rng).unwrap();
+    check_after_mutation(conv2, &x2, Conv2d::forward_reference, &mut rng).unwrap();
+    check_after_mutation(dense, &x3, Dense::forward_reference, &mut rng).unwrap();
 }
 
 #[test]
@@ -111,6 +187,19 @@ fn conv_adversarial_shapes() {
         (1, 1, 2, 2, 5, 1, 2),
         (2, 2, 6, 4, 1, 2, 1),
         (1, 3, 10, 3, 3, 1, 3),
+        // 16- and 8-lane blocks and their tails: 17 = 16 + 1,
+        // 25 = 16 + 8 + 1, 31 = 16 + 8 + 7 singles, 40 = 16 + 16 + 8.
+        (2, 17, 5, 6, 3, 1, 1),
+        (1, 25, 4, 7, 3, 2, 1),
+        (3, 31, 6, 5, 3, 1, 1),
+        (2, 40, 5, 5, 3, 2, 1),
+        // conv1's shape (k5, stride 2, pad 2) on widths whose interior
+        // runs are odd (the last interior pixel goes alone) and even.
+        (1, 8, 24, 31, 5, 2, 2),
+        (1, 8, 24, 33, 5, 2, 2),
+        (1, 8, 7, 9, 5, 2, 2),
+        (1, 8, 5, 7, 5, 2, 2),
+        (1, 8, 6, 8, 5, 2, 2),
     ];
     for &(in_ch, out_ch, h, w, k, stride, pad) in cases {
         let seed = (in_ch * 31 + h * 7 + w * 3 + k) as u64;
@@ -122,7 +211,9 @@ fn conv_adversarial_shapes() {
 
 #[test]
 fn dense_adversarial_shapes() {
-    // Output counts below, at, and just past the 8-lane block width.
+    // Output counts below, at, and just past the 8- and 16-lane block
+    // widths, and ones that leave an 8-lane block and single outputs after
+    // the 16-lane blocks.
     for &(in_dim, out_dim) in &[
         (1usize, 1usize),
         (5, 3),
@@ -131,6 +222,13 @@ fn dense_adversarial_shapes() {
         (9, 9),
         (16, 15),
         (17, 17),
+        (16, 16),
+        (3, 23),
+        (12, 24),
+        (12, 25),
+        (7, 31),
+        (33, 33),
+        (20, 47),
         (64, 1),
         (1, 64),
     ] {

@@ -114,7 +114,10 @@ impl CampaignServer {
             return Ok(self);
         };
         std::fs::create_dir_all(&dir)?;
-        let mut max_id = 0;
+        // A refused journal's id, and so its trace directory, is never
+        // handed out again.
+        let refused = avfi_store::list_refused_journals(&dir)?;
+        let mut max_id = refused.last().map_or(0, |(id, _)| *id);
         for (id, path) in avfi_store::list_journals(&dir)? {
             max_id = max_id.max(id);
             if let Some(ticket) = recover_journal(&self.pool, &dir, id, &path) {
@@ -502,9 +505,10 @@ fn open_plan_journal(
 /// cancelled — or, with every run already journaled, completed at once,
 /// appending the missing terminal record. Either way the plan's traces
 /// stay in its `plan-<id>/` directory, read only when a client asks for
-/// them. Unrecoverable journals, and plans that
-/// [`WorkPlan::validate`] refuses, are skipped with a stderr note —
-/// recovery never takes the daemon down.
+/// them. Unrecoverable journals are skipped with a stderr note, and a
+/// plan that [`WorkPlan::validate`] refuses has its journal renamed
+/// `plan-<id>.avj.refused` once, so that later starts neither read it nor
+/// repeat the note — recovery never takes the daemon down.
 fn recover_journal(
     pool: &MultiplexPool,
     dir: &Path,
@@ -524,8 +528,14 @@ fn recover_journal(
     // Header-only or unparseable journal: nothing to reload.
     let rec = avfi_store::summarize(&records)?;
     if let Err(e) = rec.plan.validate() {
+        drop(journal);
+        let refused = dir.join(avfi_store::refused_journal_file_name(id));
+        let moved = match std::fs::rename(path, &refused) {
+            Ok(()) => format!("moved to {}", refused.display()),
+            Err(err) => format!("could not move it aside: {err}"),
+        };
         eprintln!(
-            "[avfi-server] spool recovery skipped ({}): {e}",
+            "[avfi-server] spool recovery refused ({}): {e}; {moved}",
             path.display()
         );
         return None;

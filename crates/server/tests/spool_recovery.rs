@@ -87,7 +87,9 @@ fn write_interrupted_journal(
 
 /// A journal whose plan is over the run cap is skipped at startup
 /// instead of rebuilding, at every start, an executor that would exhaust
-/// the daemon's memory; the daemon serves the next plan as usual.
+/// the daemon's memory. The first start moves it aside to
+/// `plan-<id>.avj.refused`, so the second neither reads it nor reuses its
+/// id; the daemon serves the next plan as usual.
 #[test]
 fn journal_over_the_run_cap_is_skipped_at_startup() {
     let spool = fresh_spool("huge");
@@ -96,33 +98,45 @@ fn journal_over_the_run_cap_is_skipped_at_startup() {
         .runs_per_scenario(1 << 40)
         .build();
     let plan = WorkPlan::new().with_study("huge", vec![huge]);
+    let journal = spool.join(avfi_store::journal_file_name(2));
     PlanJournal::create(
-        &spool.join(avfi_store::journal_file_name(2)),
+        &journal,
         serde_json::to_string(&plan).expect("plan serializes"),
         TraceLevel::Off,
     )
     .expect("create journal");
+    let refused = spool.join(avfi_store::refused_journal_file_name(2));
 
-    let (addr, daemon) = spawn_daemon(&spool, true, None);
-    let mut c = ServiceClient::connect(&addr).expect("connect");
-    match c.status(2) {
-        Err(NetError::Protocol(message)) => assert!(message.contains("unknown plan"), "{message}"),
-        other => panic!("the refused journal must not be recovered, got {other:?}"),
+    for start in 0..2 {
+        let (addr, daemon) = spawn_daemon(&spool, true, None);
+        let mut c = ServiceClient::connect(&addr).expect("connect");
+        match c.status(2) {
+            Err(NetError::Protocol(message)) => {
+                assert!(message.contains("unknown plan"), "{message}")
+            }
+            other => panic!("the refused journal must not be recovered, got {other:?}"),
+        }
+        assert!(
+            !journal.exists() && refused.exists(),
+            "start {start}: the refused journal must have been moved aside"
+        );
+        if start == 1 {
+            // Only the moved-aside journal holds id 2 now.
+            let demo = demo_plan();
+            let (id, _) = c.submit(&demo, TraceLevel::Off).expect("submit");
+            assert!(
+                id > 2,
+                "the refused journal's id must stay reserved, got {id}"
+            );
+            assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
+            assert_eq!(
+                c.results_json(id).expect("results"),
+                solo_results_json(&demo).expect("solo reference")
+            );
+        }
+        c.shutdown_server().expect("shutdown");
+        daemon.join().expect("daemon thread");
     }
-    let demo = demo_plan();
-    let (id, _) = c.submit(&demo, TraceLevel::Off).expect("submit");
-    assert!(
-        id > 2,
-        "the skipped journal's id must stay reserved, got {id}"
-    );
-    assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
-    assert_eq!(
-        c.results_json(id).expect("results"),
-        solo_results_json(&demo).expect("solo reference")
-    );
-
-    c.shutdown_server().expect("shutdown");
-    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&spool);
 }
 

@@ -57,6 +57,16 @@ pub fn standard_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// Advances `rng` past one [`standard_normal`] sample without computing
+/// it: the same two uniform draws in the same order, and no `ln`, `sqrt`
+/// or `cos`. A stream that skips the samples nobody reads stays in step
+/// with one that computes them all.
+#[inline]
+pub fn skip_standard_normal<R: RngExt + ?Sized>(rng: &mut R) {
+    let _: f64 = rng.random_range(1e-12..1.0);
+    let _: f64 = rng.random_range(0.0..1.0);
+}
+
 /// Samples `N(mean, sigma²)`.
 #[inline]
 pub fn normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
@@ -93,6 +103,28 @@ mod tests {
             let a: u64 = r1.random();
             let b: u64 = r2.random();
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn skip_standard_normal_leaves_the_stream_where_a_sample_does() {
+        for seed in 0..8 {
+            let mut sampled = stream_rng(seed, 3);
+            let mut skipped = stream_rng(seed, 3);
+            for i in 0..64 {
+                // Interleave, so a skip that consumed a different number
+                // of draws would shift every later sample.
+                if i % 3 == 0 {
+                    assert_eq!(
+                        standard_normal(&mut sampled).to_bits(),
+                        standard_normal(&mut skipped).to_bits()
+                    );
+                } else {
+                    let _ = standard_normal(&mut sampled);
+                    skip_standard_normal(&mut skipped);
+                }
+            }
+            assert_eq!(sampled.random::<u64>(), skipped.random::<u64>());
         }
     }
 

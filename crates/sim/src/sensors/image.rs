@@ -159,14 +159,6 @@ impl Image {
         }
     }
 
-    /// Clamps every channel into `[0, 1]` (fault injectors can push values
-    /// outside the displayable range; real camera pipelines saturate).
-    pub fn saturate(&mut self) {
-        for v in &mut self.data {
-            *v = v.clamp(0.0, 1.0);
-        }
-    }
-
     /// Converts to a grayscale buffer (Rec. 601 luma), row-major.
     pub fn to_grayscale(&self) -> Vec<f32> {
         self.data
@@ -212,6 +204,64 @@ impl Image {
     }
 }
 
+/// The pixels of an image that its reader looks at: every pixel whose row
+/// is in a row mask and whose column is in a column mask. A fault whose
+/// output only that reader sees may compute these pixels alone and leave
+/// the rest unspecified. The default footprint holds no pixel.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PixelFootprint {
+    rows: Vec<bool>,
+    cols: Vec<bool>,
+}
+
+impl PixelFootprint {
+    /// Every pixel of a `width × height` image.
+    pub fn whole(width: usize, height: usize) -> Self {
+        PixelFootprint {
+            rows: vec![true; height],
+            cols: vec![true; width],
+        }
+    }
+
+    /// The pixels of a `width × height` image in one of `cols` and one of
+    /// `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is not below `width` or a row not below
+    /// `height`.
+    pub fn grid(
+        width: usize,
+        height: usize,
+        cols: impl IntoIterator<Item = usize>,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut footprint = PixelFootprint {
+            rows: vec![false; height],
+            cols: vec![false; width],
+        };
+        for x in cols {
+            footprint.cols[x] = true;
+        }
+        for y in rows {
+            footprint.rows[y] = true;
+        }
+        footprint
+    }
+
+    /// Whether row `y` is in the row mask.
+    #[inline]
+    pub fn row(&self, y: usize) -> bool {
+        self.rows.get(y) == Some(&true)
+    }
+
+    /// Whether column `x` is in the column mask.
+    #[inline]
+    pub fn col(&self, x: usize) -> bool {
+        self.cols.get(x) == Some(&true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,14 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn saturate_clamps() {
-        let mut img = Image::new(1, 1);
-        img.set_pixel(0, 0, [2.0, -1.0, 0.5]);
-        img.saturate();
-        assert_eq!(img.pixel(0, 0), [1.0, 0.0, 0.5]);
-    }
-
-    #[test]
     fn grayscale_white_is_one() {
         let img = Image::filled(2, 2, [1.0, 1.0, 1.0]);
         let g = img.to_grayscale();
@@ -265,6 +307,21 @@ mod tests {
         assert_eq!(small.width(), 4);
         assert_eq!(small.height(), 2);
         assert_eq!(small.pixel(3, 1), [0.3, 0.6, 0.9]);
+    }
+
+    #[test]
+    fn footprint_is_the_product_of_its_masks() {
+        let grid = PixelFootprint::grid(6, 4, [1, 4], [0, 3]);
+        let pixels: Vec<(usize, usize)> = (0..4)
+            .flat_map(|y| (0..6).map(move |x| (x, y)))
+            .filter(|&(x, y)| grid.row(y) && grid.col(x))
+            .collect();
+        assert_eq!(pixels, vec![(1, 0), (4, 0), (1, 3), (4, 3)]);
+        let whole = PixelFootprint::whole(6, 4);
+        assert!((0..4).all(|y| whole.row(y)) && (0..6).all(|x| whole.col(x)));
+        assert!(!whole.row(4) && !whole.col(6));
+        let empty = PixelFootprint::default();
+        assert!(!empty.row(0) && !empty.col(0));
     }
 
     #[test]

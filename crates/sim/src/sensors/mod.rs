@@ -15,7 +15,7 @@ mod lidar;
 pub use avimg::{avimg_checksum, decode_avimg, encode_avimg, read_avimg, write_avimg};
 pub use camera::{Billboard, Camera, CameraConfig, RenderScene};
 pub use gps::{Gps, GpsConfig, GpsFix};
-pub use image::{Image, Rgb};
+pub use image::{Image, PixelFootprint, Rgb};
 pub use imu::{Imu, ImuConfig, ImuReading};
 pub use lidar::{Lidar, LidarConfig, LidarScan};
 

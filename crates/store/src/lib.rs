@@ -417,6 +417,21 @@ pub fn journal_plan_id(path: &Path) -> Option<u64> {
     stem.strip_prefix("plan-")?.parse().ok()
 }
 
+/// The name a spooled journal is moved to when the daemon refuses its
+/// plan at recovery: `plan-<id>.avj.refused`. [`list_journals`] skips it,
+/// so no later start reads it again.
+pub fn refused_journal_file_name(plan_id: u64) -> String {
+    format!("{}.refused", journal_file_name(plan_id))
+}
+
+/// Extracts the plan id from a `plan-<id>.avj.refused` file name.
+fn refused_journal_plan_id(path: &Path) -> Option<u64> {
+    if path.extension()? != "refused" {
+        return None;
+    }
+    journal_plan_id(Path::new(path.file_stem()?))
+}
+
 /// Lists the `plan-<id>.avj` journals in `dir`, sorted by plan id. A
 /// missing directory lists as empty.
 ///
@@ -424,6 +439,23 @@ pub fn journal_plan_id(path: &Path) -> Option<u64> {
 ///
 /// Propagates filesystem errors other than a missing directory.
 pub fn list_journals(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    list_by_plan_id(dir, journal_plan_id)
+}
+
+/// Lists the refused `plan-<id>.avj.refused` journals in `dir`, sorted by
+/// plan id, as [`list_journals`] lists the live ones.
+///
+/// # Errors
+///
+/// Propagates filesystem errors other than a missing directory.
+pub fn list_refused_journals(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    list_by_plan_id(dir, refused_journal_plan_id)
+}
+
+fn list_by_plan_id(
+    dir: &Path,
+    plan_id: fn(&Path) -> Option<u64>,
+) -> io::Result<Vec<(u64, PathBuf)>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -431,7 +463,7 @@ pub fn list_journals(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     };
     let mut journals: Vec<(u64, PathBuf)> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter_map(|p| journal_plan_id(&p).map(|id| (id, p)))
+        .filter_map(|p| plan_id(&p).map(|id| (id, p)))
         .collect();
     journals.sort_by_key(|(id, _)| *id);
     Ok(journals)
@@ -674,5 +706,17 @@ mod tests {
         assert_eq!(journal_plan_id(Path::new("/spool/plan-42.avj")), Some(42));
         assert_eq!(journal_plan_id(Path::new("/spool/plan-42.avtr")), None);
         assert_eq!(journal_plan_id(Path::new("/spool/other.avj")), None);
+        assert_eq!(refused_journal_file_name(7), "plan-7.avj.refused");
+        let refused = Path::new("/spool/plan-42.avj.refused");
+        assert_eq!(refused_journal_plan_id(refused), Some(42));
+        assert_eq!(journal_plan_id(refused), None);
+        assert_eq!(
+            refused_journal_plan_id(Path::new("/spool/plan-42.avj")),
+            None
+        );
+        assert_eq!(
+            refused_journal_plan_id(Path::new("/spool/plan-42.avtr.refused")),
+            None
+        );
     }
 }

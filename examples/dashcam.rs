@@ -10,6 +10,7 @@ use avfi::agent::ExpertDriver;
 use avfi::fi::fault::input::{ImageFault, ImageFaultLayout};
 use avfi::sim::rng::stream_rng;
 use avfi::sim::scenario::{Scenario, TownSpec};
+use avfi::sim::sensors::PixelFootprint;
 use avfi::sim::world::World;
 
 fn main() {
@@ -35,7 +36,8 @@ fn main() {
             let l = layout.get_or_insert_with(|| {
                 ImageFaultLayout::sample(&fault, dirty.width(), dirty.height(), &mut rng)
             });
-            fault.apply(&mut dirty, l, &mut rng);
+            let whole = PixelFootprint::whole(dirty.width(), dirty.height());
+            fault.apply(&mut dirty, l, &whole, &mut rng);
             let dirty = dirty.resized(56, 20);
             println!(
                 "t = {:>5.1} s | speed {:>4.1} m/s | command {:?} | goal {:>4.0} m",

@@ -12,10 +12,11 @@ cargo test -q --workspace
 
 # The simulator's exactness arguments (spatial-grid clamping, the lane
 # reach-box margin) rest on f64 rounding and `as i32` cell arithmetic,
-# and release code wraps on integer overflow where debug code panics:
-# run its suite once more as it ships.
-echo "==> cargo test --release -q -p avfi-sim"
-cargo test --release -q -p avfi-sim
+# and release code wraps on integer overflow where debug code panics;
+# the NN kernels' bit-identity with their scalar oracles must hold with
+# release vectorization. Run both suites once more as they ship.
+echo "==> cargo test --release -q -p avfi-sim -p avfi-nn"
+cargo test --release -q -p avfi-sim -p avfi-nn
 
 # perfbench/ is a workspace of its own, so the runs above never compile
 # it; --locked also fails if a change would alter perfbench/Cargo.lock.

@@ -10,7 +10,7 @@ use avfi::nn::Tensor;
 use avfi::sim::math::{normalize_angle, Pose, Segment, Vec2};
 use avfi::sim::physics::{BicycleModel, VehicleControl, VehicleParams, VehicleState};
 use avfi::sim::rng::{split_seed, stream_rng};
-use avfi::sim::sensors::Image;
+use avfi::sim::sensors::{Image, PixelFootprint};
 use avfi::sim::FRAME_DT;
 use proptest::prelude::*;
 
@@ -118,7 +118,7 @@ proptest! {
         let mut rng = stream_rng(seed, 1);
         let mut img = Image::filled(32, 24, [0.4, 0.5, 0.6]);
         let layout = ImageFaultLayout::sample(&model, 32, 24, &mut rng);
-        model.apply(&mut img, &layout, &mut rng);
+        model.apply(&mut img, &layout, &PixelFootprint::whole(32, 24), &mut rng);
         for v in img.data() {
             prop_assert!((0.0..=1.0).contains(v), "channel {v} out of range");
         }
