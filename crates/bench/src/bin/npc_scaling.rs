@@ -1,21 +1,21 @@
-//! NPC population scaling: frame time vs town density, compat stepping
-//! vs event-driven scheduling.
+//! NPC population scaling: frame time vs town density, at decision
+//! horizons 1 and 8.
 //!
 //! Two modes:
 //!
 //! * **Bench** (default): sweeps the traffic population from today's
 //!   default (6 NPCs + 6 pedestrians) up to 20× at `decision_horizon` 1
-//!   (compat: every agent decides every tick) and 8 (event mode:
-//!   cruising/walking agents sleep and integrate analytically), measuring
+//!   (every agent decides every tick) and 8 (cruising/walking agents
+//!   sleep and integrate analytically), measuring
 //!   mean wall-clock frame time of the full `step + observe` loop. Emits
 //!   one JSON record on stdout — the artifact stored as `BENCH_pr7.json`
 //!   at the repo root. The budget line is the paper's 15 FPS frame
 //!   (66.7 ms); the gate is ≥10× the default NPC count inside it.
 //! * **Campaign** (`--quick`): runs a deterministic high-density campaign
-//!   (60 NPCs + 60 pedestrians, event scheduling) through the engine and
+//!   (60 NPCs + 60 pedestrians, horizon 8) through the engine and
 //!   exports `npc_scaling.json` via the standard results path — the
 //!   smoke `density` tier golden-diffs that file and so pins the
-//!   event-mode trajectory bit-for-bit.
+//!   horizon-8 trajectory bit-for-bit.
 //!
 //! Usage: `cargo run --release -p avfi-bench --bin npc_scaling
 //! [--frames N]` (bench) or `npc_scaling --quick [--workers N]
@@ -52,12 +52,12 @@ fn dense_scenario(seed: u64, npcs: usize, peds: usize, horizon: u32) -> Scenario
 
 /// Mean frame milliseconds of the full `step + observe` loop (sensors
 /// included — camera rasterization dominates at every population) and of
-/// `step` alone — the traffic/actor layer the event scheduler and the
+/// `step` alone — the traffic/actor layer the wake table and the
 /// spatial index actually optimize.
 fn measure(scenario: &Scenario, frames: u64) -> (f64, f64, usize, usize) {
     let mut world = World::from_scenario(scenario);
     let mut obs = world.observe();
-    let spawned = (world.npcs().len(), world.pedestrians().len());
+    let spawned = (world.npcs().count(), world.pedestrians().count());
     for _ in 0..WARMUP_FRAMES {
         world.step(VehicleControl::coast());
         world.observe_into(&mut obs);
@@ -107,15 +107,15 @@ fn bench(frames: u64) {
         "{{\n  \"bench\": \"npc_scaling\",\n  \
          \"description\": \"mean frame time vs traffic population; ms_per_frame is the full \
          step+observe loop (sensor rasterization included), step_ms_per_frame isolates the \
-         world step the event scheduler and spatial index optimize; horizon 1 = compat \
-         per-tick stepping, horizon 8 = event-driven scheduling\",\n  \
+         world step the wake table and spatial index optimize; horizon 1 = every agent \
+         decides every tick, horizon 8 = agents sleep between decisions\",\n  \
          \"frames_per_case\": {frames},\n  \"frame_budget_ms\": {FRAME_BUDGET_MS:.1},\n  \
          \"cases\": [\n{}\n  ],\n  \
          \"notes\": \"the spatial index serves neighbor queries at every horizon (it replaced \
          the legacy O(n^2) full scans), so both modes scale near-linearly and 20x the default \
          population stays >100x inside the 15 FPS budget; horizon 8 additionally cuts agent \
-         decision counts (see avfi-sim's event_mode_sleeps_agents test) at a small constant \
-         scheduler overhead\"\n}}",
+         decision counts (see avfi-sim's event_mode_sleeps_agents test) at the cost of one \
+         wake-table scan per frame\"\n}}",
         cases.join(",\n")
     );
 }

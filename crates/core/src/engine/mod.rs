@@ -122,14 +122,17 @@ impl WorkPlan {
     }
 
     /// Checks that every run of the plan can start: the plan holds at
-    /// most [`MAX_PLAN_RUNS`] runs, and each neural campaign's weights
-    /// decode into the IL-CNN. Each distinct weight blob is decoded once.
+    /// most [`MAX_PLAN_RUNS`] runs, every scenario passes
+    /// [`Scenario::check`](avfi_sim::Scenario::check), and each neural
+    /// campaign's weights decode into the IL-CNN. Each distinct weight
+    /// blob is decoded once.
     ///
     /// # Errors
     ///
-    /// [`PlanError::TooManyRuns`] for a plan over the cap, else
-    /// [`PlanError::Weights`] for the first campaign, in plan order, whose
-    /// weights do not decode.
+    /// [`PlanError::TooManyRuns`] for a plan over the cap, else the first
+    /// problem in plan order: [`PlanError::Scenario`] for a campaign's
+    /// first refused scenario, or [`PlanError::Weights`] when its weights
+    /// do not decode.
     pub fn validate(&self) -> Result<(), PlanError> {
         let runs = self.total_runs();
         if runs > MAX_PLAN_RUNS {
@@ -138,6 +141,14 @@ impl WorkPlan {
         let mut decoded: Vec<&[u8]> = Vec::new();
         for study in &self.studies {
             for (campaign, cfg) in study.campaigns.iter().enumerate() {
+                for (scenario, template) in cfg.scenarios.iter().enumerate() {
+                    template.check().map_err(|problem| PlanError::Scenario {
+                        study: study.name.clone(),
+                        campaign,
+                        scenario,
+                        problem,
+                    })?;
+                }
                 let AgentSpec::Neural { weights } = &cfg.agent else {
                     continue;
                 };
@@ -171,6 +182,17 @@ pub enum PlanError {
         /// The plan's run count, saturating at `usize::MAX`.
         runs: usize,
     },
+    /// A scenario template fails [`Scenario::check`](avfi_sim::Scenario::check).
+    Scenario {
+        /// Name of the study holding the campaign.
+        study: String,
+        /// Index of the campaign within its study.
+        campaign: usize,
+        /// Index of the scenario template within its campaign.
+        scenario: usize,
+        /// The check's complaint.
+        problem: String,
+    },
     /// A neural campaign's weights do not decode.
     Weights {
         /// Name of the study holding the campaign.
@@ -191,6 +213,15 @@ impl fmt::Display for PlanError {
                     "plan has {runs} runs, more than the cap of {MAX_PLAN_RUNS}"
                 )
             }
+            PlanError::Scenario {
+                study,
+                campaign,
+                scenario,
+                problem,
+            } => write!(
+                f,
+                "study {study:?} campaign {campaign} scenario {scenario}: {problem}"
+            ),
             PlanError::Weights {
                 study,
                 campaign,
@@ -1040,6 +1071,111 @@ mod tests {
             overflow.validate(),
             Err(PlanError::TooManyRuns { runs: usize::MAX })
         );
+    }
+
+    /// One mutant per bound, non-finite field and constructor assert of
+    /// `Scenario::check`: each is refused, naming its study, campaign and
+    /// scenario, and each bound itself is accepted. Nothing is built.
+    #[test]
+    fn validate_refuses_each_scenario_the_world_cannot_take() {
+        use avfi_sim::scenario::{
+            MAX_ACTORS, MAX_CAMERA_PIXELS, MAX_LIDAR_BEAMS, MAX_TIME_BUDGET, MAX_TOWN_EXTENT,
+            MAX_TOWN_SIDE,
+        };
+        type Mutant = fn(&mut Scenario);
+        let at_bounds: &[Mutant] = &[
+            |s| s.npc_vehicles = MAX_ACTORS,
+            |s| s.pedestrians = MAX_ACTORS,
+            |s| {
+                s.town = TownSpec::grid(MAX_TOWN_SIDE, 2);
+                s.town.block = 100.0;
+            },
+            // 1 × block + 2 × (6 + 3.5 + 2) m: exactly the cap.
+            |s| s.town.block = MAX_TOWN_EXTENT - 23.0,
+            |s| (s.camera.width, s.camera.height) = (256, MAX_CAMERA_PIXELS / 256),
+            |s| s.lidar.beams = MAX_LIDAR_BEAMS,
+            |s| s.time_budget = MAX_TIME_BUDGET,
+        ];
+        let refused: &[(&str, Mutant)] = &[
+            ("npc_vehicles 2001 is over the cap", |s| {
+                s.npc_vehicles = MAX_ACTORS + 1
+            }),
+            ("pedestrians 2001 is over the cap", |s| {
+                s.pedestrians = MAX_ACTORS + 1
+            }),
+            ("town grid 41×2 is over the cap", |s| {
+                s.town.cols = MAX_TOWN_SIDE + 1
+            }),
+            ("town grid 2×41 is over the cap", |s| {
+                s.town.rows = MAX_TOWN_SIDE + 1
+            }),
+            ("town extent 10000023 m is over the cap", |s| {
+                s.town.block = 1e7
+            }),
+            ("camera 257×256 is empty or over the cap", |s| {
+                (s.camera.width, s.camera.height) = (257, 256)
+            }),
+            ("camera 0×48 is empty", |s| s.camera.width = 0),
+            ("lidar.beams 1025 is outside", |s| {
+                s.lidar.beams = MAX_LIDAR_BEAMS + 1
+            }),
+            ("lidar.beams 1 is outside", |s| s.lidar.beams = 1),
+            ("time_budget 3600.5 s is over the cap", |s| {
+                s.time_budget = MAX_TIME_BUDGET + 0.5
+            }),
+            ("time_budget is NaN, not a finite number", |s| {
+                s.time_budget = f64::NAN
+            }),
+            ("town.block is inf, not a finite number", |s| {
+                s.town.block = f64::INFINITY
+            }),
+            ("camera.pitch_deg is NaN", |s| s.camera.pitch_deg = f64::NAN),
+            ("gps.sigma is -inf", |s| s.gps.sigma = f64::NEG_INFINITY),
+            ("pedestrian_cross_rate is NaN", |s| {
+                s.pedestrian_cross_rate = f64::NAN
+            }),
+            ("town grid 1×1 has fewer than two intersections", |s| {
+                s.town = TownSpec::grid(1, 1)
+            }),
+            ("town.block 22 is not wider", |s| s.town.block = 22.0),
+            ("town lane_width 0 must be positive", |s| {
+                s.town.lane_width = 0.0
+            }),
+            ("sidewalk -1 and", |s| s.town.sidewalk = -1.0),
+            ("town speed limits 8.33 and 0 must be positive", |s| {
+                s.town.turn_speed_limit = 0.0
+            }),
+            ("camera.fov_deg 180 is outside (0, 180)", |s| {
+                s.camera.fov_deg = 180.0
+            }),
+            ("lidar.max_range 0 must be positive", |s| {
+                s.lidar.max_range = 0.0
+            }),
+        ];
+        let plan = |mutate: Mutant| {
+            let mut cfg = campaign(44, FaultSpec::None);
+            mutate(&mut cfg.scenarios[1]);
+            two_study_plan().with_study("mutant", vec![campaign(40, FaultSpec::None), cfg])
+        };
+        for mutate in at_bounds {
+            assert_eq!(plan(*mutate).validate(), Ok(()));
+        }
+        for (problem, mutate) in refused {
+            let err = plan(*mutate).validate().unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    PlanError::Scenario { study, campaign: 1, scenario: 1, .. } if study == "mutant"
+                ),
+                "{err:?}"
+            );
+            let message = err.to_string();
+            assert!(
+                message.starts_with("study \"mutant\" campaign 1 scenario 1: ")
+                    && message.contains(problem),
+                "{message} lacks {problem:?}"
+            );
+        }
     }
 
     /// What a [`RunSink`] is told: journaled flat indices and terminal

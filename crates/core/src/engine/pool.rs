@@ -747,10 +747,13 @@ mod tests {
         serde_json::to_string(v).unwrap()
     }
 
-    /// A 2-run expert plan on a 1×1 town: it passes `WorkPlan::validate`,
-    /// but each of its runs panics building the world.
+    /// A 2-run expert plan on a 2×2 town of 25 m blocks: it passes
+    /// `WorkPlan::validate`, but its 13 m roads are too short to start a
+    /// mission on, so each of its runs panics building the world.
     fn poison_plan() -> WorkPlan {
-        let scenario = Scenario::builder(TownSpec::grid(1, 1)).build();
+        let mut town = TownSpec::grid(2, 2);
+        town.block = 25.0;
+        let scenario = Scenario::builder(town).build();
         let poison = CampaignConfig::builder(vec![scenario])
             .runs_per_scenario(2)
             .agent(AgentSpec::Expert)

@@ -23,7 +23,8 @@
 //!   submit/watch/results round trip as one command).
 //! * `solo` — execute the plan in-process with a solo single-worker
 //!   engine and emit byte-comparable results JSON (no server involved;
-//!   the determinism-gate reference).
+//!   the determinism-gate reference). A plan the daemon would refuse
+//!   (`WorkPlan::validate`) is refused before any run, with exit status 1.
 //!
 //! `--retry N --backoff MS`: when the daemon connection drops
 //! mid-exchange the client re-dials up to N times with linear backoff
@@ -152,6 +153,8 @@ fn run(cmd: &str, args: &Options) -> Result<ExitCode, NetError> {
         }
         "solo" => {
             let plan = load_plan(args)?;
+            plan.validate()
+                .map_err(|e| NetError::Protocol(format!("invalid plan: {e}")))?;
             let json = solo_results_json(&plan).map_err(|e| NetError::Codec(e.to_string()))?;
             emit(args.out.as_deref(), &json)?;
             Ok(ExitCode::SUCCESS)

@@ -1,5 +1,6 @@
 //! `avfi-client` refuses a flag its subcommand does not take, naming both,
-//! with exit status 2 before it does any work.
+//! with exit status 2 before it does any work; `solo` refuses a plan that
+//! does not validate with exit status 1 before it runs any of it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -66,5 +67,34 @@ fn a_flag_the_subcommand_takes_is_accepted() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let plan = std::fs::read_to_string(dir.join("p.json")).expect("demo-plan wrote p.json");
     assert!(plan.contains("\"studies\""), "{plan}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn solo_refuses_an_invalid_plan_without_panicking() {
+    use avfi_core::campaign::{AgentSpec, CampaignConfig};
+    use avfi_core::WorkPlan;
+    use std::sync::Arc;
+
+    let dir = work_dir("solo-invalid");
+    let scenarios = avfi_server::demo_plan().studies()[0].campaigns[0]
+        .scenarios
+        .clone();
+    let neural = CampaignConfig::builder(scenarios)
+        .runs_per_scenario(1)
+        .agent(AgentSpec::Neural {
+            weights: Arc::new(vec![1, 2, 3]),
+        })
+        .build();
+    let plan = WorkPlan::single("il", neural);
+    std::fs::write(dir.join("p.json"), serde_json::to_string(&plan).unwrap()).unwrap();
+    let out = client(&dir, "solo --plan p.json --out r.json");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("invalid plan: study \"il\" campaign 0: neural weights do not decode"),
+        "{stderr}"
+    );
+    assert!(!dir.join("r.json").exists(), "a refused solo wrote results");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,9 +1,10 @@
 //! A plan whose runs cannot start is refused at submit. Queued, a neural
 //! plan with undecodable weights would panic every run of it, and a plan
-//! over the run cap would exhaust the daemon's memory before its first
-//! run. Refused, either costs the daemon nothing: the next client's plan
-//! runs as usual and shutdown is clean. A plan that passes validation and
-//! still panics fails on its own, and the daemon keeps serving.
+//! over the run cap, or with a town too large to build, would exhaust the
+//! daemon's memory. Refused, each costs the daemon nothing: the next
+//! client's plan runs as usual and shutdown is clean. A plan that passes
+//! validation and still panics fails on its own, and the daemon keeps
+//! serving.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::FaultSpec;
@@ -112,15 +113,59 @@ fn a_plan_over_the_run_cap_is_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn an_oversized_town_is_refused_and_the_daemon_keeps_serving() {
+    let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+
+    // A 2×2 town of 10,000 km blocks: its map's spatial grid would hold
+    // one 16 m cell per square of it, about 9 TB per cell list. Only
+    // validation sees it; nothing here builds it.
+    let mut scenarios = demo_plan().studies()[0].campaigns[0].scenarios.clone();
+    scenarios[1].town = TownSpec::grid(2, 2);
+    scenarios[1].town.block = 1e7;
+    let huge = CampaignConfig::builder(scenarios)
+        .runs_per_scenario(1)
+        .build();
+    let plan = WorkPlan::new().with_study("vast", vec![huge]);
+    match client.submit(&plan, TraceLevel::Off) {
+        Err(NetError::Protocol(message)) => assert!(
+            message.contains("study \"vast\" campaign 0 scenario 1")
+                && message.contains("town extent"),
+            "{message}"
+        ),
+        other => panic!("an oversized town must be refused, got {other:?}"),
+    }
+
+    let demo = demo_plan();
+    let (id, _) = client.submit(&demo, TraceLevel::Off).expect("submit");
+    assert_eq!(phase_within(&mut client, id, 120), PlanPhase::Completed);
+    assert_eq!(
+        client.results_json(id).expect("results"),
+        solo_results_json(&demo).expect("solo run")
+    );
+
+    client.shutdown_server().expect("shutdown");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+}
+
+#[test]
 fn panicking_plan_fails_and_the_daemon_keeps_serving() {
     let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
     let mut client = ServiceClient::connect(&addr).expect("connect");
 
-    // Two expert runs on a 1×1 town: the plan validates, but every run
-    // panics building its world.
-    let poison = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(1, 1)).build()])
+    // Two expert runs on a 2×2 town of 25 m blocks: the plan validates,
+    // but its 13 m roads are too short to start a mission on, so every
+    // run panics building its world.
+    let mut town = TownSpec::grid(2, 2);
+    town.block = 25.0;
+    let poison = CampaignConfig::builder(vec![Scenario::builder(town).build()])
         .runs_per_scenario(2)
         .agent(AgentSpec::Expert)
         .build();

@@ -113,10 +113,10 @@ impl Pedestrian {
     /// scaled by `ticks` to aggregate the per-frame draws the dormancy
     /// skipped.
     ///
-    /// With `ticks == 1` this is exactly the legacy per-frame
+    /// With `ticks == 1` this is exactly the per-frame
     /// [`Pedestrian::step`]: one movement integration, one RNG draw against
     /// the unscaled `cross_rate * dt` — bit-identical draws, which is what
-    /// keeps compat-mode goldens stable.
+    /// keeps decision horizon 1 exact.
     pub fn step_multi(&mut self, rng: &mut StdRng, dt: f64, ticks: u64) {
         if self.hit {
             return;
@@ -200,10 +200,10 @@ impl Pedestrian {
 
     /// Folds a dormant walk of `seconds` into the stored state without any
     /// RNG draw or phase change: pure kinematic progress along the current
-    /// sidewalk run or crossing leg, clamped at the phase boundary. The
-    /// event scheduler caps sleep with [`Pedestrian::ticks_until_turn`] so
-    /// the clamp is defensive only. No-op for hit pedestrians and for
-    /// `seconds == 0.0` (compat mode).
+    /// sidewalk run or crossing leg, clamped at the phase boundary.
+    /// Traffic caps sleep with [`Pedestrian::ticks_until_turn`] so the
+    /// clamp is defensive only. No-op for hit pedestrians and for
+    /// `seconds == 0.0` (always, at decision horizon 1).
     pub fn coast(&mut self, seconds: f64) {
         if self.hit || seconds == 0.0 {
             return;
@@ -259,8 +259,8 @@ impl Pedestrian {
 
     /// How many ticks of `dt` this pedestrian can walk before reaching the
     /// current phase boundary (sidewalk end or crossing end), rounded
-    /// down. The event scheduler caps sleep with this so direction flips
-    /// and crossing arrivals are always handled by an awake decision step.
+    /// down. Traffic caps sleep with this so direction flips and crossing
+    /// arrivals are always handled by an awake decision step.
     pub fn ticks_until_turn(&self, dt: f64) -> u64 {
         let per_tick = self.walk_speed * dt;
         if per_tick <= 0.0 {

@@ -23,7 +23,7 @@ pub fn spawn_npc_vehicles(
         .collect();
     let mut out: Vec<NpcVehicle> = Vec::with_capacity(count);
     let mut attempts = 0;
-    while out.len() < count && attempts < count * 50 {
+    while out.len() < count && attempts < count.saturating_mul(50) {
         attempts += 1;
         let Some(&lane) = drive.choose(rng) else {
             break;

@@ -1,35 +1,42 @@
-//! Event-driven traffic: NPC vehicles and pedestrians behind a discrete
-//! event scheduler and a uniform-grid spatial index.
+//! Traffic: NPC vehicles and pedestrians, woken from a per-actor wake
+//! table and found through a uniform-grid spatial index.
 //!
-//! [`Traffic`] owns every non-ego actor and replaces the legacy
-//! "step everyone every frame" loop with two structures:
+//! [`Traffic`] owns every non-ego actor in two slot-indexed vectors, NPC
+//! vehicles and pedestrians, each in spawn order. Beside each actor it
+//! keeps two ticks:
 //!
-//! * a [`Scheduler`] that wakes an agent only when its next *decision* is
-//!   due (lead-vehicle reaction, lane choice, crossing intent). Between
-//!   decisions an agent is dormant and integrates analytically — NPC
-//!   vehicles coast at constant speed along their lane, pedestrians walk
-//!   their current leg — so a frame costs O(due agents), and
-//! * a [`SpatialIndex`] holding every actor's last-updated position, so
-//!   neighbor queries (perceive candidates, ego collision checks, LIDAR
-//!   obstacle culling) cost O(nearby) instead of O(population).
+//! * an *anchor*, the frame boundary at which the actor's stored state is
+//!   valid, and
+//! * a *wake* tick, when its next decision (lead-vehicle reaction, lane
+//!   choice, crossing intent) is due. Between decisions an actor is
+//!   dormant and integrates analytically — NPC vehicles coast at constant
+//!   speed along their lane, pedestrians walk their current leg. Each
+//!   frame wakes the due actors in slot order, NPCs before pedestrians.
 //!
-//! ## Compat mode is bit-identical to the legacy loop
+//! A [`SpatialIndex`] holds every live actor's last-updated position, so
+//! neighbor queries (perceive candidates, ego collision checks, LIDAR
+//! obstacle culling) cost O(nearby) instead of O(population). Its keys are
+//! spawn slots, pedestrians numbered after the NPCs.
 //!
-//! The decision horizon comes from the scenario
-//! ([`crate::scenario::Scenario::decision_horizon`], default 1). With
-//! horizon 1 every agent's next decision is exactly one tick away, so each
-//! frame pops all agents in `(tick, spawn id)` order — the same order the
-//! legacy loop iterated the actor vectors — dormant coasts are zero-length
-//! no-ops, and every RNG draw happens at the same point in the same
-//! stream. Index queries are used even in compat mode, but only ever as a
-//! *superset* pre-filter: each downstream consumer re-applies the exact
-//! legacy predicate (perceive's own scan-distance prefilter, the LIDAR
-//! min-fold, the OBB/circle contact test), so results are bit-identical
-//! and all existing goldens hold.
+//! An actor keeps its slot for the whole run. When it despawns, its wake
+//! tick becomes `NEVER` and it leaves the index: an actor is live while
+//! its wake tick is not `NEVER`.
+//!
+//! ## Decision horizon
+//!
+//! The scenario's [`crate::scenario::Scenario::decision_horizon`] caps how
+//! many ticks an actor may sleep. At horizon 1 every live actor wakes
+//! every frame, every dormant coast is zero seconds long (which returns
+//! the stored state untouched), and every RNG draw happens at the same
+//! point in the same stream as in a loop that steps every actor every
+//! frame. Index queries are only ever a *superset* pre-filter: each
+//! consumer re-applies its exact predicate (perceive's own scan-distance
+//! prefilter, the LIDAR min-fold, the OBB/circle contact test), so no
+//! result depends on the index.
 //!
 //! ## Query slack
 //!
-//! The index stores positions as of each agent's last update, up to
+//! The index stores positions as of each actor's last update, up to
 //! `horizon` ticks stale. Every query therefore inflates its radius by
 //! [`Traffic::slack`] — the maximum distance any actor can drift from its
 //! stored position before its next update — and exact filtering happens
@@ -41,7 +48,6 @@ use super::{NpcVehicle, Pedestrian};
 use crate::map::Map;
 use crate::math::Vec2;
 use crate::physics::CollisionShape;
-use crate::schedule::Scheduler;
 use crate::sensors::Billboard;
 use crate::spatial::SpatialIndex;
 use crate::FRAME_DT;
@@ -53,32 +59,21 @@ use rand::rngs::StdRng;
 /// queries span one to three cells a side.
 const CELL_SIZE: f64 = SCAN_AHEAD / 3.0;
 
-/// Event-mode billboard visibility radius around the ego, meters. Beyond
-/// this an actor subtends well under a pixel of the 64-px camera. Compat
-/// mode ignores it and renders every actor (the goldens' billboard list).
-const BILLBOARD_RADIUS: f64 = 250.0;
-
-/// Marker for a despawned actor in the key → slot table.
-const GONE: usize = usize::MAX;
+/// Wake tick of a despawned actor.
+const NEVER: u64 = u64::MAX;
 
 /// All non-ego dynamic actors, stepped event-driven.
 #[derive(Debug)]
 pub struct Traffic {
     npcs: Vec<NpcVehicle>,
     peds: Vec<Pedestrian>,
-    /// Stable spawn keys parallel to `npcs` / `peds`, ascending. NPC keys
-    /// are `0..ped_base`, pedestrian keys `ped_base..`; popping the
-    /// scheduler in key order therefore reproduces the legacy section
-    /// order (all NPCs, then all pedestrians, each in spawn order).
-    npc_keys: Vec<u32>,
-    ped_keys: Vec<u32>,
     /// Frame boundary at which each actor's stored state is valid.
     npc_anchor: Vec<u64>,
     ped_anchor: Vec<u64>,
-    /// Key → current slot in the parallel vectors ([`GONE`] = despawned).
-    slot_of: Vec<usize>,
-    ped_base: u32,
-    scheduler: Scheduler,
+    /// Tick of each actor's next decision (`NEVER` once despawned).
+    npc_wake: Vec<u64>,
+    ped_wake: Vec<u64>,
+    /// Keyed by NPC slot, and by `npcs.len()` plus pedestrian slot.
     index: SpatialIndex,
     horizon: u32,
     /// Current frame boundary; all queries materialize positions here.
@@ -90,8 +85,8 @@ pub struct Traffic {
     /// Largest actor footprint half-diagonal.
     max_extent: f64,
     // Scratch buffers: steady-state stepping is allocation-free.
-    due_npcs: Vec<u32>,
-    due_peds: Vec<u32>,
+    due_npcs: Vec<usize>,
+    due_peds: Vec<usize>,
     q: Vec<u32>,
     info: Vec<(Vec2, f64, f64)>,
     leaders: Vec<Option<(f64, f64)>>,
@@ -100,11 +95,16 @@ pub struct Traffic {
     npc_pos: Vec<Vec2>,
 }
 
+/// An index key resolved to its actor.
+enum Slot {
+    Npc(usize),
+    Ped(usize),
+}
+
 impl Traffic {
-    /// Wraps freshly spawned actors. All agents are scheduled for a
-    /// decision at tick 0; `horizon` is the maximum ticks an agent may
-    /// sleep between decisions (clamped to at least 1; 1 = legacy
-    /// per-tick stepping).
+    /// Wraps freshly spawned actors. Every actor's first decision is due
+    /// at tick 0; `horizon` is the maximum ticks an actor may sleep
+    /// between decisions (clamped to at least 1).
     pub fn new(
         map: &Map,
         npcs: Vec<NpcVehicle>,
@@ -113,9 +113,6 @@ impl Traffic {
         ped_rng: StdRng,
         horizon: u32,
     ) -> Self {
-        let horizon = horizon.max(1);
-        let ped_base = npcs.len() as u32;
-        let total = npcs.len() + peds.len();
         let vmax = map
             .lanes()
             .iter()
@@ -130,29 +127,22 @@ impl Traffic {
             .fold(PEDESTRIAN_RADIUS.max(2.5), f64::max);
 
         let mut index = SpatialIndex::new(CELL_SIZE, map.bounds());
-        let mut scheduler = Scheduler::new();
         for (slot, npc) in npcs.iter().enumerate() {
             index.update(slot as u32, npc.position_at(map, 0.0));
-            scheduler.schedule(slot as u32, 0);
         }
         for (slot, ped) in peds.iter().enumerate() {
-            let key = ped_base + slot as u32;
-            index.update(key, ped.position());
-            scheduler.schedule(key, 0);
+            index.update((npcs.len() + slot) as u32, ped.position());
         }
 
         Traffic {
-            npc_keys: (0..ped_base).collect(),
-            ped_keys: (ped_base..total as u32).collect(),
             npc_anchor: vec![0; npcs.len()],
             ped_anchor: vec![0; peds.len()],
-            slot_of: (0..npcs.len()).chain(0..peds.len()).collect(),
+            npc_wake: vec![0; npcs.len()],
+            ped_wake: vec![0; peds.len()],
             npcs,
             peds,
-            ped_base,
-            scheduler,
             index,
-            horizon,
+            horizon: horizon.max(1),
             boundary: 0,
             npc_rng,
             ped_rng,
@@ -170,14 +160,39 @@ impl Traffic {
     /// Live NPC vehicles, in spawn order. Dormant vehicles' stored arc
     /// lengths may be up to `horizon - 1` ticks stale; exact positions at
     /// the current boundary come from the query methods.
-    pub fn npcs(&self) -> &[NpcVehicle] {
-        &self.npcs
+    pub fn npcs(&self) -> impl Iterator<Item = &NpcVehicle> {
+        self.live_npcs().map(|(_, npc)| npc)
     }
 
     /// Live pedestrians, in spawn order (same staleness note as
     /// [`Traffic::npcs`]).
-    pub fn pedestrians(&self) -> &[Pedestrian] {
-        &self.peds
+    pub fn pedestrians(&self) -> impl Iterator<Item = &Pedestrian> {
+        self.live_peds().map(|(_, ped)| ped)
+    }
+
+    fn live_npcs(&self) -> impl Iterator<Item = (usize, &NpcVehicle)> {
+        self.npcs
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| self.npc_wake[slot] != NEVER)
+    }
+
+    fn live_peds(&self) -> impl Iterator<Item = (usize, &Pedestrian)> {
+        self.peds
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| self.ped_wake[slot] != NEVER)
+    }
+
+    fn ped_key(&self, slot: usize) -> u32 {
+        (self.npcs.len() + slot) as u32
+    }
+
+    fn slot(&self, key: u32) -> Slot {
+        match (key as usize).checked_sub(self.npcs.len()) {
+            None => Slot::Npc(key as usize),
+            Some(slot) => Slot::Ped(slot),
+        }
     }
 
     /// Maximum distance any actor can be from its indexed position.
@@ -193,6 +208,18 @@ impl Traffic {
         (boundary - self.ped_anchor[slot]) as f64 * FRAME_DT
     }
 
+    fn npc_shape(&self, map: &Map, slot: usize) -> CollisionShape {
+        self.npcs[slot].shape_at(map, self.npc_dormant_secs(slot, self.boundary))
+    }
+
+    fn ped_shape(&self, slot: usize) -> CollisionShape {
+        let secs = self.ped_dormant_secs(slot, self.boundary);
+        CollisionShape::Circle {
+            center: self.peds[slot].position_at(secs),
+            radius: PEDESTRIAN_RADIUS,
+        }
+    }
+
     /// Fills the position table with every NPC's position at `boundary`.
     /// `position_at` is pure in (NPC, seconds) and no NPC moves before
     /// phase B, so each perceive of the frame reads the value it would
@@ -206,14 +233,14 @@ impl Traffic {
         }
     }
 
-    /// Lead-vehicle candidates for the NPC with key `skip`: every *other*
-    /// NPC within the scan horizon (plus drift slack) of `center`, at the
-    /// boundary the position table was filled for, in spawn order — the
-    /// exact (sub)sequence the legacy full scan fed to `perceive`, which
-    /// then re-applies its own exact scan-distance prefilter.
+    /// Lead-vehicle candidates for the NPC in slot `skip`: every *other*
+    /// live NPC within the scan horizon (plus drift slack) of `center`, at
+    /// the boundary the position table was filled for, in spawn order — a
+    /// subsequence of the full scan on which `perceive`, re-applying its
+    /// own exact scan-distance prefilter, decides the same.
     fn vehicle_candidates(
         &self,
-        skip: u32,
+        skip: usize,
         center: Vec2,
         q: &mut Vec<u32>,
         info: &mut Vec<(Vec2, f64, f64)>,
@@ -222,20 +249,20 @@ impl Traffic {
         self.index
             .query_circle(center, SCAN_AHEAD + self.slack(), q);
         for &key in q.iter() {
-            if key >= self.ped_base || key == skip {
-                continue;
+            match self.slot(key) {
+                Slot::Npc(slot) if slot != skip => {
+                    let npc = &self.npcs[slot];
+                    info.push((self.npc_pos[slot], npc.speed(), npc.params().length * 0.5));
+                }
+                _ => {}
             }
-            let slot = self.slot_of[key as usize];
-            let npc = &self.npcs[slot];
-            info.push((self.npc_pos[slot], npc.speed(), npc.params().length * 0.5));
         }
     }
 
-    /// Advances traffic by one frame: wakes every agent whose decision is
+    /// Advances traffic by one frame: wakes every actor whose decision is
     /// due at `frame`, runs perceive-then-step for due NPC vehicles (all
-    /// perceives against the pre-step positional snapshot, like the legacy
-    /// two-phase loop), then due pedestrians, and reschedules each agent
-    /// at its next decision tick.
+    /// perceives against the pre-step positional snapshot), then due
+    /// pedestrians, and sets each actor's next wake tick.
     ///
     /// `ego` is `(position, speed, half_length)` of the ego vehicle after
     /// its dynamics step; `time` is the simulation clock at the frame
@@ -243,22 +270,17 @@ impl Traffic {
     pub fn step(&mut self, map: &Map, ego: (Vec2, f64, f64), time: f64, frame: u64) {
         debug_assert_eq!(frame, self.boundary, "traffic stepped out of order");
 
-        // Wake phase: due agents pop in (tick, spawn key) order; NPC keys
-        // precede pedestrian keys, giving the legacy section order.
+        // Wake phase: due actors in slot order, NPCs before pedestrians.
         self.due_npcs.clear();
+        self.due_npcs
+            .extend((0..self.npcs.len()).filter(|&slot| self.npc_wake[slot] <= frame));
         self.due_peds.clear();
-        while let Some(key) = self.scheduler.pop_due(frame) {
-            if key < self.ped_base {
-                self.due_npcs.push(key);
-            } else {
-                self.due_peds.push(key);
-            }
-        }
+        self.due_peds
+            .extend((0..self.peds.len()).filter(|&slot| self.ped_wake[slot] <= frame));
 
         // Fold dormant coasts so every due NPC's own state is exact at this
-        // boundary before any perceive runs (no-op in compat mode).
-        for di in 0..self.due_npcs.len() {
-            let slot = self.slot_of[self.due_npcs[di] as usize];
+        // boundary before any perceive runs (a no-op at horizon 1).
+        for &slot in &self.due_npcs {
             let secs = self.npc_dormant_secs(slot, frame);
             self.npcs[slot].coast(secs);
             self.npc_anchor[slot] = frame;
@@ -274,9 +296,7 @@ impl Traffic {
         let mut info = std::mem::take(&mut self.info);
         let mut leaders = std::mem::take(&mut self.leaders);
         leaders.clear();
-        for di in 0..self.due_npcs.len() {
-            let key = self.due_npcs[di];
-            let slot = self.slot_of[key as usize];
+        for &slot in &self.due_npcs {
             let npc = &self.npcs[slot];
             if npc.is_knocked() {
                 // A knocked vehicle's step ignores the leader; skipping the
@@ -284,41 +304,36 @@ impl Traffic {
                 leaders.push(None);
                 continue;
             }
-            self.vehicle_candidates(key, self.npc_pos[slot], &mut q, &mut info);
+            self.vehicle_candidates(slot, self.npc_pos[slot], &mut q, &mut info);
             info.push(ego);
             leaders.push(npc.perceive(map, info.iter().copied(), time));
         }
 
         // Phase B: step due NPCs in spawn order; lane-choice RNG draws
-        // happen here, in the same stream order as the legacy loop.
-        let mut npc_despawn = false;
+        // happen here, in spawn order.
         for (di, &leader) in leaders.iter().enumerate() {
-            let key = self.due_npcs[di];
-            let slot = self.slot_of[key as usize];
+            let slot = self.due_npcs[di];
             self.npcs[slot].step(map, leader, &mut self.npc_rng, FRAME_DT);
             self.npc_anchor[slot] = frame + 1;
             if self.npcs[slot].should_despawn() {
-                npc_despawn = true;
+                self.npc_wake[slot] = NEVER;
+                self.index.remove(slot as u32);
                 continue;
             }
             let pos = self.npcs[slot].position_at(map, 0.0);
-            self.index.update(key, pos);
-            let next = self.npc_next_wake(map, slot, leader);
-            self.scheduler.schedule(key, frame + next);
-        }
-        if npc_despawn {
-            self.compact_npcs();
+            self.index.update(slot as u32, pos);
+            self.npc_wake[slot] = frame + self.npc_next_wake(map, slot, leader);
         }
 
         // Pedestrian phase: due walkers move one tick and make one
-        // (aggregated) crossing decision; hit walkers are removed, exactly
-        // when the legacy retain dropped them.
-        let mut ped_despawn = false;
+        // (aggregated) crossing decision; a walker hit since its last step
+        // despawns instead.
         for di in 0..self.due_peds.len() {
-            let key = self.due_peds[di];
-            let slot = self.slot_of[key as usize];
+            let slot = self.due_peds[di];
+            let key = self.ped_key(slot);
             if self.peds[slot].should_despawn() {
-                ped_despawn = true;
+                self.ped_wake[slot] = NEVER;
+                self.index.remove(key);
                 continue;
             }
             let dormant = frame - self.ped_anchor[slot];
@@ -327,13 +342,8 @@ impl Traffic {
             }
             self.peds[slot].step_multi(&mut self.ped_rng, FRAME_DT, dormant + 1);
             self.ped_anchor[slot] = frame + 1;
-            let pos = self.peds[slot].position();
-            self.index.update(key, pos);
-            let next = self.ped_next_wake(slot);
-            self.scheduler.schedule(key, frame + next);
-        }
-        if ped_despawn {
-            self.compact_peds();
+            self.index.update(key, self.peds[slot].position());
+            self.ped_wake[slot] = frame + self.ped_next_wake(slot);
         }
 
         self.q = q;
@@ -343,9 +353,6 @@ impl Traffic {
     }
 
     fn npc_next_wake(&self, map: &Map, slot: usize, leader: Option<(f64, f64)>) -> u64 {
-        if self.horizon <= 1 {
-            return 1;
-        }
         let npc = &self.npcs[slot];
         if npc.is_knocked() || leader.is_some() {
             return 1;
@@ -355,18 +362,15 @@ impl Traffic {
     }
 
     fn ped_next_wake(&self, slot: usize) -> u64 {
-        if self.horizon <= 1 {
-            return 1;
-        }
         self.peds[slot]
             .ticks_until_turn(FRAME_DT)
             .clamp(1, self.horizon as u64)
     }
 
     /// Checks every nearby actor for contact with the ego footprint,
-    /// knocking those that touch it. Returns `(hit_vehicle, hit_ped)` —
-    /// the legacy section-5 collision pass, restricted to an index query
-    /// around the ego (`ego_radius` is the ego footprint half-diagonal).
+    /// knocking those that touch it. Returns `(hit_vehicle, hit_ped)`; the
+    /// candidates come from an index query around the ego (`ego_radius`
+    /// is the ego footprint half-diagonal).
     pub fn ego_contacts(
         &mut self,
         map: &Map,
@@ -381,37 +385,33 @@ impl Traffic {
         let mut hit_vehicle = false;
         let mut hit_ped = false;
         for &key in &q {
-            let slot = self.slot_of[key as usize];
-            if key < self.ped_base {
-                let secs = self.npc_dormant_secs(slot, boundary);
-                if !self.npcs[slot].is_knocked()
-                    && ego_shape
-                        .contact(&self.npcs[slot].shape_at(map, secs))
-                        .is_some()
-                {
-                    // Freeze the vehicle where it was struck and wake it
-                    // every tick so its despawn timer runs.
-                    self.npcs[slot].coast(secs);
-                    self.npc_anchor[slot] = boundary;
-                    self.npcs[slot].knock();
-                    self.index
-                        .update(key, self.npcs[slot].position_at(map, 0.0));
-                    self.scheduler.schedule(key, boundary);
-                    hit_vehicle = true;
+            match self.slot(key) {
+                Slot::Npc(slot) => {
+                    if !self.npcs[slot].is_knocked()
+                        && ego_shape.contact(&self.npc_shape(map, slot)).is_some()
+                    {
+                        // Freeze the vehicle where it was struck and wake it
+                        // every tick so its despawn timer runs.
+                        let secs = self.npc_dormant_secs(slot, boundary);
+                        self.npcs[slot].coast(secs);
+                        self.npc_anchor[slot] = boundary;
+                        self.npcs[slot].knock();
+                        self.index
+                            .update(key, self.npcs[slot].position_at(map, 0.0));
+                        self.npc_wake[slot] = boundary;
+                        hit_vehicle = true;
+                    }
                 }
-            } else {
-                let secs = self.ped_dormant_secs(slot, boundary);
-                let shape = CollisionShape::Circle {
-                    center: self.peds[slot].position_at(secs),
-                    radius: PEDESTRIAN_RADIUS,
-                };
-                if ego_shape.contact(&shape).is_some() {
-                    self.peds[slot].coast(secs);
-                    self.ped_anchor[slot] = boundary;
-                    self.peds[slot].knock();
-                    self.index.update(key, self.peds[slot].position());
-                    self.scheduler.schedule(key, boundary);
-                    hit_ped = true;
+                Slot::Ped(slot) => {
+                    if ego_shape.contact(&self.ped_shape(slot)).is_some() {
+                        let secs = self.ped_dormant_secs(slot, boundary);
+                        self.peds[slot].coast(secs);
+                        self.ped_anchor[slot] = boundary;
+                        self.peds[slot].knock();
+                        self.index.update(key, self.peds[slot].position());
+                        self.ped_wake[slot] = boundary;
+                        hit_ped = true;
+                    }
                 }
             }
         }
@@ -424,7 +424,7 @@ impl Traffic {
     /// obstacle list. Excluding farther actors is exact, not approximate:
     /// a shape whose nearest point lies beyond the scan's `max_range` can
     /// only produce hits that lose the beam min-fold, so the scan output
-    /// is bit-identical to the legacy full list.
+    /// is bit-identical to scanning every actor.
     pub fn push_shapes_within(
         &mut self,
         map: &Map,
@@ -432,149 +432,58 @@ impl Traffic {
         range: f64,
         out: &mut Vec<CollisionShape>,
     ) {
-        let boundary = self.boundary;
         let mut q = std::mem::take(&mut self.q);
         self.index
             .query_circle(center, range + self.max_extent + self.slack(), &mut q);
         for &key in &q {
-            let slot = self.slot_of[key as usize];
-            if key < self.ped_base {
-                let secs = self.npc_dormant_secs(slot, boundary);
-                out.push(self.npcs[slot].shape_at(map, secs));
-            } else {
-                let secs = self.ped_dormant_secs(slot, boundary);
-                out.push(CollisionShape::Circle {
-                    center: self.peds[slot].position_at(secs),
-                    radius: PEDESTRIAN_RADIUS,
-                });
-            }
+            out.push(match self.slot(key) {
+                Slot::Npc(slot) => self.npc_shape(map, slot),
+                Slot::Ped(slot) => self.ped_shape(slot),
+            });
         }
         self.q = q;
     }
 
-    /// Pushes actor billboards for the camera. Compat mode renders every
-    /// actor in spawn order (the exact legacy billboard list the camera
-    /// goldens encode); event mode culls to `BILLBOARD_RADIUS` around
-    /// the ego via the index.
-    pub fn fill_billboards(&mut self, map: &Map, ego_pos: Vec2, out: &mut Vec<Billboard>) {
-        if self.horizon <= 1 {
-            for npc in &self.npcs {
-                out.push(npc_billboard(npc.position_at(map, 0.0), npc.params().width));
-            }
-            for ped in &self.peds {
-                out.push(ped_billboard(ped.position()));
-            }
-            return;
-        }
+    /// Pushes a billboard for every live actor, in spawn order, NPCs
+    /// before pedestrians, at the current boundary. The camera's field of
+    /// view and depth clip decide which of them it draws.
+    pub fn fill_billboards(&self, map: &Map, out: &mut Vec<Billboard>) {
         let boundary = self.boundary;
-        let mut q = std::mem::take(&mut self.q);
-        self.index
-            .query_circle(ego_pos, BILLBOARD_RADIUS + self.slack(), &mut q);
-        for &key in &q {
-            let slot = self.slot_of[key as usize];
-            if key < self.ped_base {
-                let secs = self.npc_dormant_secs(slot, boundary);
-                out.push(npc_billboard(
-                    self.npcs[slot].position_at(map, secs),
-                    self.npcs[slot].params().width,
-                ));
-            } else {
-                let secs = self.ped_dormant_secs(slot, boundary);
-                out.push(ped_billboard(self.peds[slot].position_at(secs)));
-            }
+        for (slot, npc) in self.live_npcs() {
+            let secs = self.npc_dormant_secs(slot, boundary);
+            out.push(npc_billboard(
+                npc.position_at(map, secs),
+                npc.params().width,
+            ));
         }
-        self.q = q;
+        for (slot, ped) in self.live_peds() {
+            let secs = self.ped_dormant_secs(slot, boundary);
+            out.push(ped_billboard(ped.position_at(secs)));
+        }
     }
 
     /// Collision shapes of all live actors, materialized at the current
-    /// boundary.
+    /// boundary, in spawn order, NPCs before pedestrians.
     pub fn all_shapes(&self, map: &Map) -> Vec<CollisionShape> {
-        let boundary = self.boundary;
-        let mut out: Vec<CollisionShape> = self
-            .npcs
-            .iter()
-            .enumerate()
-            .map(|(slot, n)| n.shape_at(map, self.npc_dormant_secs(slot, boundary)))
-            .collect();
-        out.extend(
-            self.peds
-                .iter()
-                .enumerate()
-                .map(|(slot, p)| CollisionShape::Circle {
-                    center: p.position_at(self.ped_dormant_secs(slot, boundary)),
-                    radius: PEDESTRIAN_RADIUS,
-                }),
-        );
-        out
+        let npcs = self.live_npcs().map(|(slot, _)| self.npc_shape(map, slot));
+        let peds = self.live_peds().map(|(slot, _)| self.ped_shape(slot));
+        npcs.chain(peds).collect()
     }
 
-    /// Stable, order-preserving removal of despawned NPCs from the
-    /// parallel vectors, the index and the scheduler.
-    fn compact_npcs(&mut self) {
-        let mut w = 0;
-        for r in 0..self.npcs.len() {
-            if self.npcs[r].should_despawn() {
-                let key = self.npc_keys[r];
-                self.index.remove(key);
-                self.scheduler.deschedule(key);
-                self.slot_of[key as usize] = GONE;
-            } else {
-                if w != r {
-                    self.npcs.swap(w, r);
-                    self.npc_keys.swap(w, r);
-                    self.npc_anchor.swap(w, r);
-                }
-                w += 1;
-            }
-        }
-        self.npcs.truncate(w);
-        self.npc_keys.truncate(w);
-        self.npc_anchor.truncate(w);
-        for (slot, &key) in self.npc_keys.iter().enumerate() {
-            self.slot_of[key as usize] = slot;
-        }
-    }
-
-    fn compact_peds(&mut self) {
-        let mut w = 0;
-        for r in 0..self.peds.len() {
-            if self.peds[r].should_despawn() {
-                let key = self.ped_keys[r];
-                self.index.remove(key);
-                self.scheduler.deschedule(key);
-                self.slot_of[key as usize] = GONE;
-            } else {
-                if w != r {
-                    self.peds.swap(w, r);
-                    self.ped_keys.swap(w, r);
-                    self.ped_anchor.swap(w, r);
-                }
-                w += 1;
-            }
-        }
-        self.peds.truncate(w);
-        self.ped_keys.truncate(w);
-        self.ped_anchor.truncate(w);
-        for (slot, &key) in self.ped_keys.iter().enumerate() {
-            self.slot_of[key as usize] = slot;
-        }
-    }
-
-    /// Full-scan reference for [`Traffic::vehicle_candidates`]: the legacy
-    /// O(population) candidate list (every other NPC, spawn order,
-    /// materialized at the boundary). Kept as the differential oracle for
-    /// the index-backed path.
+    /// Full-scan reference for [`Traffic::vehicle_candidates`]: every
+    /// other live NPC, in spawn order, materialized at the boundary. Kept
+    /// as the differential oracle for the index-backed path.
     #[cfg(test)]
     fn vehicle_candidates_full_scan(
         &self,
         map: &Map,
-        skip: u32,
+        skip: usize,
         boundary: u64,
         info: &mut Vec<(Vec2, f64, f64)>,
     ) {
         info.clear();
-        for (slot, npc) in self.npcs.iter().enumerate() {
-            if self.npc_keys[slot] == skip {
+        for (slot, npc) in self.live_npcs() {
+            if slot == skip {
                 continue;
             }
             let secs = self.npc_dormant_secs(slot, boundary);
@@ -634,9 +543,13 @@ mod tests {
         }
     }
 
+    fn live(wake: &[u64]) -> Vec<usize> {
+        (0..wake.len()).filter(|&s| wake[s] != NEVER).collect()
+    }
+
     /// The index-backed perceive path must agree with the retained
-    /// full-scan reference at every frame, for both compat and event
-    /// horizons — including dormant (extrapolated) candidates.
+    /// full-scan reference at every frame, at horizons 1 and 8 —
+    /// including dormant (extrapolated) candidates.
     #[test]
     fn perceive_candidates_match_full_scan_oracle() {
         for horizon in [1u32, 8] {
@@ -647,13 +560,12 @@ mod tests {
             for f in 0..240u64 {
                 let time = f as f64 * FRAME_DT;
                 traffic.fill_npc_positions(&map, f);
-                for slot in 0..traffic.npcs.len() {
-                    let key = traffic.npc_keys[slot];
+                for slot in live(&traffic.npc_wake) {
                     let secs = traffic.npc_dormant_secs(slot, f);
                     let my_pos = traffic.npcs[slot].pose_at(&map, secs).position;
                     assert_eq!(traffic.npc_pos[slot], my_pos, "frame={f} slot={slot}");
-                    traffic.vehicle_candidates(key, my_pos, &mut q, &mut fast);
-                    traffic.vehicle_candidates_full_scan(&map, key, f, &mut slow);
+                    traffic.vehicle_candidates(slot, my_pos, &mut q, &mut fast);
+                    traffic.vehicle_candidates_full_scan(&map, slot, f, &mut slow);
                     let npc = &traffic.npcs[slot];
                     // The fast list is a pre-filtered subsequence; the
                     // perceive *result* must be identical.
@@ -698,27 +610,31 @@ mod tests {
         }
     }
 
-    /// Compat mode (horizon 1) must wake every agent every frame.
+    /// At horizon 1 every live actor wakes every frame, in slot order,
+    /// NPCs before pedestrians.
     #[test]
-    fn compat_mode_wakes_everyone_every_frame() {
+    fn horizon_one_wakes_every_live_actor_in_slot_order() {
         let (map, mut traffic) = setup(3, 6, 5, 1);
         for f in 0..30u64 {
+            let (npcs, peds) = (live(&traffic.npc_wake), live(&traffic.ped_wake));
             traffic.step(&map, ego(), f as f64 * FRAME_DT, f);
-            assert_eq!(traffic.due_npcs.len(), traffic.npcs.len());
-            assert_eq!(traffic.due_peds.len(), traffic.peds.len());
+            assert_eq!(traffic.due_npcs, npcs, "frame {f}");
+            assert_eq!(traffic.due_peds, peds, "frame {f}");
+            assert_eq!(npcs.len(), 6);
+            assert_eq!(peds.len(), 5);
         }
     }
 
-    /// Event mode must actually put cruising agents to sleep: across a
-    /// window of frames, the number of decisions should be well below
-    /// one-per-agent-per-frame.
+    /// At a horizon above 1, cruising actors must actually sleep: across
+    /// a window of frames, the number of decisions should be well below
+    /// one per actor per frame.
     #[test]
     fn event_mode_sleeps_agents() {
         let (map, mut traffic) = setup(11, 16, 10, 12);
         // Warm up so NPCs reach cruise speed.
         run(&mut traffic, &map, 300);
         let mut decisions = 0usize;
-        let population = traffic.npcs.len() + traffic.peds.len();
+        let population = traffic.npcs().count() + traffic.pedestrians().count();
         for f in 300..400u64 {
             traffic.step(&map, ego(), f as f64 * FRAME_DT, f);
             decisions += traffic.due_npcs.len() + traffic.due_peds.len();
@@ -730,8 +646,9 @@ mod tests {
         );
     }
 
-    /// A knocked NPC must despawn after ~3 s in both modes, and its index
-    /// and scheduler entries must go with it.
+    /// A knocked NPC must despawn after ~3 s at both horizons: its wake
+    /// tick becomes `NEVER`, its index entry goes and `npcs()` shrinks by
+    /// one.
     #[test]
     fn knocked_npc_despawns_cleanly() {
         for horizon in [1u32, 8] {
@@ -745,31 +662,68 @@ mod tests {
             let ego_r = (4.5f64 * 4.5 + 1.9 * 1.9).sqrt() * 0.5;
             let (hit_v, _) = traffic.ego_contacts(&map, &ego_shape, pose.position, ego_r);
             assert!(hit_v, "horizon={horizon}: contact not detected");
-            let key = traffic.npc_keys[slot];
-            let before = traffic.npcs.len();
+            let before = traffic.npcs().count();
             let b0 = traffic.boundary;
             for f in b0..b0 + 60 {
                 traffic.step(&map, ego(), f as f64 * FRAME_DT, f);
             }
-            assert_eq!(traffic.npcs.len(), before - 1, "horizon={horizon}");
-            assert_eq!(traffic.slot_of[key as usize], GONE);
-            assert!(traffic.index.stored(key).is_none());
+            assert_eq!(traffic.npcs().count(), before - 1, "horizon={horizon}");
+            assert_eq!(traffic.npc_wake[slot], NEVER, "horizon={horizon}");
+            assert!(traffic.index.stored(slot as u32).is_none());
+            assert_eq!(traffic.npcs.len(), 8, "the slot is kept");
         }
     }
 
-    /// Event-mode stepping is deterministic: same seed, same history.
+    /// A hit pedestrian stays among the actor shapes until its next step
+    /// (the frame after the hit) and despawns on that step, at both
+    /// horizons: its wake tick becomes `NEVER`, its index entry goes and
+    /// `pedestrians()` shrinks by one.
+    #[test]
+    fn hit_pedestrian_despawns_on_its_next_step() {
+        for horizon in [1u32, 8] {
+            let (map, mut traffic) = setup(5, 0, 6, horizon);
+            run(&mut traffic, &map, 30);
+            let slot = 2;
+            let key = traffic.ped_key(slot);
+            let secs = traffic.ped_dormant_secs(slot, traffic.boundary);
+            let at = traffic.peds[slot].position_at(secs);
+            let ego_shape = CollisionShape::Circle {
+                center: at,
+                radius: 1.0,
+            };
+            let (_, hit_p) = traffic.ego_contacts(&map, &ego_shape, at, 1.0);
+            assert!(hit_p, "horizon={horizon}: contact not detected");
+            let circle = CollisionShape::Circle {
+                center: at,
+                radius: PEDESTRIAN_RADIUS,
+            };
+            assert_eq!(traffic.pedestrians().count(), 6);
+            assert!(traffic.all_shapes(&map).contains(&circle));
+            assert_eq!(traffic.ped_wake[slot], traffic.boundary);
+
+            let b0 = traffic.boundary;
+            traffic.step(&map, ego(), b0 as f64 * FRAME_DT, b0);
+            assert_eq!(traffic.pedestrians().count(), 5, "horizon={horizon}");
+            assert!(!traffic.all_shapes(&map).contains(&circle));
+            assert_eq!(traffic.all_shapes(&map).len(), 5);
+            assert_eq!(traffic.ped_wake[slot], NEVER);
+            assert!(traffic.index.stored(key).is_none());
+            assert_eq!(traffic.peds.len(), 6, "the slot is kept");
+        }
+    }
+
+    /// Stepping is deterministic at a horizon above 1: same seed, same
+    /// history.
     #[test]
     fn event_mode_deterministic() {
         let run_once = || {
             let (map, mut traffic) = setup(9, 15, 9, 10);
             run(&mut traffic, &map, 400);
-            let npc_state: Vec<(u32, f64, f64)> = traffic
-                .npcs
-                .iter()
-                .zip(&traffic.npc_keys)
-                .map(|(n, &k)| (k, n.s(), n.speed()))
+            let npc_state: Vec<(usize, f64, f64)> = traffic
+                .live_npcs()
+                .map(|(slot, n)| (slot, n.s(), n.speed()))
                 .collect();
-            let ped_pos: Vec<Vec2> = traffic.peds.iter().map(|p| p.position()).collect();
+            let ped_pos: Vec<Vec2> = traffic.pedestrians().map(|p| p.position()).collect();
             (npc_state, ped_pos)
         };
         assert_eq!(run_once(), run_once());

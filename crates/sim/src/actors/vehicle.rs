@@ -94,12 +94,12 @@ impl NpcVehicle {
 
     /// Arc length after coasting dormant for `seconds` at the current
     /// speed, without mutating the vehicle. With `seconds == 0.0` this is
-    /// exactly [`NpcVehicle::s`] (bit-identical, no arithmetic applied) —
-    /// the compat-mode guarantee.
+    /// exactly [`NpcVehicle::s`] (bit-identical, no arithmetic applied),
+    /// which keeps decision horizon 1 exact.
     ///
     /// Dormant integration is valid only while the vehicle stays on its
-    /// current lane; the event scheduler caps sleep so a dormant vehicle
-    /// never reaches the lane end (see `cruise_headroom_ticks`).
+    /// current lane; traffic caps its sleep so a dormant vehicle never
+    /// reaches the lane end (see `cruise_headroom_ticks`).
     #[inline]
     pub fn s_after(&self, seconds: f64) -> f64 {
         if seconds == 0.0 || self.knocked {
@@ -136,7 +136,7 @@ impl NpcVehicle {
     /// Folds a dormant coast of `seconds` into the stored state: the
     /// analytic integration an event-driven wake applies before the
     /// vehicle's decision step runs. No-op for knocked vehicles and for
-    /// `seconds == 0.0` (compat mode).
+    /// `seconds == 0.0` (always, at decision horizon 1).
     pub fn coast(&mut self, seconds: f64) {
         self.s = self.s_after(seconds);
     }

@@ -52,7 +52,6 @@ pub mod physics;
 pub mod recorder;
 pub mod rng;
 pub mod scenario;
-pub mod schedule;
 pub mod sensors;
 pub mod spatial;
 pub mod violation;

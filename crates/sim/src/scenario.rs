@@ -15,6 +15,36 @@ use serde::{Deserialize, Serialize};
 /// Town specification (alias of the grid-town generator config).
 pub type TownSpec = TownConfig;
 
+/// Most NPC vehicles, and separately most pedestrians, a scenario may ask
+/// for: over ten times the 120 of `npc_scaling`'s densest case. Spawning
+/// reserves room for every one up front.
+pub const MAX_ACTORS: usize = 2_000;
+
+/// Most intersections along either side of the town grid: ten times the
+/// 4 of the largest town the repository runs.
+pub const MAX_TOWN_SIDE: usize = 40;
+
+/// Longest town extent on either axis, meters: the span between the
+/// outermost intersections, `(side − 1) × block`, plus
+/// `2 × (intersection_half + lane_width + sidewalk)` for what lies beyond
+/// them. The largest town the repository runs (4 × 4, default geometry)
+/// spans 263 m. The map's spatial grids hold one cell per 16 m square of
+/// the extent.
+pub const MAX_TOWN_EXTENT: f64 = 4_000.0;
+
+/// Most camera pixels, `width × height`: over ten times the 96 × 64 of
+/// the camera golden corpus. Every frame's image holds three `f32` per
+/// pixel.
+pub const MAX_CAMERA_PIXELS: usize = 1 << 16;
+
+/// Most LIDAR beams: over ten times the default 36.
+pub const MAX_LIDAR_BEAMS: usize = 1_024;
+
+/// Longest mission time budget, seconds: over ten times the 150 s of the
+/// full-scale studies. A run ends at its budget at the latest, so this
+/// bounds how long one run holds a worker.
+pub const MAX_TIME_BUDGET: f64 = 3_600.0;
+
 /// A complete, reproducible scenario.
 ///
 /// `Serialize`/`Deserialize` are hand-written (instead of derived) so the
@@ -36,11 +66,9 @@ pub struct Scenario {
     pub pedestrian_cross_rate: f64,
     /// Maximum ticks a traffic agent may sleep between decision steps.
     ///
-    /// 1 (the default) is compat mode: every agent decides every tick,
-    /// reproducing the legacy per-frame loop bit-for-bit. Larger values
-    /// enable event-driven scheduling — cruising vehicles and walking
-    /// pedestrians go dormant and integrate analytically — which is what
-    /// makes high-density towns affordable. Serialized only when
+    /// At 1 (the default) every agent decides every tick. Larger values
+    /// let cruising vehicles and walking pedestrians go dormant and
+    /// integrate analytically between decisions. Serialized only when
     /// non-default so existing scenario JSON goldens are byte-identical.
     pub decision_horizon: u32,
     /// Weather preset.
@@ -154,6 +182,121 @@ impl Scenario {
         }
     }
 
+    /// Checks the numbers a world is sized by and the preconditions its
+    /// constructors assert, so that building the world allocates nothing
+    /// past the bounds above and trips none of those asserts, and a run
+    /// lasts at most [`MAX_TIME_BUDGET`]. Refused: a count or size over
+    /// its `MAX_*` bound; a non-finite float field; a town with fewer than
+    /// two intersections or blocks no wider than `2 × intersection_half +
+    /// 10` m (`TownGenerator::new`), a negative sidewalk or intersection
+    /// size, or a lane width or speed limit that is not positive
+    /// (`Lane::new`); an empty camera image or a field of view outside
+    /// `(0°, 180°)` (`Camera::new`); fewer than two LIDAR beams or a range
+    /// that is not positive (`Lidar::new`).
+    ///
+    /// A scenario can pass and still fail to build: a town whose roads
+    /// are all too short for a mission route panics in
+    /// [`World::from_scenario`](crate::world::World::from_scenario).
+    ///
+    /// # Errors
+    ///
+    /// The first problem found, naming the field.
+    pub fn check(&self) -> Result<(), String> {
+        let (t, cam, lidar) = (&self.town, &self.camera, &self.lidar);
+        let numbers = [
+            ("pedestrian_cross_rate", self.pedestrian_cross_rate),
+            ("time_budget", self.time_budget),
+            ("min_route_length", self.min_route_length),
+            ("town.block", t.block),
+            ("town.lane_width", t.lane_width),
+            ("town.sidewalk", t.sidewalk),
+            ("town.intersection_half", t.intersection_half),
+            ("town.speed_limit", t.speed_limit),
+            ("town.turn_speed_limit", t.turn_speed_limit),
+            ("town.timing.green", t.timing.green),
+            ("town.timing.yellow", t.timing.yellow),
+            ("town.timing.all_red", t.timing.all_red),
+            ("camera.fov_deg", cam.fov_deg),
+            ("camera.mount_height", cam.mount_height),
+            ("camera.hood_offset", cam.hood_offset),
+            ("camera.pitch_deg", cam.pitch_deg),
+            ("camera.max_range", cam.max_range),
+            ("lidar.fov_deg", lidar.fov_deg),
+            ("lidar.max_range", lidar.max_range),
+            ("gps.sigma", self.gps.sigma),
+            ("imu.accel_sigma", self.imu.accel_sigma),
+            ("imu.gyro_sigma", self.imu.gyro_sigma),
+        ];
+        if let Some((name, v)) = numbers.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name} is {v}, not a finite number"));
+        }
+        let side = t.cols.max(t.rows);
+        let extent = side.saturating_sub(1) as f64 * t.block
+            + 2.0 * (t.intersection_half + t.lane_width + t.sidewalk);
+        let pixels = cam.width.saturating_mul(cam.height);
+        let problem = if self.npc_vehicles > MAX_ACTORS {
+            format!(
+                "npc_vehicles {} is over the cap of {MAX_ACTORS}",
+                self.npc_vehicles
+            )
+        } else if self.pedestrians > MAX_ACTORS {
+            format!(
+                "pedestrians {} is over the cap of {MAX_ACTORS}",
+                self.pedestrians
+            )
+        } else if side > MAX_TOWN_SIDE {
+            format!(
+                "town grid {}×{} is over the cap of {MAX_TOWN_SIDE} a side",
+                t.cols, t.rows
+            )
+        } else if t.cols * t.rows < 2 {
+            format!(
+                "town grid {}×{} has fewer than two intersections",
+                t.cols, t.rows
+            )
+        } else if t.lane_width <= 0.0 || t.sidewalk < 0.0 || t.intersection_half < 0.0 {
+            format!(
+                "town lane_width {} must be positive, and sidewalk {} and \
+                 intersection_half {} not negative",
+                t.lane_width, t.sidewalk, t.intersection_half
+            )
+        } else if t.block <= 2.0 * t.intersection_half + 10.0 {
+            format!(
+                "town.block {} is not wider than 2 × intersection_half + 10 m",
+                t.block
+            )
+        } else if extent > MAX_TOWN_EXTENT {
+            format!("town extent {extent} m is over the cap of {MAX_TOWN_EXTENT} m")
+        } else if t.speed_limit <= 0.0 || t.turn_speed_limit <= 0.0 {
+            format!(
+                "town speed limits {} and {} must be positive",
+                t.speed_limit, t.turn_speed_limit
+            )
+        } else if pixels == 0 || pixels > MAX_CAMERA_PIXELS {
+            format!(
+                "camera {}×{} is empty or over the cap of {MAX_CAMERA_PIXELS} pixels",
+                cam.width, cam.height
+            )
+        } else if cam.fov_deg <= 0.0 || cam.fov_deg >= 180.0 {
+            format!("camera.fov_deg {} is outside (0, 180)", cam.fov_deg)
+        } else if lidar.beams < 2 || lidar.beams > MAX_LIDAR_BEAMS {
+            format!(
+                "lidar.beams {} is outside 2..={MAX_LIDAR_BEAMS}",
+                lidar.beams
+            )
+        } else if lidar.max_range <= 0.0 {
+            format!("lidar.max_range {} must be positive", lidar.max_range)
+        } else if self.time_budget > MAX_TIME_BUDGET {
+            format!(
+                "time_budget {} s is over the cap of {MAX_TIME_BUDGET} s",
+                self.time_budget
+            )
+        } else {
+            return Ok(());
+        };
+        Err(problem)
+    }
+
     /// Samples a mission route on `map` using the scenario seed: a start
     /// drive lane and a goal drive lane at least `min_route_length` apart
     /// (by planned route length).
@@ -223,8 +366,7 @@ impl ScenarioBuilder {
     }
 
     /// Sets the maximum ticks a traffic agent may sleep between decisions
-    /// (clamped to at least 1; 1 = legacy per-tick stepping, larger values
-    /// enable event-driven scheduling for dense towns).
+    /// (clamped to at least 1; at 1 every agent decides every tick).
     pub fn decision_horizon(mut self, ticks: u32) -> Self {
         self.scenario.decision_horizon = ticks.max(1);
         self

@@ -102,7 +102,7 @@ pub struct World {
     imu: Imu,
     ego_model: BicycleModel,
     ego: VehicleState,
-    /// Event-driven NPC/pedestrian subsystem (scheduler + spatial index).
+    /// Event-driven NPC/pedestrian subsystem (wake table + spatial index).
     traffic: Traffic,
     tracker: RouteTracker,
     monitor: ViolationMonitor,
@@ -266,16 +266,16 @@ impl World {
         self.mission
     }
 
-    /// NPC vehicles, in spawn order. In event mode (decision horizon > 1)
+    /// Live NPC vehicles, in spawn order. At a decision horizon above 1,
     /// dormant vehicles' stored arc lengths lag the current frame by up to
     /// their sleep; [`World::actor_shapes`] materializes exact positions.
-    pub fn npcs(&self) -> &[NpcVehicle] {
+    pub fn npcs(&self) -> impl Iterator<Item = &NpcVehicle> {
         self.traffic.npcs()
     }
 
-    /// Pedestrians, in spawn order (same staleness note as
+    /// Live pedestrians, in spawn order (same staleness note as
     /// [`World::npcs`]).
-    pub fn pedestrians(&self) -> &[Pedestrian] {
+    pub fn pedestrians(&self) -> impl Iterator<Item = &Pedestrian> {
         self.traffic.pedestrians()
     }
 
@@ -317,9 +317,9 @@ impl World {
         }
 
         // 3 + 4. Traffic: event-driven NPC/pedestrian updates. Agents
-        // whose decision is due this frame wake (perceive against the
-        // pre-step positional snapshot, then step, like the legacy
-        // two-phase loop); dormant agents coast analytically.
+        // whose decision is due this frame wake (all perceive against the
+        // pre-step positional snapshot, then all step); dormant agents
+        // coast analytically.
         let ego_half_len = self.ego_model.params().length * 0.5;
         self.traffic.step(
             &self.map,
@@ -540,9 +540,9 @@ impl World {
             .any(|b| b.distance_to(obb.pose.position) < 10.0 && obb.intersects_aabb(b))
     }
 
-    fn fill_billboards(&mut self, billboards: &mut Vec<Billboard>) {
+    fn fill_billboards(&self, billboards: &mut Vec<Billboard>) {
         let ego_p = self.ego.pose.position;
-        self.traffic.fill_billboards(&self.map, ego_p, billboards);
+        self.traffic.fill_billboards(&self.map, billboards);
         // Traffic-light heads near the ego, shown with the state facing
         // each approach.
         for isect in self.map.intersections() {
@@ -582,7 +582,7 @@ impl World {
         // Actor shapes come from the spatial index. Culling to the scan
         // range is exact: a shape entirely beyond `max_range` can only
         // produce beam hits that lose the min-fold, so the scan output is
-        // bit-identical to the legacy all-actors list.
+        // bit-identical to scanning every actor.
         let ego_p = self.ego.pose.position;
         let max_range = self.lidar.config().max_range;
         self.traffic
@@ -652,7 +652,7 @@ mod tests {
                 w.ego().pose.position,
                 w.odometer(),
                 w.monitor().count(),
-                w.npcs().len(),
+                w.npcs().count(),
             )
         };
         assert_eq!(run(7), run(7));

@@ -330,10 +330,11 @@ else
   wait "$STORE_PID" 2>/dev/null || true
 fi
 
-# Density tier: one high-density campaign (60 NPCs + 60 pedestrians with
-# event-driven scheduling, decision_horizon 8) through the engine on 2
-# workers, golden-diffed. Pins the event-mode trajectory bit-for-bit the
-# same way the quick campaigns pin compat mode.
+# Density tier: one high-density campaign (60 NPCs + 60 pedestrians at
+# decision_horizon 8, where cruising and walking agents sleep between
+# decisions) through the engine on 2 workers, golden-diffed. Pins the
+# horizon-8 trajectory bit-for-bit the same way the quick campaigns pin
+# horizon 1.
 DENSITY_BIN=npc_scaling
 echo "==> smoke: $DENSITY_BIN --quick --workers 2 (density tier)"
 AVFI_RESULTS_DIR="$SMOKE_DIR" \
