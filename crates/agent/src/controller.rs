@@ -30,7 +30,8 @@ pub struct DriverInput<'a> {
     pub world: &'a World,
     /// Effective (possibly fault-injected) camera image. Only the pixels
     /// in the driver's [`Driver::footprint`] are specified: a fault may
-    /// leave the others unwritten or stale.
+    /// leave the others unwritten or stale, and a campaign world may
+    /// never have rendered their rows.
     pub image: &'a Image,
     /// Effective LIDAR sweep.
     pub lidar: &'a LidarScan,
@@ -68,7 +69,9 @@ pub trait Driver {
     fn reads(&self) -> SensorMask;
 
     /// The pixels of a `width × height` camera image this driver reads
-    /// from [`DriverInput::image`]; a camera fault need compute no others.
+    /// from [`DriverInput::image`]; a camera fault need compute no others,
+    /// and a world driven by it need render no other rows (see
+    /// [`World::set_sensor_mask`]).
     fn footprint(&self, width: usize, height: usize) -> PixelFootprint;
 }
 

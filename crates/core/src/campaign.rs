@@ -270,8 +270,9 @@ impl WorkerScratch {
 /// `None` or at `Off`, neither the event log nor a trace is built.
 ///
 /// The world computes only the sensors the driver reads ([`Driver::reads`]:
-/// the agent's plus those the fault corrupts); the others cannot change
-/// the result.
+/// the agent's plus those the fault corrupts), and renders only the camera
+/// rows that can reach the agent ([`Driver::footprint`]); the others
+/// cannot change the result.
 pub fn run_mission(
     template: &Scenario,
     scenario_index: usize,
@@ -299,7 +300,11 @@ pub fn run_mission(
     if trace.is_some() {
         driver.enable_event_log();
     }
-    world.set_sensor_mask(driver.reads());
+    let camera = scenario.camera;
+    world.set_sensor_mask(
+        driver.reads(),
+        driver.footprint(camera.width, camera.height),
+    );
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);

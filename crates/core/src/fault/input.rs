@@ -111,7 +111,8 @@ impl ImageFault {
     /// outside it are left unspecified; it still draws every value's
     /// randomness in order, so the stream, and every pixel inside, are
     /// the same for any footprint. The other models are cheap and write
-    /// the whole image (water drops read pixels anywhere in it).
+    /// the whole image. Which input pixels a model reads is
+    /// [`ImageFault::source_footprint`].
     pub fn apply(
         &self,
         image: &mut Image,
@@ -158,6 +159,8 @@ impl ImageFault {
                 image.blend_rect(x0, y0, x1, y1, [0.45, 0.45, 0.45], alpha as f32);
             }
             ImageFault::WaterDrop { .. } => {
+                // Each droplet reads its centre pixel, which the layout
+                // may put anywhere: see `source_footprint`.
                 for &(cx, cy, r) in &layout.drops {
                     let center = image.pixel((cx as usize).min(w - 1), (cy as usize).min(h - 1));
                     let bright = [
@@ -178,6 +181,27 @@ impl ImageFault {
                     }
                 }
             }
+        }
+    }
+
+    /// The pixels of the input image that [`ImageFault::apply`] reads to
+    /// produce the pixels of `footprint`, for a `width × height` image.
+    /// Gaussian noise, salt-and-pepper and both occlusions read only the
+    /// pixel they write, so that is `footprint` itself. A water droplet
+    /// reads its centre pixel, which can be anywhere: its layout is drawn
+    /// on the first active frame, after that frame has been rendered. So
+    /// for water drops any pixel at all widens to the whole image.
+    pub fn source_footprint(
+        &self,
+        footprint: PixelFootprint,
+        width: usize,
+        height: usize,
+    ) -> PixelFootprint {
+        match self {
+            ImageFault::WaterDrop { .. } if !footprint.is_empty() => {
+                PixelFootprint::whole(width, height)
+            }
+            _ => footprint,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! server's sensor stream and the ADA, NN FI inside the ADA, Output FI and
 //! Timing FI between the ADA and actuation.
 
-use crate::fault::input::ImageFaultLayout;
+use crate::fault::input::{ImageFaultLayout, InputFault};
 use crate::fault::timing::TimingChannel;
 use crate::fault::FaultSpec;
 use avfi_agent::controller::{Driver, DriverInput};
@@ -337,10 +337,21 @@ impl Driver for AvDriver {
         self.inner.driver().reads().union(self.spec.touches())
     }
 
-    /// What the wrapped agent reads: the wrapper corrupts its own copy of
-    /// the camera image for the agent and reads nothing else of it.
+    /// The pixels of the world's image that can reach the wrapped agent:
+    /// the agent's own footprint, and the pixels the camera fault reads
+    /// to produce it ([`ImageFault::source_footprint`]; a water drop
+    /// widens any footprint to the whole image). The wrapper corrupts its
+    /// own copy of the image and reads nothing else of it.
+    ///
+    /// [`ImageFault::source_footprint`]: crate::fault::input::ImageFault::source_footprint
     fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
-        self.inner.driver().footprint(width, height)
+        let agent = self.inner.driver().footprint(width, height);
+        match &self.spec {
+            FaultSpec::Input(InputFault {
+                model: Some(model), ..
+            }) => model.source_footprint(agent, width, height),
+            _ => agent,
+        }
     }
 }
 
@@ -520,11 +531,13 @@ mod tests {
     }
 
     /// Every paper camera model, under both agents and three triggers
-    /// (on from frame 0, on from frame 5, Bernoulli), injected over the
-    /// agent's own footprint and over the whole image: each frame gives
-    /// the same control, the IL agent sees the same tensor, and the fault
-    /// stream's next draw is the same. The later triggers sample the
-    /// layout mid-run, and Bernoulli interleaves its own draws.
+    /// (on from frame 0, on from frame 5, Bernoulli). One driver injects
+    /// over the agent's own footprint on a world that renders only the
+    /// rows of its `footprint()`; the other injects over the whole image
+    /// on a world that renders every row. Each frame gives the same
+    /// control, the IL agent sees the same tensor, and the fault stream's
+    /// next draw is the same. The later triggers sample the layout
+    /// mid-run, and Bernoulli interleaves its own draws.
     #[test]
     fn agent_footprint_injects_as_the_whole_image_does() {
         use avfi_agent::features::image_to_tensor;
@@ -552,19 +565,17 @@ mod tests {
                         false => AvDriver::expert(spec.clone(), 5),
                     };
                     let (mut own, mut whole) = (make(), make());
-                    let mut w = world();
+                    whole.footprint = Some(PixelFootprint::whole(64, 48));
+                    let (mut w_own, mut w_whole) = (world(), world());
+                    w_own.set_sensor_mask(own.reads(), own.footprint(64, 48));
                     for frame in 0..12 {
-                        let obs = w.observe();
-                        let img = &obs.sensors.image;
-                        whole.footprint.get_or_insert_with(|| {
-                            PixelFootprint::whole(img.width(), img.height())
-                        });
+                        let (obs_own, obs_whole) = (w_own.observe(), w_whole.observe());
                         let at = format!(
                             "{} {trigger:?} neural={neural} frame {frame}",
                             model.label()
                         );
-                        let control = own.drive_frame(&obs, &w);
-                        assert_eq!(control, whole.drive_frame(&obs, &w), "{at}");
+                        let control = own.drive_frame(&obs_own, &w_own);
+                        assert_eq!(control, whole.drive_frame(&obs_whole, &w_whole), "{at}");
                         if neural {
                             assert_eq!(
                                 tensor_bits(&own.scratch_image),
@@ -577,11 +588,58 @@ mod tests {
                             whole.rng.clone().random::<u64>(),
                             "{at}"
                         );
-                        w.step(control);
+                        w_own.step(control);
+                        w_whole.step(control);
                     }
                     assert!(own.scratch_image.is_some(), "the fault never fired");
                 }
             }
+        }
+    }
+
+    /// The world renders the IL-CNN's grid rows under every fault but
+    /// water drops, whose droplet centres can be anywhere, and nothing
+    /// under the expert.
+    #[test]
+    fn footprint_is_the_agents_widened_for_water_drops() {
+        use crate::fault::input::LidarFault;
+        use crate::fault::ml::MlFault;
+        use crate::localizer::ParamSelector;
+        use avfi_agent::features::net_footprint;
+        let camera = |model| FaultSpec::Input(InputFault::always(model));
+        let mut faults: Vec<FaultSpec> = ImageFault::paper_suite().map(camera).to_vec();
+        faults.extend([
+            FaultSpec::None,
+            FaultSpec::Input(
+                InputFault::scalar_only().with_lidar(LidarFault::BeamDropout { p: 0.1 }),
+            ),
+            FaultSpec::Timing(TimingFault::OutputDelay { frames: 3 }),
+            FaultSpec::Hardware(HardwareFault::always(
+                HardwareTarget::SensorSpeed,
+                BitFaultModel::StuckAt { value: 0.0 },
+            )),
+            FaultSpec::Ml(MlFault::WeightNoise {
+                sigma: 0.1,
+                fraction: 0.5,
+                selector: ParamSelector::All,
+            }),
+        ]);
+        for spec in faults {
+            let water = matches!(
+                &spec,
+                FaultSpec::Input(InputFault {
+                    model: Some(ImageFault::WaterDrop { .. }),
+                    ..
+                })
+            );
+            let neural = AvDriver::neural(IlNetwork::new(1), spec.clone(), 1);
+            let want = match water {
+                true => PixelFootprint::whole(64, 48),
+                false => net_footprint(64, 48),
+            };
+            assert_eq!(neural.footprint(64, 48), want, "il-cnn under {spec:?}");
+            let expert = AvDriver::expert(spec.clone(), 1).footprint(64, 48);
+            assert_eq!(expert, PixelFootprint::default(), "expert under {spec:?}");
         }
     }
 

@@ -43,34 +43,28 @@ pub fn encode_value<T: Serialize + ?Sized>(value: &T, out: &mut BytesMut) -> Res
     Ok(())
 }
 
-/// Total length (prefix + payload) of the frame accumulating at the
-/// front of `buf`, once its length prefix has arrived and is within
-/// [`MAX_FRAME`]. Transports use it to size read windows so one syscall
-/// typically completes the frame.
-pub fn pending_frame_len(buf: &BytesMut) -> Option<usize> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    (len <= MAX_FRAME).then_some(4 + len)
-}
-
-/// Attempts to decode one value from the accumulation buffer.
+/// Attempts to decode one value of at most `cap` payload bytes from the
+/// accumulation buffer; a `cap` over [`MAX_FRAME`] counts as
+/// [`MAX_FRAME`]. A longer length prefix is refused as soon as its four
+/// bytes have arrived.
 ///
 /// Returns `Ok(None)` when more bytes are needed; consumed bytes are
 /// removed from `buf`.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Codec`] on an oversized length prefix or malformed
-/// payload.
-pub fn decode_value<T: Deserialize>(buf: &mut BytesMut) -> Result<Option<T>, NetError> {
+/// Returns [`NetError::Codec`] on a length prefix over `cap` or a
+/// malformed payload.
+pub fn decode_value<T: Deserialize>(buf: &mut BytesMut, cap: usize) -> Result<Option<T>, NetError> {
     if buf.len() < 4 {
         return Ok(None);
     }
     let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME {
-        return Err(NetError::Codec(format!("frame of {len} bytes exceeds cap")));
+    let cap = cap.min(MAX_FRAME);
+    if len > cap {
+        return Err(NetError::Codec(format!(
+            "frame of {len} bytes exceeds the {cap}-byte cap"
+        )));
     }
     if buf.len() < 4 + len {
         return Ok(None);
@@ -94,11 +88,16 @@ mod tests {
         }
     }
 
+    /// The next message in `buf` under the default cap.
+    fn next(buf: &mut BytesMut) -> Result<Option<Message>, NetError> {
+        decode_value(buf, MAX_FRAME)
+    }
+
     #[test]
     fn roundtrip_single() {
         let mut buf = BytesMut::new();
         encode_value(&ctrl(7), &mut buf).unwrap();
-        let got = decode_value::<Message>(&mut buf).unwrap().unwrap();
+        let got = next(&mut buf).unwrap().unwrap();
         assert_eq!(got, ctrl(7));
         assert!(buf.is_empty());
     }
@@ -111,7 +110,7 @@ mod tests {
         // Feed one byte at a time; decode must return None until complete.
         for (i, b) in full.iter().enumerate() {
             buf.put_u8(*b);
-            let r = decode_value::<Message>(&mut buf).unwrap();
+            let r = next(&mut buf).unwrap();
             if i + 1 < full.len() {
                 assert!(r.is_none(), "decoded early at byte {i}");
             } else {
@@ -126,13 +125,10 @@ mod tests {
         encode_value(&ctrl(1), &mut buf).unwrap();
         encode_value(&Message::Shutdown, &mut buf).unwrap();
         encode_value(&ctrl(3), &mut buf).unwrap();
-        assert_eq!(decode_value::<Message>(&mut buf).unwrap().unwrap(), ctrl(1));
-        assert_eq!(
-            decode_value::<Message>(&mut buf).unwrap().unwrap(),
-            Message::Shutdown
-        );
-        assert_eq!(decode_value::<Message>(&mut buf).unwrap().unwrap(), ctrl(3));
-        assert!(decode_value::<Message>(&mut buf).unwrap().is_none());
+        assert_eq!(next(&mut buf).unwrap().unwrap(), ctrl(1));
+        assert_eq!(next(&mut buf).unwrap().unwrap(), Message::Shutdown);
+        assert_eq!(next(&mut buf).unwrap().unwrap(), ctrl(3));
+        assert!(next(&mut buf).unwrap().is_none());
     }
 
     #[test]
@@ -140,24 +136,9 @@ mod tests {
         let mut buf = BytesMut::new();
         let v = vec!["service".to_string(), "frames".to_string()];
         encode_value(&v, &mut buf).unwrap();
-        let got: Vec<String> = decode_value(&mut buf).unwrap().unwrap();
+        let got: Vec<String> = decode_value(&mut buf, MAX_FRAME).unwrap().unwrap();
         assert_eq!(got, v);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn pending_frame_len_reports_total() {
-        let mut buf = BytesMut::new();
-        assert_eq!(pending_frame_len(&buf), None);
-        encode_value(&ctrl(1), &mut buf).unwrap();
-        let total = buf.len();
-        assert_eq!(pending_frame_len(&buf), Some(total));
-        decode_value::<Message>(&mut buf).unwrap().unwrap();
-        assert_eq!(pending_frame_len(&buf), None);
-        // An oversized prefix is not a plannable frame.
-        let mut bad = BytesMut::new();
-        bad.put_u32_le(u32::MAX);
-        assert_eq!(pending_frame_len(&bad), None);
     }
 
     #[test]
@@ -165,10 +146,15 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(u32::MAX);
         buf.put_slice(b"junk");
-        assert!(matches!(
-            decode_value::<Message>(&mut buf),
-            Err(NetError::Codec(_))
-        ));
+        assert!(matches!(next(&mut buf), Err(NetError::Codec(_))));
+        // Under a tighter cap, the prefix alone is enough to refuse a
+        // frame; at its exact length the frame decodes.
+        let mut frame = BytesMut::new();
+        encode_value(&ctrl(1), &mut frame).unwrap();
+        let len = frame.len() - 4;
+        let err = decode_value::<Message>(&mut BytesMut::from(&frame[..4]), len - 1).unwrap_err();
+        assert!(err.to_string().contains("cap"), "{err}");
+        assert_eq!(decode_value(&mut frame, len).unwrap(), Some(ctrl(1)));
     }
 
     #[test]
@@ -176,10 +162,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(4);
         buf.put_slice(b"{{{{");
-        assert!(matches!(
-            decode_value::<Message>(&mut buf),
-            Err(NetError::Codec(_))
-        ));
+        assert!(matches!(next(&mut buf), Err(NetError::Codec(_))));
     }
 
     /// Regression (send-side frame cap): a payload one byte over
@@ -213,8 +196,7 @@ mod tests {
         let mut out = BytesMut::new();
         encode_value(&at_limit, &mut out).unwrap();
         assert_eq!(out.len(), 4 + MAX_FRAME);
-        assert_eq!(pending_frame_len(&out), Some(4 + MAX_FRAME));
-        let back: String = decode_value(&mut out).unwrap().unwrap();
+        let back: String = decode_value(&mut out, MAX_FRAME).unwrap().unwrap();
         assert_eq!(back.len(), at_limit.len());
     }
 }

@@ -148,20 +148,31 @@ impl<S: Read + Write> TcpTransport<S> {
     /// [`NetError::Codec`] on malformed frames, [`NetError::Io`] for
     /// other socket failures.
     pub fn recv_value<T: Deserialize>(&mut self) -> Result<T, NetError> {
+        self.recv_value_within(codec::MAX_FRAME)
+    }
+
+    /// [`TcpTransport::recv_value`] for a frame of at most `cap` payload
+    /// bytes: a longer length prefix fails with [`NetError::Codec`] as
+    /// soon as it arrives, before any of its payload is read.
+    ///
+    /// The inbox grows only by the bytes that arrive, one read window of
+    /// `READ_CHUNK` (16 KiB) at a time, so a length prefix alone never
+    /// sizes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`TcpTransport::recv_value`].
+    pub fn recv_value_within<T: Deserialize>(&mut self, cap: usize) -> Result<T, NetError> {
         loop {
-            if let Some(msg) = codec::decode_value(&mut self.inbox)? {
+            if let Some(msg) = codec::decode_value(&mut self.inbox, cap)? {
                 return Ok(msg);
             }
             // Read straight into the accumulation buffer: `read` fills
             // `inbox`'s own tail, so bytes land exactly where `decode`
             // consumes them — no intermediate stack chunk and no second
-            // copy on the wire path. When a length prefix is already
-            // buffered, size the read window to the rest of that frame so
-            // one syscall typically completes it.
+            // copy on the wire path.
             let filled = self.inbox.len();
-            let want = codec::pending_frame_len(&self.inbox)
-                .map_or(READ_CHUNK, |total| (total - filled).max(READ_CHUNK));
-            self.inbox.resize(filled + want, 0);
+            self.inbox.resize(filled + READ_CHUNK, 0);
             let n = loop {
                 match self.stream.read(&mut self.inbox[filled..]) {
                     Ok(n) => break n,
@@ -382,6 +393,73 @@ mod tests {
         codec::encode_value(&ctrl(7), &mut expected).unwrap();
         assert_eq!(t.stream.written, expected.to_vec());
         assert!(t.stream.writes_interrupted >= expected.len());
+    }
+
+    /// A stream that serves `incoming` in reads of any size and records
+    /// the largest buffer it was offered.
+    struct RecordingStream {
+        incoming: Vec<u8>,
+        read_pos: usize,
+        largest_read: usize,
+    }
+
+    impl Read for RecordingStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            let n = buf.len().min(self.incoming.len() - self.read_pos);
+            buf[..n].copy_from_slice(&self.incoming[self.read_pos..self.read_pos + n]);
+            self.read_pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for RecordingStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn recording(incoming: Vec<u8>) -> TcpTransport<RecordingStream> {
+        TcpTransport::from_stream(RecordingStream {
+            incoming,
+            read_pos: 0,
+            largest_read: 0,
+        })
+    }
+
+    /// A 4-byte prefix that claims a 64 MiB frame, followed by 100 KB and
+    /// a hangup, is read in windows of `READ_CHUNK`: the prefix never
+    /// sizes the inbox.
+    #[test]
+    fn a_length_prefix_alone_does_not_size_the_inbox() {
+        let mut wire = (codec::MAX_FRAME as u32).to_le_bytes().to_vec();
+        wire.extend(std::iter::repeat_n(b' ', 100_000));
+        let mut t = recording(wire);
+        assert!(matches!(
+            t.recv_value::<Message>(),
+            Err(NetError::Disconnected)
+        ));
+        assert!(
+            t.stream.largest_read <= READ_CHUNK,
+            "read offered {} bytes",
+            t.stream.largest_read
+        );
+        assert_eq!(t.inbox.len(), 4 + 100_000);
+    }
+
+    /// A legitimate 1 MiB frame still decodes, through the same windows.
+    #[test]
+    fn a_one_mib_frame_decodes_in_read_chunks() {
+        let value = "x".repeat(1 << 20);
+        let mut wire = BytesMut::new();
+        codec::encode_value(&value, &mut wire).unwrap();
+        let mut t = recording(wire.to_vec());
+        assert_eq!(t.recv_value::<String>().unwrap(), value);
+        assert!(t.stream.largest_read <= READ_CHUNK);
     }
 
     /// Non-EINTR errors still propagate from the value paths.

@@ -147,7 +147,9 @@ impl CampaignServer {
     /// [`ServiceRequest::Hello`] carrying this shared secret before any
     /// other request is served. A wrong token — or any non-hello first
     /// frame — gets a [`ServiceReply::Error`] and the connection is
-    /// closed; nothing about the daemon's state is revealed first.
+    /// closed; nothing about the daemon's state is revealed first. A
+    /// first frame longer than [`HELLO_FRAME_CAP`] is not read at all:
+    /// the connection is closed as soon as its length prefix arrives.
     /// `None` (the default) serves every connection unauthenticated.
     pub fn with_auth_token(mut self, token: Option<String>) -> Self {
         self.auth_token = token;
@@ -258,18 +260,30 @@ fn handle_connection(
     }
 }
 
+/// Largest first frame, in payload bytes, that a daemon with an auth token
+/// reads before the hello: 4 KiB. A [`ServiceRequest::Hello`] frame is its
+/// token plus about 20 bytes of JSON, so any token up to about 4 KB fits.
+/// A longer length prefix closes the connection before its payload is
+/// read, so an unauthenticated peer cannot make the daemon buffer more
+/// than one read window.
+pub const HELLO_FRAME_CAP: usize = 4 * 1024;
+
 /// Gates a fresh connection on the shared secret. With no token
 /// configured this is a no-op (the serve loop still answers voluntary
 /// hellos); with one, the first frame must be a matching
 /// [`ServiceRequest::Hello`] — anything else is answered with a protocol
 /// error and `Err` tells the caller to drop the connection. The error
 /// message does not distinguish a wrong token from a missing hello, so a
-/// probe learns nothing beyond "authentication failed".
+/// probe learns nothing beyond "authentication failed". A first frame that
+/// cannot be read (a hangup, junk, or a length prefix over
+/// [`HELLO_FRAME_CAP`]) gets no reply.
 fn authenticate(transport: &mut TcpTransport, auth_token: Option<&str>) -> Result<(), ()> {
     let Some(expected) = auth_token else {
         return Ok(());
     };
-    let request: ServiceRequest = transport.recv_value().map_err(|_| ())?;
+    let request: ServiceRequest = transport
+        .recv_value_within(HELLO_FRAME_CAP)
+        .map_err(|_| ())?;
     match request {
         ServiceRequest::Hello { token } if token == expected => {
             transport.send_value(&ServiceReply::HelloOk).map_err(|_| ())

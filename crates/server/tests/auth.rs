@@ -3,16 +3,21 @@
 //! Wrong tokens and missing hellos get a clean protocol error — never a
 //! hang, never a served request — and the connection is closed. A
 //! daemon without a token stays fully open and still acknowledges
-//! voluntary hellos, so token-configured clients work against it.
+//! voluntary hellos, so token-configured clients work against it. A
+//! first frame that claims more than `HELLO_FRAME_CAP` bytes closes the
+//! connection before the daemon buffers it.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
 use avfi_net::proto::PlanPhase;
 use avfi_net::NetError;
-use avfi_server::{CampaignServer, ServiceClient};
+use avfi_server::{demo_plan, CampaignServer, ServiceClient};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::TraceLevel;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 const SECRET: &str = "campaign-secret";
 
@@ -119,4 +124,33 @@ fn open_daemon_acknowledges_voluntary_hello() {
     let err = c.status(99).expect_err("unknown plan");
     assert!(matches!(err, NetError::Protocol(m) if m.contains("unknown plan")));
     shutdown(&addr, None, daemon);
+}
+
+/// Four bytes claiming a 64 MiB frame, sent before the hello, get the
+/// connection closed at once: the daemon neither waits for nor reserves
+/// the payload. It then serves the demo plan byte-identical to its
+/// golden.
+#[test]
+fn a_giant_prefix_before_the_hello_closes_the_connection() {
+    let (addr, daemon) = spawn_daemon(Some(SECRET));
+    let mut raw = TcpStream::connect(&addr).expect("tcp connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    raw.write_all(&(64u32 << 20).to_le_bytes())
+        .expect("send prefix");
+    let mut byte = [0u8; 1];
+    match raw.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("expected the daemon to close the connection, got {other:?}"),
+    }
+
+    let mut c = ServiceClient::connect_with_token(&addr, Some(SECRET)).expect("hello accepted");
+    let (id, _) = c.submit(&demo_plan(), TraceLevel::Off).expect("submit");
+    assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
+    assert_eq!(
+        c.results_json(id).expect("results"),
+        include_str!("../../../results/golden/avfi_server_demo.json")
+    );
+    shutdown(&addr, Some(SECRET), daemon);
 }

@@ -17,10 +17,15 @@
 //!   ground pixel. It is kept as the differential oracle for the span
 //!   path — golden-image and property tests assert the two agree bit for
 //!   bit.
+//!
+//! [`Camera::render_into`] renders only the rows of a [`PixelFootprint`]
+//! and leaves the other rows as they were. A pixel depends on its own
+//! ray, the map, the weather and the billboard list, never on another
+//! row, so every rendered row is the row a full render gives.
 
 use crate::map::{Map, Material, RowLine, SpanScratch};
 use crate::math::{Pose, Vec2};
-use crate::sensors::{Image, Rgb};
+use crate::sensors::{Image, PixelFootprint, Rgb};
 use crate::weather::Weather;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -346,22 +351,34 @@ impl Camera {
         }
     }
 
-    /// Renders the scene from the ego pose into a fresh image.
+    /// Renders every row of the scene from the ego pose into a fresh
+    /// image.
     ///
     /// Allocating convenience wrapper around [`Camera::render_into`].
     pub fn render(&self, scene: &RenderScene<'_>, ego: Pose) -> Image {
-        let mut img = Image::new(self.config.width, self.config.height);
-        self.render_into(scene, ego, &mut img);
+        let (w, h) = (self.config.width, self.config.height);
+        let mut img = Image::new(w, h);
+        self.render_into(scene, ego, &PixelFootprint::whole(w, h), &mut img);
         img
     }
 
-    /// Renders the scene from the ego pose, reusing `img`'s allocation.
+    /// Renders the rows of `rows` from the ego pose into `img`, reusing
+    /// its allocation; the footprint's column mask is ignored.
     ///
     /// This is the span-based ground pass: each row's material boundaries
     /// are solved analytically once and constant-material runs are filled
-    /// whole, with fog blended from a precomputed per-weather table. The
-    /// output is bit-identical to [`Camera::render_into_reference`].
-    pub fn render_into(&self, scene: &RenderScene<'_>, ego: Pose, img: &mut Image) {
+    /// whole, with fog blended from a precomputed per-weather table. Every
+    /// rendered row is bit-identical to [`Camera::render_into_reference`].
+    /// A row outside `rows` gets neither the ground pass nor a billboard
+    /// and keeps the bytes it held (after `img` is reshaped to the camera's
+    /// size).
+    pub fn render_into(
+        &self,
+        scene: &RenderScene<'_>,
+        ego: Pose,
+        rows: &PixelFootprint,
+        img: &mut Image,
+    ) {
         let w = self.config.width;
         let h = self.config.height;
         img.reshape(w, h);
@@ -374,7 +391,7 @@ impl Camera {
         SPAN_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let data = img.data_mut();
-            for y in 0..h {
+            for y in (0..h).filter(|&y| rows.row(y)) {
                 let row = &mut data[y * w * 3..(y + 1) * w * 3];
                 match self.rows[y] {
                     RowMeta::Sky => fill_span(row, 0, w as u32, ctx.sky),
@@ -456,7 +473,7 @@ impl Camera {
                 }
             }
         });
-        self.billboard_pass(scene, &ctx, img);
+        self.billboard_pass(scene, &ctx, rows, img);
     }
 
     /// Renders via the per-pixel reference path into a fresh image.
@@ -476,7 +493,8 @@ impl Camera {
     /// slower, but with no analytic machinery to get wrong.
     /// [`Camera::render_into`] must match it bit for bit.
     pub fn render_into_reference(&self, scene: &RenderScene<'_>, ego: Pose, img: &mut Image) {
-        img.reshape(self.config.width, self.config.height);
+        let (w, h) = (self.config.width, self.config.height);
+        img.reshape(w, h);
         let ctx = self.frame_ctx(scene, ego);
         for (ray, px) in self.rays.iter().zip(img.data_mut().chunks_exact_mut(3)) {
             let color = match *ray {
@@ -502,13 +520,20 @@ impl Camera {
             };
             px.copy_from_slice(&color);
         }
-        self.billboard_pass(scene, &ctx, img);
+        self.billboard_pass(scene, &ctx, &PixelFootprint::whole(w, h), img);
     }
 
-    /// Billboard pass, far to near. Scenes carry a handful of sprites, so
-    /// the depth sort runs in a stack buffer (heap fallback for oversized
-    /// scenes) to keep the steady-state frame allocation-free.
-    fn billboard_pass(&self, scene: &RenderScene<'_>, ctx: &FrameCtx, img: &mut Image) {
+    /// Billboard pass, far to near, drawn only on the rows of `rows`.
+    /// Scenes carry a handful of sprites, so the depth sort runs in a
+    /// stack buffer (heap fallback for oversized scenes) to keep the
+    /// steady-state frame allocation-free.
+    fn billboard_pass(
+        &self,
+        scene: &RenderScene<'_>,
+        ctx: &FrameCtx,
+        rows: &PixelFootprint,
+        img: &mut Image,
+    ) {
         let cfg = &self.config;
         let (w, h) = (cfg.width, cfg.height);
         let (tan_h, tan_v) = (self.tan_h, self.tan_v);
@@ -573,13 +598,18 @@ impl Camera {
             let half_w_px = (b.radius / (depth * tan_h)) * w as f64 * 0.5;
             let fb = (1.0 - (-ctx.fog * depth).exp()) as f32;
             let color = mix(scale(b.color, ctx.ambient), ctx.haze, fb);
-            img.fill_rect(
+            let (x0, x1) = (
                 (x_b - half_w_px).round() as i64,
-                y_t.round() as i64,
                 (x_b + half_w_px).round() as i64,
-                y_b.round() as i64,
-                color,
             );
+            let (y0, y1) = (y_t.round() as i64, y_b.round() as i64);
+            // The rows `fill_rect(x0, y0, x1, y1)` would cover, one at a
+            // time, so that rows outside the footprint stay as they were.
+            for y in y0.min(y1).max(0)..y0.max(y1).min(h as i64) {
+                if rows.row(y as usize) {
+                    img.fill_rect(x0, y, x1, y + 1, color);
+                }
+            }
         }
     }
 }
@@ -658,7 +688,7 @@ mod tests {
         // Start from a differently-shaped dirty buffer: render_into must
         // reshape it and overwrite every pixel.
         let mut reused = Image::filled(3, 5, [0.9, 0.1, 0.9]);
-        cam.render_into(&scene, ego, &mut reused);
+        cam.render_into(&scene, ego, &PixelFootprint::whole(64, 48), &mut reused);
         assert_eq!(fresh, reused);
     }
 

@@ -73,7 +73,9 @@ impl Image {
 
     /// Reshapes the buffer in place to `width × height`, reusing the
     /// allocation when capacity allows. Pixel contents are unspecified
-    /// afterwards (callers are expected to overwrite every pixel).
+    /// afterwards: a caller overwrites the pixels its readers need
+    /// ([`Camera::render_into`](crate::sensors::Camera::render_into)
+    /// writes only the rows of its footprint).
     ///
     /// # Panics
     ///
@@ -207,7 +209,9 @@ impl Image {
 /// The pixels of an image that its reader looks at: every pixel whose row
 /// is in a row mask and whose column is in a column mask. A fault whose
 /// output only that reader sees may compute these pixels alone and leave
-/// the rest unspecified. The default footprint holds no pixel.
+/// the rest unspecified, and the camera renders only the footprint's rows
+/// ([`Camera::render_into`](crate::sensors::Camera::render_into)). The
+/// default footprint holds no pixel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PixelFootprint {
     rows: Vec<bool>,
@@ -259,6 +263,12 @@ impl PixelFootprint {
     #[inline]
     pub fn col(&self, x: usize) -> bool {
         self.cols.get(x) == Some(&true)
+    }
+
+    /// Whether the footprint holds no pixel: its row mask or its column
+    /// mask is empty.
+    pub fn is_empty(&self) -> bool {
+        !self.rows.contains(&true) || !self.cols.contains(&true)
     }
 }
 
@@ -320,8 +330,11 @@ mod tests {
         let whole = PixelFootprint::whole(6, 4);
         assert!((0..4).all(|y| whole.row(y)) && (0..6).all(|x| whole.col(x)));
         assert!(!whole.row(4) && !whole.col(6));
+        assert!(!grid.is_empty() && !whole.is_empty());
         let empty = PixelFootprint::default();
-        assert!(!empty.row(0) && !empty.col(0));
+        assert!(!empty.row(0) && !empty.col(0) && empty.is_empty());
+        assert!(PixelFootprint::grid(6, 4, [1], []).is_empty());
+        assert!(PixelFootprint::grid(6, 4, [], [2]).is_empty());
     }
 
     #[test]

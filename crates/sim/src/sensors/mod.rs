@@ -25,6 +25,10 @@ use serde::{Deserialize, Serialize};
 /// render and the LIDAR scan. GPS, IMU and odometry are not in the mask:
 /// they cost almost nothing, and GPS and IMU draw from their own RNG
 /// streams every frame, so skipping them would shift later readings.
+/// Within the camera, a world renders only the rows of the
+/// [`PixelFootprint`] it is given beside the mask
+/// ([`World::set_sensor_mask`](crate::world::World::set_sensor_mask)), and
+/// none when that footprint holds no pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SensorMask {
     /// Render the forward camera.

@@ -15,8 +15,8 @@ use crate::recorder::{Recorder, TrajectorySample};
 use crate::rng::stream_rng;
 use crate::scenario::Scenario;
 use crate::sensors::{
-    Billboard, Camera, Gps, GpsFix, Image, Imu, ImuReading, Lidar, LidarScan, RenderScene,
-    SensorFrame, SensorMask,
+    Billboard, Camera, Gps, GpsFix, Image, Imu, ImuReading, Lidar, LidarScan, PixelFootprint,
+    RenderScene, SensorFrame, SensorMask,
 };
 use crate::violation::{EgoSnapshot, ViolationKind, ViolationMonitor};
 use crate::weather::Weather;
@@ -117,6 +117,8 @@ pub struct World {
     imu_rng: StdRng,
     /// The sensors [`World::observe_into`] computes.
     sensor_mask: SensorMask,
+    /// The camera rows [`World::observe_into`] renders.
+    camera_rows: PixelFootprint,
     /// Reused per-frame billboard list (steady-state `observe` is
     /// allocation-free; see [`World::observe_into`]).
     scratch_billboards: Vec<Billboard>,
@@ -138,8 +140,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario's town cannot host any mission route (grid
-    /// towns of 2×2 and larger always can).
+    /// Panics if the scenario's town cannot host a mission route. Not
+    /// every grid town can: the route needs drive lanes longer than 20 m,
+    /// and a 2×2 town with `block = 25.0` has none. `Scenario::check`
+    /// cannot see this without generating the map (ROADMAP item 2).
     pub fn from_scenario(scenario: &Scenario) -> Self {
         let map = TownGenerator::new(scenario.town.clone()).generate();
         let mut mission_rng = stream_rng(scenario.seed, STREAM_MISSION);
@@ -189,6 +193,7 @@ impl World {
             gps_rng: stream_rng(scenario.seed, STREAM_GPS),
             imu_rng: stream_rng(scenario.seed, STREAM_IMU),
             sensor_mask: SensorMask::ALL,
+            camera_rows: PixelFootprint::whole(scenario.camera.width, scenario.camera.height),
             scenario: scenario.clone(),
             map,
             scratch_billboards: Vec::new(),
@@ -237,13 +242,17 @@ impl World {
         std::mem::take(&mut self.recorder)
     }
 
-    /// Restricts observation to the sensors in `mask` (a new world
-    /// observes every sensor). Camera and LIDAR draw no randomness and
-    /// their gathering touches only scratch buffers, so narrowing the
-    /// mask changes no other reading, no RNG stream and no trajectory —
-    /// only the skipped buffers go stale.
-    pub fn set_sensor_mask(&mut self, mask: SensorMask) {
+    /// Restricts observation to the sensors in `mask`, and the camera
+    /// render to the rows of `camera` (its column mask is ignored). A new
+    /// world observes every sensor and renders every row. A footprint
+    /// that holds no pixel skips the camera as `mask` does. Camera and
+    /// LIDAR draw no randomness and their gathering touches only scratch
+    /// buffers, and no camera row depends on another, so narrowing either
+    /// changes no other reading, no rendered row, no RNG stream and no
+    /// trajectory: only the skipped buffers and rows go stale.
+    pub fn set_sensor_mask(&mut self, mask: SensorMask, camera: PixelFootprint) {
         self.sensor_mask = mask;
+        self.camera_rows = camera;
     }
 
     /// Simulation time, seconds.
@@ -391,7 +400,8 @@ impl World {
     /// loops (the campaign runner, the sim server) should allocate one
     /// observation up front and refresh it in place instead. A sensor
     /// outside the [`SensorMask`] comes back blank (a black image, an
-    /// empty scan).
+    /// empty scan), and so do the camera rows outside the world's
+    /// footprint: the image keeps the camera's size either way.
     pub fn observe(&mut self) -> WorldObservation {
         let cam = *self.camera.config();
         let lidar_cfg = *self.lidar.config();
@@ -433,17 +443,22 @@ impl World {
     /// Refreshes `obs` in place with the current frame's observation,
     /// reusing the image and LIDAR buffers. Every field of `obs` is
     /// overwritten, except the image and LIDAR buffers of sensors outside
-    /// the world's [`SensorMask`], which keep what they held; after the
-    /// buffers have warmed up to the sensor dimensions this performs no
-    /// heap allocation.
+    /// the world's [`SensorMask`] and the image rows outside its camera
+    /// footprint ([`World::set_sensor_mask`]), which keep what they held;
+    /// after the buffers have warmed up to the sensor dimensions this
+    /// performs no heap allocation.
     pub fn observe_into(&mut self, obs: &mut WorldObservation) {
-        // The scratch vectors are moved out while borrowed helpers run so
-        // the scene can borrow `self.map` immutably; their capacity is
-        // preserved across frames (`mem::take` leaves an empty Vec behind
-        // without allocating).
-        if self.sensor_mask.camera {
+        // The scratch vectors (and the row footprint) are moved out while
+        // borrowed helpers run so the scene can borrow `self.map`
+        // immutably; their capacity is preserved across frames
+        // (`mem::take` leaves empty Vecs behind without allocating).
+        if self.sensor_mask.camera && !self.camera_rows.is_empty() {
             let image = &mut obs.sensors.image;
-            self.with_camera_scene(|camera, scene, ego| camera.render_into(scene, ego, image));
+            let rows = std::mem::take(&mut self.camera_rows);
+            self.with_camera_scene(|camera, scene, ego| {
+                camera.render_into(scene, ego, &rows, image)
+            });
+            self.camera_rows = rows;
         }
 
         if self.sensor_mask.lidar {
@@ -670,6 +685,26 @@ mod tests {
         assert!(obs.truth.route_remaining > 0.0);
     }
 
+    /// Asserts that two worlds report the same GPS, IMU, odometry,
+    /// command, mission and truth, and hold their traffic in the same
+    /// places.
+    fn assert_same_readings(
+        full: (&World, &WorldObservation),
+        masked: (&World, &WorldObservation),
+        frame: usize,
+    ) {
+        let (f, m) = (&full.1.sensors, &masked.1.sensors);
+        assert_eq!(
+            (f.frame, f.time, f.gps, f.imu, f.speed, f.heading),
+            (m.frame, m.time, m.gps, m.imu, m.speed, m.heading),
+            "frame {frame}"
+        );
+        assert_eq!(full.1.command, masked.1.command);
+        assert_eq!(full.1.mission, masked.1.mission);
+        assert_eq!(full.1.truth, masked.1.truth);
+        assert_eq!(full.0.actor_shapes(), masked.0.actor_shapes());
+    }
+
     #[test]
     fn empty_mask_changes_no_other_reading() {
         // Camera and LIDAR draw no randomness, so a world that skips them
@@ -678,7 +713,7 @@ mod tests {
         // skipped buffers as they were.
         let mut full = small_world(9);
         let mut masked = small_world(9);
-        masked.set_sensor_mask(SensorMask::NONE);
+        masked.set_sensor_mask(SensorMask::NONE, PixelFootprint::default());
         let mut full_obs = full.observe();
         let (image, lidar) = (
             full_obs.sensors.image.clone(),
@@ -688,16 +723,7 @@ mod tests {
         let mut masked_obs = full_obs.clone();
         masked.observe_into(&mut masked_obs);
         for i in 0..100 {
-            let (f, m) = (&full_obs.sensors, &masked_obs.sensors);
-            assert_eq!(
-                (f.frame, f.time, f.gps, f.imu, f.speed, f.heading),
-                (m.frame, m.time, m.gps, m.imu, m.speed, m.heading),
-                "frame {i}"
-            );
-            assert_eq!(full_obs.command, masked_obs.command);
-            assert_eq!(full_obs.mission, masked_obs.mission);
-            assert_eq!(full_obs.truth, masked_obs.truth);
-            assert_eq!(full.actor_shapes(), masked.actor_shapes());
+            assert_same_readings((&full, &full_obs), (&masked, &masked_obs), i);
             assert_eq!(masked_obs.sensors.image, image);
             assert_eq!(masked_obs.sensors.lidar, lidar);
             let c = VehicleControl::new((i as f64 * 0.05).sin() * 0.3, 0.6, 0.0);
@@ -710,6 +736,37 @@ mod tests {
             full_obs.sensors.image, image,
             "the full world kept rendering"
         );
+    }
+
+    #[test]
+    fn row_footprint_renders_its_rows_and_changes_no_other_reading() {
+        // Under the IL-CNN's footprint of a 64×48 image (the even rows and
+        // columns), a world renders the even rows as the full world does,
+        // leaves the odd rows as they were, and every other reading and
+        // the traffic are the full world's, frame for frame.
+        let rows = PixelFootprint::grid(64, 48, (0..64).step_by(2), (0..48).step_by(2));
+        let mut full = small_world(9);
+        let mut masked = small_world(9);
+        masked.set_sensor_mask(SensorMask::ALL, rows.clone());
+        let mut full_obs = full.observe();
+        let mut masked_obs = full_obs.clone();
+        let stale = Image::filled(64, 48, [0.25, 0.5, 0.75]);
+        let row = |img: &Image, y: usize| img.data()[y * 64 * 3..(y + 1) * 64 * 3].to_vec();
+        for i in 0..100 {
+            masked_obs.sensors.image.copy_from(&stale);
+            masked.observe_into(&mut masked_obs);
+            assert_same_readings((&full, &full_obs), (&masked, &masked_obs), i);
+            let (f, m) = (&full_obs.sensors, &masked_obs.sensors);
+            assert_eq!(f.lidar, m.lidar, "frame {i}");
+            for y in 0..48 {
+                let want = if y % 2 == 0 { &f.image } else { &stale };
+                assert_eq!(row(&m.image, y), row(want, y), "frame {i} row {y}");
+            }
+            let c = VehicleControl::new((i as f64 * 0.05).sin() * 0.3, 0.6, 0.0);
+            full.step(c);
+            masked.step(c);
+            full.observe_into(&mut full_obs);
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! These tests drive thousands of randomized and adversarially chosen
 //! (town, camera, weather, pose) combinations through both paths and
 //! require bit-identical output — any divergence is a bug in the span
-//! math's root finding, probe bracketing, or tie-breaking. The last test
+//! math's root finding, probe bracketing, or tie-breaking. A row-mask
+//! test checks that rendering a subset of the rows gives the full
+//! render's bytes on those rows and touches no other. The last test
 //! drives the span classifier itself across material-grid cell
 //! boundaries.
 
 use avfi_sim::map::town::{TownConfig, TownGenerator};
 use avfi_sim::map::{Map, Material, RowLine, SpanScratch};
 use avfi_sim::math::{Pose, Vec2};
-use avfi_sim::sensors::{Camera, CameraConfig, RenderScene};
+use avfi_sim::sensors::{Billboard, Camera, CameraConfig, Image, PixelFootprint, RenderScene};
 use avfi_sim::weather::Weather;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -171,6 +173,106 @@ proptest! {
         let pose = Pose::new(Vec2::new(x, y), heading);
         let diff = first_diff(map, &cam, Weather::ALL[weather_i], pose);
         prop_assert!(diff.is_none(), "{}", diff.unwrap());
+    }
+}
+
+/// The row sets each row-mask case renders: no row, one row, the even
+/// rows, every row, and the rows whose bit `y % 64` is set in `bits`.
+/// Each carries the same random column mask, which the camera ignores.
+fn row_sets(w: usize, h: usize, one: usize, bits: u64) -> [(&'static str, PixelFootprint); 5] {
+    let cols: Vec<usize> = (0..w)
+        .filter(|x| bits.rotate_left(29) >> (x % 64) & 1 == 1)
+        .collect();
+    let set = |rows: Vec<usize>| PixelFootprint::grid(w, h, cols.iter().copied(), rows);
+    [
+        ("no row", set(vec![])),
+        ("one row", set(vec![one % h])),
+        ("even rows", set((0..h).step_by(2).collect())),
+        ("every row", set((0..h).collect())),
+        (
+            "random rows",
+            set((0..h).filter(|y| bits >> (y % 64) & 1 == 1).collect()),
+        ),
+    ]
+}
+
+/// First row where rendering only `rows` into a dirty buffer differs from
+/// the full render (a row in the set) or from the dirty bytes (a row
+/// outside it).
+fn first_row_diff(
+    cam: &Camera,
+    scene: &RenderScene<'_>,
+    pose: Pose,
+    rows: &PixelFootprint,
+) -> Option<String> {
+    let full = cam.render(scene, pose);
+    let (w, h) = (full.width(), full.height());
+    let mut dirty = Image::new(w, h);
+    for (i, v) in dirty.data_mut().iter_mut().enumerate() {
+        *v = 2.0 + (i % 251) as f32;
+    }
+    let mut masked = dirty.clone();
+    cam.render_into(scene, pose, rows, &mut masked);
+    (0..h).find_map(|y| {
+        let bytes = y * w * 3..(y + 1) * w * 3;
+        let want = if rows.row(y) { &full } else { &dirty };
+        (masked.data()[bytes.clone()] != want.data()[bytes]).then(|| {
+            format!(
+                "row {y} ({} the set) differs from the {} at pose {pose:?}",
+                if rows.row(y) { "in" } else { "outside" },
+                if rows.row(y) {
+                    "full render"
+                } else {
+                    "dirty buffer"
+                },
+            )
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Masked renders over every town, camera and weather, random poses
+    /// and random billboards in front of the camera (tall ones cover
+    /// rows both in and outside a set): every row in the set is the full
+    /// render's, bit for bit, and every other row keeps its dirty bytes.
+    #[test]
+    fn masked_rows_match_the_full_render_and_others_stay_put(
+        pick in (0usize..3, 0usize..3, 0usize..5),
+        at in (-20.0f64..180.0, -20.0f64..180.0, -3.2f64..3.2),
+        row_seed in (0usize..64, any::<u64>()),
+        boards in prop::collection::vec(
+            (1.0f64..45.0, -12.0f64..12.0, 0.2f64..2.5, 0.0f64..2.5, 0.3f64..4.0, 0.0f32..1.0),
+            0..6,
+        ),
+    ) {
+        let ((map_i, cam_i, weather_i), (x, y, heading)) = (pick, at);
+        let (one, bits) = row_seed;
+        let map = &maps()[map_i];
+        let cam = &cameras()[cam_i];
+        let pose = Pose::new(Vec2::new(x, y), heading);
+        let right = Vec2::new(pose.forward().y, -pose.forward().x);
+        let billboards: Vec<Billboard> = boards
+            .iter()
+            .map(|&(ahead, side, radius, base, height, c)| Billboard {
+                position: pose.position + pose.forward() * ahead + right * side,
+                radius,
+                base,
+                top: base + height,
+                color: [c, 1.0 - c, 0.5 * c],
+            })
+            .collect();
+        let scene = RenderScene {
+            map,
+            weather: Weather::ALL[weather_i],
+            billboards: &billboards,
+        };
+        let (w, h) = (cam.config().width, cam.config().height);
+        for (name, rows) in row_sets(w, h, one, bits) {
+            let diff = first_row_diff(cam, &scene, pose, &rows);
+            prop_assert!(diff.is_none(), "{name}: {}", diff.unwrap());
+        }
     }
 }
 

@@ -123,9 +123,11 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
     // runner and over the SimServer/SimClient lockstep protocol — must
     // produce bit-identical results, or campaign numbers would depend on
     // the deployment topology. The runner's world computes only the
-    // sensors the agent and its fault read; the server's observes them
-    // all, so every case also checks that the skipped sensors could not
-    // have mattered.
+    // sensors the agent and its fault read, and renders only the camera
+    // rows that can reach the agent; the server's observes everything, so
+    // every case also checks that the skipped sensors and rows could not
+    // have mattered. Water drops read droplet centres anywhere in the
+    // image, so their case renders every row.
     //
     // Untrained weights: an IL agent that drives at all is enough to tell
     // a blank or shifted frame from the real one. Many untrained seeds
@@ -173,6 +175,9 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
             fraction: 0.5,
             selector: ParamSelector::All,
         }),
+        camera(ImageFault::water_drop(4, 0.08)),
+        camera(ImageFault::solid_occlusion(0.30)),
+        camera(ImageFault::transparent_occlusion(0.6, 0.5)),
     ];
     let cases = expert_faults
         .into_iter()
