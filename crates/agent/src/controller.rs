@@ -4,7 +4,7 @@
 use crate::features::{image_to_tensor, net_footprint, normalize_speed};
 use crate::ilnet::IlNetwork;
 use avfi_sim::physics::VehicleControl;
-use avfi_sim::sensors::{GpsFix, Image, LidarScan, PixelFootprint, SensorMask};
+use avfi_sim::sensors::{GpsFix, Image, LidarScan, PixelFootprint};
 use avfi_sim::world::{World, WorldObservation};
 
 /// Everything a driver may look at for one frame.
@@ -18,9 +18,10 @@ use avfi_sim::world::{World, WorldObservation};
 /// for a perfect-perception oracle). Keeping both in one struct lets the
 /// campaign runner treat all drivers uniformly.
 ///
-/// Of the masked sensors (camera and LIDAR) a driver may read only those
-/// its [`Driver::reads`] declares: the campaign runner has the world
-/// compute just those, so the others can be stale.
+/// Of the camera a driver may read only the pixels its
+/// [`Driver::footprint`] declares, and it reads no LIDAR: the campaign
+/// runner's world renders just those rows and scans no sweep, so the
+/// rest can be stale.
 #[derive(Debug)]
 pub struct DriverInput<'a> {
     /// The observation from the server. Sensor channels duplicated in the
@@ -33,7 +34,10 @@ pub struct DriverInput<'a> {
     /// leave the others unwritten or stale, and a campaign world may
     /// never have rendered their rows.
     pub image: &'a Image,
-    /// Effective LIDAR sweep.
+    /// Effective LIDAR sweep, read by no driver. A campaign world scans
+    /// no LIDAR and observes a blank sweep of `beams` max-range returns,
+    /// which a LIDAR fault corrupts with the same draws as a real sweep
+    /// (see [`World::narrow_to`]).
     pub lidar: &'a LidarScan,
     /// Effective GPS fix.
     pub gps: GpsFix,
@@ -63,15 +67,10 @@ pub trait Driver {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// The masked sensors this driver reads from [`DriverInput`]; a world
-    /// driven by it need compute no others (see
-    /// [`World::set_sensor_mask`]).
-    fn reads(&self) -> SensorMask;
-
     /// The pixels of a `width × height` camera image this driver reads
     /// from [`DriverInput::image`]; a camera fault need compute no others,
     /// and a world driven by it need render no other rows (see
-    /// [`World::set_sensor_mask`]).
+    /// [`World::narrow_to`]).
     fn footprint(&self, width: usize, height: usize) -> PixelFootprint;
 }
 
@@ -98,10 +97,6 @@ impl Driver for NeuralDriver {
 
     fn name(&self) -> &'static str {
         "il-cnn"
-    }
-
-    fn reads(&self) -> SensorMask {
-        SensorMask::CAMERA
     }
 
     fn footprint(&self, width: usize, height: usize) -> PixelFootprint {

@@ -15,7 +15,7 @@ use crate::controller::{Driver, DriverInput};
 use avfi_sim::map::{LaneKind, LightState, SignalGroup};
 use avfi_sim::math::{clamp, Ray};
 use avfi_sim::physics::{CollisionShape, VehicleControl};
-use avfi_sim::sensors::{PixelFootprint, SensorMask};
+use avfi_sim::sensors::PixelFootprint;
 use avfi_sim::world::World;
 
 /// Lookahead distance per m/s of speed.
@@ -141,12 +141,7 @@ impl Driver for ExpertDriver {
         "expert"
     }
 
-    /// None: the expert drives from ground truth.
-    fn reads(&self) -> SensorMask {
-        SensorMask::NONE
-    }
-
-    /// No pixel: the expert reads no camera.
+    /// No pixel: the expert drives from ground truth and reads no camera.
     fn footprint(&self, _width: usize, _height: usize) -> PixelFootprint {
         PixelFootprint::default()
     }

@@ -7,7 +7,7 @@
 
 use crate::fault::FaultSpec;
 use crate::harness::AvDriver;
-use avfi_agent::{Driver, IlNetwork};
+use avfi_agent::IlNetwork;
 use avfi_sim::recorder::Recorder;
 use avfi_sim::rng::run_seed;
 use avfi_sim::scenario::Scenario;
@@ -269,10 +269,9 @@ impl WorkerScratch {
 /// campaign-scale disk stays proportional to failures. With `trace`
 /// `None` or at `Off`, neither the event log nor a trace is built.
 ///
-/// The world computes only the sensors the driver reads ([`Driver::reads`]:
-/// the agent's plus those the fault corrupts), and renders only the camera
-/// rows that can reach the agent ([`Driver::footprint`]); the others
-/// cannot change the result.
+/// The world is narrowed to [`AvDriver::footprint`]: it renders only the
+/// camera rows that can reach the agent and scans no LIDAR, which no agent
+/// reads. Nothing else can change the result.
 pub fn run_mission(
     template: &Scenario,
     scenario_index: usize,
@@ -301,10 +300,7 @@ pub fn run_mission(
         driver.enable_event_log();
     }
     let camera = scenario.camera;
-    world.set_sensor_mask(
-        driver.reads(),
-        driver.footprint(camera.width, camera.height),
-    );
+    world.narrow_to(driver.footprint(camera.width, camera.height));
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);

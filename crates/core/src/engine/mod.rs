@@ -36,6 +36,7 @@
 use crate::campaign::{
     run_mission, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec, WorkerScratch,
 };
+use crate::fault::FaultProblem;
 use avfi_agent::IlNetwork;
 use avfi_nn::serialize::LoadWeightsError;
 use avfi_sim::FRAME_DT;
@@ -123,16 +124,17 @@ impl WorkPlan {
 
     /// Checks that every run of the plan can start: the plan holds at
     /// most [`MAX_PLAN_RUNS`] runs, every scenario passes
-    /// [`Scenario::check`](avfi_sim::Scenario::check), and each neural
-    /// campaign's weights decode into the IL-CNN. Each distinct weight
-    /// blob is decoded once.
+    /// [`Scenario::check`](avfi_sim::Scenario::check), every fault passes
+    /// [`FaultSpec::check`](crate::fault::FaultSpec::check), and each
+    /// neural campaign's weights decode into the IL-CNN. Each distinct
+    /// weight blob is decoded once.
     ///
     /// # Errors
     ///
     /// [`PlanError::TooManyRuns`] for a plan over the cap, else the first
     /// problem in plan order: [`PlanError::Scenario`] for a campaign's
-    /// first refused scenario, or [`PlanError::Weights`] when its weights
-    /// do not decode.
+    /// first refused scenario, [`PlanError::Fault`] for a refused fault,
+    /// or [`PlanError::Weights`] when its weights do not decode.
     pub fn validate(&self) -> Result<(), PlanError> {
         let runs = self.total_runs();
         if runs > MAX_PLAN_RUNS {
@@ -149,6 +151,11 @@ impl WorkPlan {
                         problem,
                     })?;
                 }
+                cfg.fault.check().map_err(|problem| PlanError::Fault {
+                    study: study.name.clone(),
+                    campaign,
+                    problem,
+                })?;
                 let AgentSpec::Neural { weights } = &cfg.agent else {
                     continue;
                 };
@@ -193,6 +200,15 @@ pub enum PlanError {
         /// The check's complaint.
         problem: String,
     },
+    /// A campaign's fault fails [`FaultSpec::check`](crate::fault::FaultSpec::check).
+    Fault {
+        /// Name of the study holding the campaign.
+        study: String,
+        /// Index of the campaign within its study.
+        campaign: usize,
+        /// The check's complaint.
+        problem: FaultProblem,
+    },
     /// A neural campaign's weights do not decode.
     Weights {
         /// Name of the study holding the campaign.
@@ -222,6 +238,11 @@ impl fmt::Display for PlanError {
                 f,
                 "study {study:?} campaign {campaign} scenario {scenario}: {problem}"
             ),
+            PlanError::Fault {
+                study,
+                campaign,
+                problem,
+            } => write!(f, "study {study:?} campaign {campaign}: fault {problem}"),
             PlanError::Weights {
                 study,
                 campaign,
@@ -1174,6 +1195,95 @@ mod tests {
                 message.starts_with("study \"mutant\" campaign 1 scenario 1: ")
                     && message.contains(problem),
                 "{message} lacks {problem:?}"
+            );
+        }
+    }
+
+    /// Each fault cap is accepted at its bound and refused one above
+    /// it, naming the study and campaign, and so is any bit index of 64
+    /// or more. Nothing is built.
+    #[test]
+    fn validate_refuses_each_fault_over_its_cap() {
+        use crate::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
+        use crate::fault::input::{ImageFault, InputFault, LidarFault};
+        use crate::fault::ml::MlFault;
+        use crate::fault::{MAX_FLIPPED_BITS, MAX_GHOSTS, MAX_WATER_DROPS, MAX_WEIGHT_FLIPS};
+        use crate::localizer::ParamSelector;
+        let drops =
+            |drops| FaultSpec::Input(InputFault::always(ImageFault::water_drop(drops, 0.1)));
+        let ghosts = |count| {
+            FaultSpec::Input(
+                InputFault::scalar_only().with_lidar(LidarFault::Ghost { count, range: 2.0 }),
+            )
+        };
+        let flips = |flips| {
+            FaultSpec::Ml(MlFault::WeightBitFlip {
+                flips,
+                selector: ParamSelector::All,
+            })
+        };
+        let bits =
+            |model| FaultSpec::Hardware(HardwareFault::always(HardwareTarget::ControlSteer, model));
+        let list = |len: usize| {
+            bits(BitFaultModel::MultiBitFlip {
+                bits: (0..len).map(|i| (i % 64) as u8).collect(),
+            })
+        };
+        let single = |bit| bits(BitFaultModel::SingleBitFlip { bit });
+        let at_bounds = [
+            drops(MAX_WATER_DROPS),
+            ghosts(MAX_GHOSTS),
+            flips(MAX_WEIGHT_FLIPS),
+            list(MAX_FLIPPED_BITS),
+            single(63),
+            bits(BitFaultModel::MultiBitFlip { bits: vec![0, 63] }),
+        ];
+        let refused = [
+            (
+                drops(MAX_WATER_DROPS + 1),
+                "water-drop count 65 is over the cap of 64",
+            ),
+            (
+                drops(1 << 40),
+                "water-drop count 1099511627776 is over the cap of 64",
+            ),
+            (
+                ghosts(MAX_GHOSTS + 1),
+                "ghost count 1025 is over the cap of 1024",
+            ),
+            (
+                flips(MAX_WEIGHT_FLIPS + 1),
+                "weight bit-flip count 1025 is over the cap of 1024",
+            ),
+            (
+                list(MAX_FLIPPED_BITS + 1),
+                "bit-flip list length 65 is over the cap of 64",
+            ),
+            (single(64), "bit index 64 is outside 0..64"),
+            (single(u8::MAX), "bit index 255 is outside 0..64"),
+            (
+                bits(BitFaultModel::MultiBitFlip { bits: vec![3, 64] }),
+                "bit index 64 is outside 0..64",
+            ),
+        ];
+        let plan = |fault: FaultSpec| {
+            two_study_plan().with_study(
+                "mutant",
+                vec![campaign(40, FaultSpec::None), campaign(44, fault)],
+            )
+        };
+        for fault in at_bounds {
+            assert_eq!(plan(fault.clone()).validate(), Ok(()), "{fault:?}");
+        }
+        for (fault, problem) in refused {
+            let err = plan(fault).validate().unwrap_err();
+            assert!(
+                matches!(&err, PlanError::Fault { study, campaign: 1, .. } if study == "mutant"),
+                "{err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("study \"mutant\" campaign 1: fault {problem}")
             );
         }
     }

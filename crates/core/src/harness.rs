@@ -13,7 +13,7 @@ use avfi_agent::controller::{Driver, DriverInput};
 use avfi_agent::{ExpertDriver, IlNetwork, NeuralDriver};
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::rng::stream_rng;
-use avfi_sim::sensors::{Image, LidarScan, PixelFootprint, SensorMask};
+use avfi_sim::sensors::{Image, LidarScan, PixelFootprint};
 use avfi_sim::world::{World, WorldObservation};
 use avfi_sim::FRAME_DT;
 use avfi_trace::{FaultChannel, TraceEvent};
@@ -321,30 +321,18 @@ impl AvDriver {
 
         control
     }
-}
 
-impl Driver for AvDriver {
-    fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl {
-        self.drive_frame(input.obs, input.world)
-    }
-
-    fn name(&self) -> &'static str {
-        self.agent_name()
-    }
-
-    /// What the wrapped agent reads plus what the fault corrupts.
-    fn reads(&self) -> SensorMask {
-        self.inner.driver().reads().union(self.spec.touches())
-    }
-
-    /// The pixels of the world's image that can reach the wrapped agent:
-    /// the agent's own footprint, and the pixels the camera fault reads
-    /// to produce it ([`ImageFault::source_footprint`]; a water drop
-    /// widens any footprint to the whole image). The wrapper corrupts its
-    /// own copy of the image and reads nothing else of it.
+    /// The pixels of a `width × height` camera image that can reach the
+    /// wrapped agent: the agent's own footprint, and the pixels the
+    /// camera fault reads to produce it
+    /// ([`ImageFault::source_footprint`]; a water drop widens any
+    /// footprint to the whole image). The wrapper corrupts its own copy
+    /// of the image and reads nothing else of it, and no agent reads the
+    /// LIDAR, so this is all a world driven by the wrapper must compute
+    /// ([`World::narrow_to`]).
     ///
     /// [`ImageFault::source_footprint`]: crate::fault::input::ImageFault::source_footprint
-    fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
+    pub fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
         let agent = self.inner.driver().footprint(width, height);
         match &self.spec {
             FaultSpec::Input(InputFault {
@@ -513,28 +501,11 @@ mod tests {
         assert!(scalar.scratch_image.is_none());
     }
 
-    #[test]
-    fn reads_is_the_agent_plus_what_the_fault_corrupts() {
-        use crate::fault::input::LidarFault;
-        let lidar = FaultSpec::Input(
-            InputFault::scalar_only().with_lidar(LidarFault::BeamDropout { p: 0.1 }),
-        );
-        let delay = FaultSpec::Timing(TimingFault::OutputDelay { frames: 3 });
-        let neural = |spec| AvDriver::neural(IlNetwork::new(1), spec, 1).reads();
-        assert_eq!(AvDriver::expert(delay.clone(), 1).reads(), SensorMask::NONE);
-        assert_eq!(
-            AvDriver::expert(lidar.clone(), 1).reads(),
-            SensorMask::LIDAR
-        );
-        assert_eq!(neural(delay), SensorMask::CAMERA);
-        assert_eq!(neural(lidar), SensorMask::ALL);
-    }
-
     /// Every paper camera model, under both agents and three triggers
     /// (on from frame 0, on from frame 5, Bernoulli). One driver injects
-    /// over the agent's own footprint on a world that renders only the
-    /// rows of its `footprint()`; the other injects over the whole image
-    /// on a world that renders every row. Each frame gives the same
+    /// over the agent's own footprint on a world narrowed to its
+    /// `footprint()`; the other injects over the whole image on a world
+    /// that renders every row. Each frame gives the same
     /// control, the IL agent sees the same tensor, and the fault stream's
     /// next draw is the same. The later triggers sample the layout
     /// mid-run, and Bernoulli interleaves its own draws.
@@ -567,7 +538,7 @@ mod tests {
                     let (mut own, mut whole) = (make(), make());
                     whole.footprint = Some(PixelFootprint::whole(64, 48));
                     let (mut w_own, mut w_whole) = (world(), world());
-                    w_own.set_sensor_mask(own.reads(), own.footprint(64, 48));
+                    w_own.narrow_to(own.footprint(64, 48));
                     for frame in 0..12 {
                         let (obs_own, obs_whole) = (w_own.observe(), w_whole.observe());
                         let at = format!(

@@ -168,10 +168,14 @@ impl CampaignServer {
     /// as they are, so the next daemon over the spool recovers them
     /// interrupted again.
     ///
+    /// Nothing else ends the loop. A failed accept (say, out of file
+    /// descriptors) is logged and retried after [`ACCEPT_RETRY_PAUSE`],
+    /// and a connection whose handler thread cannot start is logged and
+    /// closed.
+    ///
     /// # Errors
     ///
-    /// Propagates accept-loop failures (interrupted accepts are
-    /// retried).
+    /// None: the loop returns only on shutdown.
     pub fn run(self) -> Result<(), NetError> {
         for conn in self.listener.incoming() {
             if self.shutdown.load(Ordering::Acquire) {
@@ -180,7 +184,11 @@ impl CampaignServer {
             let stream = match conn {
                 Ok(s) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
+                Err(e) => {
+                    eprintln!("[avfi-server] accept failed, retrying: {e}");
+                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                    continue;
+                }
             };
             let pool = Arc::clone(&self.pool);
             let registry = Arc::clone(&self.registry);
@@ -191,7 +199,9 @@ impl CampaignServer {
             let spool = self.spool.clone();
             // Detached: a handler blocked on an idle client's next request
             // must not delay shutdown; the process owns thread lifetime.
-            std::thread::Builder::new()
+            // A handler that cannot start drops the stream with its
+            // closure, which closes the connection.
+            let spawned = std::thread::Builder::new()
                 .name("avfi-conn".into())
                 .spawn(move || {
                     handle_connection(
@@ -204,8 +214,10 @@ impl CampaignServer {
                         auth.as_deref(),
                         spool.as_deref(),
                     )
-                })
-                .expect("spawn connection handler");
+                });
+            if let Err(e) = spawned {
+                eprintln!("[avfi-server] cannot start a connection handler, closing it: {e}");
+            }
         }
         for ticket in self.registry.lock().values() {
             if ticket.phase() != PlanPhase::Interrupted {
@@ -259,6 +271,12 @@ fn handle_connection(
         }
     }
 }
+
+/// How long [`CampaignServer::run`] waits after a failed accept before it
+/// accepts again: 100 ms. Out of file descriptors (`EMFILE`), every
+/// accept fails until some connection closes; the pause keeps the loop
+/// from spinning and its log to ten lines a second.
+pub const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(100);
 
 /// Largest first frame, in payload bytes, that a daemon with an auth token
 /// reads before the hello: 4 KiB. A [`ServiceRequest::Hello`] frame is its

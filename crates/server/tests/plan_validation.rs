@@ -1,12 +1,13 @@
 //! A plan whose runs cannot start is refused at submit. Queued, a neural
 //! plan with undecodable weights would panic every run of it, and a plan
-//! over the run cap, or with a town too large to build, would exhaust the
-//! daemon's memory. Refused, each costs the daemon nothing: the next
+//! over the run cap, with a town too large to build, or with a fault
+//! sized past its cap, would exhaust the daemon's memory. Refused, each costs the daemon nothing: the next
 //! client's plan runs as usual and shutdown is clean. A plan that passes
 //! validation and still panics fails on its own, and the daemon keeps
 //! serving.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
+use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
 use avfi_net::proto::{PlanId, PlanPhase};
@@ -144,6 +145,51 @@ fn an_oversized_town_is_refused_and_the_daemon_keeps_serving() {
     assert_eq!(
         client.results_json(id).expect("results"),
         solo_results_json(&demo).expect("solo run")
+    );
+
+    client.shutdown_server().expect("shutdown");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+}
+
+#[test]
+fn a_fault_that_sizes_a_run_is_refused_and_the_daemon_keeps_serving() {
+    let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+
+    // The demo plan under 2^40 water drops: their layout alone would ask
+    // for 24 TiB on the first injected frame, and the failed allocation
+    // would abort the daemon, which no panic guard can contain.
+    let drops = FaultSpec::Input(InputFault::always(ImageFault::water_drop(1 << 40, 0.08)));
+    let mut plan = WorkPlan::new();
+    for study in demo_plan().studies() {
+        let campaigns = (study.campaigns.iter())
+            .map(|c| CampaignConfig {
+                fault: drops.clone(),
+                ..c.clone()
+            })
+            .collect();
+        plan.add_study(study.name.clone(), campaigns);
+    }
+    match client.submit(&plan, TraceLevel::Off) {
+        Err(NetError::Protocol(message)) => assert_eq!(
+            message,
+            "invalid plan: study \"baseline\" campaign 0: \
+             fault water-drop count 1099511627776 is over the cap of 64"
+        ),
+        other => panic!("2^40 water drops must be refused, got {other:?}"),
+    }
+
+    let demo = demo_plan();
+    let (id, _) = client.submit(&demo, TraceLevel::Off).expect("submit");
+    assert_eq!(phase_within(&mut client, id, 120), PlanPhase::Completed);
+    assert_eq!(
+        client.results_json(id).expect("results"),
+        include_str!("../../../results/golden/avfi_server_demo.json")
     );
 
     client.shutdown_server().expect("shutdown");

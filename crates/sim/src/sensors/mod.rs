@@ -21,53 +21,6 @@ pub use lidar::{Lidar, LidarConfig, LidarScan};
 
 use serde::{Deserialize, Serialize};
 
-/// The costly sensors a world computes on each observation: the camera
-/// render and the LIDAR scan. GPS, IMU and odometry are not in the mask:
-/// they cost almost nothing, and GPS and IMU draw from their own RNG
-/// streams every frame, so skipping them would shift later readings.
-/// Within the camera, a world renders only the rows of the
-/// [`PixelFootprint`] it is given beside the mask
-/// ([`World::set_sensor_mask`](crate::world::World::set_sensor_mask)), and
-/// none when that footprint holds no pixel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SensorMask {
-    /// Render the forward camera.
-    pub camera: bool,
-    /// Scan the LIDAR.
-    pub lidar: bool,
-}
-
-impl SensorMask {
-    /// Every sensor: what a world observes unless told otherwise.
-    pub const ALL: SensorMask = SensorMask {
-        camera: true,
-        lidar: true,
-    };
-    /// Neither the camera nor the LIDAR.
-    pub const NONE: SensorMask = SensorMask {
-        camera: false,
-        lidar: false,
-    };
-    /// The camera only.
-    pub const CAMERA: SensorMask = SensorMask {
-        camera: true,
-        lidar: false,
-    };
-    /// The LIDAR only.
-    pub const LIDAR: SensorMask = SensorMask {
-        camera: false,
-        lidar: true,
-    };
-
-    /// The sensors in either mask.
-    pub fn union(self, other: SensorMask) -> SensorMask {
-        SensorMask {
-            camera: self.camera || other.camera,
-            lidar: self.lidar || other.lidar,
-        }
-    }
-}
-
 /// One complete sensor frame produced by the world each tick and shipped to
 /// the driving agent over the client/server link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -16,7 +16,7 @@ use crate::rng::stream_rng;
 use crate::scenario::Scenario;
 use crate::sensors::{
     Billboard, Camera, Gps, GpsFix, Image, Imu, ImuReading, Lidar, LidarScan, PixelFootprint,
-    RenderScene, SensorFrame, SensorMask,
+    RenderScene, SensorFrame,
 };
 use crate::violation::{EgoSnapshot, ViolationKind, ViolationMonitor};
 use crate::weather::Weather;
@@ -115,10 +115,11 @@ pub struct World {
     low_speed_time: f64,
     gps_rng: StdRng,
     imu_rng: StdRng,
-    /// The sensors [`World::observe_into`] computes.
-    sensor_mask: SensorMask,
     /// The camera rows [`World::observe_into`] renders.
     camera_rows: PixelFootprint,
+    /// Whether [`World::observe_into`] scans the LIDAR: until
+    /// [`World::narrow_to`].
+    scan_lidar: bool,
     /// Reused per-frame billboard list (steady-state `observe` is
     /// allocation-free; see [`World::observe_into`]).
     scratch_billboards: Vec<Billboard>,
@@ -192,8 +193,8 @@ impl World {
             low_speed_time: 0.0,
             gps_rng: stream_rng(scenario.seed, STREAM_GPS),
             imu_rng: stream_rng(scenario.seed, STREAM_IMU),
-            sensor_mask: SensorMask::ALL,
             camera_rows: PixelFootprint::whole(scenario.camera.width, scenario.camera.height),
+            scan_lidar: true,
             scenario: scenario.clone(),
             map,
             scratch_billboards: Vec::new(),
@@ -242,17 +243,20 @@ impl World {
         std::mem::take(&mut self.recorder)
     }
 
-    /// Restricts observation to the sensors in `mask`, and the camera
-    /// render to the rows of `camera` (its column mask is ignored). A new
-    /// world observes every sensor and renders every row. A footprint
-    /// that holds no pixel skips the camera as `mask` does. Camera and
-    /// LIDAR draw no randomness and their gathering touches only scratch
-    /// buffers, and no camera row depends on another, so narrowing either
-    /// changes no other reading, no rendered row, no RNG stream and no
-    /// trajectory: only the skipped buffers and rows go stale.
-    pub fn set_sensor_mask(&mut self, mask: SensorMask, camera: PixelFootprint) {
-        self.sensor_mask = mask;
+    /// Narrows observation to what a driver can read: the camera renders
+    /// only the rows of `camera` (its column mask is ignored), none when
+    /// it holds no pixel, and the LIDAR is not scanned, since no driver
+    /// reads it. A new world renders every row and scans the LIDAR.
+    /// Camera and LIDAR draw no randomness and their gathering touches
+    /// only scratch buffers, and no camera row depends on another, so
+    /// narrowing changes no other reading, no rendered row, no RNG stream
+    /// and no trajectory: only the skipped rows and the sweep go stale.
+    /// GPS, IMU and odometry are read every frame even so: they cost
+    /// almost nothing, and GPS and IMU draw from their own RNG streams,
+    /// so skipping them would shift later readings.
+    pub fn narrow_to(&mut self, camera: PixelFootprint) {
         self.camera_rows = camera;
+        self.scan_lidar = false;
     }
 
     /// Simulation time, seconds.
@@ -398,10 +402,12 @@ impl World {
     ///
     /// Allocating convenience wrapper around [`World::observe_into`]; hot
     /// loops (the campaign runner, the sim server) should allocate one
-    /// observation up front and refresh it in place instead. A sensor
-    /// outside the [`SensorMask`] comes back blank (a black image, an
-    /// empty scan), and so do the camera rows outside the world's
-    /// footprint: the image keeps the camera's size either way.
+    /// observation up front and refresh it in place instead. The camera
+    /// rows a narrowed world does not render come back black, and its
+    /// LIDAR sweep blank: `beams` returns at max range
+    /// ([`World::narrow_to`]). Image and sweep keep the sensors' sizes
+    /// either way, so a fault that draws randomness per pixel or per beam
+    /// draws the same from them as from a full observation.
     pub fn observe(&mut self) -> WorldObservation {
         let cam = *self.camera.config();
         let lidar_cfg = *self.lidar.config();
@@ -411,7 +417,7 @@ impl World {
                 time: self.time,
                 image: Image::new(cam.width, cam.height),
                 lidar: LidarScan {
-                    ranges: Vec::with_capacity(lidar_cfg.beams),
+                    ranges: vec![lidar_cfg.max_range; lidar_cfg.beams],
                     fov_deg: lidar_cfg.fov_deg,
                     max_range: lidar_cfg.max_range,
                 },
@@ -442,17 +448,16 @@ impl World {
 
     /// Refreshes `obs` in place with the current frame's observation,
     /// reusing the image and LIDAR buffers. Every field of `obs` is
-    /// overwritten, except the image and LIDAR buffers of sensors outside
-    /// the world's [`SensorMask`] and the image rows outside its camera
-    /// footprint ([`World::set_sensor_mask`]), which keep what they held;
-    /// after the buffers have warmed up to the sensor dimensions this
-    /// performs no heap allocation.
+    /// overwritten, except, in a narrowed world ([`World::narrow_to`]),
+    /// the image rows outside its camera footprint and the LIDAR sweep,
+    /// which keep what they held; after the buffers have warmed up to the
+    /// sensor dimensions this performs no heap allocation.
     pub fn observe_into(&mut self, obs: &mut WorldObservation) {
         // The scratch vectors (and the row footprint) are moved out while
         // borrowed helpers run so the scene can borrow `self.map`
         // immutably; their capacity is preserved across frames
         // (`mem::take` leaves empty Vecs behind without allocating).
-        if self.sensor_mask.camera && !self.camera_rows.is_empty() {
+        if !self.camera_rows.is_empty() {
             let image = &mut obs.sensors.image;
             let rows = std::mem::take(&mut self.camera_rows);
             self.with_camera_scene(|camera, scene, ego| {
@@ -461,7 +466,7 @@ impl World {
             self.camera_rows = rows;
         }
 
-        if self.sensor_mask.lidar {
+        if self.scan_lidar {
             let mut shapes = std::mem::take(&mut self.scratch_shapes);
             shapes.clear();
             self.fill_lidar_shapes(&mut shapes);
@@ -713,7 +718,7 @@ mod tests {
         // skipped buffers as they were.
         let mut full = small_world(9);
         let mut masked = small_world(9);
-        masked.set_sensor_mask(SensorMask::NONE, PixelFootprint::default());
+        masked.narrow_to(PixelFootprint::default());
         let mut full_obs = full.observe();
         let (image, lidar) = (
             full_obs.sensors.image.clone(),
@@ -742,14 +747,16 @@ mod tests {
     fn row_footprint_renders_its_rows_and_changes_no_other_reading() {
         // Under the IL-CNN's footprint of a 64×48 image (the even rows and
         // columns), a world renders the even rows as the full world does,
-        // leaves the odd rows as they were, and every other reading and
-        // the traffic are the full world's, frame for frame.
+        // leaves the odd rows and the LIDAR sweep as they were, and every
+        // other reading and the traffic are the full world's, frame for
+        // frame.
         let rows = PixelFootprint::grid(64, 48, (0..64).step_by(2), (0..48).step_by(2));
         let mut full = small_world(9);
         let mut masked = small_world(9);
-        masked.set_sensor_mask(SensorMask::ALL, rows.clone());
+        masked.narrow_to(rows.clone());
         let mut full_obs = full.observe();
         let mut masked_obs = full_obs.clone();
+        let sweep = full_obs.sensors.lidar.clone();
         let stale = Image::filled(64, 48, [0.25, 0.5, 0.75]);
         let row = |img: &Image, y: usize| img.data()[y * 64 * 3..(y + 1) * 64 * 3].to_vec();
         for i in 0..100 {
@@ -757,7 +764,7 @@ mod tests {
             masked.observe_into(&mut masked_obs);
             assert_same_readings((&full, &full_obs), (&masked, &masked_obs), i);
             let (f, m) = (&full_obs.sensors, &masked_obs.sensors);
-            assert_eq!(f.lidar, m.lidar, "frame {i}");
+            assert_eq!(m.lidar, sweep, "frame {i}");
             for y in 0..48 {
                 let want = if y % 2 == 0 { &f.image } else { &stale };
                 assert_eq!(row(&m.image, y), row(want, y), "frame {i} row {y}");
@@ -767,6 +774,38 @@ mod tests {
             masked.step(c);
             full.observe_into(&mut full_obs);
         }
+    }
+
+    #[test]
+    fn a_narrowed_world_keeps_a_blank_sweep_of_beams_returns() {
+        // A narrowed world scans no LIDAR: `observe` gives it `beams`
+        // returns at max range, which `observe_into` leaves as they are,
+        // while the full world's sweep sees buildings and traffic.
+        let mut full = small_world(9);
+        let mut narrowed = small_world(9);
+        narrowed.narrow_to(PixelFootprint::default());
+        let config = *full.lidar.config();
+        let blank = LidarScan {
+            ranges: vec![config.max_range; config.beams],
+            fov_deg: config.fov_deg,
+            max_range: config.max_range,
+        };
+        let mut full_obs = full.observe();
+        let mut narrowed_obs = narrowed.observe();
+        let mut hits = 0;
+        for i in 0..100 {
+            assert_eq!(narrowed_obs.sensors.lidar, blank, "frame {i}");
+            assert_eq!(full_obs.sensors.lidar.ranges.len(), config.beams);
+            hits += (full_obs.sensors.lidar.ranges.iter())
+                .filter(|&&r| r < config.max_range)
+                .count();
+            let c = VehicleControl::new((i as f64 * 0.05).sin() * 0.3, 0.6, 0.0);
+            full.step(c);
+            narrowed.step(c);
+            full.observe_into(&mut full_obs);
+            narrowed.observe_into(&mut narrowed_obs);
+        }
+        assert!(hits > 0, "the full world's sweep saw nothing");
     }
 
     #[test]

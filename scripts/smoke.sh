@@ -189,7 +189,9 @@ fi
 # demo plan through avfi-client, and diff the JSON the daemon serves
 # against both a solo-engine run of the same plan (byte-identity gate)
 # and the checked-in golden. Exercises the full submit / watch / fetch /
-# shutdown protocol over real TCP.
+# shutdown protocol over real TCP. First the demo plan goes in under 2^40
+# water drops, whose layout would abort the daemon: it must be refused as
+# an invalid plan, and the same daemon then serves the demo plan.
 SERVER_DIR="$SMOKE_DIR/server"
 ADDR_FILE="$SERVER_DIR/addr"
 echo "==> smoke: building avfi-server"
@@ -208,8 +210,28 @@ if [[ ! -s "$ADDR_FILE" ]]; then
   fail=1
 else
   ADDR=$(cat "$ADDR_FILE")
-  echo "==> smoke: avfi-client run (demo plan) against $ADDR"
   target/release/avfi-client demo-plan --out "$SERVER_DIR/plan.json"
+  echo "==> smoke: avfi-client submit (demo plan, 2^40 water drops) must be refused"
+  python3 - "$SERVER_DIR/plan.json" "$SERVER_DIR/hostile.json" <<'PY'
+import json, sys
+plan = json.load(open(sys.argv[1]))
+drops = {"Input": {"model": {"WaterDrop": {"drops": 2**40, "radius_frac": 0.08}},
+                   "gps": None, "speed": None, "lidar": None, "trigger": "Always"}}
+for study in plan["studies"]:
+    for campaign in study["campaigns"]:
+        campaign["fault"] = drops
+json.dump(plan, open(sys.argv[2], "w"))
+PY
+  if target/release/avfi-client submit --addr "$ADDR" --plan "$SERVER_DIR/hostile.json" \
+      >"$SERVER_DIR/hostile.stdout" 2>"$SERVER_DIR/hostile.stderr"; then
+    echo "smoke FAIL: the daemon accepted a plan of 2^40 water drops" >&2
+    fail=1
+  elif ! grep -q "invalid plan" "$SERVER_DIR/hostile.stderr"; then
+    echo "smoke FAIL: the 2^40-drop plan failed, but not as an invalid plan:" >&2
+    cat "$SERVER_DIR/hostile.stderr" >&2
+    fail=1
+  fi
+  echo "==> smoke: avfi-client run (demo plan) against $ADDR"
   if ! target/release/avfi-client run --addr "$ADDR" --plan "$SERVER_DIR/plan.json" \
       --out "$SERVER_DIR/served.json" >"$SERVER_DIR/client.stdout"; then
     echo "smoke FAIL: avfi-client run failed against the daemon" >&2

@@ -122,12 +122,13 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
     // The same mission executed two ways — in-process by the campaign
     // runner and over the SimServer/SimClient lockstep protocol — must
     // produce bit-identical results, or campaign numbers would depend on
-    // the deployment topology. The runner's world computes only the
-    // sensors the agent and its fault read, and renders only the camera
-    // rows that can reach the agent; the server's observes everything, so
-    // every case also checks that the skipped sensors and rows could not
-    // have mattered. Water drops read droplet centres anywhere in the
-    // image, so their case renders every row.
+    // the deployment topology. The runner's world renders only the camera
+    // rows that can reach the agent and scans no LIDAR, so its LIDAR
+    // faults corrupt a blank sweep of the same length; the server's world
+    // observes everything, so every case also checks that the skipped
+    // rows and sweeps could not have mattered. Water drops read droplet
+    // centres anywhere in the image, so their case renders every row.
+    // All three LIDAR models run, each drawing per beam or per ghost.
     //
     // Untrained weights: an IL agent that drives at all is enough to tell
     // a blank or shifted frame from the real one. Many untrained seeds
@@ -145,6 +146,9 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
                 range: 2.0,
             })
         }),
+        FaultSpec::Input(
+            InputFault::scalar_only().with_lidar(LidarFault::RangeNoise { sigma: 0.5 }),
+        ),
         FaultSpec::Hardware(HardwareFault::transient(
             HardwareTarget::SensorGpsX,
             60,
@@ -170,6 +174,16 @@ fn inproc_lockstep_is_bit_identical_to_run_single() {
             InputFault::always(ImageFault::salt_pepper(0.02))
                 .with_lidar(LidarFault::BeamDropout { p: 0.2 }),
         ),
+        FaultSpec::Input(InputFault {
+            trigger: Trigger::Window {
+                start: 20,
+                end: 200,
+            },
+            ..InputFault::scalar_only().with_lidar(LidarFault::Ghost {
+                count: 5,
+                range: 1.5,
+            })
+        }),
         FaultSpec::Ml(MlFault::WeightNoise {
             sigma: 0.05,
             fraction: 0.5,
