@@ -1,6 +1,7 @@
-//! The driver abstraction shared by the expert, the neural agent, and the
-//! fault-injecting wrappers in `avfi-core`.
+//! The agent type shared by the expert, the neural network, and the
+//! fault-injecting wrapper in `avfi-core`.
 
+use crate::expert::ExpertDriver;
 use crate::features::{image_to_tensor, net_footprint, normalize_speed};
 use crate::ilnet::IlNetwork;
 use avfi_sim::physics::VehicleControl;
@@ -19,7 +20,7 @@ use avfi_sim::world::{World, WorldObservation};
 /// campaign runner treat all drivers uniformly.
 ///
 /// Of the camera a driver may read only the pixels its
-/// [`Driver::footprint`] declares, and it reads no LIDAR: the campaign
+/// [`Agent::footprint`] declares, and it reads no LIDAR: the campaign
 /// runner's world renders just those rows and scans no sweep, so the
 /// rest can be stale.
 #[derive(Debug)]
@@ -30,7 +31,7 @@ pub struct DriverInput<'a> {
     /// Ground-truth world access (oracle drivers only).
     pub world: &'a World,
     /// Effective (possibly fault-injected) camera image. Only the pixels
-    /// in the driver's [`Driver::footprint`] are specified: a fault may
+    /// in the agent's [`Agent::footprint`] are specified: a fault may
     /// leave the others unwritten or stale, and a campaign world may
     /// never have rendered their rows.
     pub image: &'a Image,
@@ -59,48 +60,46 @@ impl<'a> DriverInput<'a> {
     }
 }
 
-/// A closed-loop driving policy.
-pub trait Driver {
+/// A closed-loop driving policy: the rule-based expert or the IL-CNN. The
+/// campaign runner builds one per campaign and gives every run its own
+/// clone, so a run's ML fault corrupts only its copy of the network.
+#[derive(Debug, Clone)]
+pub enum Agent {
+    /// The oracle autopilot, driving from ground truth.
+    Expert(ExpertDriver),
+    /// The conditional imitation network: camera, speed, command in.
+    Neural(IlNetwork),
+}
+
+impl Agent {
     /// Computes the actuation command for one frame.
-    fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl;
+    pub fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl {
+        match self {
+            Agent::Expert(expert) => expert.control_for(input.world),
+            Agent::Neural(net) => {
+                let image = image_to_tensor(input.image);
+                net.predict(&image, normalize_speed(input.speed), input.obs.command)
+            }
+        }
+    }
 
     /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The pixels of a `width × height` camera image this driver reads
-    /// from [`DriverInput::image`]; a camera fault need compute no others,
-    /// and a world driven by it need render no other rows (see
-    /// [`World::narrow_to`]).
-    fn footprint(&self, width: usize, height: usize) -> PixelFootprint;
-}
-
-/// The neural (conditional imitation) driver: camera + speed + command in,
-/// control out. Reads only the observation.
-#[derive(Debug)]
-pub struct NeuralDriver {
-    net: IlNetwork,
-}
-
-impl NeuralDriver {
-    /// Wraps a (trained) network.
-    pub fn new(net: IlNetwork) -> Self {
-        NeuralDriver { net }
-    }
-}
-
-impl Driver for NeuralDriver {
-    fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl {
-        let image = image_to_tensor(input.image);
-        let speed = normalize_speed(input.speed);
-        self.net.predict(&image, speed, input.obs.command)
+    pub fn name(&self) -> &'static str {
+        match self {
+            Agent::Expert(_) => "expert",
+            Agent::Neural(_) => "il-cnn",
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "il-cnn"
-    }
-
-    fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
-        net_footprint(width, height)
+    /// The pixels of a `width × height` camera image this agent reads
+    /// from [`DriverInput::image`] (none for the expert); a camera fault
+    /// need compute no others, and a world driven by it need render no
+    /// other rows (see [`World::narrow_to`]).
+    pub fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
+        match self {
+            Agent::Expert(_) => PixelFootprint::default(),
+            Agent::Neural(_) => net_footprint(width, height),
+        }
     }
 }
 
@@ -118,7 +117,7 @@ mod tests {
             .build();
         let mut world = World::from_scenario(&scenario);
         let obs = world.observe();
-        let mut driver = NeuralDriver::new(IlNetwork::new(7));
+        let mut driver = Agent::Neural(IlNetwork::new(7));
         let c = driver.drive(&DriverInput::clean(&obs, &world));
         assert!(c.steer.abs() <= 1.0);
         assert!((0.0..=1.0).contains(&c.throttle));

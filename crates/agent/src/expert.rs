@@ -11,11 +11,9 @@
 //! 2. **fault-free oracle baseline** — campaigns can run it instead of the
 //!    neural agent to separate agent error from injected faults.
 
-use crate::controller::{Driver, DriverInput};
 use avfi_sim::map::{LaneKind, LightState, SignalGroup};
 use avfi_sim::math::{clamp, Ray};
 use avfi_sim::physics::{CollisionShape, VehicleControl};
-use avfi_sim::sensors::PixelFootprint;
 use avfi_sim::world::World;
 
 /// Lookahead distance per m/s of speed.
@@ -129,21 +127,6 @@ impl ExpertDriver {
         };
 
         VehicleControl::new(steer, throttle, brake)
-    }
-}
-
-impl Driver for ExpertDriver {
-    fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl {
-        self.control_for(input.world)
-    }
-
-    fn name(&self) -> &'static str {
-        "expert"
-    }
-
-    /// No pixel: the expert drives from ground truth and reads no camera.
-    fn footprint(&self, _width: usize, _height: usize) -> PixelFootprint {
-        PixelFootprint::default()
     }
 }
 

@@ -35,7 +35,7 @@ pub const FEATURE_DIM: usize = 64;
 pub const LOSS_WEIGHTS: [f32; 3] = [2.0, 0.5, 0.5];
 
 /// The conditional imitation network; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IlNetwork {
     trunk: Sequential,
     heads: Vec<Sequential>,

@@ -15,8 +15,8 @@
 //!   one head per command, speed appended at the head input;
 //! * [`dataset`] / [`train`] — demonstration collection (with exploration
 //!   noise, DAgger-style) and the imitation trainer;
-//! * [`controller`] — the [`controller::Driver`] abstraction the campaign
-//!   runner and the fault injectors wrap.
+//! * [`controller`] — the [`controller::Agent`] the campaign runner builds
+//!   once per campaign and the fault injector wraps, one clone per run.
 //!
 //! Training is fast enough to run in tests: the default
 //! [`train::train_default_agent`] fits the network in seconds on one core.
@@ -31,6 +31,6 @@ pub mod features;
 pub mod ilnet;
 pub mod train;
 
-pub use controller::{Driver, DriverInput, NeuralDriver};
+pub use controller::{Agent, DriverInput};
 pub use expert::ExpertDriver;
 pub use ilnet::IlNetwork;

@@ -48,6 +48,7 @@ use crate::fault::timing::TimingFault;
 use crate::fault::FaultSpec;
 use crate::triage::failure_class;
 use crate::trigger::Trigger;
+use avfi_agent::Agent;
 use avfi_sim::rng::{split_seed, standard_normal};
 use avfi_sim::scenario::Scenario;
 use avfi_trace::{RunTrace, TraceLevel};
@@ -711,7 +712,7 @@ pub fn drive(planner: &mut AdaptivePlanner, oracle: &mut dyn AdaptiveOracle) {
 #[derive(Debug)]
 pub struct EngineOracle<'a> {
     engine: &'a Engine,
-    agent: AgentSpec,
+    agent: Agent,
     scenarios: Vec<Scenario>,
     spec: TraceSpec,
     evaluated: usize,
@@ -720,7 +721,9 @@ pub struct EngineOracle<'a> {
 }
 
 impl<'a> EngineOracle<'a> {
-    /// Builds the oracle over the space's scenario templates.
+    /// Builds the oracle over the space's scenario templates, and its
+    /// agent once (panicking if its weights do not decode): every pull
+    /// drives a clone of it.
     pub fn new(
         engine: &'a Engine,
         agent: AgentSpec,
@@ -735,7 +738,7 @@ impl<'a> EngineOracle<'a> {
                 blackbox_frames: 64,
                 weights_fingerprint: agent.weights_fingerprint(),
             },
-            agent,
+            agent: agent.build().expect("adaptive agent weights decode"),
             scenarios,
             evaluated: 0,
             traces: Vec::new(),

@@ -7,7 +7,8 @@
 
 use crate::fault::FaultSpec;
 use crate::harness::AvDriver;
-use avfi_agent::IlNetwork;
+use avfi_agent::{Agent, ExpertDriver, IlNetwork};
+use avfi_nn::serialize::LoadWeightsError;
 use avfi_sim::recorder::Recorder;
 use avfi_sim::rng::run_seed;
 use avfi_sim::scenario::Scenario;
@@ -20,14 +21,14 @@ use std::sync::Arc;
 /// Which agent a campaign drives.
 ///
 /// Serializable so campaign plans can cross the `avfi-server` wire: the
-/// neural variant ships its full weight blob, which is exactly what
-/// "rebuilt per run from serialized weights" needs on the receiving side.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// neural variant ships its full weight blob, which the receiving side
+/// decodes once per plan ([`AgentSpec::build`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AgentSpec {
     /// The rule-based oracle autopilot.
     Expert,
-    /// The imitation-learning CNN, rebuilt per run from serialized
-    /// weights (so parallel runs and per-run ML faults never share state).
+    /// The imitation-learning CNN; every run drives its own clone of the
+    /// built network (so parallel runs and ML faults never share state).
     Neural {
         /// Trained weights, shared read-only across runs.
         weights: Arc<Vec<u8>>,
@@ -48,6 +49,16 @@ impl AgentSpec {
             AgentSpec::Expert => "expert",
             AgentSpec::Neural { .. } => "il-cnn",
         }
+    }
+
+    /// Builds the agent, decoding neural weights (a [`LoadWeightsError`] if
+    /// they do not decode): the one place a plan's weight blob becomes a
+    /// network. Each run drives a clone of it.
+    pub fn build(&self) -> Result<Agent, LoadWeightsError> {
+        Ok(match self {
+            AgentSpec::Expert => Agent::Expert(ExpertDriver::new()),
+            AgentSpec::Neural { weights } => Agent::Neural(IlNetwork::from_weights(weights)?),
+        })
     }
 
     /// The fingerprint a trace header records for this agent's weights,
@@ -269,15 +280,17 @@ impl WorkerScratch {
 /// campaign-scale disk stays proportional to failures. With `trace`
 /// `None` or at `Off`, neither the event log nor a trace is built.
 ///
-/// The world is narrowed to [`AvDriver::footprint`]: it renders only the
-/// camera rows that can reach the agent and scans no LIDAR, which no agent
-/// reads. Nothing else can change the result.
+/// The run drives its own clone of `agent`, so an ML fault corrupts only
+/// that copy; nothing here decodes weights. The world is narrowed to
+/// [`AvDriver::footprint`]: it renders only the camera rows that can reach
+/// the agent and scans no LIDAR, which no agent reads. Nothing else can
+/// change the result.
 pub fn run_mission(
     template: &Scenario,
     scenario_index: usize,
     run_index: usize,
     fault: &FaultSpec,
-    agent: &AgentSpec,
+    agent: &Agent,
     trace: Option<&TraceSpec>,
     scratch: &mut WorkerScratch,
 ) -> (RunResult, Option<RunTrace>) {
@@ -289,13 +302,7 @@ pub fn run_mission(
     if let Some(spec) = trace.filter(|_| blackbox) {
         world.install_recorder(scratch.take_ring(spec.blackbox_frames));
     }
-    let mut driver = match agent {
-        AgentSpec::Expert => AvDriver::expert(fault.clone(), scenario.seed),
-        AgentSpec::Neural { weights } => {
-            let net = IlNetwork::from_weights(weights).expect("valid campaign weights");
-            AvDriver::neural(net, fault.clone(), scenario.seed)
-        }
-    };
+    let mut driver = AvDriver::new(agent.clone(), fault.clone(), scenario.seed);
     if trace.is_some() {
         driver.enable_event_log();
     }
@@ -380,7 +387,8 @@ pub fn run_mission(
     (result, emit.then_some(run_trace))
 }
 
-/// Executes one fault-injected mission without the flight recorder.
+/// Executes one fault-injected mission without the flight recorder,
+/// building `agent` for it (panicking if its weights do not decode).
 pub fn run_single(
     template: &Scenario,
     scenario_index: usize,
@@ -388,13 +396,14 @@ pub fn run_single(
     fault: &FaultSpec,
     agent: &AgentSpec,
 ) -> RunResult {
+    let agent = agent.build().expect("run_single: neural weights decode");
     let scratch = &mut WorkerScratch::default();
     run_mission(
         template,
         scenario_index,
         run_index,
         fault,
-        agent,
+        &agent,
         None,
         scratch,
     )

@@ -37,8 +37,9 @@ use crate::campaign::{
     run_mission, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec, WorkerScratch,
 };
 use crate::fault::FaultProblem;
-use avfi_agent::IlNetwork;
+use avfi_agent::Agent;
 use avfi_nn::serialize::LoadWeightsError;
+use avfi_sim::scenario::{check_town_routes, TownSpec};
 use avfi_sim::FRAME_DT;
 use avfi_trace::{RunTrace, TraceLevel};
 use serde::{Deserialize, Serialize};
@@ -48,7 +49,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 pub mod pool;
@@ -122,66 +123,23 @@ impl WorkPlan {
             .fold(0, usize::saturating_add)
     }
 
-    /// Checks that every run of the plan can start: the plan holds at
-    /// most [`MAX_PLAN_RUNS`] runs, every scenario passes
-    /// [`Scenario::check`](avfi_sim::Scenario::check), every fault passes
-    /// [`FaultSpec::check`](crate::fault::FaultSpec::check), and each
-    /// neural campaign's weights decode into the IL-CNN. Each distinct
-    /// weight blob is decoded once.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::TooManyRuns`] for a plan over the cap, else the first
-    /// problem in plan order: [`PlanError::Scenario`] for a campaign's
-    /// first refused scenario, [`PlanError::Fault`] for a refused fault,
-    /// or [`PlanError::Weights`] when its weights do not decode.
+    /// Checks the plan as both executors do before its first run, and
+    /// drops what that builds; returns the [`PlanError`] they would
+    /// refuse it with. For a caller that must refuse without panicking.
     pub fn validate(&self) -> Result<(), PlanError> {
-        let runs = self.total_runs();
-        if runs > MAX_PLAN_RUNS {
-            return Err(PlanError::TooManyRuns { runs });
-        }
-        let mut decoded: Vec<&[u8]> = Vec::new();
-        for study in &self.studies {
-            for (campaign, cfg) in study.campaigns.iter().enumerate() {
-                for (scenario, template) in cfg.scenarios.iter().enumerate() {
-                    template.check().map_err(|problem| PlanError::Scenario {
-                        study: study.name.clone(),
-                        campaign,
-                        scenario,
-                        problem,
-                    })?;
-                }
-                cfg.fault.check().map_err(|problem| PlanError::Fault {
-                    study: study.name.clone(),
-                    campaign,
-                    problem,
-                })?;
-                let AgentSpec::Neural { weights } = &cfg.agent else {
-                    continue;
-                };
-                if decoded.contains(&weights.as_slice()) {
-                    continue;
-                }
-                IlNetwork::from_weights(weights).map_err(|error| PlanError::Weights {
-                    study: study.name.clone(),
-                    campaign,
-                    error,
-                })?;
-                decoded.push(weights);
-            }
-        }
-        Ok(())
+        PlanExec::new(Cow::Borrowed(self), Vec::new(), None, None).map(drop)
     }
 }
 
-/// The most runs [`WorkPlan::validate`] accepts in one plan. Before any
-/// run starts, the executor holds a queue entry, a work item and a result
-/// slot per run, 200 bytes in all, so the cap bounds a plan's setup at
-/// 200 MiB. The largest plan in the repository (smoke's store tier) has
-/// 200 runs.
+/// The most runs an executor accepts in one plan. Before any run starts,
+/// it holds a queue entry, a work item and a result slot per run, 200
+/// bytes in all, so the cap bounds a plan's setup at 200 MiB. The largest
+/// plan in the repository (smoke's store tier) has 200 runs.
 pub const MAX_PLAN_RUNS: usize = 1 << 20;
 
-/// Why [`WorkPlan::validate`] refused a plan.
+/// Why an executor refused a plan before its first run: the first problem
+/// in plan order. [`Engine`] panics with it; [`MultiplexPool`]'s `submit*`
+/// return it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The plan holds more than [`MAX_PLAN_RUNS`] runs.
@@ -189,7 +147,8 @@ pub enum PlanError {
         /// The plan's run count, saturating at `usize::MAX`.
         runs: usize,
     },
-    /// A scenario template fails [`Scenario::check`](avfi_sim::Scenario::check).
+    /// A scenario template fails [`Scenario::check`](avfi_sim::Scenario::check),
+    /// or its town fails [`check_town_routes`].
     Scenario {
         /// Name of the study holding the campaign.
         study: String,
@@ -551,8 +510,9 @@ struct WorkItem {
 /// items: the flattened queue, result slots preassigned by **flat plan
 /// index** (prefilled from a journal on resume), and the counters behind
 /// the progress events. The one-shot [`Engine`] and the persistent
-/// [`MultiplexPool`] both execute plans through it, so "flat plan index"
-/// means the same thing — and derives the same per-run seeds — in both.
+/// [`MultiplexPool`] both build every plan through [`PlanExec::new`], the
+/// only place a plan is checked, so "flat plan index" means the same
+/// thing — and derives the same per-run seeds — in both.
 ///
 /// Every item runs in one order: run (under `catch_unwind`) → persist
 /// (trace file, then journal record) → slot → counter → `RunCompleted`
@@ -564,6 +524,9 @@ struct WorkItem {
 pub(crate) struct PlanExec<'a> {
     plan: Cow<'a, WorkPlan>,
     items: Vec<WorkItem>,
+    /// Per-flat-campaign agent, one per distinct [`AgentSpec`]; each run
+    /// drives a clone. The pool empties it once the plan is terminal.
+    agents: parking_lot::Mutex<Vec<Arc<Agent>>>,
     /// Per-flat-campaign trace specs; `None` with tracing off.
     specs: Option<Vec<TraceSpec>>,
     /// Directory trace files go to; `None` keeps traces in `traces`.
@@ -589,23 +552,43 @@ pub(crate) struct PlanExec<'a> {
 }
 
 impl<'a> PlanExec<'a> {
-    /// Flattens `plan` in plan order, slots in `prefilled` results (first
-    /// entry wins; out-of-range indices are ignored), and queues the
-    /// rest. `trace` is the flight-recorder level and black-box window
-    /// in frames.
+    /// Checks and builds `plan` in one walk, in plan order, refusing the
+    /// first problem: the run cap before anything is sized, then per
+    /// campaign each scenario's [`Scenario::check`](avfi_sim::Scenario::check)
+    /// and, once per distinct town, [`check_town_routes`]; the fault's
+    /// [`FaultSpec::check`](crate::fault::FaultSpec::check); and the agent,
+    /// built once per distinct [`AgentSpec`]. Slots in `prefilled` results
+    /// (first entry wins; out-of-range indices are ignored) and queues the
+    /// rest. `trace` is the flight-recorder level and black-box window.
     pub(crate) fn new(
         plan: Cow<'a, WorkPlan>,
         prefilled: Vec<(usize, RunResult)>,
         trace: Option<(TraceLevel, usize)>,
         trace_dir: Option<PathBuf>,
-    ) -> Self {
+    ) -> Result<Self, PlanError> {
+        let runs = plan.total_runs();
+        if runs > MAX_PLAN_RUNS {
+            return Err(PlanError::TooManyRuns { runs });
+        }
         let trace = trace.filter(|(level, _)| *level != TraceLevel::Off);
-        let mut items = Vec::with_capacity(plan.total_runs());
-        let mut specs = Vec::new();
-        let mut remaining = Vec::new();
+        let mut items = Vec::with_capacity(runs);
+        let (mut specs, mut remaining, mut agents) = (Vec::new(), Vec::new(), Vec::new());
+        let mut towns: Vec<&TownSpec> = Vec::new();
+        let mut seen: Vec<&AgentSpec> = Vec::new();
         for (study_idx, study) in plan.studies.iter().enumerate() {
             for (campaign_idx, cfg) in study.campaigns.iter().enumerate() {
-                for scenario in 0..cfg.scenarios.len() {
+                for (scenario, template) in cfg.scenarios.iter().enumerate() {
+                    let refused = |problem| PlanError::Scenario {
+                        study: study.name.clone(),
+                        campaign: campaign_idx,
+                        scenario,
+                        problem,
+                    };
+                    template.check().map_err(refused)?;
+                    if !towns.contains(&&template.town) {
+                        check_town_routes(&template.town).map_err(refused)?;
+                        towns.push(&template.town);
+                    }
                     for run in 0..cfg.runs_per_scenario {
                         items.push(WorkItem {
                             study: study_idx,
@@ -616,6 +599,21 @@ impl<'a> PlanExec<'a> {
                         });
                     }
                 }
+                cfg.fault.check().map_err(|problem| PlanError::Fault {
+                    study: study.name.clone(),
+                    campaign: campaign_idx,
+                    problem,
+                })?;
+                let agent = match seen.iter().position(|spec| *spec == &cfg.agent) {
+                    Some(i) => Arc::clone(&agents[i]),
+                    None => Arc::new(cfg.agent.build().map_err(|error| PlanError::Weights {
+                        study: study.name.clone(),
+                        campaign: campaign_idx,
+                        error,
+                    })?),
+                };
+                seen.push(&cfg.agent);
+                agents.push(agent);
                 remaining.push(cfg.total_runs());
                 if let Some((level, blackbox_frames)) = trace {
                     specs.push(TraceSpec {
@@ -627,29 +625,30 @@ impl<'a> PlanExec<'a> {
                 }
             }
         }
-        let mut slots: Vec<Option<RunResult>> = vec![None; items.len()];
+        let mut slots: Vec<_> = (0..runs).map(|_| parking_lot::Mutex::new(None)).collect();
         let mut completed = 0;
         for (idx, result) in prefilled {
-            if slots.get(idx).is_some_and(Option::is_none) {
-                slots[idx] = Some(result);
+            if let Some(slot @ None) = slots.get_mut(idx).map(parking_lot::Mutex::get_mut) {
+                *slot = Some(result);
                 remaining[items[idx].flat_campaign] -= 1;
                 completed += 1;
             }
         }
-        PlanExec {
-            pending: (0..items.len()).filter(|&i| slots[i].is_none()).collect(),
+        Ok(PlanExec {
+            pending: (0..runs).filter(|&i| slots[i].lock().is_none()).collect(),
             plan,
             items,
+            agents: parking_lot::Mutex::new(agents),
             specs: trace.map(|_| specs),
             trace_dir,
             traces: parking_lot::Mutex::new(Vec::new()),
             failure: OnceLock::new(),
-            slots: slots.into_iter().map(parking_lot::Mutex::new).collect(),
+            slots,
             remaining: remaining.into_iter().map(AtomicUsize::new).collect(),
             completed: AtomicUsize::new(completed),
             busy: Vec::new(),
             started: parking_lot::Mutex::new(Instant::now()),
-        }
+        })
     }
 
     /// Sizes the per-worker busy counters for `workers` and returns the
@@ -693,12 +692,13 @@ impl<'a> PlanExec<'a> {
         let item = self.items[i];
         let cfg = &self.plan.studies[item.study].campaigns[item.campaign];
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let agent = Arc::clone(&self.agents.lock()[item.flat_campaign]);
             run_mission(
                 &cfg.scenarios[item.scenario],
                 item.scenario,
                 item.run,
                 &cfg.fault,
-                &cfg.agent,
+                &agent,
                 self.specs.as_ref().map(|specs| &specs[item.flat_campaign]),
                 scratch,
             )
@@ -898,11 +898,12 @@ impl Engine {
     /// Every job runs with the flight recorder on at `spec.level`
     /// (at `Blackbox`, the trace is `Some` only for failed runs). Nothing
     /// is written to disk and the engine's own [`TraceConfig`] is
-    /// ignored: callers own the traces.
+    /// ignored: callers own the traces. Every job drives a clone of
+    /// `agent`, which the caller builds once ([`AgentSpec::build`]).
     pub fn evaluate_jobs(
         &self,
         jobs: &[EvalJob],
-        agent: &AgentSpec,
+        agent: &Agent,
         spec: &TraceSpec,
     ) -> Vec<(RunResult, Option<RunTrace>)> {
         type Slot = parking_lot::Mutex<Option<(RunResult, Option<RunTrace>)>>;
@@ -935,7 +936,8 @@ impl Engine {
     ///
     /// Results are bit-identical for any worker count: each run derives
     /// its seed from its (campaign template, scenario, run) coordinates
-    /// and lands in a preassigned slot.
+    /// and lands in a preassigned slot. Panics as
+    /// [`Engine::execute_resumed`] does.
     pub fn execute_with(&self, plan: &WorkPlan, sink: &dyn ProgressSink) -> Vec<StudyResult> {
         self.execute_resumed(plan, Vec::new(), sink, None)
     }
@@ -956,9 +958,11 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Once a run panics, no further run starts; in-flight runs finish,
-    /// `spool` receives [`PlanPhase::Failed`], and this call panics with
-    /// `plan failed: run I panicked: <message>`.
+    /// A plan the executor refuses panics with `plan failed: <PlanError>`
+    /// before any run, and `spool` hears nothing. Once a run panics, no
+    /// further run starts; in-flight runs finish, `spool` receives
+    /// [`PlanPhase::Failed`], and this call panics with `plan failed: run
+    /// I panicked: <message>`.
     pub fn execute_resumed(
         &self,
         plan: &WorkPlan,
@@ -967,12 +971,23 @@ impl Engine {
         spool: Option<&dyn RunSink>,
     ) -> Vec<StudyResult> {
         let trace = self.trace.as_ref();
-        let mut exec = PlanExec::new(
+        let exec = PlanExec::new(
             Cow::Borrowed(plan),
             prefilled,
             trace.map(|t| (t.level, t.blackbox_frames())),
             trace.map(|t| t.dir.clone()),
-        );
+        )
+        .unwrap_or_else(|e| panic!("plan failed: {e}"));
+        self.run(exec, sink, spool)
+    }
+
+    /// [`Engine::execute_resumed`] of a built plan.
+    fn run(
+        &self,
+        mut exec: PlanExec<'_>,
+        sink: &dyn ProgressSink,
+        spool: Option<&dyn RunSink>,
+    ) -> Vec<StudyResult> {
         let workers = self.effective_workers(exec.pending.len());
         sink.event(&exec.start(workers));
         drain(
@@ -1159,6 +1174,10 @@ mod tests {
                 s.town = TownSpec::grid(1, 1)
             }),
             ("town.block 22 is not wider", |s| s.town.block = 22.0),
+            (
+                "town grid 2×2 of 25 m blocks has 0 drive lanes longer than 20 m",
+                |s| s.town.block = 25.0,
+            ),
             ("town lane_width 0 must be positive", |s| {
                 s.town.lane_width = 0.0
             }),
@@ -1306,18 +1325,41 @@ mod tests {
         }
     }
 
+    /// A plan the executor refuses panics before its first run: no
+    /// event, no journal record. The 1×1 town of the containment test
+    /// below is such a plan.
+    #[test]
+    fn a_refused_plan_panics_before_any_run() {
+        let one = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(1, 1)).build()])
+            .runs_per_scenario(1)
+            .build();
+        let plan = WorkPlan::new().with_study("poison", vec![one]);
+        let (sink, journal) = (CollectSink::new(), Journaled::default());
+        let refused = panic::catch_unwind(AssertUnwindSafe(|| {
+            Engine::new()
+                .workers(2)
+                .execute_resumed(&plan, Vec::new(), &sink, Some(&journal))
+        }));
+        let payload = refused.expect_err("the plan must be refused");
+        assert_eq!(
+            panic_message(&*payload),
+            "plan failed: study \"poison\" campaign 0 scenario 0: \
+             town grid 1×1 has fewer than two intersections"
+        );
+        assert!(sink.take().is_empty());
+        assert!(journal.runs.lock().is_empty() && journal.terminal.lock().is_empty());
+    }
+
     /// A panicking run fails the engine's plan as it fails a pool plan:
     /// the workers start no further run, the journal records the failure,
-    /// and the call panics once with the run's message.
+    /// and the call panics once with the run's message. No checked plan
+    /// panics, so the test swaps a 1×1 town into a checked plan's
+    /// executor.
     #[test]
     fn a_panicking_run_fails_the_plan_and_starts_no_further_run() {
         // The process's first unwind is slow (tens of ms); take it here so
         // the poison run fails before a mission can finish.
         let _ = panic::catch_unwind(|| panic!("warming the unwinder"));
-        let poison = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(1, 1)).build()])
-            .runs_per_scenario(1)
-            .agent(AgentSpec::Expert)
-            .build();
         let missions = CampaignConfig::builder(vec![Scenario::builder(TownSpec::grid(3, 3))
             .seed(7)
             .time_budget(60.0)
@@ -1325,12 +1367,16 @@ mod tests {
         .runs_per_scenario(8)
         .agent(AgentSpec::Expert)
         .build();
+        let poison = CampaignConfig {
+            runs_per_scenario: 1,
+            ..missions.clone()
+        };
         let plan = WorkPlan::new().with_study("poison", vec![poison, missions]);
+        let mut exec = PlanExec::new(Cow::Owned(plan), Vec::new(), None, None).unwrap();
+        exec.plan.to_mut().studies[0].campaigns[0].scenarios[0].town = TownSpec::grid(1, 1);
         let (sink, journal) = (CollectSink::new(), Journaled::default());
         let failed = panic::catch_unwind(AssertUnwindSafe(|| {
-            Engine::new()
-                .workers(2)
-                .execute_resumed(&plan, Vec::new(), &sink, Some(&journal))
+            Engine::new().workers(2).run(exec, &sink, Some(&journal))
         }));
         let payload = failed.expect_err("the plan must fail");
         let message = panic_message(&*payload);
@@ -1350,6 +1396,51 @@ mod tests {
         );
         assert_eq!(journal.runs.lock().len(), completed);
         assert_eq!(*journal.terminal.lock(), [PlanPhase::Failed]);
+    }
+
+    /// Campaigns that share a weight blob share one decoded network, and
+    /// each run drives its own clone: ML-faulted campaigns that run first
+    /// leave a clean campaign on the same blob byte-identical to that
+    /// campaign run alone.
+    #[test]
+    fn ml_faults_do_not_leak_into_a_campaign_sharing_the_blob() {
+        use crate::fault::ml::MlFault;
+        use crate::localizer::ParamSelector;
+        let agent = AgentSpec::neural(&mut avfi_agent::IlNetwork::new(21));
+        let neural = |fault| CampaignConfig {
+            agent: agent.clone(),
+            runs_per_scenario: 1,
+            ..campaign(40, FaultSpec::Ml(fault))
+        };
+        let noise = MlFault::WeightNoise {
+            sigma: 0.8,
+            fraction: 1.0,
+            selector: ParamSelector::All,
+        };
+        let stuck = MlFault::NeuronStuckAt {
+            layer: 3,
+            unit: 7,
+            value: 10.0,
+        };
+        let clean = CampaignConfig {
+            fault: FaultSpec::None,
+            ..neural(stuck.clone())
+        };
+        let plan =
+            WorkPlan::new().with_study("il", vec![neural(noise), neural(stuck), clean.clone()]);
+        let exec = PlanExec::new(Cow::Borrowed(&plan), Vec::new(), None, None).unwrap();
+        let agents = exec.agents.lock();
+        assert!(
+            agents.iter().all(|a| Arc::ptr_eq(a, &agents[0])),
+            "one decode"
+        );
+        drop(agents);
+        let shared = Engine::new().workers(1).execute(&plan);
+        let alone = Engine::new().workers(1).run_campaign(clean);
+        assert_eq!(
+            serde_json::to_string(&shared[0].campaigns[2]).unwrap(),
+            serde_json::to_string(&alone).unwrap()
+        );
     }
 
     /// A trace that cannot be written costs the run its journal record,
@@ -1481,12 +1572,13 @@ mod tests {
             blackbox_frames: 64,
             weights_fingerprint: None,
         };
+        let expert = AgentSpec::Expert.build().unwrap();
         let r1 = Engine::new()
             .workers(1)
-            .evaluate_jobs(&jobs, &AgentSpec::Expert, &spec);
+            .evaluate_jobs(&jobs, &expert, &spec);
         let r8 = Engine::new()
             .workers(8)
-            .evaluate_jobs(&jobs, &AgentSpec::Expert, &spec);
+            .evaluate_jobs(&jobs, &expert, &spec);
         assert_eq!(r1.len(), 5);
         for ((res1, tr1), (res8, tr8)) in r1.iter().zip(&r8) {
             assert_eq!(

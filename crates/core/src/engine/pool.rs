@@ -7,7 +7,7 @@
 //!
 //! * [`MultiplexPool`] owns the worker threads for the life of the
 //!   process. [`MultiplexPool::submit`] enqueues a plan and returns a
-//!   [`PlanTicket`] immediately.
+//!   [`PlanTicket`] immediately, or the [`PlanError`] that refused it.
 //! * **Fair round-robin scheduling**: active plans sit in a rotation;
 //!   each claim grants one run from the front plan and sends it to the
 //!   back, so an 8-run plan submitted next to an 8 000-run plan makes
@@ -42,8 +42,8 @@
 //! of the same plan.
 
 use super::{
-    blackbox_frames, PlanExec, ProgressEvent, ProgressSink, RunSink, StudyResult, WorkPlan,
-    BLACKBOX_SECONDS,
+    blackbox_frames, PlanError, PlanExec, ProgressEvent, ProgressSink, RunSink, StudyResult,
+    WorkPlan, BLACKBOX_SECONDS,
 };
 use crate::campaign::{RunResult, WorkerScratch};
 use avfi_net::proto::{PlanId, PlanLifecycle, PlanPhase};
@@ -122,8 +122,7 @@ impl fmt::Debug for SpoolHandle {
 
 /// A plan recovered from an `avfi-store` journal, re-submitted under its
 /// original id with whatever the journal preserved. Built by the server's
-/// spool recovery scan; see [`MultiplexPool::submit_recovered`]. Fresh
-/// submissions go through the same funnel with nothing recovered.
+/// spool recovery scan; see [`MultiplexPool::submit_recovered`].
 pub struct RecoveredSubmission {
     /// The recovered plan, parsed back from the journaled submission.
     pub plan: WorkPlan,
@@ -239,8 +238,9 @@ impl PlanRun {
 
 /// Moves a plan into a terminal phase exactly once: for `Completed`,
 /// appends the `Finished` event and assembles results (sorting traces),
-/// for `Failed` prints the failure; then advances the lifecycle and wakes
-/// every waiter.
+/// for `Failed` prints the failure; drops the agents no run needs any
+/// more (the daemon keeps the plan); then advances the lifecycle and
+/// wakes every waiter.
 fn finalize(run: &PlanRun, phase: PlanPhase) {
     if run.finalized.swap(true, Ordering::AcqRel) {
         return;
@@ -249,6 +249,7 @@ fn finalize(run: &PlanRun, phase: PlanPhase) {
         eprintln!("avfi pool: plan {} failed: {message}", run.id);
     }
     let results = (phase == PlanPhase::Completed).then(|| run.exec.finish(run));
+    *run.exec.agents.lock() = Vec::new();
     let mut st = run.state.lock().expect("plan state lock");
     st.results = results;
     // Cancel-before-start legally jumps Queued → Cancelled; a cancel
@@ -480,44 +481,35 @@ impl MultiplexPool {
         self.shared.work_ready.notify_all();
     }
 
-    /// Submits a plan without tracing; returns its ticket immediately.
-    pub fn submit(&self, plan: WorkPlan) -> PlanTicket {
-        self.submit_traced(plan, TraceLevel::Off)
+    /// Submits a plan without tracing; returns its ticket immediately, or
+    /// the [`PlanError`] that refused it: a refused plan takes no id and
+    /// never runs.
+    pub fn submit(&self, plan: WorkPlan) -> Result<PlanTicket, PlanError> {
+        self.submit_spooled(plan, TraceLevel::Off, |_| None)
     }
 
     /// Submits a plan with the flight recorder at `level` (`Off` disables
-    /// it); at [`TraceLevel::Blackbox`] the ring keeps the last 30 s of
-    /// frames. Traces stay in memory on the plan ([`PlanTicket::traces`])
-    /// — the service owns persistence.
-    pub fn submit_traced(&self, plan: WorkPlan, level: TraceLevel) -> PlanTicket {
-        self.submit_spooled(plan, level, |_| None)
-    }
-
-    /// [`MultiplexPool::submit_traced`] with a durable spool attached:
-    /// the pool assigns the plan id first, hands it to `make_spool` (the
-    /// server creates the plan's journal file there, named by id, and
-    /// writes the `PlanSubmitted` record), and only then lets the plan
-    /// enter the rotation — so every run a worker executes already has a
-    /// journal to land in, with the plan's trace directory. A factory
-    /// returning `None` (e.g. on an I/O failure it chose to swallow)
-    /// submits the plan unspooled, its traces in memory.
+    /// it; at [`TraceLevel::Blackbox`] the ring keeps the last 30 s of
+    /// frames) and a durable spool: once the plan is accepted, the pool
+    /// assigns its id, hands it to `make_spool` (the server creates the
+    /// plan's journal file there, named by id, and writes the
+    /// `PlanSubmitted` record), and only then lets the plan enter the
+    /// rotation — so every run a worker executes already has a journal to
+    /// land in, with the plan's trace directory, and a refused plan has
+    /// none. A factory returning `None` submits the plan unspooled, its
+    /// traces in memory on the plan ([`PlanTicket::traces`]). Refuses as
+    /// `submit` does.
     pub fn submit_spooled(
         &self,
         plan: WorkPlan,
         level: TraceLevel,
         make_spool: impl FnOnce(PlanId) -> Option<(Arc<dyn RunSink + Send + Sync>, PathBuf)>,
-    ) -> PlanTicket {
+    ) -> Result<PlanTicket, PlanError> {
+        let trace = Some((level, blackbox_frames(BLACKBOX_SECONDS)));
+        let exec = PlanExec::new(Cow::Owned(plan), Vec::new(), trace, None)?;
         let id = self.allocate_id();
         let (spool, trace_dir) = make_spool(id).unzip();
-        self.submit_full(RecoveredSubmission {
-            plan,
-            level,
-            id,
-            prefilled: Vec::new(),
-            trace_dir,
-            phase: None,
-            spool,
-        })
+        Ok(self.launch(PlanExec { trace_dir, ..exec }, id, None, spool))
     }
 
     /// Re-submits a plan recovered from an `avfi-store` journal under its
@@ -528,14 +520,17 @@ impl MultiplexPool {
     /// byte-identical to an uninterrupted run ([`Engine`]'s resume
     /// argument, lifted into the pool). Call
     /// [`MultiplexPool::reserve_plan_ids`] with the highest recovered id
-    /// first so fresh submissions never collide.
+    /// first so fresh submissions never collide. Refuses as `submit` does,
+    /// keeping the id reserved.
     ///
     /// [`Engine`]: super::Engine
-    pub fn submit_recovered(&self, sub: RecoveredSubmission) -> PlanTicket {
+    pub fn submit_recovered(&self, sub: RecoveredSubmission) -> Result<PlanTicket, PlanError> {
         self.shared
             .next_plan_id
             .fetch_max(sub.id, Ordering::Relaxed);
-        self.submit_full(sub)
+        let trace = Some((sub.level, blackbox_frames(BLACKBOX_SECONDS)));
+        let exec = PlanExec::new(Cow::Owned(sub.plan), sub.prefilled, trace, sub.trace_dir)?;
+        Ok(self.launch(exec, sub.id, sub.phase, sub.spool))
     }
 
     /// Ensures future plan ids are strictly greater than `max_seen` —
@@ -551,17 +546,18 @@ impl MultiplexPool {
         self.shared.next_plan_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn submit_full(&self, sub: RecoveredSubmission) -> PlanTicket {
-        let mut exec = PlanExec::new(
-            Cow::Owned(sub.plan),
-            sub.prefilled,
-            Some((sub.level, blackbox_frames(BLACKBOX_SECONDS))),
-            sub.trace_dir,
-        );
-        let phase = sub.phase.unwrap_or(PlanPhase::Queued);
+    /// Registers a built plan under `id` in `phase` (`None` = queued).
+    fn launch(
+        &self,
+        mut exec: PlanExec<'static>,
+        id: PlanId,
+        phase: Option<PlanPhase>,
+        spool: Option<Arc<dyn RunSink + Send + Sync>>,
+    ) -> PlanTicket {
+        let phase = phase.unwrap_or(PlanPhase::Queued);
         let started = exec.start(self.shared.workers);
         let run = Arc::new(PlanRun {
-            id: sub.id,
+            id,
             exec,
             next: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
@@ -570,7 +566,7 @@ impl MultiplexPool {
             finalized: AtomicBool::new(false),
             evicted: AtomicBool::new(false),
             finished_at: parking_lot::Mutex::new(None),
-            spool: sub.spool.map(SpoolHandle),
+            spool: spool.map(SpoolHandle),
             state: Mutex::new(PlanState {
                 lifecycle: PlanLifecycle::starting_at(phase),
                 events: Vec::new(),
@@ -697,7 +693,7 @@ fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerS
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Engine, WorkPlan};
+    use super::super::{Engine, PlanError, WorkPlan};
     use super::*;
     use crate::campaign::{AgentSpec, CampaignConfig};
     use crate::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
@@ -748,9 +744,9 @@ mod tests {
     }
 
     /// A 2-run expert plan on a 2×2 town of 25 m blocks: it passes
-    /// `WorkPlan::validate`, but its 13 m roads are too short to start a
-    /// mission on, so each of its runs panics building the world.
-    fn poison_plan() -> WorkPlan {
+    /// `Scenario::check`, but its 13 m roads are too short to start a
+    /// mission on, so each of its runs would panic building the world.
+    fn routeless_plan() -> WorkPlan {
         let mut town = TownSpec::grid(2, 2);
         town.block = 25.0;
         let scenario = Scenario::builder(town).build();
@@ -776,8 +772,8 @@ mod tests {
     #[test]
     fn multiplexed_plans_match_solo_engine() {
         let pool = MultiplexPool::new(3);
-        let ta = pool.submit(plan_a());
-        let tb = pool.submit(plan_b());
+        let ta = pool.submit(plan_a()).unwrap();
+        let tb = pool.submit(plan_b()).unwrap();
         let ra = ta.wait_results().expect("plan a completed");
         let rb = tb.wait_results().expect("plan b completed");
         assert_eq!(
@@ -793,20 +789,49 @@ mod tests {
         pool.shutdown();
     }
 
+    /// A routeless town is refused at submit, before it takes an id, and
+    /// a neural plan holds its decoded network only until it is terminal.
+    #[test]
+    fn a_refused_plan_takes_no_id_and_a_terminal_plan_holds_no_network() {
+        let pool = MultiplexPool::paused(2);
+        let err = pool.submit(routeless_plan()).unwrap_err();
+        assert!(
+            matches!(&err, PlanError::Scenario { study, campaign: 0, scenario: 0, .. } if study == "poison"),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("has 0 drive lanes longer than 20 m"),
+            "{err}"
+        );
+        let neural = CampaignConfig {
+            agent: AgentSpec::neural(&mut avfi_agent::IlNetwork::new(3)),
+            ..campaign(52, 1, FaultSpec::None)
+        };
+        let ticket = pool.submit(WorkPlan::single("il", neural)).unwrap();
+        assert_eq!(ticket.id(), 1, "the refused plan took an id");
+        assert_eq!(ticket.run.exec.agents.lock().len(), 1);
+        pool.resume();
+        assert_eq!(ticket.wait_terminal(), PlanPhase::Completed);
+        assert!(ticket.run.exec.agents.lock().is_empty());
+        pool.shutdown();
+    }
+
     /// A panicking run fails its plan and nothing else: the workers
     /// survive, the next plan completes byte-identical to a solo run, and
-    /// shutdown joins every worker.
+    /// shutdown joins every worker. No checked plan panics, so the test
+    /// swaps the routeless town into a checked plan's executor.
     #[test]
     fn panicking_run_fails_its_plan_and_spares_the_pool() {
-        let poison = poison_plan();
-        let round_trip: WorkPlan = serde_json::from_str(&json(&poison)).unwrap();
-        assert!(poison.validate().is_ok() && round_trip.validate().is_ok());
         let pool = MultiplexPool::new(2);
-        let bad = pool.submit(round_trip);
+        let mut exec = PlanExec::new(Cow::Owned(plan_b()), Vec::new(), None, None).unwrap();
+        let routeless = routeless_plan().studies()[0].campaigns[0].scenarios[0].clone();
+        exec.plan.to_mut().studies[0].campaigns[0].scenarios[0] = routeless;
+        let bad = pool.launch(exec, pool.allocate_id(), None, None);
         assert_eq!(phase_within(&bad, 30), PlanPhase::Failed);
         assert!(bad.results().is_none());
-        assert_eq!(bad.completed_runs(), 0);
-        let good = pool.submit(plan_b());
+        assert!(bad.completed_runs() < bad.total_runs());
+        let good = pool.submit(plan_b()).unwrap();
         assert_eq!(phase_within(&good, 60), PlanPhase::Completed);
         assert_eq!(
             json(&good.results().expect("plan b completed")),
@@ -818,7 +843,7 @@ mod tests {
     #[test]
     fn events_are_plan_tagged_and_complete() {
         let pool = MultiplexPool::new(2);
-        let t = pool.submit(plan_a());
+        let t = pool.submit(plan_a()).unwrap();
         t.wait_terminal();
         let (events, phase) = t.wait_events_after(0);
         assert_eq!(phase, PlanPhase::Completed);
@@ -856,8 +881,8 @@ mod tests {
     #[test]
     fn round_robin_is_fair_across_plans() {
         let pool = MultiplexPool::paused(1);
-        let ta = pool.submit(plan_b());
-        let tb = pool.submit(plan_b());
+        let ta = pool.submit(plan_b()).unwrap();
+        let tb = pool.submit(plan_b()).unwrap();
         pool.resume();
         ta.wait_terminal();
         tb.wait_terminal();
@@ -878,14 +903,14 @@ mod tests {
     #[test]
     fn cancel_before_start_yields_cancelled_without_results() {
         let pool = MultiplexPool::paused(2);
-        let t = pool.submit(plan_a());
+        let t = pool.submit(plan_a()).unwrap();
         assert_eq!(t.cancel(), PlanPhase::Cancelled);
         pool.resume();
         assert_eq!(t.wait_terminal(), PlanPhase::Cancelled);
         assert!(t.results().is_none());
         assert_eq!(t.completed_runs(), 0);
         // The pool stays healthy for later plans.
-        let t2 = pool.submit(plan_b());
+        let t2 = pool.submit(plan_b()).unwrap();
         assert!(t2.wait_results().is_some());
         pool.shutdown();
     }
@@ -901,8 +926,8 @@ mod tests {
                 campaign(70, 8, FaultSpec::None),
             ],
         );
-        let t_long = pool.submit(long);
-        let t_short = pool.submit(plan_b());
+        let t_long = pool.submit(long).unwrap();
+        let t_short = pool.submit(plan_b()).unwrap();
         // Wait until the long plan actually progressed, then cancel it.
         t_long.wait_events_after(1);
         let phase = t_long.cancel();
@@ -925,7 +950,7 @@ mod tests {
     #[test]
     fn empty_plan_completes_immediately() {
         let pool = MultiplexPool::new(1);
-        let t = pool.submit(WorkPlan::new());
+        let t = pool.submit(WorkPlan::new()).unwrap();
         assert_eq!(t.wait_terminal(), PlanPhase::Completed);
         assert_eq!(t.results().expect("empty results").len(), 0);
         pool.shutdown();
@@ -934,7 +959,7 @@ mod tests {
     #[test]
     fn shutdown_cancels_queued_plans() {
         let pool = MultiplexPool::paused(1);
-        let t = pool.submit(plan_b());
+        let t = pool.submit(plan_b()).unwrap();
         pool.shutdown();
         assert_eq!(t.wait_terminal(), PlanPhase::Cancelled);
     }
@@ -950,7 +975,9 @@ mod tests {
         let plan = WorkPlan::new().with_study("stuck", vec![campaign(80, 2, stuck)]);
         let collect = |workers: usize| {
             let pool = MultiplexPool::new(workers);
-            let t = pool.submit_traced(plan.clone(), TraceLevel::Blackbox);
+            let t = pool
+                .submit_spooled(plan.clone(), TraceLevel::Blackbox, |_| None)
+                .unwrap();
             t.wait_terminal();
             let traces = t.traces();
             pool.shutdown();
@@ -981,7 +1008,7 @@ mod tests {
         let solo_json = json(&solo);
         // Harvest per-run results by flat index from a fresh pool run.
         let harvest = MultiplexPool::new(2);
-        let t = harvest.submit(plan.clone());
+        let t = harvest.submit(plan.clone()).unwrap();
         t.wait_terminal();
         harvest.shutdown();
         let runs: Vec<(usize, RunResult)> = {
@@ -1002,36 +1029,40 @@ mod tests {
 
         let pool = MultiplexPool::new(2);
         // Terminal reload: full prefill + journaled "completed".
-        let reloaded = pool.submit_recovered(RecoveredSubmission {
-            plan: plan.clone(),
-            level: TraceLevel::Off,
-            id: 11,
-            prefilled: runs.clone(),
-            trace_dir: None,
-            phase: Some(PlanPhase::Completed),
-            spool: None,
-        });
+        let reloaded = pool
+            .submit_recovered(RecoveredSubmission {
+                plan: plan.clone(),
+                level: TraceLevel::Off,
+                id: 11,
+                prefilled: runs.clone(),
+                trace_dir: None,
+                phase: Some(PlanPhase::Completed),
+                spool: None,
+            })
+            .unwrap();
         assert_eq!(reloaded.id(), 11);
         assert_eq!(reloaded.wait_terminal(), PlanPhase::Completed);
         assert_eq!(json(&reloaded.wait_results().expect("reloaded")), solo_json);
         assert_eq!(reloaded.completed_runs(), total);
 
         // Gap resume: half the runs prefilled, no terminal record.
-        let resumed = pool.submit_recovered(RecoveredSubmission {
-            plan: plan.clone(),
-            level: TraceLevel::Off,
-            id: 12,
-            prefilled: runs[..total / 2].to_vec(),
-            trace_dir: None,
-            phase: None,
-            spool: None,
-        });
+        let resumed = pool
+            .submit_recovered(RecoveredSubmission {
+                plan: plan.clone(),
+                level: TraceLevel::Off,
+                id: 12,
+                prefilled: runs[..total / 2].to_vec(),
+                trace_dir: None,
+                phase: None,
+                spool: None,
+            })
+            .unwrap();
         assert_eq!(resumed.id(), 12);
         assert_eq!(resumed.wait_terminal(), PlanPhase::Completed);
         assert_eq!(json(&resumed.wait_results().expect("resumed")), solo_json);
 
         // Fresh submissions allocate past every recovered id.
-        let fresh = pool.submit(plan_b());
+        let fresh = pool.submit(plan_b()).unwrap();
         assert!(fresh.id() > 12, "fresh id {} not reserved", fresh.id());
         pool.shutdown();
     }
@@ -1052,6 +1083,7 @@ mod tests {
                 phase: Some(PlanPhase::Interrupted),
                 spool: None,
             })
+            .unwrap()
         };
         let pool = MultiplexPool::paused(2);
         let resumed = parked(&pool, 21);

@@ -9,8 +9,7 @@
 use crate::fault::input::{ImageFaultLayout, InputFault};
 use crate::fault::timing::TimingChannel;
 use crate::fault::FaultSpec;
-use avfi_agent::controller::{Driver, DriverInput};
-use avfi_agent::{ExpertDriver, IlNetwork, NeuralDriver};
+use avfi_agent::{Agent, DriverInput, ExpertDriver, IlNetwork};
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::rng::stream_rng;
 use avfi_sim::sensors::{Image, LidarScan, PixelFootprint};
@@ -65,33 +64,10 @@ impl EventLog {
     }
 }
 
-enum Inner {
-    Expert(ExpertDriver),
-    Neural(NeuralDriver),
-}
-
-impl Inner {
-    fn driver(&self) -> &dyn Driver {
-        match self {
-            Inner::Expert(e) => e,
-            Inner::Neural(n) => n,
-        }
-    }
-}
-
-impl std::fmt::Debug for Inner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Inner::Expert(_) => f.write_str("Expert"),
-            Inner::Neural(_) => f.write_str("Neural"),
-        }
-    }
-}
-
 /// A driving agent wrapped by the AVFI fault injector.
 #[derive(Debug)]
 pub struct AvDriver {
-    inner: Inner,
+    agent: Agent,
     spec: FaultSpec,
     rng: StdRng,
     timing: Option<TimingChannel>,
@@ -114,40 +90,39 @@ pub struct AvDriver {
 impl AvDriver {
     /// Wraps the rule-based expert (oracle baseline).
     pub fn expert(spec: FaultSpec, seed: u64) -> Self {
-        Self::build(Inner::Expert(ExpertDriver::new()), spec, seed)
+        Self::new(Agent::Expert(ExpertDriver::new()), spec, seed)
     }
 
-    /// Wraps the neural agent, applying any configured ML fault to the
+    /// Wraps the neural agent.
+    pub fn neural(net: IlNetwork, spec: FaultSpec, seed: u64) -> Self {
+        Self::new(Agent::Neural(net), spec, seed)
+    }
+
+    /// Wraps `agent`, applying a configured ML fault to a neural agent's
     /// network at construction time (a corrupted model is corrupted from
-    /// the start).
-    pub fn neural(mut net: IlNetwork, spec: FaultSpec, seed: u64) -> Self {
-        let mut rng = stream_rng(seed, 0xFA);
+    /// the start). The agent is the wrapper's own: a campaign passes each
+    /// run a clone of the agent it built.
+    pub fn new(mut agent: Agent, spec: FaultSpec, seed: u64) -> Self {
         let mut injected_at_frame = None;
-        if let FaultSpec::Ml(f) = &spec {
-            f.apply(&mut net, &mut rng);
+        if let (Agent::Neural(net), FaultSpec::Ml(f)) = (&mut agent, &spec) {
+            f.apply(net, &mut stream_rng(seed, 0xFA));
             injected_at_frame = Some(0);
         }
-        let mut d = Self::build(Inner::Neural(NeuralDriver::new(net)), spec, seed);
-        d.injected_at_frame = injected_at_frame.or(d.injected_at_frame);
-        d
-    }
-
-    fn build(inner: Inner, spec: FaultSpec, seed: u64) -> Self {
         let timing = match &spec {
             FaultSpec::Timing(f) => Some(TimingChannel::new(f.clone())),
             _ => None,
         };
         AvDriver {
-            inner,
+            agent,
             spec,
             rng: stream_rng(seed, 0xFB),
             timing,
             image_layout: None,
             footprint: None,
-            // Timing faults are marked lazily, the first time the channel
-            // actually perturbs the command stream — a no-op channel (e.g.
-            // a zero-frame delay) must not report an injection time.
-            injected_at_frame: None,
+            // Other faults are marked lazily; a timing fault when it first
+            // perturbs the commands — a no-op channel (e.g. a zero-frame
+            // delay) must not report an injection time.
+            injected_at_frame,
             scratch_image: None,
             scratch_lidar: None,
             event_log: None,
@@ -182,7 +157,7 @@ impl AvDriver {
 
     /// Agent name for reports.
     pub fn agent_name(&self) -> &'static str {
-        self.inner.driver().name()
+        self.agent.name()
     }
 
     /// Simulation time of the first actual injection, if any happened —
@@ -198,7 +173,7 @@ impl AvDriver {
         // while mutating the RNG and scratch buffers (disjoint fields) —
         // this is what lets the hot path drop the per-frame spec clone.
         let AvDriver {
-            inner,
+            agent,
             spec,
             rng,
             timing,
@@ -244,7 +219,7 @@ impl AvDriver {
                     let (w, h) = (img.width(), img.height());
                     let layout = image_layout
                         .get_or_insert_with(|| ImageFaultLayout::sample(model, w, h, rng));
-                    let footprint = footprint.get_or_insert_with(|| inner.driver().footprint(w, h));
+                    let footprint = footprint.get_or_insert_with(|| agent.footprint(w, h));
                     model.apply(img, layout, footprint, rng);
                     input.image = img;
                 }
@@ -288,10 +263,7 @@ impl AvDriver {
         }
 
         // --- The ADA computes its decision.
-        let mut control = match inner {
-            Inner::Expert(e) => e.drive(&input),
-            Inner::Neural(n) => n.drive(&input),
-        };
+        let mut control = agent.drive(&input);
 
         // --- Output FI: command-path hardware faults.
         if let FaultSpec::Hardware(f) = &*spec {
@@ -333,7 +305,7 @@ impl AvDriver {
     ///
     /// [`ImageFault::source_footprint`]: crate::fault::input::ImageFault::source_footprint
     pub fn footprint(&self, width: usize, height: usize) -> PixelFootprint {
-        let agent = self.inner.driver().footprint(width, height);
+        let agent = self.agent.footprint(width, height);
         match &self.spec {
             FaultSpec::Input(InputFault {
                 model: Some(model), ..
@@ -611,6 +583,54 @@ mod tests {
             assert_eq!(neural.footprint(64, 48), want, "il-cnn under {spec:?}");
             let expert = AvDriver::expert(spec.clone(), 1).footprint(64, 48);
             assert_eq!(expert, PixelFootprint::default(), "expert under {spec:?}");
+        }
+    }
+
+    /// Each ML fault corrupts only its run's clone of a prepared agent: a
+    /// driver built from a clone after another clone took the same fault
+    /// (and drives beside it) drives 100 frames exactly as one built from
+    /// a fresh decode, with the same next fault-stream draw each frame.
+    #[test]
+    fn a_clone_of_the_prepared_agent_drives_as_a_fresh_decode() {
+        use crate::fault::ml::MlFault;
+        use crate::localizer::ParamSelector;
+        use rand::RngExt;
+        let weights = IlNetwork::new(12).to_weights();
+        let prepared = Agent::Neural(IlNetwork::from_weights(&weights).unwrap());
+        let faults = [
+            MlFault::WeightNoise {
+                sigma: 0.8,
+                fraction: 1.0,
+                selector: ParamSelector::All,
+            },
+            MlFault::WeightBitFlip {
+                flips: 64,
+                selector: ParamSelector::WeightsOnly,
+            },
+            MlFault::NeuronStuckAt {
+                layer: 3,
+                unit: 7,
+                value: 10.0,
+            },
+        ];
+        for fault in faults {
+            let spec = FaultSpec::Ml(fault);
+            let mut drivers = [
+                AvDriver::new(prepared.clone(), spec.clone(), 6),
+                AvDriver::new(prepared.clone(), spec.clone(), 6),
+                AvDriver::neural(IlNetwork::from_weights(&weights).unwrap(), spec.clone(), 6),
+            ];
+            let mut worlds = [world(), world(), world()];
+            for frame in 0..100 {
+                let mut controls = Vec::new();
+                for (driver, w) in drivers.iter_mut().zip(&mut worlds) {
+                    let obs = w.observe();
+                    let control = driver.drive_frame(&obs, w);
+                    w.step(control);
+                    controls.push((control, driver.rng.clone().random::<u64>()));
+                }
+                assert_eq!(controls[1], controls[2], "{spec:?} frame {frame}");
+            }
         }
     }
 

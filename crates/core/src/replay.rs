@@ -12,6 +12,7 @@
 
 use crate::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
 use crate::fault::FaultSpec;
+use avfi_nn::serialize::LoadWeightsError;
 use avfi_trace::{fingerprint, RunTrace, TraceHeader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -44,6 +45,8 @@ pub enum ReplayError {
         /// Fingerprint of the provided weights.
         provided: u64,
     },
+    /// The provided weights do not decode into the IL-CNN.
+    BadWeights(LoadWeightsError),
 }
 
 impl fmt::Display for ReplayError {
@@ -65,6 +68,7 @@ impl fmt::Display for ReplayError {
                 f,
                 "weights fingerprint {provided:#x} does not match recorded {recorded:#x}"
             ),
+            ReplayError::BadWeights(e) => write!(f, "weights do not decode: {e}"),
         }
     }
 }
@@ -216,19 +220,21 @@ pub fn decode_header(
 ///
 /// `weights` must be the serialized IL-CNN weights when the trace was
 /// recorded with the neural agent (checked against the recorded
-/// fingerprint) and is ignored for expert traces.
+/// fingerprint, then decoded once) and is ignored for expert traces.
 ///
 /// # Errors
 ///
-/// Returns a [`ReplayError`] when the replay cannot even be attempted;
-/// a run that executes but differs is a [`ReplayVerdict::Diverged`],
-/// not an error.
+/// Returns a [`ReplayError`] when the replay cannot even be attempted
+/// ([`decode_header`]'s errors, or [`ReplayError::BadWeights`]); a run
+/// that executes but differs is a [`ReplayVerdict::Diverged`], not an
+/// error.
 pub fn replay_trace(
     trace: &RunTrace,
     weights: Option<&[u8]>,
 ) -> Result<ReplayVerdict, ReplayError> {
     let header = &trace.header;
     let (fault, agent) = decode_header(header, weights)?;
+    let agent = agent.build().map_err(ReplayError::BadWeights)?;
     let spec = TraceSpec {
         level: header.level,
         study: header.study.clone(),

@@ -34,7 +34,7 @@
 //! toward the violation anchor, and a global
 //! [`ShrinkConfig::max_iterations`] cap backstops everything.
 
-use crate::campaign::{AgentSpec, TraceSpec};
+use crate::campaign::TraceSpec;
 use crate::engine::{blackbox_frames, Engine, EvalJob, BLACKBOX_SECONDS};
 use crate::fault::hardware::BitFaultModel;
 use crate::fault::input::{ImageFault, InputFault, LidarFault, SpeedFault};
@@ -44,6 +44,7 @@ use crate::fault::FaultSpec;
 use crate::replay::{decode_header, replay_trace, ReplayError, ReplayVerdict};
 use crate::triage::{failure_class, FailureClass};
 use crate::trigger::Trigger;
+use avfi_agent::Agent;
 use avfi_sim::scenario::Scenario;
 use avfi_sim::weather::Weather;
 use avfi_sim::FRAME_DT;
@@ -245,7 +246,7 @@ pub struct ShrinkOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShrinkError {
     /// The trace is not re-executable (bad fault spec, seed mismatch,
-    /// unknown agent, missing/mismatched weights).
+    /// unknown agent, missing, mismatched or undecodable weights).
     Replay(ReplayError),
     /// The trace records a successful, violation-free run — nothing to
     /// minimize.
@@ -918,7 +919,7 @@ fn anchor_of(trace: &RunTrace) -> Anchor {
 /// failure, and verification replays the candidate's own trace.
 pub struct EngineOracle<'a> {
     engine: &'a Engine,
-    agent: AgentSpec,
+    agent: Agent,
     weights: Option<Vec<u8>>,
     spec: TraceSpec,
     scenario_index: usize,
@@ -927,14 +928,15 @@ pub struct EngineOracle<'a> {
 }
 
 impl<'a> EngineOracle<'a> {
-    /// Builds the oracle from a source trace and the agent
-    /// [`decode_header`] rebuilt from its header (coordinates and
-    /// black-box window also come from the header; a summary trace,
-    /// which has no window, gets the default one).
+    /// Builds the oracle from a source trace and the agent built from
+    /// the spec [`decode_header`] read from its header; every candidate
+    /// drives a clone of it (coordinates and black-box window also come
+    /// from the header; a summary trace, which has no window, gets the
+    /// default one).
     pub fn from_trace(
         engine: &'a Engine,
         trace: &RunTrace,
-        agent: AgentSpec,
+        agent: Agent,
         weights: Option<&[u8]>,
     ) -> Self {
         let blackbox_frames = if trace.header.blackbox_frames > 0 {
@@ -1015,6 +1017,7 @@ pub fn shrink_trace(
 ) -> Result<ShrinkOutcome, ShrinkError> {
     let class = failure_class(trace).ok_or(ShrinkError::NotAFailure)?;
     let (fault, agent) = decode_header(&trace.header, weights)?;
+    let agent = agent.build().map_err(ReplayError::BadWeights)?;
     let mut oracle = EngineOracle::from_trace(engine, trace, agent, weights);
 
     // Baseline: the unreduced original must re-land in the recorded

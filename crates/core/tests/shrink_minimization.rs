@@ -3,7 +3,8 @@
 //! and replay bit-identically, and a lattice-floor property — a failure
 //! that needs N actors is never shrunk below them.
 
-use avfi_core::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
+use avfi_agent::{Agent, ExpertDriver};
+use avfi_core::campaign::{run_mission, TraceSpec, WorkerScratch};
 use avfi_core::engine::Engine;
 use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::FaultSpec;
@@ -56,7 +57,7 @@ fn failing_trace() -> RunTrace {
         1,
         2,
         &stuck_brake(),
-        &AgentSpec::Expert,
+        &Agent::Expert(ExpertDriver::new()),
         Some(&spec),
         &mut WorkerScratch::default(),
     );
@@ -142,7 +143,7 @@ fn minimized_repro_reproduces_the_class_and_replays_bit_identically() {
         repro.scenario_index,
         repro.run_index,
         &repro.fault,
-        &AgentSpec::Expert,
+        &Agent::Expert(ExpertDriver::new()),
         Some(&spec),
         &mut WorkerScratch::default(),
     );

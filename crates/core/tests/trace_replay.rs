@@ -9,7 +9,7 @@ use avfi_core::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
 use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
-use avfi_core::replay::{replay_trace, ReplayVerdict};
+use avfi_core::replay::{replay_trace, ReplayError, ReplayVerdict};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::{list_trace_files, read_trace_file, TraceLevel};
 use std::path::{Path, PathBuf};
@@ -300,6 +300,15 @@ fn image_fault_campaign_traces_are_worker_invariant_and_replay() {
             ReplayVerdict::Diverged(d) => panic!("{} diverged: {d}", path.display()),
         }
     }
+    // Weights that match the header's fingerprint but do not decode are a
+    // typed error, not a panic.
+    let mut trace = read_trace_file(&f1[0]).unwrap();
+    let cut = &weights[..100];
+    trace.header.weights_fingerprint = Some(avfi_trace::fingerprint(cut));
+    assert!(matches!(
+        replay_trace(&trace, Some(cut)),
+        Err(ReplayError::BadWeights(_))
+    ));
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir5);
 }

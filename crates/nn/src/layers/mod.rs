@@ -35,8 +35,9 @@ pub struct ParamSlice<'a> {
     pub grads: &'a mut [f32],
 }
 
-/// A differentiable layer.
-pub trait Layer: std::fmt::Debug {
+/// A differentiable layer. `Send + Sync` so one built network can be
+/// shared by worker threads that each drive a clone of it.
+pub trait Layer: std::fmt::Debug + Send + Sync + LayerClone {
     /// Computes the layer output. With `train = true` the layer caches
     /// whatever `backward` needs; with `train = false` no caching happens —
     /// inference is allocation-lean and a subsequent `backward` panics.
@@ -60,6 +61,25 @@ pub trait Layer: std::fmt::Debug {
 
     /// Short kind tag for diagnostics ("dense", "conv2d", …).
     fn kind(&self) -> &'static str;
+}
+
+/// Boxed cloning, so a network of boxed layers is `Clone`; every `Clone`
+/// layer has it. A clone written through `params()` repacks its own panel.
+pub trait LayerClone {
+    /// A boxed copy of the layer.
+    fn boxed_clone(&self) -> Box<dyn Layer>;
+}
+
+impl<L: Layer + Clone + 'static> LayerClone for L {
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub struct ActivationOverride {
 }
 
 /// A stack of layers applied in order.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     overrides: Vec<ActivationOverride>,

@@ -344,31 +344,23 @@ fn serve_request(
                     message: format!("unknown trace level {trace_level:?}"),
                 });
             };
-            match serde_json::from_str::<WorkPlan>(&plan_json) {
-                Ok(plan) => {
-                    // A plan whose runs cannot start would only fail in the
-                    // pool; one over the run cap would exhaust the daemon's
-                    // memory before its first run.
-                    if let Err(e) = plan.validate() {
-                        return transport.send_value(&ServiceReply::Error {
-                            message: format!("invalid plan: {e}"),
-                        });
-                    }
-                    let ticket = match spool {
-                        Some(dir) => pool.submit_spooled(plan, level, |id| {
-                            open_plan_journal(dir, id, plan_json, level)
-                        }),
-                        None => pool.submit_traced(plan, level),
-                    };
+            let submitted = match serde_json::from_str::<WorkPlan>(&plan_json) {
+                Err(e) => Err(format!("malformed plan: {e}")),
+                Ok(plan) => pool
+                    .submit_spooled(plan, level, |id| {
+                        spool.and_then(|dir| open_plan_journal(dir, id, plan_json, level))
+                    })
+                    .map_err(|e| format!("invalid plan: {e}")),
+            };
+            match submitted {
+                Ok(ticket) => {
                     registry.lock().insert(ticket.id(), ticket.clone());
                     transport.send_value(&ServiceReply::Submitted {
                         plan: ticket.id(),
                         total_runs: ticket.total_runs(),
                     })
                 }
-                Err(e) => transport.send_value(&ServiceReply::Error {
-                    message: format!("malformed plan: {e}"),
-                }),
+                Err(message) => transport.send_value(&ServiceReply::Error { message }),
             }
         }
         ServiceRequest::Watch { plan, from_event } => {
@@ -538,9 +530,9 @@ fn open_plan_journal(
 /// appending the missing terminal record. Either way the plan's traces
 /// stay in its `plan-<id>/` directory, read only when a client asks for
 /// them. Unrecoverable journals are skipped with a stderr note, and a
-/// plan that [`WorkPlan::validate`] refuses has its journal renamed
-/// `plan-<id>.avj.refused` once, so that later starts neither read it nor
-/// repeat the note — recovery never takes the daemon down.
+/// plan the pool refuses has its journal renamed `plan-<id>.avj.refused`
+/// once, so that later starts neither read it nor repeat the note —
+/// recovery never takes the daemon down.
 fn recover_journal(
     pool: &MultiplexPool,
     dir: &Path,
@@ -559,32 +551,31 @@ fn recover_journal(
     };
     // Header-only or unparseable journal: nothing to reload.
     let rec = avfi_store::summarize(&records)?;
-    if let Err(e) = rec.plan.validate() {
-        drop(journal);
-        let refused = dir.join(avfi_store::refused_journal_file_name(id));
-        let moved = match std::fs::rename(path, &refused) {
-            Ok(()) => format!("moved to {}", refused.display()),
-            Err(err) => format!("could not move it aside: {err}"),
-        };
-        eprintln!(
-            "[avfi-server] spool recovery refused ({}): {e}; {moved}",
-            path.display()
-        );
-        return None;
-    }
-    let spool: Option<Arc<dyn RunSink + Send + Sync>> = match rec.terminal {
-        Some(_) => None, // terminal: nothing more to append; the file stays
-        None => Some(Arc::new(PlanJournal::new(journal))),
-    };
-    Some(pool.submit_recovered(RecoveredSubmission {
+    // Terminal: nothing more to append. Either way the journal is closed
+    // before a refused one is moved aside.
+    let journal = rec.terminal.is_none().then(|| PlanJournal::new(journal));
+    let e = match pool.submit_recovered(RecoveredSubmission {
         plan: rec.plan,
         level: rec.level,
         id,
         prefilled: rec.completed,
         trace_dir: Some(dir.join(avfi_store::trace_dir_name(id))),
         phase: Some(rec.terminal.unwrap_or(PlanPhase::Interrupted)),
-        spool,
-    }))
+        spool: journal.map(|j| Arc::new(j) as Arc<dyn RunSink + Send + Sync>),
+    }) {
+        Ok(ticket) => return Some(ticket),
+        Err(e) => e,
+    };
+    let refused = dir.join(avfi_store::refused_journal_file_name(id));
+    let moved = match std::fs::rename(path, &refused) {
+        Ok(()) => format!("moved to {}", refused.display()),
+        Err(err) => format!("could not move it aside: {err}"),
+    };
+    eprintln!(
+        "[avfi-server] spool recovery refused ({}): {e}; {moved}",
+        path.display()
+    );
+    None
 }
 
 fn lookup(registry: &Registry, plan: PlanId) -> Option<PlanTicket> {

@@ -80,21 +80,32 @@ fn solo_refuses_an_invalid_plan_without_panicking() {
     let scenarios = avfi_server::demo_plan().studies()[0].campaigns[0]
         .scenarios
         .clone();
-    let neural = CampaignConfig::builder(scenarios)
+    let neural = CampaignConfig::builder(scenarios.clone())
         .runs_per_scenario(1)
         .agent(AgentSpec::Neural {
             weights: Arc::new(vec![1, 2, 3]),
         })
         .build();
-    let plan = WorkPlan::single("il", neural);
-    std::fs::write(dir.join("p.json"), serde_json::to_string(&plan).unwrap()).unwrap();
-    let out = client(&dir, "solo --plan p.json --out r.json");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("invalid plan: study \"il\" campaign 0: neural weights do not decode"),
-        "{stderr}"
-    );
-    assert!(!dir.join("r.json").exists(), "a refused solo wrote results");
+    let mut routeless = CampaignConfig::builder(scenarios).build();
+    routeless.scenarios[1].town.block = 25.0;
+    let cases = [
+        (
+            WorkPlan::single("il", neural),
+            "invalid plan: study \"il\" campaign 0: neural weights do not decode",
+        ),
+        (
+            WorkPlan::single("routeless", routeless),
+            "invalid plan: study \"routeless\" campaign 0 scenario 1: town grid 2×2 of 25 m \
+             blocks has 0 drive lanes longer than 20 m",
+        ),
+    ];
+    for (plan, problem) in cases {
+        std::fs::write(dir.join("p.json"), serde_json::to_string(&plan).unwrap()).unwrap();
+        let out = client(&dir, "solo --plan p.json --out r.json");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(problem), "{stderr}");
+        assert!(!dir.join("r.json").exists(), "a refused solo wrote results");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

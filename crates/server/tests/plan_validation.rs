@@ -1,10 +1,11 @@
 //! A plan whose runs cannot start is refused at submit. Queued, a neural
-//! plan with undecodable weights would panic every run of it, and a plan
-//! over the run cap, with a town too large to build, or with a fault
-//! sized past its cap, would exhaust the daemon's memory. Refused, each costs the daemon nothing: the next
-//! client's plan runs as usual and shutdown is clean. A plan that passes
-//! validation and still panics fails on its own, and the daemon keeps
-//! serving.
+//! plan with undecodable weights or a town with no mission route would
+//! panic every run of it, and a plan over the run cap, with a town too
+//! large to build, or with a fault sized past its cap, would exhaust the
+//! daemon's memory. Refused, each costs the daemon nothing: the next
+//! client's plan runs as usual and shutdown is clean. No plan the pool
+//! accepts is known to panic a run; the pool's own tests swap a poison
+//! run into an accepted plan to check that it fails alone.
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::fault::input::{ImageFault, InputFault};
@@ -200,15 +201,15 @@ fn a_fault_that_sizes_a_run_is_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
-fn panicking_plan_fails_and_the_daemon_keeps_serving() {
+fn a_routeless_town_is_refused_and_the_daemon_keeps_serving() {
     let server = CampaignServer::bind("127.0.0.1:0", 2).expect("bind");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
     let mut client = ServiceClient::connect(&addr).expect("connect");
 
-    // Two expert runs on a 2×2 town of 25 m blocks: the plan validates,
-    // but its 13 m roads are too short to start a mission on, so every
-    // run panics building its world.
+    // Two expert runs on a 2×2 town of 25 m blocks: every scenario number
+    // is in bounds, but its 13 m roads are too short to start a mission
+    // on, so queued, every run would panic building its world.
     let mut town = TownSpec::grid(2, 2);
     town.block = 25.0;
     let poison = CampaignConfig::builder(vec![Scenario::builder(town).build()])
@@ -216,15 +217,21 @@ fn panicking_plan_fails_and_the_daemon_keeps_serving() {
         .agent(AgentSpec::Expert)
         .build();
     let plan = WorkPlan::new().with_study("poison", vec![poison]);
-    let (id, _) = client.submit(&plan, TraceLevel::Off).expect("submit");
-    assert_eq!(phase_within(&mut client, id, 30), PlanPhase::Failed);
+    match client.submit(&plan, TraceLevel::Off) {
+        Err(NetError::Protocol(message)) => assert_eq!(
+            message,
+            "invalid plan: study \"poison\" campaign 0 scenario 0: town grid 2×2 of 25 m \
+             blocks has 0 drive lanes longer than 20 m; a mission route needs two"
+        ),
+        other => panic!("a routeless town must be refused, got {other:?}"),
+    }
 
     let demo = demo_plan();
     let (id, _) = client.submit(&demo, TraceLevel::Off).expect("submit");
     assert_eq!(phase_within(&mut client, id, 120), PlanPhase::Completed);
     assert_eq!(
         client.results_json(id).expect("results"),
-        solo_results_json(&demo).expect("solo run")
+        include_str!("../../../results/golden/avfi_server_demo.json")
     );
 
     client.shutdown_server().expect("shutdown");

@@ -87,17 +87,33 @@ fn write_interrupted_journal(
 
 /// A journal whose plan is over the run cap is skipped at startup
 /// instead of rebuilding, at every start, an executor that would exhaust
-/// the daemon's memory. The first start moves it aside to
-/// `plan-<id>.avj.refused`, so the second neither reads it nor reuses its
-/// id; the daemon serves the next plan as usual.
+/// the daemon's memory.
 #[test]
 fn journal_over_the_run_cap_is_skipped_at_startup() {
-    let spool = fresh_spool("huge");
     let scenario = demo_plan().studies()[0].campaigns[0].scenarios[0].clone();
     let huge = avfi_core::CampaignConfig::builder(vec![scenario])
         .runs_per_scenario(1 << 40)
         .build();
-    let plan = WorkPlan::new().with_study("huge", vec![huge]);
+    refused_journal_is_moved_aside_once("huge", WorkPlan::new().with_study("huge", vec![huge]));
+}
+
+/// A journal whose town can host no mission route is skipped at startup
+/// instead of resuming a plan whose every run would panic.
+#[test]
+fn journal_with_a_routeless_town_is_skipped_at_startup() {
+    let mut plan = demo_plan();
+    let json = serde_json::to_string(&plan).expect("plan serializes");
+    plan = serde_json::from_str(&json.replace("\"block\":80", "\"block\":25")).expect("parses");
+    assert_eq!(plan.studies()[1].campaigns[0].scenarios[1].town.block, 25.0);
+    refused_journal_is_moved_aside_once("routeless", plan);
+}
+
+/// Starts a daemon twice over a spool holding `plan`'s journal under id
+/// 2. The first start refuses the plan and moves the journal aside to
+/// `plan-<id>.avj.refused`, so the second neither reads it nor reuses
+/// its id; the daemon serves the next plan as usual.
+fn refused_journal_is_moved_aside_once(tag: &str, plan: WorkPlan) {
+    let spool = fresh_spool(tag);
     let journal = spool.join(avfi_store::journal_file_name(2));
     PlanJournal::create(
         &journal,

@@ -4,8 +4,8 @@
 //! reproduces the same town, traffic, mission route and sensor noise.
 
 use crate::map::route::{plan_route, Route};
-use crate::map::town::TownConfig;
-use crate::map::{LaneKind, Map};
+use crate::map::town::{TownConfig, TownGenerator};
+use crate::map::{LaneId, LaneKind, Map};
 use crate::sensors::{CameraConfig, GpsConfig, ImuConfig, LidarConfig};
 use crate::weather::Weather;
 use rand::rngs::StdRng;
@@ -195,8 +195,10 @@ impl Scenario {
     /// that is not positive (`Lidar::new`).
     ///
     /// A scenario can pass and still fail to build: a town whose roads
-    /// are all too short for a mission route panics in
-    /// [`World::from_scenario`](crate::world::World::from_scenario).
+    /// are too short for a mission route panics in
+    /// [`World::from_scenario`](crate::world::World::from_scenario). The
+    /// campaign executor therefore also runs [`check_town_routes`] on
+    /// each distinct town and refuses a plan holding such a town.
     ///
     /// # Errors
     ///
@@ -304,12 +306,7 @@ impl Scenario {
     /// Returns `None` only for degenerate maps with no sufficiently long
     /// route (the grid towns always have one).
     pub fn sample_mission(&self, map: &Map, rng: &mut StdRng) -> Option<Route> {
-        let drive: Vec<_> = map
-            .lanes()
-            .iter()
-            .filter(|l| l.kind() == LaneKind::Drive && l.length() > 20.0)
-            .map(|l| l.id())
-            .collect();
+        let drive = mission_lanes(map);
         if drive.is_empty() {
             return None;
         }
@@ -332,6 +329,37 @@ impl Scenario {
         }
         best
     }
+}
+
+/// The drive lanes a mission may start and end on, in map order: those
+/// longer than 20 m. [`Scenario::sample_mission`] draws from them, and a
+/// town with fewer than two can host no mission ([`check_town_routes`]).
+pub fn mission_lanes(map: &Map) -> Vec<LaneId> {
+    map.lanes()
+        .iter()
+        .filter(|l| l.kind() == LaneKind::Drive && l.length() > 20.0)
+        .map(|l| l.id())
+        .collect()
+}
+
+/// Refuses a town that can host no mission route: one with fewer than two
+/// [`mission_lanes`]. It generates the town's map to count them and drops
+/// it, so check each distinct town once, and only a town that
+/// [`Scenario::check`] accepts.
+///
+/// # Errors
+///
+/// The town's grid, block and lane count.
+pub fn check_town_routes(town: &TownSpec) -> Result<(), String> {
+    let lanes = mission_lanes(&TownGenerator::new(town.clone()).generate()).len();
+    if lanes >= 2 {
+        return Ok(());
+    }
+    Err(format!(
+        "town grid {}×{} of {} m blocks has {lanes} drive lanes longer than 20 m; \
+         a mission route needs two",
+        town.cols, town.rows, town.block
+    ))
 }
 
 /// Builder for [`Scenario`] ([C-BUILDER]).

@@ -142,9 +142,14 @@ impl World {
     /// # Panics
     ///
     /// Panics if the scenario's town cannot host a mission route. Not
-    /// every grid town can: the route needs drive lanes longer than 20 m,
-    /// and a 2×2 town with `block = 25.0` has none. `Scenario::check`
-    /// cannot see this without generating the map (ROADMAP item 2).
+    /// every grid town can: the route needs two drive lanes longer than
+    /// 20 m ([`mission_lanes`](crate::scenario::mission_lanes)), and a 2×2
+    /// town with `block = 25.0` has none. The campaign executor refuses
+    /// such a town before any run ([`check_town_routes`]). A town that has
+    /// the lanes still panics here if all 64 of the seed's route draws
+    /// miss; no town in the repository does (ROADMAP item 3).
+    ///
+    /// [`check_town_routes`]: crate::scenario::check_town_routes
     pub fn from_scenario(scenario: &Scenario) -> Self {
         let map = TownGenerator::new(scenario.town.clone()).generate();
         let mut mission_rng = stream_rng(scenario.seed, STREAM_MISSION);

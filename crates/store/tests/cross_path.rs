@@ -134,10 +134,12 @@ fn every_execution_path_yields_identical_results_and_traces() {
     // untraced neighbour and the same traced plan twice, so each
     // worker's scratch is reused across plans.
     let pool = MultiplexPool::new(2);
-    let neighbour = pool.submit(untraced_neighbour());
+    let neighbour = pool.submit(untraced_neighbour()).unwrap();
     let tickets = [
-        pool.submit_traced(plan.clone(), TraceLevel::Blackbox),
-        pool.submit_traced(plan.clone(), TraceLevel::Blackbox),
+        pool.submit_spooled(plan.clone(), TraceLevel::Blackbox, |_| None)
+            .unwrap(),
+        pool.submit_spooled(plan.clone(), TraceLevel::Blackbox, |_| None)
+            .unwrap(),
     ];
     assert!(neighbour.wait_results().is_some());
     for (k, ticket) in tickets.iter().enumerate() {
@@ -155,14 +157,16 @@ fn every_execution_path_yields_identical_results_and_traces() {
     let spool = fresh_dir("pool-spooled");
     let pool = MultiplexPool::new(2);
     let mut journal_path = PathBuf::new();
-    let ticket = pool.submit_spooled(plan.clone(), TraceLevel::Blackbox, |id| {
-        journal_path = spool.join(avfi_store::journal_file_name(id));
-        let plan_json = serde_json::to_string(&plan).expect("plan serializes");
-        let journal = PlanJournal::create(&journal_path, plan_json, TraceLevel::Blackbox)
-            .expect("create journal");
-        let journal: Arc<dyn RunSink + Send + Sync> = Arc::new(journal);
-        Some((journal, spool.join(avfi_store::trace_dir_name(id))))
-    });
+    let ticket = pool
+        .submit_spooled(plan.clone(), TraceLevel::Blackbox, |id| {
+            journal_path = spool.join(avfi_store::journal_file_name(id));
+            let plan_json = serde_json::to_string(&plan).expect("plan serializes");
+            let journal = PlanJournal::create(&journal_path, plan_json, TraceLevel::Blackbox)
+                .expect("create journal");
+            let journal: Arc<dyn RunSink + Send + Sync> = Arc::new(journal);
+            Some((journal, spool.join(avfi_store::trace_dir_name(id))))
+        })
+        .unwrap();
     let results = ticket.wait_results().expect("spooled pool plan completed");
     pool.shutdown();
     paths.push((
@@ -199,9 +203,10 @@ fn every_execution_path_yields_identical_results_and_traces() {
         blackbox_frames: TraceConfig::new("", TraceLevel::Blackbox).blackbox_frames(),
         weights_fingerprint: None,
     };
+    let expert = AgentSpec::Expert.build().expect("the expert builds");
     let evaluated = Engine::new()
         .workers(2)
-        .evaluate_jobs(&jobs, &AgentSpec::Expert, &spec);
+        .evaluate_jobs(&jobs, &expert, &spec);
     let (results, traces): (Vec<RunResult>, Vec<Option<RunTrace>>) = evaluated.into_iter().unzip();
     let traces = traces
         .into_iter()

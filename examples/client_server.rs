@@ -7,8 +7,7 @@
 //! cargo run --release --example client_server
 //! ```
 
-use avfi::agent::controller::{Driver, DriverInput};
-use avfi::agent::ExpertDriver;
+use avfi::agent::{Agent, DriverInput, ExpertDriver};
 use avfi::net::{Message, SimClient, SimServer, TcpTransport};
 use avfi::sim::physics::VehicleControl;
 use avfi::sim::scenario::{Scenario, TownSpec};
@@ -48,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Client: a remote ADA. It has no world access, so the expert
     // cannot be used over the wire; for this demo we close the loop with a
     // trivial camera-blind policy (drive slowly, steer straight), showing
-    // the protocol rather than driving skill. Swap in a `NeuralDriver` to
+    // the protocol rather than driving skill. Swap in an `Agent::Neural` to
     // drive for real.
     let mut client = SimClient::new(TcpTransport::connect(&addr.to_string())?);
     let mut frames = 0u64;
@@ -81,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .time_budget(90.0)
     .build();
     let mut world = World::from_scenario(&scenario);
-    let mut expert = ExpertDriver::new();
+    let mut expert = Agent::Expert(ExpertDriver::new());
     let mut obs = world.observe();
     loop {
         let c = expert.drive(&DriverInput::clean(&obs, &world));

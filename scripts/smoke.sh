@@ -190,8 +190,11 @@ fi
 # against both a solo-engine run of the same plan (byte-identity gate)
 # and the checked-in golden. Exercises the full submit / watch / fetch /
 # shutdown protocol over real TCP. First the demo plan goes in under 2^40
-# water drops, whose layout would abort the daemon: it must be refused as
-# an invalid plan, and the same daemon then serves the demo plan.
+# water drops, whose layout would abort the daemon, and on a town of 25 m
+# blocks, whose roads are too short for a mission route: the daemon must
+# refuse both as invalid plans, `avfi-client solo` must refuse the
+# routeless one before it runs, and the same daemon then serves the demo
+# plan.
 SERVER_DIR="$SMOKE_DIR/server"
 ADDR_FILE="$SERVER_DIR/addr"
 echo "==> smoke: building avfi-server"
@@ -211,8 +214,7 @@ if [[ ! -s "$ADDR_FILE" ]]; then
 else
   ADDR=$(cat "$ADDR_FILE")
   target/release/avfi-client demo-plan --out "$SERVER_DIR/plan.json"
-  echo "==> smoke: avfi-client submit (demo plan, 2^40 water drops) must be refused"
-  python3 - "$SERVER_DIR/plan.json" "$SERVER_DIR/hostile.json" <<'PY'
+  python3 - "$SERVER_DIR/plan.json" "$SERVER_DIR/hostile.json" "$SERVER_DIR/routeless.json" <<'PY'
 import json, sys
 plan = json.load(open(sys.argv[1]))
 drops = {"Input": {"model": {"WaterDrop": {"drops": 2**40, "radius_frac": 0.08}},
@@ -221,16 +223,32 @@ for study in plan["studies"]:
     for campaign in study["campaigns"]:
         campaign["fault"] = drops
 json.dump(plan, open(sys.argv[2], "w"))
+plan = json.load(open(sys.argv[1]))
+for study in plan["studies"]:
+    for campaign in study["campaigns"]:
+        for scenario in campaign["scenarios"]:
+            scenario["town"]["block"] = 25
+json.dump(plan, open(sys.argv[3], "w"))
 PY
-  if target/release/avfi-client submit --addr "$ADDR" --plan "$SERVER_DIR/hostile.json" \
-      >"$SERVER_DIR/hostile.stdout" 2>"$SERVER_DIR/hostile.stderr"; then
-    echo "smoke FAIL: the daemon accepted a plan of 2^40 water drops" >&2
-    fail=1
-  elif ! grep -q "invalid plan" "$SERVER_DIR/hostile.stderr"; then
-    echo "smoke FAIL: the 2^40-drop plan failed, but not as an invalid plan:" >&2
-    cat "$SERVER_DIR/hostile.stderr" >&2
-    fail=1
-  fi
+  for refused in "hostile:submit:2^40 water drops" "routeless:submit:a routeless town" \
+      "routeless:solo:a routeless town"; do
+    IFS=: read -r name cmd what <<<"$refused"
+    echo "==> smoke: avfi-client $cmd (demo plan, $what) must be refused"
+    args=(--plan "$SERVER_DIR/$name.json")
+    [[ "$cmd" == submit ]] && args+=(--addr "$ADDR") || args+=(--out "$SERVER_DIR/$name.results.json")
+    if target/release/avfi-client "$cmd" "${args[@]}" \
+        >"$SERVER_DIR/$name.$cmd.stdout" 2>"$SERVER_DIR/$name.$cmd.stderr"; then
+      echo "smoke FAIL: avfi-client $cmd accepted a plan of $what" >&2
+      fail=1
+    elif ! grep -q "invalid plan" "$SERVER_DIR/$name.$cmd.stderr"; then
+      echo "smoke FAIL: avfi-client $cmd failed on $what, but not as an invalid plan:" >&2
+      cat "$SERVER_DIR/$name.$cmd.stderr" >&2
+      fail=1
+    elif [[ -e "$SERVER_DIR/$name.results.json" ]]; then
+      echo "smoke FAIL: avfi-client $cmd wrote results for a refused plan" >&2
+      fail=1
+    fi
+  done
   echo "==> smoke: avfi-client run (demo plan) against $ADDR"
   if ! target/release/avfi-client run --addr "$ADDR" --plan "$SERVER_DIR/plan.json" \
       --out "$SERVER_DIR/served.json" >"$SERVER_DIR/client.stdout"; then

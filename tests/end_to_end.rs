@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full AVFI pipeline from world
 //! simulation through the client/server loop to campaign metrics.
 
-use avfi::agent::controller::{Driver, DriverInput};
-use avfi::agent::{ExpertDriver, IlNetwork};
+use avfi::agent::{Agent, DriverInput, ExpertDriver, IlNetwork};
 use avfi::fi::campaign::{run_single, AgentSpec, CampaignConfig, RunResult};
 use avfi::fi::engine::Engine;
 use avfi::fi::fault::hardware::{BitFaultModel, HardwareFault, HardwareTarget};
@@ -51,7 +50,7 @@ fn expert_completes_mission_through_tcp_loop() {
     });
 
     let mut shadow = World::from_scenario(&scenario_client);
-    let mut expert = ExpertDriver::new();
+    let mut expert = Agent::Expert(ExpertDriver::new());
     let mut client = SimClient::new(TcpTransport::connect(&addr.to_string()).unwrap());
     while let Some(obs) = client.recv_observation().unwrap() {
         // Shadow world must agree with the server's observation.
@@ -88,14 +87,7 @@ fn lockstep_result(template: &Scenario, fault: &FaultSpec, agent: &AgentSpec) ->
     // the world and steps it with the same controls (cross-thread
     // determinism keeps them aligned).
     let mut shadow = World::from_scenario(&derived);
-    let mut driver = match agent {
-        AgentSpec::Expert => AvDriver::expert(fault.clone(), derived.seed),
-        AgentSpec::Neural { weights } => AvDriver::neural(
-            IlNetwork::from_weights(weights).unwrap(),
-            fault.clone(),
-            derived.seed,
-        ),
-    };
+    let mut driver = AvDriver::new(agent.build().unwrap(), fault.clone(), derived.seed);
     let mut client = SimClient::new(client_end);
     while let Some(obs) = client.recv_observation().unwrap() {
         let control = driver.drive_frame(&obs, &shadow);
