@@ -98,7 +98,7 @@ impl Default for CollectConfig {
 /// Runs the expert on one scenario and records demonstrations.
 pub fn collect_scenario(scenario: &Scenario, config: &CollectConfig) -> DemoDataset {
     let mut world = World::from_scenario(scenario);
-    let expert = ExpertDriver::new();
+    let mut expert = ExpertDriver::new();
     let mut rng = stream_rng(config.seed, scenario.seed);
     let mut data = DemoDataset::new();
     let mut noise_left = 0usize;

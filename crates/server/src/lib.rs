@@ -24,14 +24,14 @@
 //!
 //! ## Concurrency model
 //!
-//! One thread per connection, all submissions landing in one shared
-//! [`MultiplexPool`] (fair round-robin across plans, per-plan
-//! cancellation). Client disconnects never abort a running plan: the
-//! server's plan registry keeps the [`PlanTicket`] until shutdown, so a
-//! client can drop mid-watch and later fetch results over a fresh
-//! connection. Plans recovered from the spool live in the same registry:
-//! an interrupted one is a parked ticket that [`ServiceRequest::Resume`]
-//! moves into the rotation.
+//! One thread per connection, up to [`MAX_CONNECTIONS`] at once, all
+//! submissions landing in one shared [`MultiplexPool`] (fair round-robin
+//! across plans, per-plan cancellation). Client disconnects never abort a
+//! running plan: the server's plan registry keeps the [`PlanTicket`] until
+//! shutdown, so a client can drop mid-watch and later fetch results over
+//! a fresh connection. Plans recovered from the spool live in the same
+//! registry: an interrupted one is a parked ticket that
+//! [`ServiceRequest::Resume`] moves into the rotation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ use avfi_trace::{RunTrace, TraceLevel};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -168,6 +168,11 @@ impl CampaignServer {
     /// as they are, so the next daemon over the spool recovers them
     /// interrupted again.
     ///
+    /// While [`MAX_CONNECTIONS`] connections are live, the next one gets
+    /// one [`ServiceReply::Error`] frame naming the cap, before anything
+    /// is read from it, and is closed; a live connection's place frees
+    /// when its handler returns.
+    ///
     /// Nothing else ends the loop. A failed accept (say, out of file
     /// descriptors) is logged and retried after [`ACCEPT_RETRY_PAUSE`],
     /// and a connection whose handler thread cannot start is logged and
@@ -177,6 +182,7 @@ impl CampaignServer {
     ///
     /// None: the loop returns only on shutdown.
     pub fn run(self) -> Result<(), NetError> {
+        let live = Arc::new(AtomicUsize::new(0));
         for conn in self.listener.incoming() {
             if self.shutdown.load(Ordering::Acquire) {
                 break;
@@ -190,6 +196,10 @@ impl CampaignServer {
                     continue;
                 }
             };
+            let Some(place) = ConnectionPlace::claim(&live) else {
+                refuse_over_cap(stream);
+                continue;
+            };
             let pool = Arc::clone(&self.pool);
             let registry = Arc::clone(&self.registry);
             let shutdown = Arc::clone(&self.shutdown);
@@ -199,11 +209,13 @@ impl CampaignServer {
             let spool = self.spool.clone();
             // Detached: a handler blocked on an idle client's next request
             // must not delay shutdown; the process owns thread lifetime.
-            // A handler that cannot start drops the stream with its
-            // closure, which closes the connection.
+            // A handler that cannot start drops the stream and the place
+            // with its closure, which closes the connection and frees the
+            // place.
             let spawned = std::thread::Builder::new()
                 .name("avfi-conn".into())
                 .spawn(move || {
+                    let _place = place;
                     handle_connection(
                         stream,
                         &pool,
@@ -270,6 +282,51 @@ fn handle_connection(
             return;
         }
     }
+}
+
+/// Most connections [`CampaignServer::run`] serves at once: 64. Each live
+/// connection holds a handler thread and a descriptor, so the cap bounds
+/// what idle peers can hold. It is far above what the repository's
+/// clients open at once (the benchmark's served workload holds at most 8
+/// connections, the soak test 6), and 64 idle handlers cost little, so it
+/// is a constant and not a setting.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// One live connection's place under [`MAX_CONNECTIONS`], freed when
+/// dropped: by its handler thread when [`handle_connection`] returns, or
+/// with the spawn closure when the thread cannot start.
+struct ConnectionPlace(Arc<AtomicUsize>);
+
+impl ConnectionPlace {
+    /// Takes a place, or `None` while `MAX_CONNECTIONS` are taken.
+    fn claim(live: &Arc<AtomicUsize>) -> Option<Self> {
+        live.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+            (n < MAX_CONNECTIONS).then_some(n + 1)
+        })
+        .ok()
+        .map(|_| ConnectionPlace(Arc::clone(live)))
+    }
+}
+
+impl Drop for ConnectionPlace {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with one error frame and
+/// closes it, reading nothing. The frame is far smaller than a fresh
+/// socket's send buffer, so the accept loop never waits on the peer.
+fn refuse_over_cap(stream: TcpStream) {
+    let Ok(mut transport) = TcpTransport::new(stream) else {
+        return;
+    };
+    let _ = transport.send_value(&ServiceReply::Error {
+        message: format!(
+            "connection refused: the daemon serves at most {MAX_CONNECTIONS} \
+             connections at once; retry when one closes"
+        ),
+    });
 }
 
 /// How long [`CampaignServer::run`] waits after a failed accept before it

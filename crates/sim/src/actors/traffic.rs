@@ -14,9 +14,17 @@
 //!   frame wakes the due actors in slot order, NPCs before pedestrians.
 //!
 //! A [`SpatialIndex`] holds every live actor's last-updated position, so
-//! neighbor queries (perceive candidates, ego collision checks, LIDAR
-//! obstacle culling) cost O(nearby) instead of O(population). Its keys are
-//! spawn slots, pedestrians numbered after the NPCs.
+//! neighbor queries cost O(nearby) instead of O(population). Its keys are
+//! spawn slots, pedestrians numbered after the NPCs. There are three
+//! queries:
+//!
+//! * perceive candidates, [`Traffic::step`]'s lead-vehicle search;
+//! * ego collision checks, [`Traffic::ego_contacts`];
+//! * obstacle lists, [`Traffic::push_shapes_within`], which serves the
+//!   LIDAR's obstacle cull and the expert driver's probe cull (both
+//!   through [`World::actor_shapes_within`]).
+//!
+//! [`World::actor_shapes_within`]: crate::world::World::actor_shapes_within
 //!
 //! An actor keeps its slot for the whole run. When it despawns, its wake
 //! tick becomes `NEVER` and it leaves the index: an actor is live while
@@ -31,8 +39,8 @@
 //! point in the same stream as in a loop that steps every actor every
 //! frame. Index queries are only ever a *superset* pre-filter: each
 //! consumer re-applies its exact predicate (perceive's own scan-distance
-//! prefilter, the LIDAR min-fold, the OBB/circle contact test), so no
-//! result depends on the index.
+//! prefilter, the LIDAR min-fold, the expert's probe range, the
+//! OBB/circle contact test), so no result depends on the index.
 //!
 //! ## Query slack
 //!
@@ -419,29 +427,31 @@ impl Traffic {
         (hit_vehicle, hit_ped)
     }
 
-    /// Pushes the collision shapes of all actors within `range` of
-    /// `center` (materialized at the current boundary), for the LIDAR
-    /// obstacle list. Excluding farther actors is exact, not approximate:
-    /// a shape whose nearest point lies beyond the scan's `max_range` can
-    /// only produce hits that lose the beam min-fold, so the scan output
-    /// is bit-identical to scanning every actor.
+    /// Pushes the collision shapes (materialized at the current boundary)
+    /// of a superset of the live actors that have a point within `range`
+    /// of `center`: every actor whose indexed position lies within
+    /// `range` plus the largest half-extent plus the drift slack. `keys`
+    /// is the caller's query buffer. The keys come back sorted, NPC slots
+    /// before pedestrian slots, so the shapes are a subsequence of
+    /// [`Traffic::all_shapes`], in its order and bit-identical to its
+    /// entries; a consumer that re-applies its own range test decides as
+    /// over every actor.
     pub fn push_shapes_within(
-        &mut self,
+        &self,
         map: &Map,
         center: Vec2,
         range: f64,
+        keys: &mut Vec<u32>,
         out: &mut Vec<CollisionShape>,
     ) {
-        let mut q = std::mem::take(&mut self.q);
         self.index
-            .query_circle(center, range + self.max_extent + self.slack(), &mut q);
-        for &key in &q {
+            .query_circle(center, range + self.max_extent + self.slack(), keys);
+        for &key in keys.iter() {
             out.push(match self.slot(key) {
                 Slot::Npc(slot) => self.npc_shape(map, slot),
                 Slot::Ped(slot) => self.ped_shape(slot),
             });
         }
-        self.q = q;
     }
 
     /// Pushes a billboard for every live actor, in spawn order, NPCs
@@ -594,6 +604,7 @@ mod tests {
                 &map,
                 ego_pose.position,
                 lidar.config().max_range,
+                &mut Vec::new(),
                 &mut culled,
             );
             let full = traffic.all_shapes(&map);

@@ -123,8 +123,9 @@ pub struct World {
     /// Reused per-frame billboard list (steady-state `observe` is
     /// allocation-free; see [`World::observe_into`]).
     scratch_billboards: Vec<Billboard>,
-    /// Reused per-frame LIDAR obstacle list.
+    /// Reused per-frame LIDAR obstacle list and its index-query keys.
     scratch_shapes: Vec<CollisionShape>,
+    scratch_keys: Vec<u32>,
 }
 
 // RNG stream ids derived from the scenario seed.
@@ -204,6 +205,7 @@ impl World {
             map,
             scratch_billboards: Vec::new(),
             scratch_shapes: Vec::new(),
+            scratch_keys: Vec::new(),
         }
     }
 
@@ -304,9 +306,33 @@ impl World {
     }
 
     /// Collision shapes of all dynamic actors except the ego,
-    /// materialized at the current frame boundary.
+    /// materialized at the current frame boundary, in spawn order, NPC
+    /// vehicles before pedestrians. This is the full scan: the
+    /// whole-traffic digests read it, and it is the reference that
+    /// [`World::actor_shapes_within`] is checked against.
     pub fn actor_shapes(&self) -> Vec<CollisionShape> {
         self.traffic.all_shapes(&self.map)
+    }
+
+    /// Fills `out` with the shapes of a superset of the actors that have
+    /// a point within `range` of `center`, through the actor index
+    /// (`keys` is the caller's reused query buffer). Every actor whose
+    /// centre lies within `range` plus its half-extent is in it, and the
+    /// list is a subsequence of [`World::actor_shapes`], in its order,
+    /// each shape bit-identical. A consumer whose answer cannot depend on
+    /// a shape with no point within `range` (the LIDAR's min-fold up to
+    /// its maximum range, the expert's obstacle probes) therefore decides
+    /// as over the full scan, for O(nearby) instead of O(population).
+    pub fn actor_shapes_within(
+        &self,
+        center: Vec2,
+        range: f64,
+        keys: &mut Vec<u32>,
+        out: &mut Vec<CollisionShape>,
+    ) {
+        out.clear();
+        self.traffic
+            .push_shapes_within(&self.map, center, range, keys, out);
     }
 
     /// Advances the world by one frame under the given actuation command.
@@ -473,11 +499,12 @@ impl World {
 
         if self.scan_lidar {
             let mut shapes = std::mem::take(&mut self.scratch_shapes);
-            shapes.clear();
-            self.fill_lidar_shapes(&mut shapes);
+            let mut keys = std::mem::take(&mut self.scratch_keys);
+            self.fill_lidar_shapes(&mut keys, &mut shapes);
             self.lidar
                 .scan_into(self.ego.pose, shapes.iter(), &mut obs.sensors.lidar);
             self.scratch_shapes = shapes;
+            self.scratch_keys = keys;
         }
 
         obs.sensors.gps = self.gps.measure(self.ego.pose.position, &mut self.gps_rng);
@@ -603,15 +630,14 @@ impl World {
         }
     }
 
-    fn fill_lidar_shapes(&mut self, shapes: &mut Vec<CollisionShape>) {
+    fn fill_lidar_shapes(&self, keys: &mut Vec<u32>, shapes: &mut Vec<CollisionShape>) {
         // Actor shapes come from the spatial index. Culling to the scan
         // range is exact: a shape entirely beyond `max_range` can only
         // produce beam hits that lose the min-fold, so the scan output is
         // bit-identical to scanning every actor.
         let ego_p = self.ego.pose.position;
         let max_range = self.lidar.config().max_range;
-        self.traffic
-            .push_shapes_within(&self.map, ego_p, max_range, shapes);
+        self.actor_shapes_within(ego_p, max_range, keys, shapes);
         let max = max_range + 10.0;
         shapes.extend(
             self.map

@@ -23,7 +23,7 @@ fn main() {
         .time_budget(60.0)
         .build();
     let mut world = World::from_scenario(&scenario);
-    let expert = ExpertDriver::new();
+    let mut expert = ExpertDriver::new();
     let mut rng = stream_rng(5, 99);
     let fault = ImageFault::water_drop(5, 0.10);
     let mut layout: Option<ImageFaultLayout> = None;

@@ -13,10 +13,12 @@ cargo test -q --workspace
 # The simulator's exactness arguments (spatial-grid clamping, the lane
 # reach-box margin) rest on f64 rounding and `as i32` cell arithmetic,
 # and release code wraps on integer overflow where debug code panics;
-# the NN kernels' bit-identity with their scalar oracles must hold with
-# release vectorization. Run both suites once more as they ship.
-echo "==> cargo test --release -q -p avfi-sim -p avfi-nn"
-cargo test --release -q -p avfi-sim -p avfi-nn
+# so does the expert's probe cull through the actor index, whose
+# differential test is in avfi-agent. The NN kernels' bit-identity with
+# their scalar oracles must hold with release vectorization. Run the
+# three suites once more as they ship.
+echo "==> cargo test --release -q -p avfi-sim -p avfi-nn -p avfi-agent"
+cargo test --release -q -p avfi-sim -p avfi-nn -p avfi-agent
 
 # perfbench/ is a workspace of its own, so the runs above never compile
 # it; --locked also fails if a change would alter perfbench/Cargo.lock.
