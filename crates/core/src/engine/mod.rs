@@ -122,13 +122,6 @@ impl WorkPlan {
             .map(CampaignConfig::total_runs)
             .fold(0, usize::saturating_add)
     }
-
-    /// Checks the plan as both executors do before its first run, and
-    /// drops what that builds; returns the [`PlanError`] they would
-    /// refuse it with. For a caller that must refuse without panicking.
-    pub fn validate(&self) -> Result<(), PlanError> {
-        PlanExec::new(Cow::Borrowed(self), Vec::new(), None, None).map(drop)
-    }
 }
 
 /// The most runs an executor accepts in one plan. Before any run starts,
@@ -394,11 +387,13 @@ impl ProgressSink for CollectSink {
 /// they happen.
 ///
 /// Implementations are called concurrently from worker threads and must
-/// handle their own synchronization. The executor calls `run_completed`
-/// *after* writing the run's trace file and *before* publishing the
-/// result to its in-memory slot. A run whose trace could not be written
-/// is published but not reported here, so resume re-runs it.
-pub trait RunSink: Sync {
+/// handle their own synchronization; a pool plan shares its sink as an
+/// `Arc<dyn RunSink>`, hence `Send + Sync + Debug`. The executor calls
+/// `run_completed` *after* writing the run's trace file and *before*
+/// publishing the result to its in-memory slot. A run whose trace could
+/// not be written is published but not reported here, so resume re-runs
+/// it.
+pub trait RunSink: Send + Sync + fmt::Debug {
     /// One run finished: its flat-plan index and result.
     fn run_completed(&self, flat_index: usize, result: &RunResult);
 
@@ -936,10 +931,16 @@ impl Engine {
     ///
     /// Results are bit-identical for any worker count: each run derives
     /// its seed from its (campaign template, scenario, run) coordinates
-    /// and lands in a preassigned slot. Panics as
-    /// [`Engine::execute_resumed`] does.
+    /// and lands in a preassigned slot.
+    ///
+    /// # Panics
+    ///
+    /// A plan the executor refuses panics with `plan failed: <PlanError>`
+    /// before any run; a run that panics ends the call as in
+    /// [`Engine::execute_resumed`].
     pub fn execute_with(&self, plan: &WorkPlan, sink: &dyn ProgressSink) -> Vec<StudyResult> {
         self.execute_resumed(plan, Vec::new(), sink, None)
+            .unwrap_or_else(|e| panic!("plan failed: {e}"))
     }
 
     /// [`Engine::execute_with`], resumed: `prefilled` results (keyed by
@@ -956,29 +957,31 @@ impl Engine {
     /// prefilled subset. Out-of-range or duplicate prefilled indices are
     /// ignored (first entry wins).
     ///
+    /// # Errors
+    ///
+    /// The [`PlanError`] the executor refuses the plan with, before any
+    /// run; `spool` hears nothing.
+    ///
     /// # Panics
     ///
-    /// A plan the executor refuses panics with `plan failed: <PlanError>`
-    /// before any run, and `spool` hears nothing. Once a run panics, no
-    /// further run starts; in-flight runs finish, `spool` receives
-    /// [`PlanPhase::Failed`], and this call panics with `plan failed: run
-    /// I panicked: <message>`.
+    /// Once a run panics, no further run starts; in-flight runs finish,
+    /// `spool` receives [`PlanPhase::Failed`], and this call panics with
+    /// `plan failed: run I panicked: <message>`.
     pub fn execute_resumed(
         &self,
         plan: &WorkPlan,
         prefilled: Vec<(usize, RunResult)>,
         sink: &dyn ProgressSink,
         spool: Option<&dyn RunSink>,
-    ) -> Vec<StudyResult> {
+    ) -> Result<Vec<StudyResult>, PlanError> {
         let trace = self.trace.as_ref();
         let exec = PlanExec::new(
             Cow::Borrowed(plan),
             prefilled,
             trace.map(|t| (t.level, t.blackbox_frames())),
             trace.map(|t| t.dir.clone()),
-        )
-        .unwrap_or_else(|e| panic!("plan failed: {e}"));
-        self.run(exec, sink, spool)
+        )?;
+        Ok(self.run(exec, sink, spool))
     }
 
     /// [`Engine::execute_resumed`] of a built plan.
@@ -1054,6 +1057,12 @@ mod tests {
             )
     }
 
+    /// Checks `plan` as both executors do before its first run, and drops
+    /// what that builds.
+    fn validate(plan: &WorkPlan) -> Result<(), PlanError> {
+        PlanExec::new(Cow::Borrowed(plan), Vec::new(), None, None).map(drop)
+    }
+
     #[test]
     fn plan_counts() {
         let plan = two_study_plan();
@@ -1063,7 +1072,7 @@ mod tests {
 
     #[test]
     fn validate_names_the_campaign_whose_weights_do_not_decode() {
-        assert_eq!(two_study_plan().validate(), Ok(()));
+        assert_eq!(validate(&two_study_plan()), Ok(()));
         let neural = |weights: Vec<u8>| CampaignConfig {
             agent: AgentSpec::Neural {
                 weights: Arc::new(weights),
@@ -1075,7 +1084,7 @@ mod tests {
             "il",
             vec![neural(good.clone()), neural(good), neural(vec![1, 2, 3])],
         );
-        let err = plan.validate().unwrap_err();
+        let err = validate(&plan).unwrap_err();
         assert!(matches!(
             &err,
             PlanError::Weights { study, campaign: 2, .. } if study == "il"
@@ -1093,8 +1102,8 @@ mod tests {
                 .build();
             WorkPlan::single("big", cfg)
         };
-        assert_eq!(plan(1, MAX_PLAN_RUNS).validate(), Ok(()));
-        let err = plan(1, 1 << 40).validate().unwrap_err();
+        assert_eq!(validate(&plan(1, MAX_PLAN_RUNS)), Ok(()));
+        let err = validate(&plan(1, 1 << 40)).unwrap_err();
         assert_eq!(err, PlanError::TooManyRuns { runs: 1 << 40 });
         assert!(
             err.to_string()
@@ -1104,7 +1113,7 @@ mod tests {
         let overflow = plan(2, usize::MAX);
         assert_eq!(overflow.total_runs(), usize::MAX);
         assert_eq!(
-            overflow.validate(),
+            validate(&overflow),
             Err(PlanError::TooManyRuns { runs: usize::MAX })
         );
     }
@@ -1198,10 +1207,10 @@ mod tests {
             two_study_plan().with_study("mutant", vec![campaign(40, FaultSpec::None), cfg])
         };
         for mutate in at_bounds {
-            assert_eq!(plan(*mutate).validate(), Ok(()));
+            assert_eq!(validate(&plan(*mutate)), Ok(()));
         }
         for (problem, mutate) in refused {
-            let err = plan(*mutate).validate().unwrap_err();
+            let err = validate(&plan(*mutate)).unwrap_err();
             assert!(
                 matches!(
                     &err,
@@ -1292,10 +1301,10 @@ mod tests {
             )
         };
         for fault in at_bounds {
-            assert_eq!(plan(fault.clone()).validate(), Ok(()), "{fault:?}");
+            assert_eq!(validate(&plan(fault.clone())), Ok(()), "{fault:?}");
         }
         for (fault, problem) in refused {
-            let err = plan(fault).validate().unwrap_err();
+            let err = validate(&plan(fault)).unwrap_err();
             assert!(
                 matches!(&err, PlanError::Fault { study, campaign: 1, .. } if study == "mutant"),
                 "{err:?}"
@@ -1309,7 +1318,7 @@ mod tests {
 
     /// What a [`RunSink`] is told: journaled flat indices and terminal
     /// phases.
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct Journaled {
         runs: parking_lot::Mutex<Vec<usize>>,
         terminal: parking_lot::Mutex<Vec<PlanPhase>>,
@@ -1325,8 +1334,9 @@ mod tests {
         }
     }
 
-    /// A plan the executor refuses panics before its first run: no
-    /// event, no journal record. The 1×1 town of the containment test
+    /// The executor refuses a plan before its first run: no event, no
+    /// journal record. `execute_resumed` returns the refusal and
+    /// `execute_with` panics with it. The 1×1 town of the containment test
     /// below is such a plan.
     #[test]
     fn a_refused_plan_panics_before_any_run() {
@@ -1334,20 +1344,22 @@ mod tests {
             .runs_per_scenario(1)
             .build();
         let plan = WorkPlan::new().with_study("poison", vec![one]);
+        let problem = "study \"poison\" campaign 0 scenario 0: \
+                       town grid 1×1 has fewer than two intersections";
         let (sink, journal) = (CollectSink::new(), Journaled::default());
-        let refused = panic::catch_unwind(AssertUnwindSafe(|| {
-            Engine::new()
-                .workers(2)
-                .execute_resumed(&plan, Vec::new(), &sink, Some(&journal))
-        }));
-        let payload = refused.expect_err("the plan must be refused");
-        assert_eq!(
-            panic_message(&*payload),
-            "plan failed: study \"poison\" campaign 0 scenario 0: \
-             town grid 1×1 has fewer than two intersections"
-        );
+        let err = Engine::new()
+            .workers(2)
+            .execute_resumed(&plan, Vec::new(), &sink, Some(&journal))
+            .expect_err("the plan must be refused");
+        assert_eq!(err.to_string(), problem);
         assert!(sink.take().is_empty());
         assert!(journal.runs.lock().is_empty() && journal.terminal.lock().is_empty());
+        let refused = panic::catch_unwind(AssertUnwindSafe(|| {
+            Engine::new().workers(2).execute_with(&plan, &sink)
+        }));
+        let payload = refused.expect_err("execute_with must panic");
+        assert_eq!(panic_message(&*payload), format!("plan failed: {problem}"));
+        assert!(sink.take().is_empty());
     }
 
     /// A panicking run fails the engine's plan as it fails a pool plan:
@@ -1472,7 +1484,8 @@ mod tests {
         let traced = Engine::new()
             .workers(2)
             .with_trace(TraceConfig::new(&not_a_dir, TraceLevel::Blackbox))
-            .execute_resumed(&plan, Vec::new(), &NullSink, Some(&journal));
+            .execute_resumed(&plan, Vec::new(), &NullSink, Some(&journal))
+            .expect("a checked plan");
         let untraced = Engine::new().workers(2).execute(&plan);
         assert_eq!(
             serde_json::to_string(&traced).unwrap(),

@@ -51,7 +51,6 @@ use avfi_trace::{list_trace_files, read_trace_file, trace_file_index, RunTrace, 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -110,19 +109,10 @@ struct Sched {
     shutdown: bool,
 }
 
-/// The plan's durable spool, type-erased: an `avfi-store` journal the
-/// workers report each completed run (and the terminal phase) into.
-struct SpoolHandle(Arc<dyn RunSink + Send + Sync>);
-
-impl fmt::Debug for SpoolHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SpoolHandle(..)")
-    }
-}
-
 /// A plan recovered from an `avfi-store` journal, re-submitted under its
 /// original id with whatever the journal preserved. Built by the server's
 /// spool recovery scan; see [`MultiplexPool::submit_recovered`].
+#[derive(Debug)]
 pub struct RecoveredSubmission {
     /// The recovered plan, parsed back from the journaled submission.
     pub plan: WorkPlan,
@@ -139,25 +129,13 @@ pub struct RecoveredSubmission {
     /// The phase the plan is recovered in. A terminal phase reloads the
     /// plan as fetchable state without executing anything (`Completed`
     /// requires every run prefilled); [`PlanPhase::Interrupted`] parks it
-    /// out of the rotation until [`PlanTicket::resume`]; `None` (or any
-    /// other phase) queues the gap right away. A plan with no runs left
-    /// completes immediately unless it is recovered terminal.
-    pub phase: Option<PlanPhase>,
+    /// out of the rotation until [`PlanTicket::resume`]; any other phase
+    /// queues the gap right away. A plan with no runs left completes
+    /// immediately unless it is recovered terminal.
+    pub phase: PlanPhase,
     /// Journal to keep appending to while the gap re-executes; it also
     /// receives the plan's terminal phase.
-    pub spool: Option<Arc<dyn RunSink + Send + Sync>>,
-}
-
-impl fmt::Debug for RecoveredSubmission {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecoveredSubmission")
-            .field("id", &self.id)
-            .field("level", &self.level)
-            .field("prefilled", &self.prefilled.len())
-            .field("trace_dir", &self.trace_dir)
-            .field("phase", &self.phase)
-            .finish_non_exhaustive()
-    }
+    pub spool: Option<Arc<dyn RunSink>>,
 }
 
 /// Shared state of one submitted plan.
@@ -173,26 +151,28 @@ struct PlanRun {
     next: AtomicUsize,
     /// Claimed but not yet finished (executed or skipped).
     outstanding: AtomicUsize,
+    /// An atomic, not a `PlanState` field: `claim` reads it on every
+    /// claim, under the scheduler lock.
     cancelled: AtomicBool,
-    started: AtomicBool,
     finalized: AtomicBool,
-    /// Result/trace payloads dropped by retention eviction (lifecycle
-    /// status stays queryable).
-    evicted: AtomicBool,
-    /// Set once, when the plan reaches a terminal phase — the clock
-    /// retention sweeps measure against.
-    finished_at: parking_lot::Mutex<Option<Instant>>,
     /// Durable spool (write-ahead journal), when the plan is persisted.
-    spool: Option<SpoolHandle>,
+    spool: Option<Arc<dyn RunSink>>,
     state: Mutex<PlanState>,
     state_changed: Condvar,
 }
 
+/// What a plan's watchers and the retention sweep read, under one lock.
 #[derive(Debug)]
 struct PlanState {
     lifecycle: PlanLifecycle,
     events: Vec<PlanEvent>,
     results: Option<Vec<StudyResult>>,
+    /// Set in the same hold that makes the phase terminal: the clock
+    /// retention sweeps measure against.
+    finished_at: Option<Instant>,
+    /// Result/trace payloads dropped by retention eviction (lifecycle
+    /// status stays queryable).
+    evicted: bool,
 }
 
 /// The plan's own ordered event log is its progress sink.
@@ -224,14 +204,12 @@ impl PlanRun {
         }
     }
 
-    /// Queued → Running on the first claimed run.
+    /// Queued → Running on the first claimed run; any other phase is
+    /// left as it is.
     fn mark_running(&self) {
-        if !self.started.swap(true, Ordering::AcqRel) {
-            self.state
-                .lock()
-                .expect("plan state lock")
-                .lifecycle
-                .advance_if_legal(PlanPhase::Running);
+        let mut st = self.state.lock().expect("plan state lock");
+        if st.lifecycle.phase() == PlanPhase::Queued {
+            st.lifecycle.advance_if_legal(PlanPhase::Running);
         }
     }
 }
@@ -255,10 +233,10 @@ fn finalize(run: &PlanRun, phase: PlanPhase) {
     // Cancel-before-start legally jumps Queued → Cancelled; a cancel
     // racing completion loses quietly and the plan stays Completed.
     let actual = st.lifecycle.advance_if_legal(phase);
+    st.finished_at = Some(Instant::now());
     drop(st);
-    *run.finished_at.lock() = Some(Instant::now());
     if let Some(spool) = &run.spool {
-        spool.0.plan_terminal(actual);
+        spool.plan_terminal(actual);
     }
     run.state_changed.notify_all();
 }
@@ -383,13 +361,14 @@ impl PlanTicket {
     /// still queued or running — the age a retention sweep compares
     /// against its cutoff.
     pub fn finished_elapsed(&self) -> Option<std::time::Duration> {
-        self.run.finished_at.lock().map(|at| at.elapsed())
+        let st = self.run.state.lock().expect("plan state lock");
+        st.finished_at.map(|at| at.elapsed())
     }
 
     /// `true` once [`PlanTicket::evict_payloads`] dropped this plan's
     /// result and trace payloads.
     pub fn is_evicted(&self) -> bool {
-        self.run.evicted.load(Ordering::Acquire)
+        self.run.state.lock().expect("plan state lock").evicted
     }
 
     /// Drops the plan's result and trace payloads to reclaim memory,
@@ -402,9 +381,9 @@ impl PlanTicket {
         if !st.lifecycle.phase().is_terminal() {
             return false;
         }
-        // Flagged first, so a reader that finds the payloads gone also
-        // finds the flag.
-        self.run.evicted.store(true, Ordering::Release);
+        // Flagged in the hold that drops the results and before the
+        // traces go, so a reader that finds a payload gone finds the flag.
+        st.evicted = true;
         st.results = None;
         drop(st);
         self.run.exec.traces.lock().clear();
@@ -503,13 +482,13 @@ impl MultiplexPool {
         &self,
         plan: WorkPlan,
         level: TraceLevel,
-        make_spool: impl FnOnce(PlanId) -> Option<(Arc<dyn RunSink + Send + Sync>, PathBuf)>,
+        make_spool: impl FnOnce(PlanId) -> Option<(Arc<dyn RunSink>, PathBuf)>,
     ) -> Result<PlanTicket, PlanError> {
         let trace = Some((level, blackbox_frames(BLACKBOX_SECONDS)));
         let exec = PlanExec::new(Cow::Owned(plan), Vec::new(), trace, None)?;
         let id = self.allocate_id();
         let (spool, trace_dir) = make_spool(id).unzip();
-        Ok(self.launch(PlanExec { trace_dir, ..exec }, id, None, spool))
+        Ok(self.launch(PlanExec { trace_dir, ..exec }, id, PlanPhase::Queued, spool))
     }
 
     /// Re-submits a plan recovered from an `avfi-store` journal under its
@@ -546,15 +525,19 @@ impl MultiplexPool {
         self.shared.next_plan_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Registers a built plan under `id` in `phase` (`None` = queued).
+    /// Registers a built plan under `id` in `phase`.
     fn launch(
         &self,
         mut exec: PlanExec<'static>,
         id: PlanId,
-        phase: Option<PlanPhase>,
-        spool: Option<Arc<dyn RunSink + Send + Sync>>,
+        phase: PlanPhase,
+        spool: Option<Arc<dyn RunSink>>,
     ) -> PlanTicket {
-        let phase = phase.unwrap_or(PlanPhase::Queued);
+        // Trivially complete (empty plan, or recovery journaled every
+        // run): it starts Running and completes below, outside the
+        // rotation.
+        let trivial = exec.pending.is_empty() && !phase.is_terminal();
+        let start = if trivial { PlanPhase::Running } else { phase };
         let started = exec.start(self.shared.workers);
         let run = Arc::new(PlanRun {
             id,
@@ -562,15 +545,14 @@ impl MultiplexPool {
             next: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
-            started: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
-            evicted: AtomicBool::new(false),
-            finished_at: parking_lot::Mutex::new(None),
-            spool: spool.map(SpoolHandle),
+            spool,
             state: Mutex::new(PlanState {
-                lifecycle: PlanLifecycle::starting_at(phase),
+                lifecycle: PlanLifecycle::starting_at(start),
                 events: Vec::new(),
                 results: None,
+                finished_at: None,
+                evicted: false,
             }),
             state_changed: Condvar::new(),
         });
@@ -579,10 +561,7 @@ impl MultiplexPool {
             // Recovered already-terminal plan: reload it as fetchable
             // state without executing anything.
             finalize(&run, phase);
-        } else if run.exec.pending.is_empty() {
-            // Trivially complete (empty plan, or recovery journaled every
-            // run); never enters the rotation.
-            run.mark_running();
+        } else if trivial {
             finalize(&run, PlanPhase::Completed);
         } else if phase != PlanPhase::Interrupted {
             // A parked plan instead waits for `resume` or `cancel`.
@@ -677,8 +656,8 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 fn execute_item(plan: &PlanRun, idx: usize, worker: usize, scratch: &mut WorkerScratch) {
     if plan.stopped().is_none() {
         plan.mark_running();
-        let spool = plan.spool.as_ref().map(|s| &*s.0 as &dyn RunSink);
-        plan.exec.run_item(idx, worker, scratch, plan, spool);
+        plan.exec
+            .run_item(idx, worker, scratch, plan, plan.spool.as_deref());
     }
     // The last in-flight run finalizes, so every other run's events are
     // already in the log and `Finished` is the plan's last event.
@@ -827,7 +806,7 @@ mod tests {
         let mut exec = PlanExec::new(Cow::Owned(plan_b()), Vec::new(), None, None).unwrap();
         let routeless = routeless_plan().studies()[0].campaigns[0].scenarios[0].clone();
         exec.plan.to_mut().studies[0].campaigns[0].scenarios[0] = routeless;
-        let bad = pool.launch(exec, pool.allocate_id(), None, None);
+        let bad = pool.launch(exec, pool.allocate_id(), PlanPhase::Queued, None);
         assert_eq!(phase_within(&bad, 30), PlanPhase::Failed);
         assert!(bad.results().is_none());
         assert!(bad.completed_runs() < bad.total_runs());
@@ -956,6 +935,30 @@ mod tests {
         pool.shutdown();
     }
 
+    /// Only a terminal plan gives up its payloads, and it keeps its
+    /// status: the finish time, the eviction flag and the results all sit
+    /// under the plan's one state lock.
+    #[test]
+    fn eviction_waits_for_a_terminal_plan_and_keeps_its_status() {
+        let pool = MultiplexPool::paused(1);
+        let t = pool.submit(plan_b()).unwrap();
+        assert_eq!(t.phase(), PlanPhase::Queued);
+        assert!(!t.evict_payloads());
+        assert!(!t.is_evicted());
+        assert_eq!(t.finished_elapsed(), None);
+        pool.resume();
+        assert_eq!(t.wait_terminal(), PlanPhase::Completed);
+        assert!(t.finished_elapsed().is_some());
+        assert!(t.results().is_some());
+        assert!(t.evict_payloads());
+        assert!(t.evict_payloads(), "eviction is idempotent");
+        assert!(t.results().is_none());
+        assert!(t.is_evicted());
+        assert_eq!(t.phase(), PlanPhase::Completed);
+        assert_eq!(t.completed_runs(), t.total_runs());
+        pool.shutdown();
+    }
+
     #[test]
     fn shutdown_cancels_queued_plans() {
         let pool = MultiplexPool::paused(1);
@@ -1036,7 +1039,7 @@ mod tests {
                 id: 11,
                 prefilled: runs.clone(),
                 trace_dir: None,
-                phase: Some(PlanPhase::Completed),
+                phase: PlanPhase::Completed,
                 spool: None,
             })
             .unwrap();
@@ -1053,7 +1056,7 @@ mod tests {
                 id: 12,
                 prefilled: runs[..total / 2].to_vec(),
                 trace_dir: None,
-                phase: None,
+                phase: PlanPhase::Queued,
                 spool: None,
             })
             .unwrap();
@@ -1080,7 +1083,7 @@ mod tests {
                 id,
                 prefilled: Vec::new(),
                 trace_dir: None,
-                phase: Some(PlanPhase::Interrupted),
+                phase: PlanPhase::Interrupted,
                 spool: None,
             })
             .unwrap()

@@ -13,6 +13,7 @@
 use crate::campaign::{run_mission, AgentSpec, TraceSpec, WorkerScratch};
 use crate::fault::FaultSpec;
 use avfi_nn::serialize::LoadWeightsError;
+use avfi_sim::scenario::check_town_routes;
 use avfi_trace::{fingerprint, RunTrace, TraceHeader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -47,6 +48,11 @@ pub enum ReplayError {
     },
     /// The provided weights do not decode into the IL-CNN.
     BadWeights(LoadWeightsError),
+    /// The header's scenario or fault fails a check that a plan's
+    /// scenarios and faults pass before any run (`Scenario::check`,
+    /// `check_town_routes`, [`FaultSpec::check`]); holds the check's
+    /// message.
+    Refused(String),
 }
 
 impl fmt::Display for ReplayError {
@@ -69,6 +75,7 @@ impl fmt::Display for ReplayError {
                 "weights fingerprint {provided:#x} does not match recorded {recorded:#x}"
             ),
             ReplayError::BadWeights(e) => write!(f, "weights do not decode: {e}"),
+            ReplayError::Refused(problem) => write!(f, "trace header refused: {problem}"),
         }
     }
 }
@@ -174,12 +181,17 @@ impl ReplayRecord {
 /// Decodes what a trace header needs to re-execute its run: the fault
 /// plan and the [`AgentSpec`], after checking that the header's seed is
 /// the one its coordinates derive and fingerprint-checking `weights` for
-/// neural traces (shared by replay and the shrinker).
+/// neural traces (shared by replay and the shrinker). A header is read
+/// from disk, so its scenario and fault must pass the checks that a
+/// plan's pass before any run: a town the world cannot build, or a fault
+/// over a cap, is refused instead of run.
 ///
 /// # Errors
 ///
 /// In this order: [`ReplayError::BadFaultSpec`] when the fault JSON does
 /// not parse, [`ReplayError::SeedMismatch`] for an inconsistent seed,
+/// [`ReplayError::Refused`] for a scenario that fails `Scenario::check`
+/// or `check_town_routes` or a fault that fails [`FaultSpec::check`],
 /// [`ReplayError::UnknownAgent`] for agent names this build does not
 /// know, and [`ReplayError::MissingWeights`] /
 /// [`ReplayError::WeightsMismatch`] for neural traces without (matching)
@@ -197,6 +209,11 @@ pub fn decode_header(
             derived,
         });
     }
+    header.scenario.check().map_err(ReplayError::Refused)?;
+    check_town_routes(&header.scenario.town).map_err(ReplayError::Refused)?;
+    fault
+        .check()
+        .map_err(|problem| ReplayError::Refused(format!("fault {problem}")))?;
     let agent = match header.agent.as_str() {
         "expert" => AgentSpec::Expert,
         "il-cnn" => {

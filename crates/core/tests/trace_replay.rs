@@ -10,6 +10,7 @@ use avfi_core::fault::input::{ImageFault, InputFault};
 use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::replay::{replay_trace, ReplayError, ReplayVerdict};
+use avfi_core::shrink::{shrink_trace, ShrinkConfig, ShrinkError};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::{list_trace_files, read_trace_file, TraceLevel};
 use std::path::{Path, PathBuf};
@@ -331,6 +332,56 @@ fn triage_attributes_stuck_brake_failures() {
     assert_eq!(stuck.failures, 4, "all stuck-brake runs fail");
     for entry in &stuck.entries {
         assert_eq!(entry.outcome, "timeout", "an immobile ego times out");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace header is read from disk, so replay and shrink refuse a
+/// scenario or fault that the plan pass would refuse, instead of running
+/// it: a 1×1 town, which the world cannot build, and 65 water drops, one
+/// over the cap.
+#[test]
+fn replay_and_shrink_refuse_a_header_the_plan_pass_would_refuse() {
+    let stuck_brake = FaultSpec::Hardware(HardwareFault::always(
+        HardwareTarget::ControlBrake,
+        BitFaultModel::StuckAt { value: 1.0 },
+    ));
+    let campaign = CampaignConfig::builder(vec![quick_scenario(71)])
+        .runs_per_scenario(1)
+        .fault(stuck_brake)
+        .agent(AgentSpec::Expert)
+        .build();
+    let dir = temp_trace_dir("refused");
+    Engine::new()
+        .workers(1)
+        .with_trace(blackbox_config(&dir))
+        .execute(&WorkPlan::single("stuck", campaign));
+    let files = list_trace_files(&dir).unwrap();
+    let recorded = read_trace_file(&files[0]).unwrap();
+    assert!(replay_trace(&recorded, None).unwrap().is_match());
+
+    let mut one_by_one = recorded.clone();
+    one_by_one.header.scenario.town = TownSpec::grid(1, 1);
+    let mut drowned = recorded;
+    drowned.header.fault_spec_json = serde_json::to_string(&FaultSpec::Input(InputFault::always(
+        ImageFault::water_drop(65, 0.05),
+    )))
+    .unwrap();
+    let engine = Engine::new().workers(1);
+    for (trace, problem) in [
+        (
+            &one_by_one,
+            "town grid 1×1 has fewer than two intersections",
+        ),
+        (&drowned, "fault water-drop count 65 is over the cap of 64"),
+    ] {
+        let refused = ReplayError::Refused(problem.to_string());
+        assert_eq!(replay_trace(trace, None), Err(refused.clone()));
+        match shrink_trace(&engine, "refused", trace, None, &ShrinkConfig::default()) {
+            Err(ShrinkError::Replay(e)) => assert_eq!(e, refused),
+            Err(e) => panic!("shrink failed otherwise: {e}"),
+            Ok(_) => panic!("shrink ran a refused header"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -281,22 +281,22 @@ impl fmt::Display for PlanPhase {
 /// illegal (a cancel landing after completion) leaves the phase as it
 /// is; [`PlanLifecycle::advance`] reports the illegal transition as
 /// [`NetError::Protocol`] instead.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlanLifecycle {
-    phase: Option<PlanPhase>,
+    phase: PlanPhase,
 }
 
 impl PlanLifecycle {
-    /// A lifecycle starting in an arbitrary phase — used by spool
-    /// recovery, which reloads plans mid-lifecycle (e.g. at
-    /// [`PlanPhase::Interrupted`]) instead of replaying their history.
+    /// A lifecycle starting in `phase`: [`PlanPhase::Queued`] for a fresh
+    /// plan, or where spool recovery reloads a plan mid-lifecycle (e.g. at
+    /// [`PlanPhase::Interrupted`]) instead of replaying its history.
     pub fn starting_at(phase: PlanPhase) -> Self {
-        PlanLifecycle { phase: Some(phase) }
+        PlanLifecycle { phase }
     }
 
     /// The current phase.
     pub fn phase(&self) -> PlanPhase {
-        self.phase.unwrap_or(PlanPhase::Queued)
+        self.phase
     }
 
     /// Advances to `to`.
@@ -312,7 +312,7 @@ impl PlanLifecycle {
                 "illegal plan transition {from} → {to}"
             )));
         }
-        self.phase = Some(to);
+        self.phase = to;
         Ok(to)
     }
 

@@ -23,8 +23,9 @@
 //!   submit/watch/results round trip as one command).
 //! * `solo` — execute the plan in-process with a solo single-worker
 //!   engine and emit byte-comparable results JSON (no server involved;
-//!   the determinism-gate reference). A plan the daemon would refuse
-//!   (`WorkPlan::validate`) is refused before any run, with exit status 1.
+//!   the determinism-gate reference). The plan is checked and built once,
+//!   by the pass that runs it: a plan the daemon would refuse is refused
+//!   as an `invalid plan` before any run, with exit status 1.
 //!
 //! `--retry N --backoff MS`: when the daemon connection drops
 //! mid-exchange the client re-dials up to N times with linear backoff
@@ -40,7 +41,7 @@
 use avfi_core::WorkPlan;
 use avfi_net::NetError;
 use avfi_server::cli::Args;
-use avfi_server::{demo_plan, solo_results_json, with_retries_authed, RetryPolicy, ServiceClient};
+use avfi_server::{demo_plan, solo_results_json, with_retries, RetryPolicy, ServiceClient};
 use avfi_trace::TraceLevel;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -67,7 +68,7 @@ impl Options {
         &self,
         op: impl FnMut(&mut ServiceClient) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
-        with_retries_authed(&self.addr, self.token.as_deref(), self.retry, op)
+        with_retries(&self.addr, self.token.as_deref(), self.retry, op)
     }
 }
 
@@ -153,9 +154,8 @@ fn run(cmd: &str, args: &Options) -> Result<ExitCode, NetError> {
         }
         "solo" => {
             let plan = load_plan(args)?;
-            plan.validate()
+            let json = solo_results_json(&plan)
                 .map_err(|e| NetError::Protocol(format!("invalid plan: {e}")))?;
-            let json = solo_results_json(&plan).map_err(|e| NetError::Codec(e.to_string()))?;
             emit(args.out.as_deref(), &json)?;
             Ok(ExitCode::SUCCESS)
         }

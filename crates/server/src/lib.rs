@@ -26,7 +26,10 @@
 //!
 //! One thread per connection, up to [`MAX_CONNECTIONS`] at once, all
 //! submissions landing in one shared [`MultiplexPool`] (fair round-robin
-//! across plans, per-plan cancellation). Client disconnects never abort a
+//! across plans, per-plan cancellation). The daemon's state (the pool, the
+//! plan registry, the shutdown flag and its settings) has one owner, which
+//! [`CampaignServer::run`] shares with every connection thread through one
+//! `Arc`. Client disconnects never abort a
 //! running plan: the server's plan registry keeps the [`PlanTicket`] until
 //! shutdown, so a client can drop mid-watch and later fetch results over
 //! a fresh connection. Plans recovered from the spool live in the same
@@ -39,7 +42,9 @@
 pub mod cli;
 
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
-use avfi_core::engine::{Engine, MultiplexPool, PlanTicket, RecoveredSubmission, RunSink};
+use avfi_core::engine::{
+    Engine, MultiplexPool, NullSink, PlanError, PlanTicket, RecoveredSubmission, RunSink,
+};
 use avfi_core::fault::timing::TimingFault;
 use avfi_core::fault::FaultSpec;
 use avfi_core::{ProgressEvent, StudyResult, WorkPlan};
@@ -55,23 +60,32 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Plans the server has accepted or recovered, kept until daemon
-/// shutdown so results outlive the submitting connection.
-type Registry = parking_lot::Mutex<BTreeMap<PlanId, PlanTicket>>;
-
 /// The campaign daemon: accepts connections, executes submitted plans on
 /// one shared pool, serves progress/results/traces by plan id.
 #[derive(Debug)]
 pub struct CampaignServer {
     listener: TcpListener,
+    daemon: Daemon,
+}
+
+/// The daemon's state, with one owner: [`CampaignServer::run`] wraps it in
+/// one `Arc`, and every connection's [`ConnectionPlace`] holds a clone.
+#[derive(Debug)]
+struct Daemon {
+    /// The address the daemon bound; a shutdown request dials it once to
+    /// wake the accept loop.
     addr: SocketAddr,
-    pool: Arc<MultiplexPool>,
-    registry: Arc<Registry>,
-    shutdown: Arc<AtomicBool>,
+    pool: MultiplexPool,
+    /// Plans the daemon has accepted or recovered, kept until shutdown so
+    /// results outlive the submitting connection.
+    registry: parking_lot::Mutex<BTreeMap<PlanId, PlanTicket>>,
+    shutdown: AtomicBool,
     retention: Option<Duration>,
     auth_token: Option<String>,
     /// Durable-spool directory of a daemon running `--spool`.
-    spool: Option<Arc<Path>>,
+    spool: Option<PathBuf>,
+    /// Live connections, at most [`MAX_CONNECTIONS`].
+    live: AtomicUsize,
 }
 
 impl CampaignServer {
@@ -86,13 +100,16 @@ impl CampaignServer {
         let addr = listener.local_addr()?;
         Ok(CampaignServer {
             listener,
-            addr,
-            pool: Arc::new(MultiplexPool::new(workers)),
-            registry: Arc::new(parking_lot::Mutex::new(BTreeMap::new())),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            retention: None,
-            auth_token: None,
-            spool: None,
+            daemon: Daemon {
+                addr,
+                pool: MultiplexPool::new(workers),
+                registry: parking_lot::Mutex::new(BTreeMap::new()),
+                shutdown: AtomicBool::new(false),
+                retention: None,
+                auth_token: None,
+                spool: None,
+                live: AtomicUsize::new(0),
+            },
         })
     }
 
@@ -109,8 +126,9 @@ impl CampaignServer {
     ///
     /// Filesystem errors creating or scanning the spool directory.
     pub fn with_spool(mut self, dir: Option<PathBuf>, auto_resume: bool) -> Result<Self, NetError> {
+        let daemon = &mut self.daemon;
         let Some(dir) = dir else {
-            self.spool = None;
+            daemon.spool = None;
             return Ok(self);
         };
         std::fs::create_dir_all(&dir)?;
@@ -120,15 +138,15 @@ impl CampaignServer {
         let mut max_id = refused.last().map_or(0, |(id, _)| *id);
         for (id, path) in avfi_store::list_journals(&dir)? {
             max_id = max_id.max(id);
-            if let Some(ticket) = recover_journal(&self.pool, &dir, id, &path) {
+            if let Some(ticket) = recover_journal(&daemon.pool, &dir, id, &path) {
                 if auto_resume {
                     ticket.resume();
                 }
-                self.registry.lock().insert(id, ticket);
+                daemon.registry.get_mut().insert(id, ticket);
             }
         }
-        self.pool.reserve_plan_ids(max_id);
-        self.spool = Some(Arc::from(dir));
+        daemon.pool.reserve_plan_ids(max_id);
+        daemon.spool = Some(dir);
         Ok(self)
     }
 
@@ -139,7 +157,7 @@ impl CampaignServer {
     /// result/trace fetches return a protocol error naming the eviction.
     /// `None` (the default) retains payloads until shutdown.
     pub fn with_retention(mut self, retention: Option<Duration>) -> Self {
-        self.retention = retention;
+        self.daemon.retention = retention;
         self
     }
 
@@ -152,21 +170,21 @@ impl CampaignServer {
     /// the connection is closed as soon as its length prefix arrives.
     /// `None` (the default) serves every connection unauthenticated.
     pub fn with_auth_token(mut self, token: Option<String>) -> Self {
-        self.auth_token = token;
+        self.daemon.auth_token = token;
         self
     }
 
     /// The address the daemon actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.addr
     }
 
     /// Serves connections until a client sends [`ServiceRequest::Shutdown`].
     /// Each connection gets its own thread; plans keep running when their
-    /// submitter disconnects. On shutdown every still-active plan is
-    /// cancelled and the call returns; parked (interrupted) plans are left
-    /// as they are, so the next daemon over the spool recovers them
-    /// interrupted again.
+    /// submitter disconnects. On shutdown every plan that is not parked is
+    /// cancelled (a terminal one stays as it is) and the call returns;
+    /// parked (interrupted) plans are left as they are, so the next daemon
+    /// over the spool recovers them interrupted again.
     ///
     /// While [`MAX_CONNECTIONS`] connections are live, the next one gets
     /// one [`ServiceReply::Error`] frame naming the cap, before anything
@@ -182,9 +200,9 @@ impl CampaignServer {
     ///
     /// None: the loop returns only on shutdown.
     pub fn run(self) -> Result<(), NetError> {
-        let live = Arc::new(AtomicUsize::new(0));
+        let daemon = Arc::new(self.daemon);
         for conn in self.listener.incoming() {
-            if self.shutdown.load(Ordering::Acquire) {
+            if daemon.shutdown.load(Ordering::Acquire) {
                 break;
             }
             let stream = match conn {
@@ -196,17 +214,10 @@ impl CampaignServer {
                     continue;
                 }
             };
-            let Some(place) = ConnectionPlace::claim(&live) else {
+            let Some(place) = ConnectionPlace::claim(&daemon) else {
                 refuse_over_cap(stream);
                 continue;
             };
-            let pool = Arc::clone(&self.pool);
-            let registry = Arc::clone(&self.registry);
-            let shutdown = Arc::clone(&self.shutdown);
-            let addr = self.addr;
-            let retention = self.retention;
-            let auth = self.auth_token.clone();
-            let spool = self.spool.clone();
             // Detached: a handler blocked on an idle client's next request
             // must not delay shutdown; the process owns thread lifetime.
             // A handler that cannot start drops the stream and the place
@@ -214,73 +225,17 @@ impl CampaignServer {
             // place.
             let spawned = std::thread::Builder::new()
                 .name("avfi-conn".into())
-                .spawn(move || {
-                    let _place = place;
-                    handle_connection(
-                        stream,
-                        &pool,
-                        &registry,
-                        &shutdown,
-                        addr,
-                        retention,
-                        auth.as_deref(),
-                        spool.as_deref(),
-                    )
-                });
+                .spawn(move || place.serve(stream));
             if let Err(e) = spawned {
                 eprintln!("[avfi-server] cannot start a connection handler, closing it: {e}");
             }
         }
-        for ticket in self.registry.lock().values() {
+        for ticket in daemon.registry.lock().values() {
             if ticket.phase() != PlanPhase::Interrupted {
                 ticket.cancel();
             }
         }
         Ok(())
-    }
-}
-
-/// Serves one connection: a loop of request/reply exchanges. Returns (and
-/// drops the connection) when the client disconnects or breaks framing;
-/// submitted plans are unaffected either way.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    pool: &MultiplexPool,
-    registry: &Registry,
-    shutdown: &AtomicBool,
-    addr: SocketAddr,
-    retention: Option<Duration>,
-    auth_token: Option<&str>,
-    spool: Option<&Path>,
-) {
-    let Ok(mut transport) = TcpTransport::new(stream) else {
-        return;
-    };
-    if authenticate(&mut transport, auth_token).is_err() {
-        return;
-    }
-    loop {
-        let request: ServiceRequest = match transport.recv_value() {
-            Ok(r) => r,
-            // Disconnect, torn frame, or junk: this client is done.
-            Err(_) => return,
-        };
-        sweep_expired(registry, retention, spool);
-        let keep_going = serve_request(
-            &mut transport,
-            request,
-            pool,
-            registry,
-            shutdown,
-            addr,
-            spool,
-        );
-        if keep_going.is_err() {
-            // The client vanished mid-reply (e.g. dropped during a watch
-            // stream); its plans keep running for later retrieval.
-            return;
-        }
     }
 }
 
@@ -292,25 +247,33 @@ fn handle_connection(
 /// is a constant and not a setting.
 pub const MAX_CONNECTIONS: usize = 64;
 
-/// One live connection's place under [`MAX_CONNECTIONS`], freed when
-/// dropped: by its handler thread when [`handle_connection`] returns, or
-/// with the spawn closure when the thread cannot start.
-struct ConnectionPlace(Arc<AtomicUsize>);
+/// One live connection's place under [`MAX_CONNECTIONS`], and its
+/// handler's share of the daemon. The place frees when dropped: by its
+/// handler thread when [`ConnectionPlace::serve`] returns, or with the
+/// spawn closure when the thread cannot start.
+struct ConnectionPlace(Arc<Daemon>);
 
 impl ConnectionPlace {
     /// Takes a place, or `None` while `MAX_CONNECTIONS` are taken.
-    fn claim(live: &Arc<AtomicUsize>) -> Option<Self> {
-        live.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            (n < MAX_CONNECTIONS).then_some(n + 1)
-        })
-        .ok()
-        .map(|_| ConnectionPlace(Arc::clone(live)))
+    fn claim(daemon: &Arc<Daemon>) -> Option<Self> {
+        daemon
+            .live
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < MAX_CONNECTIONS).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| ConnectionPlace(Arc::clone(daemon)))
+    }
+
+    /// Serves the connection, then frees the place.
+    fn serve(self, stream: TcpStream) {
+        self.0.handle_connection(stream);
     }
 }
 
 impl Drop for ConnectionPlace {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        self.0.live.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -375,179 +338,227 @@ fn authenticate(transport: &mut TcpTransport, auth_token: Option<&str>) -> Resul
     }
 }
 
-/// Handles one request, sending every reply frame it produces. `Err`
-/// means the *connection* failed; request-level failures are reported to
-/// the client as [`ServiceReply::Error`] and return `Ok`.
-fn serve_request(
-    transport: &mut TcpTransport,
-    request: ServiceRequest,
-    pool: &MultiplexPool,
-    registry: &Registry,
-    shutdown: &AtomicBool,
-    addr: SocketAddr,
-    spool: Option<&Path>,
-) -> Result<(), NetError> {
-    match request {
-        // Authenticated connections (and open daemons) answer voluntary
-        // hellos idempotently, so a client configured with a token works
-        // against a daemon running without one.
-        ServiceRequest::Hello { .. } => transport.send_value(&ServiceReply::HelloOk),
-        ServiceRequest::SubmitPlan {
-            plan_json,
-            trace_level,
-        } => {
-            let Some(level) = TraceLevel::parse(&trace_level) else {
-                return transport.send_value(&ServiceReply::Error {
-                    message: format!("unknown trace level {trace_level:?}"),
-                });
+impl Daemon {
+    /// Serves one connection: a loop of request/reply exchanges. Returns
+    /// (and drops the connection) when the client disconnects or breaks
+    /// framing; submitted plans are unaffected either way.
+    fn handle_connection(&self, stream: TcpStream) {
+        let Ok(mut transport) = TcpTransport::new(stream) else {
+            return;
+        };
+        if authenticate(&mut transport, self.auth_token.as_deref()).is_err() {
+            return;
+        }
+        loop {
+            let request: ServiceRequest = match transport.recv_value() {
+                Ok(r) => r,
+                // Disconnect, torn frame, or junk: this client is done.
+                Err(_) => return,
             };
-            let submitted = match serde_json::from_str::<WorkPlan>(&plan_json) {
-                Err(e) => Err(format!("malformed plan: {e}")),
-                Ok(plan) => pool
-                    .submit_spooled(plan, level, |id| {
-                        spool.and_then(|dir| open_plan_journal(dir, id, plan_json, level))
-                    })
-                    .map_err(|e| format!("invalid plan: {e}")),
-            };
-            match submitted {
-                Ok(ticket) => {
-                    registry.lock().insert(ticket.id(), ticket.clone());
-                    transport.send_value(&ServiceReply::Submitted {
-                        plan: ticket.id(),
-                        total_runs: ticket.total_runs(),
-                    })
-                }
-                Err(message) => transport.send_value(&ServiceReply::Error { message }),
+            self.sweep_expired();
+            if self.serve_request(&mut transport, request).is_err() {
+                // The client vanished mid-reply (e.g. dropped during a
+                // watch stream); its plans keep running for later
+                // retrieval.
+                return;
             }
-        }
-        ServiceRequest::Watch { plan, from_event } => {
-            let ticket = match servable(registry, plan) {
-                Ok(ticket) => ticket,
-                Err(reply) => return transport.send_value(&reply),
-            };
-            let mut next = from_event;
-            loop {
-                let (events, phase) = ticket.wait_events_after(next);
-                for e in &events {
-                    let event_json = serde_json::to_string(&e.event)
-                        .map_err(|err| NetError::Codec(err.to_string()))?;
-                    transport.send_value(&ServiceReply::Event {
-                        plan,
-                        seq: e.seq,
-                        event_json,
-                    })?;
-                }
-                next += events.len();
-                if phase.is_terminal() {
-                    // The snapshot and the phase come from one lock hold,
-                    // so a terminal phase means the log above is complete.
-                    return transport.send_value(&ServiceReply::WatchEnd { plan, phase });
-                }
-            }
-        }
-        ServiceRequest::Results { plan } => {
-            let ticket = match servable(registry, plan) {
-                Ok(ticket) => ticket,
-                Err(reply) => return transport.send_value(&reply),
-            };
-            if ticket.is_evicted() {
-                return send_evicted(transport, plan);
-            }
-            match ticket.wait_results() {
-                Some(results) => {
-                    let results_json = serde_json::to_string(&results)
-                        .map_err(|e| NetError::Codec(e.to_string()))?;
-                    transport.send_value(&ServiceReply::Results { plan, results_json })
-                }
-                None => transport.send_value(&ServiceReply::Error {
-                    message: format!("plan {plan} has no results (phase {})", ticket.phase()),
-                }),
-            }
-        }
-        ServiceRequest::Traces { plan } => {
-            let ticket = match servable(registry, plan) {
-                Ok(ticket) => ticket,
-                Err(reply) => return transport.send_value(&reply),
-            };
-            ticket.wait_terminal();
-            let traces = ticket.traces();
-            // Checked after reading, since a sweep may delete a spooled
-            // plan's trace files mid-read: every trace or the error.
-            if ticket.is_evicted() {
-                return send_evicted(transport, plan);
-            }
-            let traces_json =
-                serde_json::to_string(&traces).map_err(|e| NetError::Codec(e.to_string()))?;
-            transport.send_value(&ServiceReply::Traces { plan, traces_json })
-        }
-        ServiceRequest::Cancel { plan } => {
-            let Some(ticket) = lookup(registry, plan) else {
-                return transport.send_value(&unknown_plan(plan));
-            };
-            let phase = ticket.cancel();
-            transport.send_value(&ServiceReply::Cancelled { plan, phase })
-        }
-        ServiceRequest::Resume { plan } => {
-            // Idempotent on live and recovered-terminal plans: report the
-            // current state instead of erroring.
-            let Some(ticket) = lookup(registry, plan) else {
-                return transport.send_value(&unknown_plan(plan));
-            };
-            transport.send_value(&ServiceReply::Resumed {
-                plan,
-                phase: ticket.resume(),
-                completed: ticket.completed_runs(),
-                total: ticket.total_runs(),
-            })
-        }
-        ServiceRequest::Status { plan } => {
-            let Some(ticket) = lookup(registry, plan) else {
-                return transport.send_value(&unknown_plan(plan));
-            };
-            transport.send_value(&ServiceReply::Status {
-                plan,
-                phase: ticket.phase(),
-                completed: ticket.completed_runs(),
-                total: ticket.total_runs(),
-            })
-        }
-        ServiceRequest::Shutdown => {
-            shutdown.store(true, Ordering::Release);
-            let ack = transport.send_value(&ServiceReply::ShuttingDown);
-            // Unblock the accept loop so it observes the flag; the
-            // throwaway connection is dropped immediately.
-            drop(TcpStream::connect(addr));
-            ack
         }
     }
-}
 
-/// The retention sweep: evicts result/trace payloads of every plan that
-/// has been terminal for longer than `retention`. Runs opportunistically
-/// before each request is served — a daemon receiving no requests hoards
-/// nothing new, so there is no need for a timer thread. Tickets stay in
-/// the registry (status keeps working); only the payloads go — including
-/// the plan's spooled journal and trace files when a spool is attached,
-/// so eviction reclaims disk as well as memory.
-fn sweep_expired(registry: &Registry, retention: Option<Duration>, spool: Option<&Path>) {
-    let Some(retention) = retention else {
-        return;
-    };
-    // Clone the tickets out so payload eviction (which takes per-plan
-    // locks) never runs under the registry lock.
-    let tickets: Vec<PlanTicket> = registry.lock().values().cloned().collect();
-    for ticket in tickets {
-        if !ticket.is_evicted()
-            && ticket
-                .finished_elapsed()
-                .is_some_and(|age| age >= retention)
-        {
-            ticket.evict_payloads();
-            if let Some(dir) = spool {
-                let id = ticket.id();
-                let _ = std::fs::remove_file(dir.join(avfi_store::journal_file_name(id)));
-                let _ = std::fs::remove_dir_all(dir.join(avfi_store::trace_dir_name(id)));
+    /// Handles one request, sending every reply frame it produces. `Err`
+    /// means the *connection* failed; request-level failures are reported
+    /// to the client as [`ServiceReply::Error`] and return `Ok`.
+    fn serve_request(
+        &self,
+        transport: &mut TcpTransport,
+        request: ServiceRequest,
+    ) -> Result<(), NetError> {
+        match request {
+            // Authenticated connections (and open daemons) answer
+            // voluntary hellos idempotently, so a client configured with a
+            // token works against a daemon running without one.
+            ServiceRequest::Hello { .. } => transport.send_value(&ServiceReply::HelloOk),
+            ServiceRequest::SubmitPlan {
+                plan_json,
+                trace_level,
+            } => {
+                let Some(level) = TraceLevel::parse(&trace_level) else {
+                    return transport.send_value(&ServiceReply::Error {
+                        message: format!("unknown trace level {trace_level:?}"),
+                    });
+                };
+                let submitted = match serde_json::from_str::<WorkPlan>(&plan_json) {
+                    Err(e) => Err(format!("malformed plan: {e}")),
+                    Ok(plan) => self
+                        .pool
+                        .submit_spooled(plan, level, |id| {
+                            let dir = self.spool.as_deref()?;
+                            open_plan_journal(dir, id, plan_json, level)
+                        })
+                        .map_err(|e| format!("invalid plan: {e}")),
+                };
+                match submitted {
+                    Ok(ticket) => {
+                        self.registry.lock().insert(ticket.id(), ticket.clone());
+                        transport.send_value(&ServiceReply::Submitted {
+                            plan: ticket.id(),
+                            total_runs: ticket.total_runs(),
+                        })
+                    }
+                    Err(message) => transport.send_value(&ServiceReply::Error { message }),
+                }
             }
+            ServiceRequest::Watch { plan, from_event } => {
+                let ticket = match self.servable(plan) {
+                    Ok(ticket) => ticket,
+                    Err(reply) => return transport.send_value(&reply),
+                };
+                let mut next = from_event;
+                loop {
+                    let (events, phase) = ticket.wait_events_after(next);
+                    for e in &events {
+                        let event_json = serde_json::to_string(&e.event)
+                            .map_err(|err| NetError::Codec(err.to_string()))?;
+                        transport.send_value(&ServiceReply::Event {
+                            plan,
+                            seq: e.seq,
+                            event_json,
+                        })?;
+                    }
+                    next += events.len();
+                    if phase.is_terminal() {
+                        // The snapshot and the phase come from one lock
+                        // hold, so a terminal phase means the log above is
+                        // complete.
+                        return transport.send_value(&ServiceReply::WatchEnd { plan, phase });
+                    }
+                }
+            }
+            ServiceRequest::Results { plan } => {
+                let ticket = match self.servable(plan) {
+                    Ok(ticket) => ticket,
+                    Err(reply) => return transport.send_value(&reply),
+                };
+                if ticket.is_evicted() {
+                    return send_evicted(transport, plan);
+                }
+                match ticket.wait_results() {
+                    Some(results) => {
+                        let results_json = serde_json::to_string(&results)
+                            .map_err(|e| NetError::Codec(e.to_string()))?;
+                        transport.send_value(&ServiceReply::Results { plan, results_json })
+                    }
+                    None => transport.send_value(&ServiceReply::Error {
+                        message: format!("plan {plan} has no results (phase {})", ticket.phase()),
+                    }),
+                }
+            }
+            ServiceRequest::Traces { plan } => {
+                let ticket = match self.servable(plan) {
+                    Ok(ticket) => ticket,
+                    Err(reply) => return transport.send_value(&reply),
+                };
+                ticket.wait_terminal();
+                let traces = ticket.traces();
+                // Checked after reading, since a sweep may delete a
+                // spooled plan's trace files mid-read: every trace or the
+                // error.
+                if ticket.is_evicted() {
+                    return send_evicted(transport, plan);
+                }
+                let traces_json =
+                    serde_json::to_string(&traces).map_err(|e| NetError::Codec(e.to_string()))?;
+                transport.send_value(&ServiceReply::Traces { plan, traces_json })
+            }
+            ServiceRequest::Cancel { plan } => {
+                let Some(ticket) = self.lookup(plan) else {
+                    return transport.send_value(&unknown_plan(plan));
+                };
+                let phase = ticket.cancel();
+                transport.send_value(&ServiceReply::Cancelled { plan, phase })
+            }
+            ServiceRequest::Resume { plan } => {
+                // Idempotent on live and recovered-terminal plans: report
+                // the current state instead of erroring.
+                let Some(ticket) = self.lookup(plan) else {
+                    return transport.send_value(&unknown_plan(plan));
+                };
+                transport.send_value(&ServiceReply::Resumed {
+                    plan,
+                    phase: ticket.resume(),
+                    completed: ticket.completed_runs(),
+                    total: ticket.total_runs(),
+                })
+            }
+            ServiceRequest::Status { plan } => {
+                let Some(ticket) = self.lookup(plan) else {
+                    return transport.send_value(&unknown_plan(plan));
+                };
+                transport.send_value(&ServiceReply::Status {
+                    plan,
+                    phase: ticket.phase(),
+                    completed: ticket.completed_runs(),
+                    total: ticket.total_runs(),
+                })
+            }
+            ServiceRequest::Shutdown => {
+                self.shutdown.store(true, Ordering::Release);
+                let ack = transport.send_value(&ServiceReply::ShuttingDown);
+                // Unblock the accept loop so it observes the flag; the
+                // throwaway connection is dropped immediately.
+                drop(TcpStream::connect(self.addr));
+                ack
+            }
+        }
+    }
+
+    /// The retention sweep: evicts result/trace payloads of every plan
+    /// that has been terminal for longer than the retention window. Runs
+    /// opportunistically before each request is served — a daemon
+    /// receiving no requests hoards nothing new, so there is no need for
+    /// a timer thread. Tickets stay in the registry (status keeps
+    /// working); only the payloads go — including the plan's spooled
+    /// journal and trace files when a spool is attached, so eviction
+    /// reclaims disk as well as memory.
+    fn sweep_expired(&self) {
+        let Some(retention) = self.retention else {
+            return;
+        };
+        // Clone the tickets out so payload eviction (which takes per-plan
+        // locks) never runs under the registry lock.
+        let tickets: Vec<PlanTicket> = self.registry.lock().values().cloned().collect();
+        for ticket in tickets {
+            if !ticket.is_evicted()
+                && ticket
+                    .finished_elapsed()
+                    .is_some_and(|age| age >= retention)
+            {
+                ticket.evict_payloads();
+                if let Some(dir) = &self.spool {
+                    let id = ticket.id();
+                    let _ = std::fs::remove_file(dir.join(avfi_store::journal_file_name(id)));
+                    let _ = std::fs::remove_dir_all(dir.join(avfi_store::trace_dir_name(id)));
+                }
+            }
+        }
+    }
+
+    fn lookup(&self, plan: PlanId) -> Option<PlanTicket> {
+        self.registry.lock().get(&plan).cloned()
+    }
+
+    /// The ticket whose events and payloads a request may be served from,
+    /// or the error reply: unknown plans, and parked plans, which must be
+    /// resumed first.
+    fn servable(&self, plan: PlanId) -> Result<PlanTicket, ServiceReply> {
+        match self.lookup(plan) {
+            Some(ticket) if ticket.phase() == PlanPhase::Interrupted => Err(ServiceReply::Error {
+                message: format!(
+                    "plan {plan} is interrupted (recovered from the spool); resume it first"
+                ),
+            }),
+            Some(ticket) => Ok(ticket),
+            None => Err(unknown_plan(plan)),
         }
     }
 }
@@ -563,7 +574,7 @@ fn open_plan_journal(
     id: PlanId,
     plan_json: String,
     level: TraceLevel,
-) -> Option<(Arc<dyn RunSink + Send + Sync>, PathBuf)> {
+) -> Option<(Arc<dyn RunSink>, PathBuf)> {
     let path = dir.join(avfi_store::journal_file_name(id));
     let trace_dir = dir.join(avfi_store::trace_dir_name(id));
     match PlanJournal::create(&path, plan_json, level) {
@@ -617,8 +628,8 @@ fn recover_journal(
         id,
         prefilled: rec.completed,
         trace_dir: Some(dir.join(avfi_store::trace_dir_name(id))),
-        phase: Some(rec.terminal.unwrap_or(PlanPhase::Interrupted)),
-        spool: journal.map(|j| Arc::new(j) as Arc<dyn RunSink + Send + Sync>),
+        phase: rec.terminal.unwrap_or(PlanPhase::Interrupted),
+        spool: journal.map(|j| Arc::new(j) as Arc<dyn RunSink>),
     }) {
         Ok(ticket) => return Some(ticket),
         Err(e) => e,
@@ -633,25 +644,6 @@ fn recover_journal(
         path.display()
     );
     None
-}
-
-fn lookup(registry: &Registry, plan: PlanId) -> Option<PlanTicket> {
-    registry.lock().get(&plan).cloned()
-}
-
-/// The ticket whose events and payloads a request may be served from, or
-/// the error reply: unknown plans, and parked plans, which must be
-/// resumed first.
-fn servable(registry: &Registry, plan: PlanId) -> Result<PlanTicket, ServiceReply> {
-    match lookup(registry, plan) {
-        Some(ticket) if ticket.phase() == PlanPhase::Interrupted => Err(ServiceReply::Error {
-            message: format!(
-                "plan {plan} is interrupted (recovered from the spool); resume it first"
-            ),
-        }),
-        Some(ticket) => Ok(ticket),
-        None => Err(unknown_plan(plan)),
-    }
 }
 
 fn send_evicted(transport: &mut TcpTransport, plan: PlanId) -> Result<(), NetError> {
@@ -704,12 +696,7 @@ impl ServiceClient {
     }
 
     /// Authenticates this connection with the daemon's shared secret.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or [`NetError::Protocol`] when the daemon
-    /// rejects the token.
-    pub fn hello(&mut self, token: &str) -> Result<(), NetError> {
+    fn hello(&mut self, token: &str) -> Result<(), NetError> {
         match self.request(&ServiceRequest::Hello {
             token: token.to_string(),
         })? {
@@ -932,9 +919,12 @@ impl RetryPolicy {
 
 /// Runs `op` against a fresh [`ServiceClient`] connection, reconnecting
 /// with linear backoff when the daemon hangs up mid-exchange
-/// ([`NetError::Disconnected`]). Every other error — protocol rejections,
-/// codec failures, non-hangup I/O — is final immediately: retrying those
-/// would loop on a deterministic failure.
+/// ([`NetError::Disconnected`]). Every dial opens with a hello carrying
+/// `token` when one is given ([`ServiceClient::connect_with_token`]), so a
+/// reconnect to a daemon running `--auth-token` passes its first-frame
+/// gate. Every other error — protocol rejections (a wrong token among
+/// them), codec failures, non-hangup I/O — is final immediately: retrying
+/// those would loop on a deterministic failure.
 ///
 /// `op` takes the connected client by `&mut` and may be called once per
 /// attempt, so it must be written to be re-runnable: idempotent requests
@@ -950,23 +940,6 @@ impl RetryPolicy {
 /// The last attempt's error once the policy is exhausted, or the first
 /// non-disconnect error.
 pub fn with_retries<T>(
-    addr: &str,
-    policy: RetryPolicy,
-    op: impl FnMut(&mut ServiceClient) -> Result<T, NetError>,
-) -> Result<T, NetError> {
-    with_retries_authed(addr, None, policy, op)
-}
-
-/// [`with_retries`] against a daemon that may require an auth token:
-/// every reconnect re-runs the hello handshake before `op`, so a dropped
-/// connection retried against an authenticated daemon does not trip the
-/// first-frame gate. A rejected token is a protocol error and therefore
-/// final — retrying a wrong secret would loop on a deterministic failure.
-///
-/// # Errors
-///
-/// Same conditions as [`with_retries`].
-pub fn with_retries_authed<T>(
     addr: &str,
     token: Option<&str>,
     policy: RetryPolicy,
@@ -1026,7 +999,14 @@ pub fn demo_plan() -> WorkPlan {
 ///
 /// # Errors
 ///
-/// Propagates serialization failures (none occur for these types).
-pub fn solo_results_json(plan: &WorkPlan) -> Result<String, serde_json::Error> {
-    serde_json::to_string(&Engine::new().workers(1).execute(plan))
+/// The [`PlanError`] that refuses the plan before any run, as a daemon
+/// refuses it (`invalid plan: …`).
+///
+/// # Panics
+///
+/// When a run panics, as [`Engine::execute_resumed`] does.
+pub fn solo_results_json(plan: &WorkPlan) -> Result<String, PlanError> {
+    let engine = Engine::new().workers(1);
+    let results = engine.execute_resumed(plan, Vec::new(), &NullSink, None)?;
+    Ok(serde_json::to_string(&results).expect("results serialize"))
 }

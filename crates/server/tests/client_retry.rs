@@ -88,7 +88,7 @@ fn reconnects_after_injected_disconnect() {
     let (addr, accepted) = scripted_daemon(vec![Script::Drop, Script::ServeStatus]);
     let policy = RetryPolicy::new(3, Duration::from_millis(5));
     let (phase, completed, total) =
-        with_retries(&addr, policy, |client| client.status(7)).expect("retried status");
+        with_retries(&addr, None, policy, |client| client.status(7)).expect("retried status");
     assert_eq!(phase, PlanPhase::Completed);
     assert_eq!((completed, total), (3, 3));
     assert_eq!(accepted.load(Ordering::SeqCst), 2, "exactly one retry");
@@ -98,7 +98,7 @@ fn reconnects_after_injected_disconnect() {
 #[test]
 fn zero_attempts_surface_the_disconnect() {
     let (addr, accepted) = scripted_daemon(vec![Script::Drop, Script::ServeStatus]);
-    let err = with_retries(&addr, RetryPolicy::none(), |client| client.status(7))
+    let err = with_retries(&addr, None, RetryPolicy::none(), |client| client.status(7))
         .expect_err("no retries allowed");
     assert!(matches!(err, NetError::Disconnected), "got {err:?}");
     assert_eq!(accepted.load(Ordering::SeqCst), 1);
@@ -110,8 +110,8 @@ fn zero_attempts_surface_the_disconnect() {
 fn attempt_budget_is_bounded() {
     let (addr, accepted) = scripted_daemon(vec![Script::Drop; 8]);
     let policy = RetryPolicy::new(2, Duration::from_millis(1));
-    let err =
-        with_retries(&addr, policy, |client| client.status(7)).expect_err("daemon never recovers");
+    let err = with_retries(&addr, None, policy, |client| client.status(7))
+        .expect_err("daemon never recovers");
     assert!(matches!(err, NetError::Disconnected), "got {err:?}");
     assert_eq!(accepted.load(Ordering::SeqCst), 3, "1 try + 2 retries");
 }
@@ -123,7 +123,8 @@ fn attempt_budget_is_bounded() {
 fn cancel_retries_after_injected_disconnect() {
     let (addr, accepted) = scripted_daemon(vec![Script::Drop, Script::Drop, Script::ServeCancel]);
     let policy = RetryPolicy::new(3, Duration::from_millis(5));
-    let phase = with_retries(&addr, policy, |client| client.cancel(11)).expect("retried cancel");
+    let phase =
+        with_retries(&addr, None, policy, |client| client.cancel(11)).expect("retried cancel");
     assert_eq!(phase, PlanPhase::Cancelled);
     assert_eq!(accepted.load(Ordering::SeqCst), 3, "two drops, then served");
 }
@@ -135,7 +136,7 @@ fn status_retries_after_injected_disconnect() {
     let (addr, accepted) = scripted_daemon(vec![Script::Drop, Script::ServeStatus]);
     let policy = RetryPolicy::new(2, Duration::from_millis(5));
     let (phase, completed, total) =
-        with_retries(&addr, policy, |client| client.status(11)).expect("retried status");
+        with_retries(&addr, None, policy, |client| client.status(11)).expect("retried status");
     assert_eq!(phase, PlanPhase::Completed);
     assert_eq!((completed, total), (3, 3));
     assert_eq!(accepted.load(Ordering::SeqCst), 2);
@@ -147,7 +148,7 @@ fn status_retries_after_injected_disconnect() {
 fn protocol_errors_are_not_retried() {
     let (addr, accepted) = scripted_daemon(vec![Script::ServeError, Script::ServeError]);
     let policy = RetryPolicy::new(5, Duration::from_millis(1));
-    let err = with_retries(&addr, policy, |client| client.status(7))
+    let err = with_retries(&addr, None, policy, |client| client.status(7))
         .expect_err("server rejects the request");
     match err {
         NetError::Protocol(message) => assert!(message.contains("deterministic rejection")),

@@ -52,7 +52,7 @@ fn write_interrupted_journal(
     completed: usize,
     level: TraceLevel,
 ) -> usize {
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct Collect(parking_lot::Mutex<Vec<(usize, RunResult)>>);
     impl RunSink for Collect {
         fn run_completed(&self, flat_index: usize, result: &RunResult) {
@@ -64,7 +64,8 @@ fn write_interrupted_journal(
     Engine::new()
         .workers(2)
         .with_trace(TraceConfig::new(&trace_dir, level))
-        .execute_resumed(plan, Vec::new(), &NullSink, Some(&collector));
+        .execute_resumed(plan, Vec::new(), &NullSink, Some(&collector))
+        .expect("a checked plan");
     let mut runs = collector.0.into_inner();
     runs.sort_by_key(|(idx, _)| *idx);
     for (idx, _) in &runs[completed..] {

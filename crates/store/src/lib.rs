@@ -484,8 +484,10 @@ fn list_by_plan_id(
 ///
 /// # Errors
 ///
-/// Filesystem errors, and `InvalidData` when the journal at the derived
-/// path was written for a different plan (fingerprint collision).
+/// Filesystem errors, `InvalidData` when the journal at the derived path
+/// was written for a different plan (fingerprint collision), and
+/// `InvalidInput` carrying the [`PlanError`](avfi_core::PlanError) the
+/// executor refuses the plan with, before any run.
 pub fn run_spooled(
     engine: &Engine,
     plan: &WorkPlan,
@@ -516,7 +518,9 @@ pub fn run_spooled(
         // Fresh (or unrecoverable) journal: restart from the header.
         None => (PlanJournal::create(&path, plan_json, level)?, Vec::new()),
     };
-    Ok(engine.execute_resumed(plan, prefilled, sink, Some(&spool)))
+    engine
+        .execute_resumed(plan, prefilled, sink, Some(&spool))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
 #[cfg(test)]

@@ -163,7 +163,7 @@ fn every_execution_path_yields_identical_results_and_traces() {
             let plan_json = serde_json::to_string(&plan).expect("plan serializes");
             let journal = PlanJournal::create(&journal_path, plan_json, TraceLevel::Blackbox)
                 .expect("create journal");
-            let journal: Arc<dyn RunSink + Send + Sync> = Arc::new(journal);
+            let journal: Arc<dyn RunSink> = Arc::new(journal);
             Some((journal, spool.join(avfi_store::trace_dir_name(id))))
         })
         .unwrap();

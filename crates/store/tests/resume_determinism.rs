@@ -47,7 +47,7 @@ fn test_plan() -> WorkPlan {
 
 /// Captures every `(flat_index, RunResult)` the engine reports, so tests
 /// can replay arbitrary prefixes/subsets as resume prefill.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct CollectRuns(parking_lot::Mutex<Vec<(usize, RunResult)>>);
 
 impl RunSink for CollectRuns {
@@ -74,19 +74,19 @@ fn resume_is_byte_identical_at_every_interruption_point() {
     let plan = test_plan();
     let engine = Engine::new().workers(2);
     let collector = CollectRuns::default();
-    let solo = engine.execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector));
+    let solo = engine
+        .execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector))
+        .expect("a checked plan");
     let solo_json = results_json(&solo);
     let runs = collector.0.into_inner();
     assert_eq!(runs.len(), plan.total_runs());
 
     for k in 0..=runs.len() {
         for workers in [1usize, 3] {
-            let resumed = Engine::new().workers(workers).execute_resumed(
-                &plan,
-                runs[..k].to_vec(),
-                &NullSink,
-                None,
-            );
+            let resumed = Engine::new()
+                .workers(workers)
+                .execute_resumed(&plan, runs[..k].to_vec(), &NullSink, None)
+                .expect("a checked plan");
             assert_eq!(
                 results_json(&resumed),
                 solo_json,
@@ -103,8 +103,11 @@ fn resume_tolerates_arbitrary_prefill_subsets() {
     let plan = test_plan();
     let engine = Engine::new().workers(3);
     let collector = CollectRuns::default();
-    let solo_json =
-        results_json(&engine.execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector)));
+    let solo_json = results_json(
+        &engine
+            .execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector))
+            .expect("a checked plan"),
+    );
     let runs = collector.0.into_inner();
 
     let scattered: Vec<(usize, RunResult)> =
@@ -116,7 +119,9 @@ fn resume_tolerates_arbitrary_prefill_subsets() {
     with_junk.push((plan.total_runs() + 40, runs[0].1.clone()));
 
     for prefill in [scattered, with_junk] {
-        let resumed = engine.execute_resumed(&plan, prefill, &NullSink, None);
+        let resumed = engine
+            .execute_resumed(&plan, prefill, &NullSink, None)
+            .expect("a checked plan");
         assert_eq!(results_json(&resumed), solo_json);
     }
 }
@@ -160,7 +165,9 @@ fn run_spooled_resumes_after_torn_journal() {
         avfi_trace::fingerprint(plan_json.as_bytes())
     ));
     let collector = CollectRuns::default();
-    engine.execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector));
+    engine
+        .execute_resumed(&plan, Vec::new(), &NullSink, Some(&collector))
+        .expect("a checked plan");
     let runs = collector.0.into_inner();
     let mut journal = avfi_store::Journal::create(&path).expect("create journal");
     journal
@@ -226,5 +233,32 @@ fn run_spooled_refuses_foreign_journal() {
     let err = avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink)
         .expect_err("foreign journal must be refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan the executor refuses comes back as `InvalidInput` carrying the
+/// refusal, before any run: here a town whose roads are too short to
+/// start a mission on.
+#[test]
+fn run_spooled_refuses_an_invalid_plan() {
+    let plan = test_plan();
+    let mut routeless = plan.studies()[0].campaigns[0].clone();
+    routeless.scenarios[0].town.block = 25.0;
+    let plan = plan.with_study("routeless", vec![routeless]);
+    let dir = fresh_dir("refused");
+    let err = avfi_store::run_spooled(
+        &Engine::new().workers(1),
+        &plan,
+        &dir,
+        TraceLevel::Off,
+        &NullSink,
+    )
+    .expect_err("the plan must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(
+        err.to_string(),
+        "study \"routeless\" campaign 0 scenario 0: town grid 2×2 of 25 m blocks \
+         has 0 drive lanes longer than 20 m; a mission route needs two"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,4 +53,9 @@ if r.get("correct") is not True or r.get("failed") != 0:
     "$result" "$workload"
 done
 
+# The non-test line count every change reports (ROADMAP's design aim);
+# it only prints and gates nothing.
+echo "==> non-test line count (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "OK: all checks passed"
