@@ -26,21 +26,18 @@
 //! [--agent expert|neural] [--dump]`
 //! (default budget = two lattice laps: lap one is where uniform ends,
 //! lap two is the exploitation phase uniform cannot have; `--dump`
-//! prints per-arm outcome detail of a single uniform lap to stderr).
+//! first probes every arm once, at run 0, and prints each outcome to
+//! stderr — runs extra to the budget, which leave the record unchanged).
 
 use avfi_bench::experiments::{adaptive_space, neural_agent, Scale};
-use avfi_core::adaptive::{run_adaptive, run_uniform, AdaptiveConfig, EngineOracle};
+use avfi_core::adaptive::{
+    run_adaptive, run_uniform, AdaptiveConfig, AdaptiveOracle, EngineOracle, Proposal,
+    UniformReport,
+};
 use avfi_core::campaign::AgentSpec;
 use avfi_core::engine::Engine;
 use avfi_server::cli::Args;
 use serde::Serialize;
-
-#[derive(Serialize)]
-struct Tally {
-    spent: usize,
-    failures: usize,
-    failures_per_run: f64,
-}
 
 #[derive(Serialize)]
 struct GainRecord {
@@ -50,8 +47,8 @@ struct GainRecord {
     budget: usize,
     batch: usize,
     seed: u64,
-    uniform: Tally,
-    adaptive: Tally,
+    uniform: UniformReport,
+    adaptive: UniformReport,
     gain: f64,
     gate_2x: bool,
     notes: &'static str,
@@ -102,27 +99,21 @@ fn main() {
         space.scenarios.clone(),
         "gain-uniform",
     );
-    let uniform = if dump {
-        // Diagnostic lap: per-arm outcome detail on stderr.
-        let arms = space.arms();
-        let mut report = avfi_core::adaptive::UniformReport {
-            spent: 0,
-            failures: 0,
-            failures_per_run: 0.0,
-        };
-        for spec in &arms {
-            let d = &spec.descriptor;
-            let proposal = avfi_core::adaptive::Proposal {
-                arm: d.index,
-                scenario_index: d.scenario_index,
+    if dump {
+        // Print-only probe lap, extra to the matched budget below.
+        let specs = space.arms();
+        let probes: Vec<Proposal> = specs
+            .iter()
+            .map(|spec| Proposal {
+                arm: spec.descriptor.index,
+                scenario_index: spec.descriptor.scenario_index,
                 run_index: 0,
                 fault: spec.fault.clone(),
-            };
-            let obs = avfi_core::adaptive::AdaptiveOracle::evaluate(
-                &mut uniform_oracle,
-                std::slice::from_ref(&proposal),
-            );
-            let o = &obs[0];
+            })
+            .collect();
+        let observations = uniform_oracle.evaluate(&probes);
+        for (spec, o) in specs.iter().zip(&observations) {
+            let d = &spec.descriptor;
             eprintln!(
                 "[dump] arm {:3} s{} {:18} mag {:.2} onset {:3}: {} {}",
                 d.index,
@@ -133,14 +124,9 @@ fn main() {
                 if o.failed { "FAIL" } else { "ok" },
                 o.class.as_deref().unwrap_or("-"),
             );
-            report.spent += 1;
-            report.failures += o.failed as usize;
         }
-        report.failures_per_run = report.failures as f64 / report.spent.max(1) as f64;
-        report
-    } else {
-        run_uniform(&space, budget, batch, &mut uniform_oracle)
-    };
+    }
+    let uniform = run_uniform(&space, budget, batch, &mut uniform_oracle);
     eprintln!(
         "[adaptive-gain] uniform: {} failures in {} runs ({:.3}/run)",
         uniform.failures, uniform.spent, uniform.failures_per_run
@@ -174,12 +160,8 @@ fn main() {
         budget,
         batch,
         seed,
-        uniform: Tally {
-            spent: uniform.spent,
-            failures: uniform.failures,
-            failures_per_run: uniform.failures_per_run,
-        },
-        adaptive: Tally {
+        uniform,
+        adaptive: UniformReport {
             spent: adaptive.spent,
             failures: adaptive.failures,
             failures_per_run: adaptive.failures_per_run,

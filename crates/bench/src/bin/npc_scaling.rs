@@ -1,26 +1,14 @@
-//! NPC population scaling: frame time vs town density, at decision
-//! horizons 1 and 8.
+//! High-density campaign: 60 NPCs + 60 pedestrians on a 4×4 town at
+//! `decision_horizon` 8 (cruising and walking agents sleep between
+//! decisions), run through the engine (worker-count invariant) and
+//! exported as `npc_scaling.json` via the standard results path. The
+//! smoke `density` tier golden-diffs that file and so pins the horizon-8
+//! trajectory bit for bit. Frame costs at this density are perfbench's
+//! to measure (`expert_dense_delay`).
 //!
-//! Two modes:
-//!
-//! * **Bench** (default): sweeps the traffic population from today's
-//!   default (6 NPCs + 6 pedestrians) up to 20× at `decision_horizon` 1
-//!   (every agent decides every tick) and 8 (cruising/walking agents
-//!   sleep and integrate analytically), measuring
-//!   mean wall-clock frame time of the full `step + observe` loop. Emits
-//!   one JSON record on stdout — the artifact stored as `BENCH_pr7.json`
-//!   at the repo root. The budget line is the paper's 15 FPS frame
-//!   (66.7 ms); the gate is ≥10× the default NPC count inside it.
-//! * **Campaign** (`--quick`): runs a deterministic high-density campaign
-//!   (60 NPCs + 60 pedestrians, horizon 8) through the engine and
-//!   exports `npc_scaling.json` via the standard results path — the
-//!   smoke `density` tier golden-diffs that file and so pins the
-//!   horizon-8 trajectory bit-for-bit.
-//!
-//! Usage: `cargo run --release -p avfi-bench --bin npc_scaling
-//! [--frames N]` (bench) or `npc_scaling --quick [--workers N]
-//! [--progress] [--trace DIR] [--trace-level LEVEL] [--spool DIR]`
-//! (campaign)
+//! Usage: `cargo run --release -p avfi-bench --bin npc_scaling --
+//! [--workers N] [--progress] [--trace DIR] [--trace-level LEVEL]
+//! [--spool DIR]`
 
 use avfi_bench::experiments::{export_json, ExecOptions};
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
@@ -28,147 +16,48 @@ use avfi_core::fault::FaultSpec;
 use avfi_core::WorkPlan;
 use avfi_server::cli::Args;
 use avfi_sim::scenario::{Scenario, TownSpec};
-use avfi_sim::world::World;
-use avfi_sim::VehicleControl;
-use std::time::Instant;
 
-/// The paper's frame budget: 15 FPS.
-const FRAME_BUDGET_MS: f64 = 1000.0 / 15.0;
-const WARMUP_FRAMES: u64 = 30;
-
-fn dense_scenario(seed: u64, npcs: usize, peds: usize, horizon: u32) -> Scenario {
+fn dense_scenario(seed: u64) -> Scenario {
     let mut town = TownSpec::grid(4, 4);
     town.signalized = false;
     Scenario::builder(town)
         .seed(seed)
-        .npc_vehicles(npcs)
-        .pedestrians(peds)
+        .npc_vehicles(60)
+        .pedestrians(60)
         .pedestrian_cross_rate(0.008)
-        .decision_horizon(horizon)
-        .time_budget(1e9)
+        .decision_horizon(8)
+        // Dense missions are long; a tight budget keeps the smoke tier
+        // fast while still crossing plenty of traffic.
+        .time_budget(40.0)
         .min_route_length(150.0)
         .build()
 }
 
-/// Mean frame milliseconds of the full `step + observe` loop (sensors
-/// included — camera rasterization dominates at every population) and of
-/// `step` alone — the traffic/actor layer the wake table and the
-/// spatial index actually optimize.
-fn measure(scenario: &Scenario, frames: u64) -> (f64, f64, usize, usize) {
-    let mut world = World::from_scenario(scenario);
-    let mut obs = world.observe();
-    let spawned = (world.npcs().count(), world.pedestrians().count());
-    for _ in 0..WARMUP_FRAMES {
-        world.step(VehicleControl::coast());
-        world.observe_into(&mut obs);
-    }
-    let start = Instant::now();
-    for _ in 0..frames {
-        world.step(VehicleControl::coast());
-        world.observe_into(&mut obs);
-    }
-    let full_ms = start.elapsed().as_secs_f64() * 1000.0 / frames as f64;
+fn main() {
+    let mut args = Args::from_env();
+    let opts = ExecOptions::parse(&mut args);
+    args.finish();
 
-    let mut world = World::from_scenario(scenario);
-    for _ in 0..WARMUP_FRAMES {
-        world.step(VehicleControl::coast());
-    }
-    let start = Instant::now();
-    for _ in 0..frames {
-        world.step(VehicleControl::coast());
-    }
-    let step_ms = start.elapsed().as_secs_f64() * 1000.0 / frames as f64;
-    (full_ms, step_ms, spawned.0, spawned.1)
-}
-
-fn bench(frames: u64) {
-    // (npcs requested, peds requested); 6+6 is today's scenario default.
-    let populations = [(6, 6), (30, 30), (60, 60), (120, 120)];
-    let horizons = [1u32, 8];
-    let mut cases = Vec::new();
-    for &(npcs, peds) in &populations {
-        for &horizon in &horizons {
-            let scenario = dense_scenario(977, npcs, peds, horizon);
-            let (full_ms, step_ms, spawned_npcs, spawned_peds) = measure(&scenario, frames);
-            eprintln!(
-                "[npc-scaling] npcs={spawned_npcs} peds={spawned_peds} horizon={horizon}: \
-                 {full_ms:.3} ms/frame full, {step_ms:.3} ms/frame step-only"
-            );
-            cases.push(format!(
-                "    {{\"npcs\": {spawned_npcs}, \"peds\": {spawned_peds}, \
-                 \"horizon\": {horizon}, \"ms_per_frame\": {full_ms:.3}, \
-                 \"step_ms_per_frame\": {step_ms:.3}, \
-                 \"within_15fps_budget\": {}}}",
-                full_ms <= FRAME_BUDGET_MS
-            ));
-        }
-    }
-    println!(
-        "{{\n  \"bench\": \"npc_scaling\",\n  \
-         \"description\": \"mean frame time vs traffic population; ms_per_frame is the full \
-         step+observe loop (sensor rasterization included), step_ms_per_frame isolates the \
-         world step the wake table and spatial index optimize; horizon 1 = every agent \
-         decides every tick, horizon 8 = agents sleep between decisions\",\n  \
-         \"frames_per_case\": {frames},\n  \"frame_budget_ms\": {FRAME_BUDGET_MS:.1},\n  \
-         \"cases\": [\n{}\n  ],\n  \
-         \"notes\": \"the spatial index serves neighbor queries at every horizon (it replaced \
-         the legacy O(n^2) full scans), so both modes scale near-linearly and 20x the default \
-         population stays >100x inside the 15 FPS budget; horizon 8 additionally cuts agent \
-         decision counts (see avfi-sim's event_mode_sleeps_agents test) at the cost of one \
-         wake-table scan per frame\"\n}}",
-        cases.join(",\n")
-    );
-}
-
-/// Deterministic high-density campaign for the smoke `density` tier:
-/// engine-executed (worker-count invariant) and exported through the
-/// standard `AVFI_RESULTS_DIR` path for golden diffing.
-fn campaign(opts: &ExecOptions) {
-    let scenarios = vec![
-        dense_scenario(911, 60, 60, 8),
-        dense_scenario(923, 60, 60, 8),
-    ];
-    let config = CampaignConfig::builder(scenarios)
+    let config = CampaignConfig::builder(vec![dense_scenario(911), dense_scenario(923)])
         .runs_per_scenario(1)
         .fault(FaultSpec::None)
         .agent(AgentSpec::Expert)
         .build();
-    let mut config = config;
-    // High-density frames are cheap but missions are long; a tight budget
-    // keeps the smoke tier fast while still crossing plenty of traffic.
-    for s in &mut config.scenarios {
-        s.time_budget = 40.0;
-    }
     let plan = WorkPlan::new().with_study("density", vec![config]);
     let results = opts
         .execute(&plan)
         .pop()
         .expect("plan has one study")
         .campaigns;
-    for r in &results {
-        for run in r.runs() {
-            eprintln!(
-                "[npc-scaling] scenario {} run {}: {:.2} km, {} violations, {:?}",
-                run.scenario_index,
-                run.run_index,
-                run.distance_km,
-                run.violations.len(),
-                run.outcome
-            );
-        }
+    for run in results.iter().flat_map(|r| r.runs()) {
+        eprintln!(
+            "[npc-scaling] scenario {} run {}: {:.2} km, {} violations, {:?}",
+            run.scenario_index,
+            run.run_index,
+            run.distance_km,
+            run.violations.len(),
+            run.outcome
+        );
     }
     export_json("npc_scaling", &results);
-}
-
-fn main() {
-    let mut args = Args::from_env();
-    if args.flag("--quick") {
-        let opts = ExecOptions::parse(&mut args);
-        args.finish();
-        campaign(&opts);
-    } else {
-        let frames = args.value("--frames").unwrap_or(300);
-        args.finish();
-        bench(frames);
-    }
 }

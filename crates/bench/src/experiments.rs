@@ -82,7 +82,7 @@ pub struct ExecOptions {
     pub progress: bool,
     /// Flight-recorder trace directory (`None` disables tracing).
     pub trace: Option<PathBuf>,
-    /// Flight-recorder detail level (meaningful only with `trace`).
+    /// Flight-recorder detail level (`Off` without `trace`).
     pub trace_level: TraceLevel,
     /// Checkpoint directory: write-ahead journal every completed run
     /// (`avfi-store`), resuming any earlier interrupted invocation of
@@ -93,12 +93,17 @@ pub struct ExecOptions {
 impl ExecOptions {
     /// Reads `--workers N`, `--progress`, `--trace DIR`,
     /// `--trace-level LEVEL`, and `--spool DIR`. `--trace`
-    /// without a level records at [`TraceLevel::Blackbox`].
+    /// without a level records at [`TraceLevel::Blackbox`]; a level
+    /// without `--trace`, which would record nothing, is refused.
     pub fn parse(args: &mut Args) -> ExecOptions {
         let workers = args.value("--workers").unwrap_or(0);
         let progress = args.flag("--progress");
         let trace: Option<PathBuf> = args.value("--trace");
-        let trace_level = args.value("--trace-level").unwrap_or(match trace {
+        let trace_level = args.value("--trace-level");
+        if trace.is_none() && trace_level.is_some() {
+            args.refuse("--trace-level needs --trace DIR");
+        }
+        let trace_level = trace_level.unwrap_or(match trace {
             Some(_) => TraceLevel::Blackbox,
             None => TraceLevel::Off,
         });
@@ -728,6 +733,19 @@ mod tests {
         assert_eq!(o.trace_level, TraceLevel::Off);
         // No trace flags: recorder stays off.
         assert_eq!(ExecOptions::default().trace, None);
+    }
+
+    #[test]
+    fn exec_options_refuse_a_trace_level_without_a_trace_dir() {
+        for argv in [
+            &["bin", "--trace-level", "summary"][..],
+            &["bin", "--trace-level", "off", "--spool", "checkpoints/"],
+        ] {
+            let mut args = Args::new(argv.iter().copied());
+            ExecOptions::parse(&mut args);
+            let err = args.check().unwrap_err();
+            assert!(err.contains("--trace-level needs --trace DIR"), "{err}");
+        }
     }
 
     #[test]

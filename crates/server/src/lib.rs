@@ -597,10 +597,11 @@ fn open_plan_journal(
 /// cancelled — or, with every run already journaled, completed at once,
 /// appending the missing terminal record. Either way the plan's traces
 /// stay in its `plan-<id>/` directory, read only when a client asks for
-/// them. Unrecoverable journals are skipped with a stderr note, and a
-/// plan the pool refuses has its journal renamed `plan-<id>.avj.refused`
-/// once, so that later starts neither read it nor repeat the note —
-/// recovery never takes the daemon down.
+/// them. A file without a valid journal header is skipped and left as
+/// it is, a journal without a plan record is skipped, an I/O error is
+/// noted on stderr, and a plan the pool refuses has its journal renamed
+/// `plan-<id>.avj.refused` once, so that later starts neither read it
+/// nor repeat the note — recovery never takes the daemon down.
 fn recover_journal(
     pool: &MultiplexPool,
     dir: &Path,
@@ -608,7 +609,8 @@ fn recover_journal(
     path: &Path,
 ) -> Option<PlanTicket> {
     let (records, journal) = match Journal::resume(path) {
-        Ok(r) => r,
+        Ok(Some(r)) => r,
+        Ok(None) => return None,
         Err(e) => {
             eprintln!(
                 "[avfi-server] spool recovery failed ({}): {e}",

@@ -157,6 +157,51 @@ fn refused_journal_is_moved_aside_once(tag: &str, plan: WorkPlan) {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// A journal with one flipped magic byte is not a journal: a daemon
+/// start serves the good plan beside it and leaves the bad file's bytes
+/// as they were, where recovery once rewrote it to a bare header.
+#[test]
+fn journal_with_a_bad_magic_is_left_untouched_at_startup() {
+    let spool = fresh_spool("bad-magic");
+    let plan = demo_plan();
+    write_interrupted_journal(&spool, 1, &plan, plan.total_runs(), TraceLevel::Off);
+    let bad = spool.join(avfi_store::journal_file_name(2));
+    PlanJournal::create(
+        &bad,
+        serde_json::to_string(&plan).expect("plan serializes"),
+        TraceLevel::Off,
+    )
+    .expect("create journal");
+    let mut bytes = std::fs::read(&bad).expect("read journal");
+    bytes[0] ^= 0x01;
+    std::fs::write(&bad, &bytes).expect("flip a magic byte");
+
+    let (addr, daemon) = spawn_daemon(&spool, false, None);
+    let mut c = ServiceClient::connect(&addr).expect("connect");
+    assert_eq!(
+        c.status(1).expect("status"),
+        (PlanPhase::Completed, plan.total_runs(), plan.total_runs())
+    );
+    assert_eq!(
+        c.results_json(1).expect("results"),
+        solo_results_json(&plan).expect("solo reference")
+    );
+    match c.status(2) {
+        Err(NetError::Protocol(message)) => assert!(message.contains("unknown plan"), "{message}"),
+        other => panic!("the bad journal must not be recovered, got {other:?}"),
+    }
+    c.shutdown_server().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let after = std::fs::read(&bad).expect("reread journal");
+    assert!(
+        after == bytes,
+        "the bad journal was rewritten: {} bytes became {}",
+        bytes.len(),
+        after.len()
+    );
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 /// A completed plan's results survive a daemon restart byte for byte,
 /// served from the journal alone.
 #[test]

@@ -68,7 +68,7 @@ use avfi_trace::TraceLevel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal file magic: "AVFJ".
@@ -216,28 +216,33 @@ impl Journal {
         })
     }
 
-    /// Recovers `path` and reopens it for appending: the file is
-    /// truncated back to the recovered valid prefix (discarding any torn
-    /// tail record) — or recreated with a fresh header when nothing
-    /// valid was recovered — and the journal is positioned at its end.
+    /// Recovers `path` and, when it starts with a valid header, reopens
+    /// it for appending: the file is truncated back to the recovered
+    /// valid prefix (discarding any torn tail record) and the journal is
+    /// positioned at its end. `None` for a missing file or one without a
+    /// valid header, which is left untouched: only
+    /// [`PlanJournal::create`] makes a journal.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn resume(path: &Path) -> io::Result<(Vec<JournalRecord>, Journal)> {
+    pub fn resume(path: &Path) -> io::Result<Option<(Vec<JournalRecord>, Journal)>> {
         let (records, valid_len) = recover_file(path)?;
-        if valid_len < HEADER_LEN as u64 {
-            return Ok((records, Journal::create(path)?));
+        if valid_len == 0 {
+            return Ok(None);
         }
-        let file = OpenOptions::new().write(true).open(path)?;
+        Ok(Some((records, Journal::reopen(path, valid_len)?)))
+    }
+
+    /// [`Journal::resume`] of a journal with `valid_len` valid bytes.
+    fn reopen(path: &Path, valid_len: u64) -> io::Result<Journal> {
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut journal = Journal {
+        file.seek(io::SeekFrom::End(0))?;
+        Ok(Journal {
             file,
             path: path.to_path_buf(),
-        };
-        use std::io::Seek;
-        journal.file.seek(io::SeekFrom::End(0))?;
-        Ok((records, journal))
+        })
     }
 
     /// Appends one record and flushes.
@@ -487,7 +492,8 @@ fn list_by_plan_id(
 /// Filesystem errors, `InvalidData` when the journal at the derived path
 /// was written for a different plan (fingerprint collision), and
 /// `InvalidInput` carrying the [`PlanError`](avfi_core::PlanError) the
-/// executor refuses the plan with, before any run.
+/// executor refuses the plan with, before any run. A refused plan that
+/// had no journal here leaves none behind.
 pub fn run_spooled(
     engine: &Engine,
     plan: &WorkPlan,
@@ -500,8 +506,10 @@ pub fn run_spooled(
         "plan-{:016x}.{JOURNAL_EXT}",
         avfi_trace::fingerprint(plan_json.as_bytes())
     ));
-    let (records, journal) = Journal::resume(&path)?;
-    let (spool, prefilled) = match summarize(&records) {
+    let (records, valid_len) = recover_file(&path)?;
+    let recovered = summarize(&records);
+    let created = recovered.is_none();
+    let (spool, prefilled) = match recovered {
         Some(rec) if rec.plan_json != plan_json => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -514,13 +522,19 @@ pub fn run_spooled(
             let runs = rec.completed.into_iter().map(|(_, r)| r).collect();
             return Ok(assemble_results(plan, runs));
         }
-        Some(rec) => (PlanJournal::new(journal), rec.completed),
+        Some(rec) => {
+            let journal = Journal::reopen(&path, valid_len)?;
+            (PlanJournal::new(journal), rec.completed)
+        }
         // Fresh (or unrecoverable) journal: restart from the header.
         None => (PlanJournal::create(&path, plan_json, level)?, Vec::new()),
     };
-    engine
-        .execute_resumed(plan, prefilled, sink, Some(&spool))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
+    let results = engine.execute_resumed(plan, prefilled, sink, Some(&spool));
+    if results.is_err() && created {
+        // Refused before any run: the journal made here holds only the plan.
+        let _ = std::fs::remove_file(&path);
+    }
+    results.map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
 #[cfg(test)]
@@ -616,12 +630,31 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&torn[..torn.len() / 2]).unwrap();
         }
-        let (recovered, mut j) = Journal::resume(&path).unwrap();
+        let (recovered, mut j) = Journal::resume(&path).unwrap().expect("a valid header");
         assert_eq!(recovered, records[..2]);
         j.append(&records[2]).unwrap();
         drop(j);
         let (finala, _) = recover_file(&path).unwrap();
         assert_eq!(finala, records);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A missing file or one without a valid header is not a journal:
+    /// resume creates nothing and leaves the bytes as they are.
+    #[test]
+    fn resume_leaves_a_file_without_a_header_untouched() {
+        let dir = std::env::temp_dir().join(format!("avfi-store-nohead-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.avj");
+        assert!(Journal::resume(&missing).unwrap().is_none());
+        assert!(!missing.exists());
+        let garbage = dir.join("garbage.avj");
+        let mut bytes = encode_all(&sample_records());
+        bytes[0] ^= 0x01;
+        std::fs::write(&garbage, &bytes).unwrap();
+        assert!(Journal::resume(&garbage).unwrap().is_none());
+        assert_eq!(std::fs::read(&garbage).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -237,8 +237,8 @@ fn run_spooled_refuses_foreign_journal() {
 }
 
 /// A plan the executor refuses comes back as `InvalidInput` carrying the
-/// refusal, before any run: here a town whose roads are too short to
-/// start a mission on.
+/// refusal, before any run, and leaves no journal behind: here a town
+/// whose roads are too short to start a mission on.
 #[test]
 fn run_spooled_refuses_an_invalid_plan() {
     let plan = test_plan();
@@ -260,5 +260,11 @@ fn run_spooled_refuses_an_invalid_plan() {
         "study \"routeless\" campaign 0 scenario 0: town grid 2×2 of 25 m blocks \
          has 0 drive lanes longer than 20 m; a mission route needs two"
     );
+    let journals: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("list spool dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "avj"))
+        .collect();
+    assert!(journals.is_empty(), "a refused plan left {journals:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

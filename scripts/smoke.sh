@@ -376,9 +376,9 @@ fi
 # horizon-8 trajectory bit-for-bit the same way the quick campaigns pin
 # horizon 1.
 DENSITY_BIN=npc_scaling
-echo "==> smoke: $DENSITY_BIN --quick --workers 2 (density tier)"
+echo "==> smoke: $DENSITY_BIN --workers 2 (density tier)"
 AVFI_RESULTS_DIR="$SMOKE_DIR" \
-  "target/release/$DENSITY_BIN" --quick --workers 2 >"$SMOKE_DIR/$DENSITY_BIN.stdout" 2>&1
+  "target/release/$DENSITY_BIN" --workers 2 >"$SMOKE_DIR/$DENSITY_BIN.stdout" 2>&1
 if [[ ! -f "$SMOKE_DIR/$DENSITY_BIN.json" ]]; then
   echo "smoke FAIL: $DENSITY_BIN emitted no $SMOKE_DIR/$DENSITY_BIN.json" >&2
   fail=1
