@@ -49,7 +49,8 @@ struct GainRecord {
     seed: u64,
     uniform: UniformReport,
     adaptive: UniformReport,
-    gain: f64,
+    /// `None` (`null`) when uniform found no failure.
+    gain: Option<f64>,
     gate_2x: bool,
     notes: &'static str,
 }
@@ -138,17 +139,18 @@ fn main() {
         seed,
     };
     let outcome = run_adaptive(&engine, &space, config, &agent, "gain-adaptive");
-    let adaptive = &outcome.trajectory.report;
+    let report = &outcome.trajectory.report;
+    let adaptive = UniformReport {
+        spent: report.spent,
+        failures: report.failures,
+        failures_per_run: report.failures_per_run,
+    };
     eprintln!(
         "[adaptive-gain] adaptive: {} failures in {} runs ({:.3}/run)",
         adaptive.failures, adaptive.spent, adaptive.failures_per_run
     );
 
-    let gain = if uniform.failures_per_run > 0.0 {
-        adaptive.failures_per_run / uniform.failures_per_run
-    } else {
-        f64::INFINITY
-    };
+    let (gain, gate_2x) = gain_gate(&uniform, &adaptive);
     let record = GainRecord {
         bench: "adaptive_gain",
         description: "failures found per run at matched total-run budget over the same \
@@ -161,13 +163,9 @@ fn main() {
         batch,
         seed,
         uniform,
-        adaptive: UniformReport {
-            spent: adaptive.spent,
-            failures: adaptive.failures,
-            failures_per_run: adaptive.failures_per_run,
-        },
+        adaptive,
         gain,
-        gate_2x: gain >= 2.0,
+        gate_2x,
         notes: "the expert agent's failure landscape is sparse (~8% of arms: stuck \
              brake/throttle, 1 s output delay), so the uniform grid spends >90% of its budget \
              on benign arms while the planner spends its first lap finding the failing region \
@@ -180,4 +178,35 @@ fn main() {
         "{}",
         serde_json::to_string_pretty(&record).expect("record serializes")
     );
+}
+
+/// Adaptive failures-per-run over uniform's (`None` when uniform found
+/// no failure), and whether the 2× gate passes: adaptive must find a
+/// failure, at a rate at least twice uniform's.
+fn gain_gate(uniform: &UniformReport, adaptive: &UniformReport) -> (Option<f64>, bool) {
+    let gain = (uniform.failures_per_run > 0.0)
+        .then(|| adaptive.failures_per_run / uniform.failures_per_run);
+    (gain, adaptive.failures > 0 && gain.is_none_or(|g| g >= 2.0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tally(spent: usize, failures: usize) -> UniformReport {
+        UniformReport {
+            spent,
+            failures,
+            failures_per_run: failures as f64 / spent as f64,
+        }
+    }
+
+    #[test]
+    fn the_gate_needs_an_adaptive_failure_at_twice_the_uniform_rate() {
+        assert_eq!(gain_gate(&tally(1, 0), &tally(1, 0)), (None, false));
+        assert_eq!(gain_gate(&tally(24, 0), &tally(24, 3)), (None, true));
+        // BENCH_pr8.json's record.
+        let bench_pr8 = gain_gate(&tally(252, 19), &tally(252, 123));
+        assert_eq!(bench_pr8, (Some(6.473684210526316), true));
+    }
 }

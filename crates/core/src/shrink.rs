@@ -164,7 +164,7 @@ pub trait ShrinkOracle {
     /// Replay-verifies candidate `index` of the batch most recently
     /// passed to [`ShrinkOracle::evaluate`]: `true` when a re-execution
     /// reproduces it bit-identically.
-    fn verify(&mut self, index: usize, candidate: &Candidate) -> bool;
+    fn verify(&mut self, index: usize) -> bool;
 }
 
 /// Verdict on one proposed candidate.
@@ -844,7 +844,7 @@ pub fn shrink_with_oracle(
 
         let mut accepted: Option<usize> = None;
         let mut verdicts: Vec<ShrinkVerdict> = Vec::with_capacity(candidates.len());
-        for (i, (candidate, eval)) in candidates.iter().zip(&evals).enumerate() {
+        for (i, eval) in evals.iter().enumerate() {
             if accepted.is_some() {
                 verdicts.push(ShrinkVerdict::NotSelected);
                 continue;
@@ -854,7 +854,7 @@ pub fn shrink_with_oracle(
                 Some(c) if c != class => verdicts.push(ShrinkVerdict::RejectedClassChanged),
                 Some(_) => {
                     runs_spent += 1;
-                    if oracle.verify(i, candidate) {
+                    if oracle.verify(i) {
                         verdicts.push(ShrinkVerdict::Accepted);
                         accepted = Some(i);
                     } else {
@@ -984,7 +984,7 @@ impl ShrinkOracle for EngineOracle<'_> {
         evals
     }
 
-    fn verify(&mut self, index: usize, _candidate: &Candidate) -> bool {
+    fn verify(&mut self, index: usize) -> bool {
         match self.last_traces.get(index) {
             Some(Some(trace)) => matches!(
                 replay_trace(trace, self.weights.as_deref()),
@@ -1208,7 +1208,7 @@ mod tests {
                 .collect()
         }
 
-        fn verify(&mut self, _index: usize, _candidate: &Candidate) -> bool {
+        fn verify(&mut self, _index: usize) -> bool {
             true
         }
     }
@@ -1257,7 +1257,7 @@ mod tests {
                     })
                     .collect()
             }
-            fn verify(&mut self, _index: usize, _candidate: &Candidate) -> bool {
+            fn verify(&mut self, _index: usize) -> bool {
                 false
             }
         }
@@ -1298,7 +1298,7 @@ mod tests {
                     })
                     .collect()
             }
-            fn verify(&mut self, _index: usize, _candidate: &Candidate) -> bool {
+            fn verify(&mut self, _index: usize) -> bool {
                 false
             }
         }

@@ -180,7 +180,7 @@ impl ShrinkOracle for NpcThresholdOracle {
             .collect()
     }
 
-    fn verify(&mut self, _index: usize, _candidate: &Candidate) -> bool {
+    fn verify(&mut self, _index: usize) -> bool {
         true
     }
 }

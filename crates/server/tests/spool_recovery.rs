@@ -16,11 +16,29 @@ use avfi_trace::TraceLevel;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-fn fresh_spool(tag: &str) -> PathBuf {
+/// A directory under the temp dir, removed when dropped, so a failing
+/// test cleans up as a passing one does.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn fresh_spool(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("avfi-spool-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create spool dir");
-    dir
+    TempDir(dir)
 }
 
 fn spawn_daemon(
@@ -154,7 +172,6 @@ fn refused_journal_is_moved_aside_once(tag: &str, plan: WorkPlan) {
         c.shutdown_server().expect("shutdown");
         daemon.join().expect("daemon thread");
     }
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// A journal with one flipped magic byte is not a journal: a daemon
@@ -199,7 +216,6 @@ fn journal_with_a_bad_magic_is_left_untouched_at_startup() {
         bytes.len(),
         after.len()
     );
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// A completed plan's results survive a daemon restart byte for byte,
@@ -229,7 +245,6 @@ fn completed_plan_survives_restart_byte_identical() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// An interrupted journal parks the plan as resumable: status reports
@@ -277,7 +292,6 @@ fn interrupted_plan_resumes_to_identical_bytes() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// With `--auto-resume` the interrupted plan re-enters the pool at
@@ -298,7 +312,6 @@ fn auto_resume_restarts_interrupted_plans() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// Zero retention with a spool: the sweep deletes the plan's journal
@@ -335,7 +348,6 @@ fn retention_sweep_deletes_spooled_files() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// Cancelling a parked traced plan keeps the traces it recovered: the
@@ -372,7 +384,6 @@ fn cancelled_interrupted_plan_serves_the_same_traces_after_restart() {
 
     c.shutdown_server().expect("shutdown");
     daemon.join().expect("daemon thread");
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// Shutting a daemon down leaves a parked plan unfinished: two restarts
@@ -395,7 +406,6 @@ fn parked_plan_stays_interrupted_across_restarts() {
         c.shutdown_server().expect("shutdown");
         daemon.join().expect("daemon thread");
     }
-    let _ = std::fs::remove_dir_all(&spool);
 }
 
 /// A journal holding every run but no terminal record has nothing left
@@ -427,5 +437,4 @@ fn fully_journaled_plan_reloads_completed() {
             phase: "completed".into()
         })
     );
-    let _ = std::fs::remove_dir_all(&spool);
 }

@@ -127,7 +127,7 @@ mod tests {
         assert_eq!(peds.len(), 10);
         let on_sidewalk = peds
             .iter()
-            .filter(|p| map.on_sidewalk(p.position()))
+            .filter(|p| map.ground_at(p.position()).sidewalk)
             .count();
         // Sidewalk midlines can graze intersection corners; allow slack.
         assert!(on_sidewalk >= 8, "only {on_sidewalk}/10 on sidewalk");

@@ -77,8 +77,7 @@ pub struct Map {
     road_axes: Vec<RoadAxis>,
     buildings: Vec<Aabb>,
     bounds: Aabb,
-    grid: SpatialGrid,
-    materials: MaterialGrid,
+    grid: MapGrid,
 }
 
 impl Map {
@@ -132,8 +131,7 @@ impl Map {
         let bounds = bounds
             .unwrap_or(Aabb::new(Vec2::ZERO, Vec2::new(1.0, 1.0)))
             .inflated(20.0);
-        let grid = SpatialGrid::build(&bounds, &lanes, &road_axes, &buildings, &intersections);
-        let materials = MaterialGrid::build(&grid, &road_axes, &buildings, &intersections);
+        let grid = MapGrid::build(&bounds, &lanes, &road_axes, &buildings, &intersections);
         Map {
             lanes,
             successors,
@@ -143,7 +141,6 @@ impl Map {
             buildings,
             bounds,
             grid,
-            materials,
         }
     }
 
@@ -205,78 +202,69 @@ impl Map {
         &self.bounds
     }
 
-    /// Nearest drive or connector lane to a point, within `max_dist` of its
-    /// centerline. Returns the lane and projection.
-    pub fn nearest_lane(&self, p: Vec2, max_dist: f64) -> Option<(LaneId, LaneProjection)> {
-        let mut best: Option<(LaneId, LaneProjection)> = None;
-        for id in self.grid.lanes_near(p, max_dist) {
-            let proj = self.lanes[id.0 as usize].project(p);
-            if proj.distance <= max_dist {
-                match &best {
-                    Some((_, b)) if b.distance <= proj.distance => {}
-                    _ => best = Some((id, proj)),
-                }
-            }
-        }
-        best
-    }
-
-    /// Nearest lane whose travel direction agrees with `heading` (within
-    /// 90°). This is the lane a vehicle is legally *in*: a car that crossed
-    /// the center line is still matched against its own-direction lane, so
-    /// the violation monitor sees the departure instead of silently
-    /// re-associating with the opposing lane.
-    pub fn nearest_lane_directional(
+    /// The lane under `p`: the nearest lane within `max_dist` of its
+    /// centerline whose direction agrees with `heading` (within 90°), else
+    /// the nearest of any direction; a tie goes to the first in id order.
+    ///
+    /// Matching the direction first finds the lane a vehicle is legally
+    /// *in*: a car that crossed the center line is still matched against
+    /// its own-direction lane, so the violation monitor sees the departure
+    /// instead of silently re-associating with the opposing lane.
+    pub fn lane_at(
         &self,
         p: Vec2,
-        heading: f64,
+        heading: Option<f64>,
         max_dist: f64,
     ) -> Option<(LaneId, LaneProjection)> {
-        let fwd = Vec2::from_angle(heading);
-        let mut best: Option<(LaneId, LaneProjection)> = None;
-        for id in self.grid.lanes_near(p, max_dist) {
-            let lane = &self.lanes[id.0 as usize];
+        let g = &self.grid;
+        let c = g.index(g.locate(p)?);
+        let fwd = heading.map(Vec2::from_angle);
+        let (mut along, mut any) = (None, None);
+        for &id in &g.lanes[g.lane_start[c] as usize..g.lane_start[c + 1] as usize] {
+            let lane = self.lane(id);
             let proj = lane.project(p);
             if proj.distance > max_dist {
                 continue;
             }
-            let lane_dir = Vec2::from_angle(lane.heading_at(proj.s));
-            if fwd.dot(lane_dir) <= 0.0 {
-                continue;
+            if fwd.is_some_and(|f| f.dot(Vec2::from_angle(lane.heading_at(proj.s))) > 0.0) {
+                keep_nearer(&mut along, id, proj);
             }
-            match &best {
-                Some((_, b)) if b.distance <= proj.distance => {}
-                _ => best = Some((id, proj)),
-            }
+            keep_nearer(&mut any, id, proj);
         }
-        best
+        along.or(any)
     }
 
-    /// `true` when the point is on pavement (road corridor or intersection).
-    pub fn on_drivable(&self, p: Vec2) -> bool {
-        if self
-            .grid
-            .intersections_near(p)
-            .any(|i| self.intersections[i.0 as usize].area().contains(p))
-        {
-            return true;
+    /// What lies under `p`, from one cell lookup: pavement is within
+    /// `half_road` of a road axis ([`Segment::distance_to`]) or inside an
+    /// intersection area, and sidewalk is within `half_road + sidewalk`
+    /// of an axis but not on pavement. Off the grid, which spans
+    /// [`Map::bounds`], nothing is pavement or sidewalk, but an
+    /// intersection area wide enough to overhang the bounds still counts.
+    pub fn ground_at(&self, p: Vec2) -> Ground {
+        let g = &self.grid;
+        let Some(c) = g.locate(p).map(|cell| g.cells[g.index(cell)]) else {
+            let area = self.intersections.iter().find(|i| i.area().contains(p));
+            let intersection = area.map(Intersection::id);
+            return Ground {
+                intersection,
+                ..Ground::default()
+            };
+        };
+        let intersection = (c.i0 as usize..c.i1 as usize)
+            .find(|&k| g.isect_areas[k].contains(p))
+            .map(|k| g.isect_ids[k]);
+        let (mut road, mut walk) = (intersection.is_some(), false);
+        for &k in &g.axis_ids[c.a0 as usize..c.a1 as usize] {
+            let axis = &self.road_axes[k as usize];
+            let d = axis.axis.distance_to(p);
+            road |= d <= axis.half_road;
+            walk |= d <= axis.half_road + axis.sidewalk;
         }
-        self.grid.axes_near(p).any(|i| {
-            let axis = &self.road_axes[i];
-            axis.axis.distance_to(p) <= axis.half_road
-        })
-    }
-
-    /// `true` when the point is on a sidewalk (bordering pavement but not on
-    /// it).
-    pub fn on_sidewalk(&self, p: Vec2) -> bool {
-        if self.on_drivable(p) {
-            return false;
+        Ground {
+            drivable: road,
+            sidewalk: walk && !road,
+            intersection,
         }
-        self.grid.axes_near(p).any(|i| {
-            let axis = &self.road_axes[i];
-            axis.axis.distance_to(p) <= axis.half_road + axis.sidewalk
-        })
     }
 
     /// Ground material at a world point.
@@ -287,7 +275,7 @@ impl Map {
     /// every ground decision from one function.
     #[inline]
     pub fn material_at(&self, p: Vec2) -> Material {
-        self.materials.material_at(p)
+        self.grid.material_at(p)
     }
 
     /// Classifies the ground materials of one camera image row
@@ -314,8 +302,7 @@ impl Map {
         exact: impl Fn(u32) -> Vec2,
         emit: impl FnMut(u32, u32, Material),
     ) {
-        self.materials
-            .classify_ground_row(scratch, line, exact, emit)
+        self.grid.classify_ground_row(scratch, line, exact, emit)
     }
 }
 
@@ -333,29 +320,56 @@ pub struct RowLine {
     pub x1: u32,
 }
 
-/// Flattened per-cell index for [`Map::material_at`].
-///
-/// The general [`SpatialGrid`] stores per-cell `Vec`s of indices into the
-/// map's geometry arrays, which costs two dependent loads per candidate.
-/// Every camera frame makes many ground-material decisions, so this index
-/// re-packs the same per-cell candidate lists (same order, same
-/// membership) into contiguous record arrays with the geometry copied
-/// inline, and compares squared distances so only the nearest axis pays a
-/// square root.
+/// What lies under a point; see [`Map::ground_at`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ground {
+    /// On pavement: a road corridor or an intersection area.
+    pub drivable: bool,
+    /// On a sidewalk: beside pavement, not on it.
+    pub sidewalk: bool,
+    /// The first intersection, in id order, whose area contains the point.
+    pub intersection: Option<IntersectionId>,
+}
+
+/// Keeps `best` unless `proj` is strictly nearer, so a tie goes to the
+/// lane seen first.
+fn keep_nearer(best: &mut Option<(LaneId, LaneProjection)>, id: LaneId, proj: LaneProjection) {
+    match best {
+        Some((_, b)) if b.distance <= proj.distance => {}
+        _ => *best = Some((id, proj)),
+    }
+}
+
+/// Side of a [`MapGrid`] cell, meters. A power of two, so multiplying by
+/// [`INV_CELL`] is exact division.
+const CELL: f64 = 16.0;
+const INV_CELL: f64 = 1.0 / CELL;
+
+/// The map's one index over its static geometry: uniform cells over
+/// [`Map::bounds`], each listing, in id order, the buildings, intersection
+/// areas, road axes and lanes whose boxes reach it, packed cell by cell
+/// into one array per kind. The camera's classifier reads the geometry
+/// copied inline; [`Map::ground_at`] and [`Map::lane_at`] read the
+/// parallel id arrays and measure with the map's own geometry.
 #[derive(Debug, Clone)]
-struct MaterialGrid {
+struct MapGrid {
     origin: Vec2,
-    cell: f64,
-    inv_cell: f64,
     nx: usize,
     ny: usize,
     cells: Vec<MatCell>,
     buildings: Vec<Aabb>,
     isect_areas: Vec<Aabb>,
+    /// The intersection of each `isect_areas` record.
+    isect_ids: Vec<IntersectionId>,
     axes: Vec<MatAxis>,
+    /// The [`Map::road_axes`] index of each `axes` record.
+    axis_ids: Vec<u32>,
+    /// Cell `c` lists `lanes[lane_start[c]..lane_start[c + 1]]`.
+    lane_start: Vec<u32>,
+    lanes: Vec<LaneId>,
 }
 
-/// Per-cell `[start, end)` ranges into the [`MaterialGrid`] record arrays.
+/// Per-cell `[start, end)` ranges into the [`MapGrid`] record arrays.
 #[derive(Debug, Clone, Copy)]
 struct MatCell {
     b0: u32,
@@ -411,59 +425,67 @@ impl MatAxis {
     }
 }
 
-impl MaterialGrid {
+impl MapGrid {
+    /// Lists each geometry in every cell its box reaches: a building's bare
+    /// footprint, an intersection area grown by 2 m, a road axis's sidewalk
+    /// box grown by 2 m, and a lane's box grown by its width + 8 m (so a
+    /// lane search of up to 8 m finds it).
     fn build(
-        grid: &SpatialGrid,
+        bounds: &Aabb,
+        lanes: &[Lane],
         road_axes: &[RoadAxis],
         buildings: &[Aabb],
         intersections: &[Intersection],
     ) -> Self {
-        let n = grid.nx * grid.ny;
-        let mut mg = MaterialGrid {
-            origin: grid.origin,
-            cell: grid.cell,
-            inv_cell: 1.0 / grid.cell,
-            nx: grid.nx,
-            ny: grid.ny,
-            cells: Vec::with_capacity(n),
-            buildings: Vec::new(),
-            isect_areas: Vec::new(),
-            axes: Vec::new(),
-        };
-        for c in 0..n {
-            let b0 = mg.buildings.len() as u32;
-            mg.buildings
-                .extend(grid.buildings[c].iter().map(|&i| buildings[i]));
-            let i0 = mg.isect_areas.len() as u32;
-            mg.isect_areas.extend(
-                grid.intersections[c]
-                    .iter()
-                    .map(|&i| *intersections[i.0 as usize].area()),
-            );
-            let a0 = mg.axes.len() as u32;
-            mg.axes
-                .extend(grid.axes[c].iter().map(|&i| MatAxis::new(&road_axes[i])));
-            mg.cells.push(MatCell {
-                b0,
-                b1: mg.buildings.len() as u32,
-                i0,
-                i1: mg.isect_areas.len() as u32,
-                a0,
-                a1: mg.axes.len() as u32,
-            });
+        let origin = bounds.min;
+        let nx = ((bounds.width() / CELL).ceil() as usize).max(1);
+        let ny = ((bounds.height() / CELL).ceil() as usize).max(1);
+        let pack = |boxes: &[Aabb]| pack_cells(origin, nx, ny, boxes);
+        let grown = |boxes: &mut dyn Iterator<Item = Aabb>| pack(&boxes.collect::<Vec<_>>());
+        let (b_at, b) = pack(buildings);
+        let (i_at, i) = grown(&mut intersections.iter().map(|x| x.area().inflated(2.0)));
+        let (a_at, a) = grown(&mut road_axes.iter().map(|x| x.bounds().inflated(2.0)));
+        let (lane_start, l) =
+            grown(&mut lanes.iter().map(|x| x.bounds().inflated(x.width() + 8.0)));
+        MapGrid {
+            origin,
+            nx,
+            ny,
+            cells: (0..nx * ny)
+                .map(|c| MatCell {
+                    b0: b_at[c],
+                    b1: b_at[c + 1],
+                    i0: i_at[c],
+                    i1: i_at[c + 1],
+                    a0: a_at[c],
+                    a1: a_at[c + 1],
+                })
+                .collect(),
+            buildings: b.iter().map(|&k| buildings[k as usize]).collect(),
+            isect_areas: i
+                .iter()
+                .map(|&k| *intersections[k as usize].area())
+                .collect(),
+            isect_ids: i.iter().map(|&k| intersections[k as usize].id()).collect(),
+            axes: a
+                .iter()
+                .map(|&k| MatAxis::new(&road_axes[k as usize]))
+                .collect(),
+            axis_ids: a,
+            lane_start,
+            lanes: l.iter().map(|&k| lanes[k as usize].id()).collect(),
         }
-        mg
     }
 
     /// Grid cell containing `p`, or `None` outside the grid.
     ///
-    /// This is the *only* cell-resolution routine: [`Map::material_at`]
-    /// and the span classifier both call it, so a point lands in the same
-    /// cell no matter which path asks.
+    /// This is the map's *only* cell-resolution routine: the camera's
+    /// per-pixel and span paths and the rule monitor's queries all call
+    /// it, so a point lands in the same cell no matter which path asks.
     #[inline]
     fn locate(&self, p: Vec2) -> Option<(u32, u32)> {
-        let fx = (p.x - self.origin.x) * self.inv_cell;
-        let fy = (p.y - self.origin.y) * self.inv_cell;
+        let fx = (p.x - self.origin.x) * INV_CELL;
+        let fy = (p.y - self.origin.y) * INV_CELL;
         if fx < 0.0 || fy < 0.0 {
             return None;
         }
@@ -474,10 +496,44 @@ impl MaterialGrid {
         Some((ix as u32, iy as u32))
     }
 
+    /// Index into `cells` of a cell [`MapGrid::locate`] resolved.
+    #[inline]
+    fn index(&self, (ix, iy): (u32, u32)) -> usize {
+        iy as usize * self.nx + ix as usize
+    }
+
     #[inline]
     fn material_at(&self, p: Vec2) -> Material {
         self.classify_in(self.locate(p), p)
     }
+}
+
+/// Lists the indices of `boxes` cell by cell, each cell in index order:
+/// cell `c` lists `idx[at[c]..at[c + 1]]`. A box reaches the cells between
+/// its corners' floored cell coordinates, clipped to the grid.
+fn pack_cells(origin: Vec2, nx: usize, ny: usize, boxes: &[Aabb]) -> (Vec<u32>, Vec<u32>) {
+    let coord = |v: f64, o: f64| ((v - o) * INV_CELL).floor().max(0.0) as usize;
+    let cells = |b: &Aabb| {
+        let xs = coord(b.min.x, origin.x)..=coord(b.max.x, origin.x).min(nx - 1);
+        (coord(b.min.y, origin.y)..=coord(b.max.y, origin.y).min(ny - 1))
+            .flat_map(move |y| xs.clone().map(move |x| y * nx + x))
+    };
+    let mut at = vec![0u32; nx * ny + 1];
+    for c in boxes.iter().flat_map(cells) {
+        at[c + 1] += 1;
+    }
+    for c in 0..nx * ny {
+        at[c + 1] += at[c];
+    }
+    let mut next = at.clone();
+    let mut idx = vec![0; at[nx * ny] as usize];
+    for (k, b) in boxes.iter().enumerate() {
+        for c in cells(b) {
+            idx[next[c] as usize] = k as u32;
+            next[c] += 1;
+        }
+    }
+    (at, idx)
 }
 
 /// Classifies a point against one cell's candidate geometry; every ground
@@ -657,7 +713,7 @@ fn axis_knots(axis: &MatAxis, base: Vec2, step: Vec2, lo: f64, hi: f64, out: &mu
     push_root((len2 - t0) / td, lo, hi, out);
 }
 
-impl MaterialGrid {
+impl MapGrid {
     /// Collects every candidate boundary root in `(lo, hi]` for one cell's
     /// geometry into `scratch.roots`.
     fn gather_cell_roots(
@@ -730,14 +786,14 @@ impl MaterialGrid {
         }
     }
 
-    /// Material at `p`, given the cell [`MaterialGrid::locate`] resolved
+    /// Material at `p`, given the cell [`MapGrid::locate`] resolved
     /// for it (a span probe reuses its segment's cell).
     #[inline]
     fn classify_in(&self, cell: Option<(u32, u32)>, p: Vec2) -> Material {
         match cell {
             None => Material::Grass,
-            Some((ix, iy)) => {
-                let c = self.cells[iy as usize * self.nx + ix as usize];
+            Some(cell) => {
+                let c = self.cells[self.index(cell)];
                 classify(
                     &self.buildings[c.b0 as usize..c.b1 as usize],
                     &self.isect_areas[c.i0 as usize..c.i1 as usize],
@@ -817,13 +873,13 @@ impl MaterialGrid {
             let after = x as f64;
             let limit = match cell {
                 Some((ix, iy)) => {
-                    let bx0 = self.origin.x + ix as f64 * self.cell;
-                    let by0 = self.origin.y + iy as f64 * self.cell;
-                    Self::exit_u(bx0, bx0 + self.cell, by0, by0 + self.cell, base, step)
+                    let bx0 = self.origin.x + ix as f64 * CELL;
+                    let by0 = self.origin.y + iy as f64 * CELL;
+                    Self::exit_u(bx0, bx0 + CELL, by0, by0 + CELL, base, step)
                 }
                 None => {
-                    let gx1 = self.origin.x + self.nx as f64 * self.cell;
-                    let gy1 = self.origin.y + self.ny as f64 * self.cell;
+                    let gx1 = self.origin.x + self.nx as f64 * CELL;
+                    let gy1 = self.origin.y + self.ny as f64 * CELL;
                     Self::enter_u(self.origin.x, gx1, self.origin.y, gy1, base, step, after)
                 }
             };
@@ -840,8 +896,8 @@ impl MaterialGrid {
             };
 
             scratch.roots.clear();
-            if let Some((ix, iy)) = cell {
-                let c = self.cells[iy as usize * self.nx + ix as usize];
+            if let Some(cell) = cell {
+                let c = self.cells[self.index(cell)];
                 let (lo, hi) = (after - 0.5, limit.min(seg_end as f64));
                 self.gather_cell_roots(c, base, step, lo, hi, scratch);
             }
@@ -913,108 +969,6 @@ impl MaterialGrid {
     }
 }
 
-/// Uniform spatial hash over the map bounds.
-#[derive(Debug, Clone)]
-struct SpatialGrid {
-    origin: Vec2,
-    cell: f64,
-    nx: usize,
-    ny: usize,
-    lanes: Vec<Vec<LaneId>>,
-    axes: Vec<Vec<usize>>,
-    buildings: Vec<Vec<usize>>,
-    intersections: Vec<Vec<IntersectionId>>,
-}
-
-impl SpatialGrid {
-    const CELL: f64 = 16.0;
-
-    fn build(
-        bounds: &Aabb,
-        lanes: &[Lane],
-        axes: &[RoadAxis],
-        buildings: &[Aabb],
-        intersections: &[Intersection],
-    ) -> Self {
-        let cell = Self::CELL;
-        let nx = ((bounds.width() / cell).ceil() as usize).max(1);
-        let ny = ((bounds.height() / cell).ceil() as usize).max(1);
-        let n = nx * ny;
-        let mut grid = SpatialGrid {
-            origin: bounds.min,
-            cell,
-            nx,
-            ny,
-            lanes: vec![Vec::new(); n],
-            axes: vec![Vec::new(); n],
-            buildings: vec![Vec::new(); n],
-            intersections: vec![Vec::new(); n],
-        };
-        for lane in lanes {
-            // Inflate by lane width plus a search margin so `lanes_near`
-            // with a modest max_dist finds it.
-            let b = lane.bounds().inflated(lane.width() + 8.0);
-            grid.insert_box(&b, |g, c| g.lanes[c].push(lane.id()));
-        }
-        for (i, axis) in axes.iter().enumerate() {
-            let b = axis.bounds().inflated(2.0);
-            grid.insert_box(&b, |g, c| g.axes[c].push(i));
-        }
-        for (i, bld) in buildings.iter().enumerate() {
-            grid.insert_box(bld, |g, c| g.buildings[c].push(i));
-        }
-        for isect in intersections {
-            let b = isect.area().inflated(2.0);
-            let id = isect.id();
-            grid.insert_box(&b, |g, c| g.intersections[c].push(id));
-        }
-        grid
-    }
-
-    fn cell_of(&self, p: Vec2) -> Option<usize> {
-        let ix = ((p.x - self.origin.x) / self.cell).floor();
-        let iy = ((p.y - self.origin.y) / self.cell).floor();
-        if ix < 0.0 || iy < 0.0 {
-            return None;
-        }
-        let (ix, iy) = (ix as usize, iy as usize);
-        if ix >= self.nx || iy >= self.ny {
-            return None;
-        }
-        Some(iy * self.nx + ix)
-    }
-
-    fn insert_box(&mut self, b: &Aabb, mut push: impl FnMut(&mut Self, usize)) {
-        let x0 = (((b.min.x - self.origin.x) / self.cell).floor().max(0.0)) as usize;
-        let y0 = (((b.min.y - self.origin.y) / self.cell).floor().max(0.0)) as usize;
-        let x1 = (((b.max.x - self.origin.x) / self.cell).floor().max(0.0)) as usize;
-        let y1 = (((b.max.y - self.origin.y) / self.cell).floor().max(0.0)) as usize;
-        for y in y0..=y1.min(self.ny - 1) {
-            for x in x0..=x1.min(self.nx - 1) {
-                push(self, y * self.nx + x);
-            }
-        }
-    }
-
-    fn lanes_near(&self, p: Vec2, _max_dist: f64) -> impl Iterator<Item = LaneId> + '_ {
-        self.cell_of(p)
-            .into_iter()
-            .flat_map(move |c| self.lanes[c].iter().copied())
-    }
-
-    fn axes_near(&self, p: Vec2) -> impl Iterator<Item = usize> + '_ {
-        self.cell_of(p)
-            .into_iter()
-            .flat_map(move |c| self.axes[c].iter().copied())
-    }
-
-    fn intersections_near(&self, p: Vec2) -> impl Iterator<Item = IntersectionId> + '_ {
-        self.cell_of(p)
-            .into_iter()
-            .flat_map(move |c| self.intersections[c].iter().copied())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::town::{TownConfig, TownGenerator};
@@ -1074,7 +1028,8 @@ mod tests {
                     b.min.x + b.width() * (i as f64 + 0.5) / steps as f64,
                     b.min.y + b.height() * (j as f64 + 0.5) / steps as f64,
                 );
-                if m.on_drivable(p) && m.on_sidewalk(p) {
+                let g = m.ground_at(p);
+                if g.drivable && g.sidewalk {
                     n_both += 1;
                 }
             }
@@ -1087,8 +1042,26 @@ mod tests {
         let m = town();
         let lane = &m.lanes()[0];
         let p = lane.point_at(lane.length() * 0.3);
-        let (_, proj) = m.nearest_lane(p, 5.0).expect("lane under point");
+        let (_, proj) = m.lane_at(p, None, 5.0).expect("lane under point");
         assert!(proj.distance < 0.5);
+    }
+
+    /// The grid spans the bounds, which a wide intersection area can
+    /// overhang; a point there still reports the area, as a full scan does.
+    #[test]
+    fn ground_at_finds_an_intersection_area_beyond_the_grid() {
+        let m = TownGenerator::new(TownConfig {
+            block: 100.0,
+            intersection_half: 30.0,
+            ..TownConfig::grid(2, 2)
+        })
+        .generate();
+        let p = Vec2::new(0.0, m.bounds().min.y - 1.0);
+        let isect = m.intersection(IntersectionId(0));
+        assert!(isect.area().contains(p) && m.grid.locate(p).is_none());
+        let g = m.ground_at(p);
+        assert_eq!(g.intersection, Some(isect.id()));
+        assert!(!g.drivable && !g.sidewalk);
     }
 
     #[test]
@@ -1096,7 +1069,7 @@ mod tests {
         let m = town();
         for b in m.buildings() {
             let c = b.center();
-            assert!(!m.on_drivable(c), "building center {c} on road");
+            assert!(!m.ground_at(c).drivable, "building center {c} on road");
         }
     }
 }

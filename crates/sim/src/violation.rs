@@ -7,7 +7,7 @@
 //! off-road, speeding) are debounced to one event per episode; collisions
 //! are debounced per hit with a cooldown.
 
-use crate::map::{LightState, Map, SignalGroup};
+use crate::map::{Ground, IntersectionId, LightState, Map, SignalGroup};
 use crate::math::Vec2;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -116,7 +116,7 @@ pub struct ViolationMonitor {
     in_offroad: bool,
     speeding_since: Option<f64>,
     speeding_latched: bool,
-    in_intersection: Option<u32>,
+    in_intersection: Option<IntersectionId>,
     last_collision_time: f64,
     last_collision_odometer: f64,
 }
@@ -199,21 +199,16 @@ impl ViolationMonitor {
 
     /// Runs the per-tick rule checks against the map.
     pub fn check(&mut self, map: &Map, ego: &EgoSnapshot) {
-        let p = ego.position;
-        let on_drivable = map.on_drivable(p);
-        let on_sidewalk = map.on_sidewalk(p);
-        let nearest = map
-            .nearest_lane_directional(p, ego.heading, 8.0)
-            .or_else(|| map.nearest_lane(p, 8.0));
-        let inside_isect = map
-            .intersections()
-            .iter()
-            .find(|i| i.area().contains(p))
-            .map(|i| i.id().0);
+        let Ground {
+            drivable,
+            sidewalk,
+            intersection,
+        } = map.ground_at(ego.position);
+        let nearest = map.lane_at(ego.position, Some(ego.heading), 8.0);
 
         // Lane departure: only meaningful on pavement, outside
         // intersections (connector lanes overlap there).
-        let departed = if on_drivable && inside_isect.is_none() {
+        let departed = if drivable && intersection.is_none() {
             match nearest {
                 Some((lane, proj)) => {
                     proj.lateral.abs() > map.lane(lane).width() * 0.5 + DEPARTURE_MARGIN
@@ -229,13 +224,13 @@ impl ViolationMonitor {
         self.in_lane_departure = departed;
 
         // Curb driving.
-        if on_sidewalk && !self.in_curb {
+        if sidewalk && !self.in_curb {
             self.emit(ViolationKind::CurbDriving, ego);
         }
-        self.in_curb = on_sidewalk;
+        self.in_curb = sidewalk;
 
         // Off-road (not pavement, not sidewalk).
-        let offroad = !on_drivable && !on_sidewalk;
+        let offroad = !drivable && !sidewalk;
         if offroad && !self.in_offroad {
             self.emit(ViolationKind::OffRoad, ego);
         }
@@ -262,9 +257,9 @@ impl ViolationMonitor {
 
         // Red-light running: transition into a signalized intersection whose
         // light for our travel direction is red.
-        if let Some(iid) = inside_isect {
+        if let Some(iid) = intersection {
             if self.in_intersection != Some(iid) {
-                let isect = &map.intersections()[iid as usize];
+                let isect = map.intersection(iid);
                 if isect.is_signalized() {
                     let group = SignalGroup::from_heading(ego.heading);
                     if isect.light_state(group, ego.time) == LightState::Red && ego.speed > 0.5 {
@@ -273,7 +268,7 @@ impl ViolationMonitor {
                 }
             }
         }
-        self.in_intersection = inside_isect;
+        self.in_intersection = intersection;
     }
 }
 

@@ -4,7 +4,8 @@
 
 use avfi_sim::map::route::plan_route;
 use avfi_sim::map::town::{TownConfig, TownGenerator};
-use avfi_sim::map::{LaneKind, Material};
+use avfi_sim::map::{Ground, LaneId, LaneKind, LaneProjection, Map, Material};
+use avfi_sim::math::Vec2;
 use proptest::prelude::*;
 
 fn arb_town() -> impl Strategy<Value = TownConfig> {
@@ -102,7 +103,7 @@ proptest! {
             b.min.x + b.width() * fx,
             b.min.y + b.height() * fy,
         );
-        let fast = map.nearest_lane(p, 6.0);
+        let fast = map.lane_at(p, None, 6.0);
         let brute = map
             .lanes()
             .iter()
@@ -117,4 +118,124 @@ proptest! {
             (f, b) => prop_assert!(false, "index {f:?} vs brute {b:?}"),
         }
     }
+
+    /// The map grid's queries equal full scans bit for bit: `ground_at`
+    /// against every road axis and intersection, `lane_at` (with and
+    /// without a heading) against every lane. Points are drawn over the
+    /// bounds and beyond, beside random lanes, and at every 16 m cell
+    /// corner and 1e-9 either side, where `locate` changes cell.
+    #[test]
+    fn grid_queries_match_full_scans(
+        cfg in arb_town(),
+        heading in -3.2f64..3.2,
+        spread in prop::collection::vec((-0.1f64..1.1, -0.1f64..1.1), 48),
+        beside in prop::collection::vec((0usize..1 << 16, 0.0f64..1.0, -9.0f64..9.0), 48),
+    ) {
+        let map = TownGenerator::new(cfg).generate();
+        let b = *map.bounds();
+        let lanes = map.lanes();
+        let points = spread
+            .iter()
+            .map(|&(fx, fy)| Vec2::new(b.min.x + b.width() * fx, b.min.y + b.height() * fy))
+            .chain(beside.iter().map(|&(k, f, off)| {
+                let lane = &lanes[k % lanes.len()];
+                let s = lane.length() * f;
+                lane.point_at(s) + Vec2::from_angle(lane.heading_at(s)).perp() * off
+            }))
+            .chain(cell_corners(&map));
+        for p in points {
+            let (grid, scan) = (map.ground_at(p), ground_scan(&map, p));
+            prop_assert!(grid == scan, "ground at {p:?}: grid {grid:?}, scan {scan:?}");
+            for h in [None, Some(heading)] {
+                let grid = bits(map.lane_at(p, h, 8.0));
+                let scan = bits(lane_scan(&map, p, h, 8.0));
+                prop_assert!(grid == scan, "lane at {p:?}, heading {h:?}: grid {grid:?}, scan {scan:?}");
+            }
+        }
+    }
+}
+
+/// Every 16 m map-grid cell corner (the grid is anchored at the bounds'
+/// origin) and the points 1e-9 either side of it on each axis.
+fn cell_corners(map: &Map) -> Vec<Vec2> {
+    let b = map.bounds();
+    let lines = |lo: f64, hi: f64| {
+        (0..)
+            .map(move |k| lo + 16.0 * k as f64)
+            .take_while(move |v| *v <= hi)
+    };
+    let mut corners = Vec::new();
+    for x in lines(b.min.x, b.max.x) {
+        for y in lines(b.min.y, b.max.y) {
+            for jx in [-1e-9, 0.0, 1e-9] {
+                for jy in [-1e-9, 0.0, 1e-9] {
+                    corners.push(Vec2::new(x + jx, y + jy));
+                }
+            }
+        }
+    }
+    corners
+}
+
+/// `Map::ground_at` by full scan: pavement within `half_road` of any axis
+/// or inside any intersection, sidewalk within `half_road + sidewalk` but
+/// off pavement, and the first containing intersection in id order.
+/// (`arb_town`'s intersection areas lie inside the bounds, so the grid's
+/// rule for a point off it, where an area is neither, never applies.)
+fn ground_scan(map: &Map, p: Vec2) -> Ground {
+    let intersection = map
+        .intersections()
+        .iter()
+        .find(|i| i.area().contains(p))
+        .map(|i| i.id());
+    let within = |width: &dyn Fn(f64, f64) -> f64| {
+        map.road_axes()
+            .iter()
+            .any(|a| a.axis.distance_to(p) <= width(a.half_road, a.sidewalk))
+    };
+    let drivable = intersection.is_some() || within(&|road, _| road);
+    Ground {
+        drivable,
+        sidewalk: !drivable && within(&|road, walk| road + walk),
+        intersection,
+    }
+}
+
+/// `Map::lane_at` by full scan: the first nearest lane in id order among
+/// those that agree with `heading`, else among all.
+fn lane_scan(
+    map: &Map,
+    p: Vec2,
+    heading: Option<f64>,
+    max_dist: f64,
+) -> Option<(LaneId, LaneProjection)> {
+    let nearest = |agrees: &dyn Fn(f64) -> bool| {
+        let mut best: Option<(LaneId, LaneProjection)> = None;
+        for lane in map.lanes() {
+            let proj = lane.project(p);
+            if proj.distance <= max_dist
+                && agrees(lane.heading_at(proj.s))
+                && best.is_none_or(|(_, b)| proj.distance < b.distance)
+            {
+                best = Some((lane.id(), proj));
+            }
+        }
+        best
+    };
+    heading
+        .and_then(|h| {
+            nearest(&|lane_heading| Vec2::from_angle(h).dot(Vec2::from_angle(lane_heading)) > 0.0)
+        })
+        .or_else(|| nearest(&|_| true))
+}
+
+/// A lane answer with its projection as raw bits, so `-0.0` and `0.0`
+/// differ.
+fn bits(found: Option<(LaneId, LaneProjection)>) -> Option<(LaneId, [u64; 3])> {
+    found.map(|(id, pr)| {
+        (
+            id,
+            [pr.s.to_bits(), pr.lateral.to_bits(), pr.distance.to_bits()],
+        )
+    })
 }

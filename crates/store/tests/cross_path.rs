@@ -71,10 +71,28 @@ fn json(results: &[StudyResult]) -> String {
     serde_json::to_string(results).expect("results serialize")
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
+/// A directory under the temp dir, removed when dropped, so a failing
+/// test cleans up as a passing one does.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn fresh_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("avfi-cross-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// The trace files in `dir`, by the flat index their name encodes.
@@ -115,7 +133,6 @@ fn every_execution_path_yields_identical_results_and_traces() {
             json(&results),
             trace_files(&dir, total),
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
     let (_, want_json, want_traces) = engine_runs[0].clone();
     assert_eq!(
@@ -180,7 +197,6 @@ fn every_execution_path_yields_identical_results_and_traces() {
     let runs: Vec<RunResult> = journaled.completed.into_iter().map(|(_, r)| r).collect();
     assert_eq!(runs.len(), total, "the journal holds every run");
     assert_eq!(json(&assemble_results(&plan, runs)), want_json);
-    let _ = std::fs::remove_dir_all(&spool);
 
     // 4. Ad-hoc evaluation jobs at the plan's coordinates.
     let jobs: Vec<EvalJob> = plan.studies()[0]
@@ -234,7 +250,6 @@ fn every_execution_path_yields_identical_results_and_traces() {
         json(&results),
         trace_files(&trace_dir, total),
     ));
-    let _ = std::fs::remove_dir_all(&spool);
 
     for (path, got_json, got_traces) in &paths {
         assert_eq!(got_json, &want_json, "{path}: results differ");

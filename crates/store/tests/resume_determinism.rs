@@ -11,7 +11,7 @@ use avfi_core::fault::FaultSpec;
 use avfi_core::{Engine, RunSink, WorkPlan};
 use avfi_sim::scenario::{Scenario, TownSpec};
 use avfi_trace::TraceLevel;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A plan with two studies and a fault sweep — enough flat indices (8)
 /// that interruption points land inside, between, and across campaigns.
@@ -60,11 +60,29 @@ fn results_json(results: &[avfi_core::StudyResult]) -> String {
     serde_json::to_string(results).expect("results serialize")
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
+/// A directory under the temp dir, removed when dropped, so a failing
+/// test cleans up as a passing one does.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn fresh_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("avfi-store-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create spool dir");
-    dir
+    TempDir(dir)
 }
 
 /// Interrupt after every k-th run and resume with 1 and 3 workers: the
@@ -144,7 +162,6 @@ fn run_spooled_checkpoint_round_trip() {
     let again =
         avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("replay");
     assert_eq!(results_json(&again), solo_json);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash mid-plan leaves a journal with some runs and a torn tail;
@@ -206,7 +223,6 @@ fn run_spooled_resumes_after_torn_journal() {
     let replay =
         avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink).expect("replay");
     assert_eq!(results_json(&replay), solo_json);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A journal written for a different plan at the same path is refused,
@@ -233,7 +249,6 @@ fn run_spooled_refuses_foreign_journal() {
     let err = avfi_store::run_spooled(&engine, &plan, &dir, TraceLevel::Off, &NullSink)
         .expect_err("foreign journal must be refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A plan the executor refuses comes back as `InvalidInput` carrying the
@@ -260,11 +275,10 @@ fn run_spooled_refuses_an_invalid_plan() {
         "study \"routeless\" campaign 0 scenario 0: town grid 2×2 of 25 m blocks \
          has 0 drive lanes longer than 20 m; a mission route needs two"
     );
-    let journals: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let journals: Vec<PathBuf> = std::fs::read_dir(&*dir)
         .expect("list spool dir")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "avj"))
         .collect();
     assert!(journals.is_empty(), "a refused plan left {journals:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
